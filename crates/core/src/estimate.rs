@@ -29,6 +29,7 @@ use crate::system::{SystemStrategy, SystemTarget};
 use pim_arch::{ChipSpec, EnergyModel, PowerBreakdown, ScheduleMode, TimingMode};
 use pim_dram::DramConfig;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Latency/energy estimate for one partition at a given batch size.
@@ -389,7 +390,7 @@ impl<'c> Estimator<'c> {
     pub fn estimate_group(&self, plans: &GroupPlan, batch: usize) -> GroupEstimate {
         let partitions: Vec<PartitionEstimate> =
             plans.plans().iter().map(|p| self.estimate_partition(p, batch)).collect();
-        self.combine_group(plans, partitions, batch)
+        self.combine_group(plans.plans(), partitions, batch)
     }
 
     /// Folds already-computed per-partition estimates into the group
@@ -397,9 +398,11 @@ impl<'c> Estimator<'c> {
     /// where each partition's estimate may have been computed under a
     /// *different* group. Bitwise identical to
     /// [`Self::estimate_group`] given the same per-partition numbers.
+    /// Reads each plan's packing and footprint but never its `index`,
+    /// so `plans` may be the memo's shared segment plans.
     pub(crate) fn combine_group(
         &self,
-        plans: &GroupPlan,
+        plans: &[impl Borrow<PartitionPlan>],
         partitions: Vec<PartitionEstimate>,
         batch: usize,
     ) -> GroupEstimate {
@@ -430,10 +433,10 @@ impl<'c> Estimator<'c> {
                 // executor will deliver. Groups whose packings still
                 // collide (unpacked plans, a stage wider than half the
                 // chip) keep the barrier-sum bound.
-                let offsets = crate::scheduler::interleave_offsets(plans.plans(), self.chip);
+                let offsets = crate::scheduler::interleave_offsets(plans, self.chip);
                 let mut core_occupancy_ns: Vec<f64> = Vec::new();
-                for ((plan, est), &offset) in plans.plans().iter().zip(&partitions).zip(&offsets) {
-                    for core in plan_used_cores(plan, self.chip) {
+                for ((plan, est), &offset) in plans.iter().zip(&partitions).zip(&offsets) {
+                    for core in plan_used_cores(plan.borrow(), self.chip) {
                         let core = core + offset;
                         if core_occupancy_ns.len() <= core {
                             core_occupancy_ns.resize(core + 1, 0.0);

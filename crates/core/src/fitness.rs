@@ -14,9 +14,16 @@
 //!   every other partition is unchanged). A partition's plan,
 //!   replication, packing, and estimate depend *only* on its own span
 //!   (see [`crate::plan::SegmentPlanner`]), so they are memoized per
-//!   segment and reused across every group in the population. A new
-//!   chromosome made of known segments costs per-partition clones and
-//!   the group fold — no planning, packing, or estimation.
+//!   segment and reused across every group in the population. An
+//!   evaluated group holds its segments as shared [`Arc`]s, so a new
+//!   chromosome made of known segments costs one pointer bump per
+//!   partition and the group fold — no planning, packing, estimation,
+//!   or plan clone.
+//!
+//! A segment miss pays for replication, whose per-replica chip check
+//! is an exact size-class feasibility test
+//! ([`crate::packing::ffd_fits_classes`]) rather than a repack of
+//! every replica item.
 //!
 //! Both memos live behind [`crate::memo::MemoShards`]: lock-per-shard
 //! concurrent maps whose hot read path takes only a shared lock on
@@ -132,14 +139,15 @@ impl ServingSlo {
     }
 }
 
-/// A fully evaluated partition group: plans, estimate, and the fitness
-/// values the GA consumes.
+/// A fully evaluated partition group: its segments, estimate, and the
+/// fitness values the GA consumes.
 #[derive(Debug, Clone)]
 pub struct EvaluatedGroup {
     /// The chromosome.
     pub group: PartitionGroup,
-    /// Resolved and replication-optimized plans.
-    pub plans: GroupPlan,
+    /// The memoized segment of each partition, in execution order,
+    /// shared with the context's segment memo.
+    segments: Vec<Arc<SegmentEval>>,
     /// Analytical estimate at the GA's batch size.
     pub estimate: GroupEstimate,
     /// Per-partition fitness `f(Pₖ)` (lower is better).
@@ -148,9 +156,24 @@ pub struct EvaluatedGroup {
     pub pgf: f64,
 }
 
+impl EvaluatedGroup {
+    /// The resolved and replication-optimized plans, assembled from
+    /// the shared segments with their execution-order indices.
+    pub fn plans(&self) -> GroupPlan {
+        GroupPlan::from_plans(
+            self.segments
+                .iter()
+                .enumerate()
+                .map(|(index, seg)| PartitionPlan { index, ..seg.plan.clone() })
+                .collect(),
+        )
+    }
+}
+
 /// One memoized segment: its replication-optimized plan (with a
 /// placeholder partition index) and its analytical estimate at the
 /// context's batch size and modes.
+#[derive(Debug)]
 struct SegmentEval {
     plan: PartitionPlan,
     estimate: PartitionEstimate,
@@ -516,17 +539,10 @@ impl<'a> FitnessContext<'a> {
     /// The evaluation itself: per-segment plan/replicate/estimate
     /// (through the segment memo), then the group fold and score.
     fn evaluate_uncached(&self, group: &PartitionGroup) -> EvaluatedGroup {
-        let parts = group.partitions();
-        let mut plans = Vec::with_capacity(parts.len());
-        let mut estimates = Vec::with_capacity(parts.len());
-        for (k, &part) in parts.iter().enumerate() {
-            let seg = self.segment_eval(part);
-            let mut plan = seg.plan.clone();
-            plan.index = k;
-            plans.push(plan);
-            estimates.push(seg.estimate);
-        }
-        let plans = GroupPlan::from_plans(plans);
+        let segments: Vec<Arc<SegmentEval>> =
+            group.partitions().iter().map(|&part| self.segment_eval(part)).collect();
+        let plans: Vec<&PartitionPlan> = segments.iter().map(|seg| &seg.plan).collect();
+        let estimates = segments.iter().map(|seg| seg.estimate).collect();
         let estimate = self.estimator().combine_group(&plans, estimates, self.batch);
         // Under interleaving the group's batch cycle is shorter than
         // the serial partition sum; scale each partition's share so
@@ -555,7 +571,7 @@ impl<'a> FitnessContext<'a> {
             })
             .collect();
         let pgf = partition_fitness.iter().sum();
-        EvaluatedGroup { group: group.clone(), plans, estimate, partition_fitness, pgf }
+        EvaluatedGroup { group: group.clone(), segments, estimate, partition_fitness, pgf }
     }
 
     /// Number of memoized whole-group evaluations.
@@ -699,6 +715,20 @@ mod tests {
             &b.partition_fitness[dropped + 1..],
             "shared segments must reuse the memoized estimate"
         );
+    }
+
+    #[test]
+    fn plans_match_a_fresh_build_of_the_group() {
+        // The shared segments carry placeholder indices; the assembled
+        // plans must equal what the compiler builds from the cuts.
+        let f = fixture();
+        let ctx =
+            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency);
+        let mut rng = StdRng::seed_from_u64(11);
+        let group = PartitionGroup::random(&mut rng, &f.validity);
+        let mut fresh = GroupPlan::build(&f.network, &f.seq, &group);
+        crate::replication::optimize_group(&mut fresh, &f.chip);
+        assert_eq!(ctx.evaluate(&group).plans(), fresh);
     }
 
     #[test]

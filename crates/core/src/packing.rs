@@ -32,9 +32,11 @@ pub struct Packing {
 /// using first-fit-decreasing. Returns `None` if the items do not fit
 /// (or an item exceeds the capacity outright).
 ///
-/// FFD is monotone for our purposes: adding items never reduces the
-/// number of bins needed, which keeps the validity map's
-/// max-end-per-start structure well-defined.
+/// FFD is a heuristic with packing anomalies (a bigger core, or a
+/// smaller item, can need more cores), so it guarantees no
+/// monotonicity in the item multiset. The validity map's prefix
+/// structure is a property checked on the model zoo, not a
+/// consequence of this function (see [`crate::validity::ValidityMap`]).
 ///
 /// # Example
 ///
@@ -84,6 +86,73 @@ pub fn pack_ffd(items: &[PackItem], cores: usize, capacity: usize) -> Option<Pac
 /// `true` if `items` fit into `cores` bins of `capacity`.
 pub fn fits(items: &[PackItem], cores: usize, capacity: usize) -> bool {
     pack_ffd(items, cores, capacity).is_some()
+}
+
+/// `true` if [`pack_ffd`] would pack an item multiset given as
+/// `(crossbars, count)` size classes, listed in strictly descending
+/// size order — without enumerating the items.
+///
+/// The verdict is exact, not a bound. In FFD order equal-size items
+/// are adjacent and fill bins in index order: every earlier bin is
+/// already too full for the size, so each open bin takes
+/// `min(count, free / size)` of the class at once, and each new bin
+/// takes `capacity / size`. That is O(classes × cores) instead of a
+/// sort and scan per item.
+///
+/// # Example
+///
+/// ```
+/// use compass::packing::{ffd_fits_classes, fits, PackItem};
+///
+/// let sizes = [5, 4, 4, 3, 3, 3];
+/// let items: Vec<PackItem> =
+///     sizes.iter().enumerate().map(|(id, &crossbars)| PackItem { id, crossbars }).collect();
+/// let classes = [(5, 1), (4, 2), (3, 3)];
+/// for cores in 1..4 {
+///     assert_eq!(ffd_fits_classes(&classes, cores, 9), fits(&items, cores, 9));
+/// }
+/// ```
+pub fn ffd_fits_classes(classes: &[(usize, usize)], cores: usize, capacity: usize) -> bool {
+    debug_assert!(classes.windows(2).all(|w| w[0].0 > w[1].0), "sizes must strictly descend");
+    let mut free: Vec<usize> = Vec::with_capacity(cores);
+    for &(size, count) in classes {
+        if count == 0 {
+            continue;
+        }
+        if size > capacity {
+            return false;
+        }
+        if size == 0 {
+            // Zero-size items land in the first open bin (or open one).
+            if free.is_empty() {
+                if cores == 0 {
+                    return false;
+                }
+                free.push(capacity);
+            }
+            continue;
+        }
+        let mut left = count;
+        for f in free.iter_mut() {
+            let take = left.min(*f / size);
+            *f -= take * size;
+            left -= take;
+            if left == 0 {
+                break;
+            }
+        }
+        if left == 0 {
+            continue;
+        }
+        let per_bin = capacity / size;
+        let opened = left.div_ceil(per_bin);
+        if free.len() + opened > cores {
+            return false;
+        }
+        free.extend(std::iter::repeat_n(capacity - per_bin * size, opened - 1));
+        free.push(capacity - (left - (opened - 1) * per_bin) * size);
+    }
+    true
 }
 
 #[cfg(test)]
@@ -139,14 +208,28 @@ mod tests {
     }
 
     #[test]
-    fn monotone_in_items() {
-        // If a set fits, any prefix of it fits (using same bins).
+    fn equal_sizes_fill_bins_in_order() {
         let all = items(&[4, 4, 4, 4, 4, 4]);
         assert!(fits(&all, 3, 9));
         assert!(fits(&all[..3], 3, 9));
-        // Adding one more item no longer fits 3 cores of 9.
+        // A seventh item of 4 no longer fits 3 cores of 9.
         let mut more = all.clone();
         more.push(PackItem { id: 6, crossbars: 4 });
         assert!(!fits(&more, 3, 9));
+        assert!(ffd_fits_classes(&[(4, 6)], 3, 9));
+        assert!(!ffd_fits_classes(&[(4, 7)], 3, 9));
+    }
+
+    #[test]
+    fn ffd_has_packing_anomalies() {
+        // FFD is a heuristic, not a monotone packer: on this list a
+        // bigger core, or a smaller first item, needs one more core.
+        let list = [44, 24, 24, 22, 21, 17, 8, 8, 6, 6];
+        let cores = |sizes: &[usize], capacity| pack_ffd(&items(sizes), 8, capacity).unwrap();
+        assert_eq!(cores(&list, 60).cores_used, 3);
+        assert_eq!(cores(&list, 61).cores_used, 4);
+        let mut shrunk = list;
+        shrunk[0] = 43;
+        assert_eq!(cores(&shrunk, 60).cores_used, 4);
     }
 }

@@ -10,8 +10,14 @@
 //! sample (`ceil(spatial / r)`), raising pipeline throughput at the
 //! cost of extra crossbars and extra weight-write work during the
 //! replace phase — the joint trade-off COMPASS's GA explores.
+//!
+//! Every `+1` replica is checked against the chip with
+//! [`ffd_fits_classes`] over a running per-size item count, which
+//! gives the same verdict as repacking every replica item with
+//! [`pack_ffd`] at a fraction of the cost. Only the final packing is
+//! built item by item.
 
-use crate::packing::{pack_ffd, PackItem};
+use crate::packing::{ffd_fits_classes, pack_ffd, PackItem};
 use crate::plan::{GroupPlan, PartitionPlan};
 use pim_arch::ChipSpec;
 
@@ -26,6 +32,7 @@ pub fn optimize_partition(plan: &mut PartitionPlan, chip: &ChipSpec) {
     if plan.slices.is_empty() {
         return;
     }
+    let mut items = SizeClasses::of(plan);
     let mut saturated = vec![false; plan.slices.len()];
     while let Some(bottleneck) = plan
         .slices
@@ -41,9 +48,11 @@ pub fn optimize_partition(plan: &mut PartitionPlan, chip: &ChipSpec) {
         if plan.slices[idx].waves_per_sample() < best_waves {
             break;
         }
-        plan.slices[idx].replication += 1;
-        if pack(plan, chip).is_none() {
-            plan.slices[idx].replication -= 1;
+        items.add_replica(idx);
+        if items.fit(chip) {
+            plan.slices[idx].replication += 1;
+        } else {
+            items.remove_replica(idx);
             saturated[idx] = true;
         }
     }
@@ -60,6 +69,65 @@ pub fn optimize_group(group: &mut GroupPlan, chip: &ChipSpec) {
 
 fn improves(spatial: usize, replication: usize) -> bool {
     spatial.div_ceil(replication + 1) < spatial.div_ceil(replication)
+}
+
+/// A partition's replica item multiset as `(crossbars, count)` size
+/// classes in descending size order, kept current across `+1`
+/// replicas instead of re-enumerated.
+struct SizeClasses {
+    classes: Vec<(usize, usize)>,
+    /// Per slice: one replica's `(class index, units)` histogram.
+    replica: Vec<Vec<(usize, usize)>>,
+}
+
+impl SizeClasses {
+    /// The multiset of every replica of every unit of `plan`.
+    fn of(plan: &PartitionPlan) -> Self {
+        let mut classes: Vec<(usize, usize)> = plan
+            .slices
+            .iter()
+            .flat_map(|s| s.unit_crossbars.iter().map(|&size| (size, 0)))
+            .collect();
+        classes.sort_unstable_by_key(|&(size, _)| std::cmp::Reverse(size));
+        classes.dedup();
+        let replica = plan
+            .slices
+            .iter()
+            .map(|slice| {
+                let mut histogram: Vec<(usize, usize)> = Vec::new();
+                for &size in &slice.unit_crossbars {
+                    let class = classes.partition_point(|&(s, _)| s > size);
+                    match histogram.iter_mut().find(|(c, _)| *c == class) {
+                        Some((_, n)) => *n += 1,
+                        None => histogram.push((class, 1)),
+                    }
+                }
+                histogram
+            })
+            .collect();
+        let mut items = Self { classes, replica };
+        for (idx, slice) in plan.slices.iter().enumerate() {
+            (0..slice.replication).for_each(|_| items.add_replica(idx));
+        }
+        items
+    }
+
+    fn add_replica(&mut self, slice: usize) {
+        for &(class, n) in &self.replica[slice] {
+            self.classes[class].1 += n;
+        }
+    }
+
+    fn remove_replica(&mut self, slice: usize) {
+        for &(class, n) in &self.replica[slice] {
+            self.classes[class].1 -= n;
+        }
+    }
+
+    /// Same verdict as `pack(plan, chip).is_some()`.
+    fn fit(&self, chip: &ChipSpec) -> bool {
+        ffd_fits_classes(&self.classes, chip.cores, chip.crossbars_per_core)
+    }
 }
 
 /// One physical crossbar-group instance: a unit of one replica of one

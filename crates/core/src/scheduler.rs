@@ -14,6 +14,7 @@ use pim_arch::{ChipSpec, ScheduleMode};
 use pim_isa::{ChipProgram, CoreId, Instruction, Tag, VectorOpKind};
 use pim_model::{LayerKind, Network, NodeId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Scheduling knobs.
@@ -295,11 +296,14 @@ pub fn schedule_group(
 /// at zero, leaving the schedule unchanged. The estimator's occupancy
 /// bound applies the same offsets so GA fitness prices exactly the
 /// overlap the executor will deliver.
-pub(crate) fn interleave_offsets(plans: &[PartitionPlan], chip: &ChipSpec) -> Vec<usize> {
+pub(crate) fn interleave_offsets(
+    plans: &[impl Borrow<PartitionPlan>],
+    chip: &ChipSpec,
+) -> Vec<usize> {
     let zeros = vec![0usize; plans.len()];
     let mut base = 0usize;
     for plan in plans {
-        let Some(packing) = plan.packing.as_ref() else { return zeros };
+        let Some(packing) = plan.borrow().packing.as_ref() else { return zeros };
         let width = packing.assignment.iter().map(|&c| c + 1).max().unwrap_or(0);
         base = base.max(width);
     }

@@ -14,10 +14,14 @@ use std::fmt;
 /// For each start unit `i`, the largest `j` such that units `[i, j)`
 /// form a valid partition (fit the chip's cores at replication 1).
 ///
-/// Validity is *prefix-monotone*: if `[i, j)` is valid then `[i, k)` is
-/// valid for all `i < k ≤ j`, because dropping units never increases
-/// the packing requirement (first-fit-decreasing packing is monotone in
-/// the item multiset).
+/// The map assumes validity is *prefix-monotone*: if `[i, j)` is
+/// valid then `[i, k)` is valid for all `i < k ≤ j`, and the window
+/// slid from `i` to `i + 1` still fits. First-fit-decreasing packing
+/// guarantees no such monotonicity (see [`crate::packing::pack_ffd`]),
+/// so it is a property of the decompositions, checked span by span on
+/// the model zoo's networks and chips. The replication optimizer
+/// relies on it: its `debug_assert` requires every span inside
+/// `max_end` to pack at replication 1.
 ///
 /// # Example
 ///
@@ -169,16 +173,37 @@ mod tests {
     }
 
     #[test]
-    fn prefix_monotonicity() {
-        let chip = ChipSpec::chip_s();
-        let seq = decompose(&zoo::resnet18(), &chip);
-        let map = ValidityMap::build(&seq, &chip);
-        for i in 0..map.len() {
-            for j in (i + 1)..=map.max_end(i) {
-                assert!(map.is_valid(i, j), "({i}, {j}) inside max_end must be valid");
-            }
-            if map.max_end(i) < map.len() {
-                assert!(!map.is_valid(i, map.max_end(i) + 1));
+    fn every_span_inside_max_end_packs_and_the_next_does_not() {
+        let chips = [ChipSpec::chip_s(), ChipSpec::chip_m(), ChipSpec::chip_l()];
+        for net in [zoo::resnet18(), zoo::squeezenet(), zoo::vgg16()] {
+            for chip in &chips {
+                let seq = decompose(&net, chip);
+                let map = ValidityMap::build(&seq, chip);
+                let fits_span =
+                    |items: &[PackItem]| fits(items, chip.cores, chip.crossbars_per_core);
+                let item = |j: usize| PackItem { id: j, crossbars: seq.unit(j).crossbars };
+                for i in 0..map.len() {
+                    let mut items = Vec::new();
+                    for j in i..map.max_end(i) {
+                        items.push(item(j));
+                        assert!(
+                            fits_span(&items),
+                            "{} on {}: [{i}, {}) must pack",
+                            net.name(),
+                            chip.name,
+                            j + 1
+                        );
+                    }
+                    if map.max_end(i) < map.len() {
+                        items.push(item(map.max_end(i)));
+                        assert!(
+                            !fits_span(&items),
+                            "{} on {}: [{i}, max_end + 1) must not pack",
+                            net.name(),
+                            chip.name
+                        );
+                    }
+                }
             }
         }
     }

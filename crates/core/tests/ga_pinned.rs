@@ -1,0 +1,99 @@
+//! GA output pinned across commits.
+//!
+//! `ga_parallel.rs` compares evaluation modes within one build; this
+//! suite pins what the GA *finds* — the winner's cuts, its fitness
+//! bits, and a hash of the serialized trace — so a change to the
+//! fitness hot path (segment sharing, replication feasibility checks,
+//! memo layout) that claims to be behaviour-preserving is checked
+//! against the numbers the previous implementation produced.
+//!
+//! The points are the benchmark's `compile` workload: the paper's GA
+//! parameters with early stopping off, seed 1, batch 8, latency
+//! fitness, analytic timing and barrier scheduling.
+
+use compass::fitness::{FitnessContext, FitnessKind};
+use compass::ga::{self, GaParams};
+use compass::{decompose, ValidityMap};
+use pim_arch::ChipSpec;
+use pim_model::{zoo, Network};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// FNV-1a over the trace bytes: stable across toolchains, unlike
+/// `std`'s `DefaultHasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+struct Pinned {
+    cuts: &'static [usize],
+    pgf_bits: u64,
+    trace_hash: u64,
+}
+
+fn check(name: &str, net: Network, chip: ChipSpec, want: Pinned) {
+    let seq = decompose(&net, &chip);
+    let validity = ValidityMap::build(&seq, &chip);
+    let ctx = FitnessContext::new(&net, &seq, &validity, &chip, 8, FitnessKind::Latency);
+    let params = GaParams { early_stop_patience: 0, ..GaParams::paper() };
+    let mut rng = StdRng::seed_from_u64(1);
+    let (best, trace) = ga::run(&ctx, &params, &mut rng);
+    let trace_json = serde_json::to_string(&trace).expect("trace serializes");
+    let got = (best.group.cuts().to_vec(), best.pgf.to_bits(), fnv1a(trace_json.as_bytes()));
+    assert_eq!(
+        got,
+        (want.cuts.to_vec(), want.pgf_bits, want.trace_hash),
+        "{name}: GA output moved (cuts, pgf bits, trace hash)"
+    );
+}
+
+#[test]
+fn resnet18_s_8_winner_is_pinned() {
+    check(
+        "resnet18-S-8",
+        zoo::resnet18(),
+        ChipSpec::chip_s(),
+        Pinned {
+            cuts: &[3, 9, 17, 30, 46, 61, 74, 87, 89],
+            pgf_bits: 4702599793963171840,
+            trace_hash: 14516890759118188013,
+        },
+    );
+}
+
+#[test]
+fn squeezenet_l_8_winner_is_pinned() {
+    check(
+        "squeezenet-L-8",
+        zoo::squeezenet(),
+        ChipSpec::chip_l(),
+        Pinned {
+            cuts: &[3, 7, 13, 22],
+            pgf_bits: 4696257144637358080,
+            trace_hash: 10282742382766878862,
+        },
+    );
+}
+
+#[test]
+fn vgg16_s_8_winner_is_pinned() {
+    check(
+        "vgg16-S-8",
+        zoo::vgg16(),
+        ChipSpec::chip_s(),
+        Pinned {
+            cuts: &[
+                9, 17, 32, 45, 60, 61, 72, 81, 92, 100, 114, 119, 133, 146, 157, 170, 181, 184,
+                195, 201, 216, 231, 244, 253, 267, 278, 294, 300, 315, 323, 334, 344, 360, 374,
+                380, 386, 394, 404, 415, 420, 429, 445, 451, 455, 461, 467, 478, 491, 500, 509,
+                513, 527, 539, 547, 560, 568, 570, 583, 598, 604, 616, 628, 641, 645, 660, 664,
+                680, 695, 708, 723, 732, 748, 762, 778, 789, 799, 811, 821, 837, 839, 853, 861,
+                871, 881, 884, 892, 901, 910, 912, 923, 925, 940, 941, 946, 956, 968,
+            ],
+            pgf_bits: 4716163354975010816,
+            trace_hash: 7556146442803687681,
+        },
+    );
+}

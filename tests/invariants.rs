@@ -6,6 +6,7 @@
 //! has no proptest): each property draws a few dozen `(network, chip)`
 //! cases from a seeded generator and asserts on every one.
 
+use compass::packing::{fits, PackItem};
 use compass::plan::GroupPlan;
 use compass::replication::optimize_group;
 use compass::{decompose, PartitionGroup, ValidityMap};
@@ -78,8 +79,13 @@ fn validity_map_is_prefix_monotone() {
         let map = ValidityMap::build(&seq, &chip);
         for i in 0..map.len() {
             assert!(map.max_end(i) > i, "single unit fits");
+            // `is_valid` restates `max_end`; packing each span checks
+            // the map against the packer it summarizes.
+            let mut items = Vec::new();
             for j in (i + 1)..=map.max_end(i) {
                 assert!(map.is_valid(i, j));
+                items.push(PackItem { id: j - 1, crossbars: seq.unit(j - 1).crossbars });
+                assert!(fits(&items, chip.cores, chip.crossbars_per_core), "[{i}, {j}) packs");
             }
         }
     }
