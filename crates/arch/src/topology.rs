@@ -264,42 +264,6 @@ impl Topology {
         self.links.iter().map(|l| l.spec.bandwidth_gbps).fold(f64::INFINITY, f64::min)
     }
 
-    /// The smallest per-hop link propagation latency, ns — the
-    /// conservative lookahead of a sharded (per-chip event loop)
-    /// simulation: no cross-chip effect can land sooner than one link
-    /// traversal, so every shard may safely advance that far beyond
-    /// the globally earliest pending event. `None` when there are no
-    /// links (a single chip has nothing to synchronize with).
-    pub fn min_link_latency_ns(&self) -> Option<f64> {
-        self.links.iter().map(|l| l.spec.latency_ns).min_by(f64::total_cmp)
-    }
-
-    /// Propagation latency of the deterministic route from `src` to
-    /// `dst` (sum of per-hop link latencies), ns. `None` when
-    /// unreachable; zero when `src == dst`.
-    pub fn route_latency_ns(&self, src: usize, dst: usize) -> Option<f64> {
-        let hops = self.route(src, dst)?;
-        Some(hops.iter().map(|&h| self.links[h].spec.latency_ns).sum())
-    }
-
-    /// Lower bound on the end-to-end delivery delay of a `bytes`-sized
-    /// transfer injected at `src` and routed to `dst`: every hop pays
-    /// its full serialization plus propagation even when completely
-    /// uncontended, so this is a safe per-destination lookahead term
-    /// for conservative parallel simulation. `None` when unreachable;
-    /// zero when `src == dst`.
-    pub fn route_transfer_bound_ns(&self, src: usize, dst: usize, bytes: usize) -> Option<f64> {
-        let hops = self.route(src, dst)?;
-        Some(
-            hops.iter()
-                .map(|&h| {
-                    let spec = &self.links[h].spec;
-                    spec.serialization_ns(bytes) + spec.latency_ns
-                })
-                .sum(),
-        )
-    }
-
     /// The worst-case route latency between any ordered chip pair
     /// (sum of per-hop propagation latencies), ns. Zero for a single
     /// chip.
@@ -481,34 +445,6 @@ mod tests {
         // The ring's worst pair is two hops away.
         assert!((ring.max_route_latency_ns() - 2.0 * LinkSpec::board().latency_ns).abs() < 1e-9);
         assert_eq!(Topology::single().max_route_latency_ns(), 0.0);
-    }
-
-    #[test]
-    fn min_link_latency_is_the_shard_lookahead() {
-        assert_eq!(Topology::ring(4).min_link_latency_ns(), Some(LinkSpec::board().latency_ns));
-        assert_eq!(Topology::fully_connected(3).min_link_latency_ns(), Some(120.0));
-        assert_eq!(Topology::single().min_link_latency_ns(), None, "no links, no lookahead");
-    }
-
-    #[test]
-    fn route_lookahead_queries_sum_the_deterministic_route() {
-        let ring = Topology::ring(4);
-        let board = LinkSpec::board();
-        // Adjacent chips: one hop.
-        assert_eq!(ring.route_latency_ns(0, 1), Some(board.latency_ns));
-        // Opposite corner: two hops.
-        assert_eq!(ring.route_latency_ns(0, 2), Some(2.0 * board.latency_ns));
-        assert_eq!(ring.route_latency_ns(2, 2), Some(0.0));
-        assert_eq!(ring.route_latency_ns(0, 9), None, "out of range is unreachable");
-        // The transfer bound adds per-hop serialization on top of
-        // propagation — every hop re-serializes the full payload.
-        let bytes = 4096;
-        let per_hop = board.serialization_ns(bytes) + board.latency_ns;
-        assert!((ring.route_transfer_bound_ns(0, 2, bytes).unwrap() - 2.0 * per_hop).abs() < 1e-9);
-        assert!(
-            ring.route_transfer_bound_ns(0, 1, 0).unwrap() >= board.latency_ns,
-            "a zero-byte transfer still pays propagation"
-        );
     }
 
     #[test]

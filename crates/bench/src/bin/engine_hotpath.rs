@@ -25,18 +25,8 @@
 //! `hotpath:gate:*` are same-process ratios, gated like every other
 //! record (throughput drop > tolerance fails CI).
 //!
-//! With the `sharded` feature a fourth measurement runs: **shard
-//! scaling** — the same multi-chip hand-off-chain workload on the
-//! single-threaded system engine vs one engine thread per chip
-//! (ring:4 and fc:16), recorded as `hotpath:abs:shard:*` wall times
-//! plus gated `hotpath:gate:shard:*` speedup ratios. The
-//! `--min-shard-speedup` floor only applies when the host has at
-//! least one hardware thread per chip (fc:16 must clear 1.5× the
-//! ring:4 floor; `--quick` halves both).
-//!
 //! ```text
 //! engine_hotpath [--quick] [--json BENCH_ci.json] [--min-speedup 3.0]
-//!                [--min-shard-speedup 2.0]
 //! ```
 
 use compass::fitness::{mean_unit_fitness, partition_scores, FitnessContext, FitnessKind};
@@ -202,81 +192,6 @@ fn best_of<F: FnMut() -> f64>(runs: usize, mut f: F) -> f64 {
     (0..runs).map(|_| f()).fold(f64::MIN, f64::max)
 }
 
-/// Shard-scaling measurements: the same multi-chip hand-off-chain
-/// workload on the single-threaded system engine and on one engine
-/// thread per chip (`pim-sim`'s `sharded` feature). The reports are
-/// byte-identical (the equivalence suite pins that); only the wall
-/// clock differs.
-#[cfg(feature = "sharded")]
-mod shard {
-    use compass::{CompileOptions, Compiler, GaParams, Strategy};
-    use pim_arch::{ChipSpec, Topology};
-    use pim_sim::{ChipLoad, SystemSimulator};
-    use std::time::Instant;
-
-    /// One topology's single-threaded vs sharded wall clock.
-    pub struct Scaling {
-        /// Trajectory label (`ring:4`, `fc:16`).
-        pub label: &'static str,
-        /// Chip (= shard thread) count.
-        pub chips: usize,
-        /// Best single-threaded wall time, ns.
-        pub single_ns: f64,
-        /// Best sharded wall time, ns.
-        pub sharded_ns: f64,
-    }
-
-    impl Scaling {
-        /// Single-threaded wall time over sharded wall time.
-        pub fn speedup(&self) -> f64 {
-            self.single_ns / self.sharded_ns
-        }
-    }
-
-    /// Measures `topology` with every chip running the compiled
-    /// tiny-CNN workload and handing off to its successor (so shard
-    /// boundaries carry traffic every round).
-    pub fn measure(topology: Topology, label: &'static str, rounds: usize, runs: usize) -> Scaling {
-        let compiled = Compiler::new(ChipSpec::chip_s())
-            .compile(
-                &pim_model::zoo::tiny_cnn(),
-                &CompileOptions::new()
-                    .with_strategy(Strategy::Greedy)
-                    .with_batch_size(4)
-                    .with_ga(GaParams::fast())
-                    .with_seed(11),
-            )
-            .expect("compiles");
-        let chips = topology.chips();
-        let loads: Vec<ChipLoad<'_>> = (0..chips)
-            .map(|c| {
-                let load = ChipLoad::new(compiled.programs());
-                if c + 1 < chips {
-                    load.with_handoff(c + 1, 65_536)
-                } else {
-                    load
-                }
-            })
-            .collect();
-        let wall_ns = |sharded: bool| {
-            let sim =
-                SystemSimulator::new(ChipSpec::chip_s(), topology.clone()).with_sharded(sharded);
-            let start = Instant::now();
-            let report = sim.run(&loads, rounds, 4).expect("simulates");
-            std::hint::black_box(report.makespan_ns);
-            start.elapsed().as_secs_f64() * 1e9
-        };
-        // Lower wall time is the least-disturbed run.
-        let min_of = |f: &dyn Fn() -> f64| (0..runs).map(|_| f()).fold(f64::MAX, f64::min);
-        Scaling {
-            label,
-            chips,
-            single_ns: min_of(&|| wall_ns(false)),
-            sharded_ns: min_of(&|| wall_ns(true)),
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let quick = has_flag("--quick");
     let json = arg_value("--json");
@@ -320,38 +235,6 @@ fn main() -> ExitCode {
         ga_evals_per_sec
     );
 
-    #[cfg(feature = "sharded")]
-    let shard_scalings = {
-        let (shard_rounds, shard_runs) = if quick { (6usize, 2usize) } else { (16, 3) };
-        let scalings = [
-            shard::measure(pim_arch::Topology::ring(4), "ring:4", shard_rounds, shard_runs),
-            shard::measure(
-                pim_arch::Topology::fully_connected(16),
-                "fc:16",
-                shard_rounds,
-                shard_runs,
-            ),
-        ];
-        print_table(
-            "Shard scaling (wall ms, single-threaded vs one thread per chip)",
-            &["topology", "single", "sharded", "speedup"],
-            &scalings
-                .iter()
-                .map(|s| {
-                    vec![
-                        s.label.into(),
-                        format!("{:.1}", s.single_ns / 1e6),
-                        format!("{:.1}", s.sharded_ns / 1e6),
-                        format!("{:.2}x", s.speedup()),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        scalings
-    };
-    #[cfg(not(feature = "sharded"))]
-    println!("\nshard scaling skipped (build with --features sharded to measure)");
-
     if let Some(path) = json {
         let record = |name: &str, makespan_ns: f64, throughput_ips: f64| BenchRecord {
             name: name.to_string(),
@@ -377,69 +260,7 @@ fn main() -> ExitCode {
                 record("hotpath:gate:engine-speedup", 1.0 / engine_speedup, engine_speedup),
             ],
         );
-        // Shard scaling: absolute wall times for visibility, plus the
-        // same-process single/sharded ratio gated like the other
-        // speedups. Unlike the queue/engine ratios, shard speedup is a
-        // function of the measuring host's core count, so every shard
-        // record carries a parallelism stamp and the baseline gate
-        // only compares records measured at matching parallelism.
-        #[cfg(feature = "sharded")]
-        compass_bench::append_records(
-            &path,
-            shard_scalings
-                .iter()
-                .flat_map(|s| {
-                    [
-                        record(
-                            &format!("hotpath:abs:shard:{}:single", s.label),
-                            s.single_ns,
-                            1e9 / s.single_ns,
-                        ),
-                        record(
-                            &format!("hotpath:abs:shard:{}:sharded", s.label),
-                            s.sharded_ns,
-                            1e9 / s.sharded_ns,
-                        ),
-                        record(
-                            &format!("hotpath:gate:shard:{}", s.label),
-                            1.0 / s.speedup(),
-                            s.speedup(),
-                        ),
-                    ]
-                    .map(compass_bench::BenchRecord::measured_on_this_host)
-                })
-                .collect(),
-        );
         println!("\nrecorded hot-path trajectory into {path}");
-    }
-
-    #[cfg(feature = "sharded")]
-    {
-        let min_shard: f64 = arg_value("--min-shard-speedup")
-            .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --min-shard-speedup {v:?}: {e}")))
-            .unwrap_or(0.0);
-        if min_shard > 0.0 {
-            let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            // fc:16 must scale 1.5x further than ring:4 (the 2x/3x
-            // acceptance pair at --min-shard-speedup 2.0); --quick
-            // halves both floors.
-            for (scaling, mult) in shard_scalings.iter().zip([1.0, 1.5]) {
-                let floor = min_shard * mult * if quick { 0.5 } else { 1.0 };
-                if parallelism < scaling.chips {
-                    println!(
-                        "note: shard gate for {} skipped ({parallelism} hardware threads < {} chips)",
-                        scaling.label, scaling.chips
-                    );
-                } else if scaling.speedup() < floor {
-                    eprintln!(
-                        "engine_hotpath: shard speedup {:.2}x on {} below required {floor:.2}x",
-                        scaling.speedup(),
-                        scaling.label
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
     }
 
     if min_speedup > 0.0 && queue_speedup < min_speedup {

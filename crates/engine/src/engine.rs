@@ -51,25 +51,6 @@ fn backwards_queue_panic() -> ! {
     panic!("event queue went backwards");
 }
 
-/// An event addressed to a component that lives in another shard of a
-/// partitioned simulation.
-///
-/// When export capture is enabled ([`Engine::enable_exports`]),
-/// dispatching an event whose target slot is vacant records the event
-/// here — at its scheduled time, in exact `(time, seq)` pop order —
-/// instead of panicking. The shard coordinator forwards captured
-/// events to the owning shard (see the `sharded` feature's
-/// `run_sharded`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemoteEvent<E> {
-    /// The instant the event was scheduled to fire.
-    pub time: SimTime,
-    /// The (vacant-here, live-elsewhere) component it addresses.
-    pub target: ComponentId,
-    /// The event payload.
-    pub payload: E,
-}
-
 /// The slice of engine state a component may touch while handling an
 /// event: the clock, the queue, the seeded RNG, and the spawn list
 /// (for registering new components — never for reaching into a peer).
@@ -191,9 +172,6 @@ pub struct Engine<E> {
     spawned: Vec<Box<dyn Component<E>>>,
     rng: SimRng,
     processed: u64,
-    /// `Some` when export capture is on: events addressed to vacant
-    /// slots land here (in pop order) instead of panicking.
-    exports: Option<Vec<RemoteEvent<E>>>,
 }
 
 impl<E: 'static> Engine<E> {
@@ -206,7 +184,6 @@ impl<E: 'static> Engine<E> {
             spawned: Vec::new(),
             rng: SimRng::seed_from_u64(seed),
             processed: 0,
-            exports: None,
         }
     }
 
@@ -244,35 +221,6 @@ impl<E: 'static> Engine<E> {
     /// registered right after it.
     pub fn next_component_id(&self) -> ComponentId {
         ComponentId(self.components.len())
-    }
-
-    /// Appends `n` vacant registry slots.
-    ///
-    /// A shard of a partitioned simulation registers only its own
-    /// components but pads the slots of remote peers, so every
-    /// component keeps the *global* address it would have in the
-    /// single-engine layout and cross-shard events need no id
-    /// translation. Dispatching to a padded slot panics unless export
-    /// capture is on ([`Self::enable_exports`]).
-    pub fn pad_components(&mut self, n: usize) {
-        for _ in 0..n {
-            self.components.push(None);
-        }
-    }
-
-    /// Captures events addressed to vacant (or never-registered)
-    /// component slots as [`RemoteEvent`]s instead of panicking —
-    /// the outbound half of a shard's mailbox. Capture happens at
-    /// dispatch time, so the export list is in exact `(time, seq)`
-    /// pop order.
-    pub fn enable_exports(&mut self) {
-        self.exports.get_or_insert_with(Vec::new);
-    }
-
-    /// Takes the events captured since the last call (empty unless
-    /// [`Self::enable_exports`] was called). Export capture stays on.
-    pub fn take_exports(&mut self) -> Vec<RemoteEvent<E>> {
-        self.exports.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Removes a component and downcasts it to its concrete type, for
@@ -374,17 +322,7 @@ impl<E: 'static> Engine<E> {
         let registered = self.components.len();
         let component = match self.components.get_mut(event.target.0) {
             Some(Some(c)) => c,
-            _ => {
-                if let Some(exports) = self.exports.as_mut() {
-                    exports.push(RemoteEvent {
-                        time: event.time,
-                        target: event.target,
-                        payload: event.payload,
-                    });
-                    return;
-                }
-                missing_component_panic()
-            }
+            _ => missing_component_panic(),
         };
         let mut ctx = EngineCtx {
             now: self.now,
@@ -414,34 +352,6 @@ impl<E: 'static> Engine<E> {
             }
             count += n;
         }
-    }
-
-    /// The timestamp of the earliest pending event, if any. A shard
-    /// coordinator reads this between windows to compute the next
-    /// global synchronization horizon.
-    pub fn peek_next_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Dispatches events in `(time, seq)` order while the earliest
-    /// pending instant is strictly below `horizon`, returning the
-    /// number of events processed. Because [`Self::step`] drains whole
-    /// instants, every event at an instant `< horizon` is processed —
-    /// including same-instant follow-ups scheduled mid-drain — and
-    /// nothing at or beyond the horizon is touched.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Self::step`].
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let mut count = 0u64;
-        while let Some(next) = self.queue.peek_time() {
-            if next >= horizon {
-                break;
-            }
-            count += self.step();
-        }
-        count
     }
 }
 
@@ -643,62 +553,8 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_the_horizon_and_drains_whole_instants() {
-        struct Sink {
-            seen: Vec<f64>,
-        }
-        impl Component<u32> for Sink {
-            fn on_event(&mut self, event: Event<u32>, _: &mut EngineCtx<'_, u32>) {
-                self.seen.push(event.time.as_ns());
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
-        let mut engine = Engine::new(0);
-        let id = engine.add_component(Sink { seen: Vec::new() });
-        for t in [1.0, 1.0, 3.0, 5.0] {
-            engine.schedule(SimTime::from_ns(t), id, 0);
-        }
-        assert_eq!(engine.peek_next_time(), Some(SimTime::from_ns(1.0)));
-        // Horizon exactly at a pending instant: that instant stays.
-        assert_eq!(engine.run_until(SimTime::from_ns(3.0)), 2);
-        assert_eq!(engine.peek_next_time(), Some(SimTime::from_ns(3.0)));
-        assert_eq!(engine.run_until(SimTime::from_ns(10.0)), 2);
-        assert_eq!(engine.peek_next_time(), None);
-        let sink: Sink = engine.extract(id).unwrap();
-        assert_eq!(sink.seen, vec![1.0, 1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn vacant_slots_export_when_capture_is_on() {
-        struct Emitter;
-        impl Component<u32> for Emitter {
-            fn on_event(&mut self, event: Event<u32>, ctx: &mut EngineCtx<'_, u32>) {
-                // Address the padded remote slot, twice at one instant.
-                ctx.schedule(event.time, ComponentId(1), event.payload);
-                ctx.schedule_in(2.0, ComponentId(1), event.payload + 1);
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
-        let mut engine = Engine::new(0);
-        let id = engine.add_component(Emitter);
-        engine.pad_components(1);
-        engine.enable_exports();
-        engine.schedule(SimTime::from_ns(1.0), id, 7);
-        engine.run_until_idle();
-        let exports = engine.take_exports();
-        let flat: Vec<(f64, usize, u32)> =
-            exports.iter().map(|e| (e.time.as_ns(), e.target.0, e.payload)).collect();
-        assert_eq!(flat, vec![(1.0, 1, 7), (3.0, 1, 8)]);
-        assert!(engine.take_exports().is_empty(), "take drains");
-    }
-
-    #[test]
     #[should_panic(expected = "missing component")]
-    fn vacant_slots_panic_without_capture() {
+    fn extracted_slots_panic() {
         struct Sink;
         impl Component<()> for Sink {
             fn on_event(&mut self, _: Event<()>, _: &mut EngineCtx<'_, ()>) {}
@@ -707,9 +563,9 @@ mod tests {
             }
         }
         let mut engine = Engine::new(0);
-        engine.add_component(Sink);
-        engine.pad_components(1);
-        engine.schedule(SimTime::ZERO, ComponentId(1), ());
+        let id = engine.add_component(Sink);
+        engine.extract::<Sink>(id).expect("registered as a Sink");
+        engine.schedule(SimTime::ZERO, id, ());
         engine.run_until_idle();
     }
 

@@ -7,11 +7,13 @@
 //!
 //! * [`SimTime`] — a finite, non-negative, totally ordered timestamp
 //!   newtype (no NaN can enter the event queue),
-//! * [`EventQueue`] — a binary heap ordered by `(time, sequence id)`,
-//!   so same-time events process in schedule order and every run is
-//!   bit-reproducible,
+//! * [`EventQueue`] — a calendar queue ordered by `(time, sequence
+//!   id)`, so same-time events process in schedule order and every
+//!   run is bit-reproducible (the `reference-queue` feature keeps the
+//!   retired binary heap alongside it as a test oracle),
 //! * [`Engine`] — the clock + queue + a registry of [`Component`]s
-//!   that react to events and schedule new ones,
+//!   that react to events and schedule new ones, on one thread: every
+//!   simulation, however many chips it models, runs on one engine,
 //! * [`SimRng`] — a seeded xoshiro256** generator, the sole sanctioned
 //!   randomness source inside a simulation.
 //!
@@ -55,17 +57,13 @@ mod engine;
 mod graph;
 mod queue;
 mod rng;
-#[cfg(feature = "sharded")]
-mod shard;
 mod time;
 mod traffic;
 
-pub use engine::{Component, Engine, EngineCtx, RemoteEvent};
+pub use engine::{Component, Engine, EngineCtx};
 pub use graph::{ClaimKind, TaskGraph};
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;
-#[cfg(feature = "sharded")]
-pub use shard::{run_sharded, Boundary, ShardSession};
 pub use time::SimTime;
 pub use traffic::{ArrivalGen, TrafficModel};
 

@@ -30,9 +30,7 @@
 //! *descending* so the earliest event pops off the back in O(1), and
 //! [`EventQueue::pop_at`] hands the engine the rest of a same-instant
 //! burst — barrier resets, same-cycle wakeups — one O(1) pop at a
-//! time with no intermediate buffer ([`EventQueue::pop_batch`] is the
-//! buffered equivalent for callers that want the whole burst at
-//! once).
+//! time with no intermediate buffer.
 
 use crate::time::SimTime;
 use crate::ComponentId;
@@ -420,26 +418,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Drains every event at the earliest pending instant into `out`
-    /// (appended in `(time, seq)` order), returning how many.
-    fn pop_batch(&mut self, out: &mut Vec<Event<E>>) -> usize {
-        let first = match self.pop() {
-            Some(e) => e,
-            None => return 0,
-        };
-        let time = first.time;
-        out.push(first);
-        let mut n = 1;
-        // All remaining events at exactly `time` share its bucket and
-        // are therefore already sorted at the pop end of `cur`.
-        while self.cur.last().map(|e| e.time == time).unwrap_or(false) {
-            out.push(self.cur.pop().expect("peeked"));
-            self.len -= 1;
-            n += 1;
-        }
-        n
-    }
-
     fn peek_time(&self) -> Option<SimTime> {
         if let Some(e) = self.cur.last() {
             return Some(e.time);
@@ -564,18 +542,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drains every event sharing the earliest pending timestamp into
-    /// `out` (appended in `(time, seq)` order), returning how many
-    /// were moved — the buffered counterpart of [`Self::pop_at`] for
-    /// callers that want the whole burst at once.
-    pub fn pop_batch(&mut self, out: &mut Vec<Event<E>>) -> usize {
-        match &mut self.imp {
-            QueueImpl::Calendar(q) => q.pop_batch(out),
-            #[cfg(any(test, feature = "reference-queue"))]
-            QueueImpl::Reference(q) => q.pop_batch(out),
-        }
-    }
-
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.imp {
@@ -644,21 +610,6 @@ pub(crate) mod reference {
                 return self.pop();
             }
             None
-        }
-
-        pub(crate) fn pop_batch(&mut self, out: &mut Vec<Event<E>>) -> usize {
-            let first = match self.pop() {
-                Some(e) => e,
-                None => return 0,
-            };
-            let time = first.time;
-            out.push(first);
-            let mut n = 1;
-            while self.peek_time() == Some(time) {
-                out.push(self.pop().expect("peeked"));
-                n += 1;
-            }
-            n
         }
 
         pub(crate) fn peek_time(&self) -> Option<SimTime> {
@@ -811,23 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_one_instant() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(3.0), T, 10);
-        q.push(SimTime::from_ns(1.0), T, 0);
-        q.push(SimTime::from_ns(1.0), T, 1);
-        q.push(SimTime::from_ns(1.0), T, 2);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 3);
-        assert_eq!(out.iter().map(|e| e.payload).collect::<Vec<_>>(), [0, 1, 2]);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), 1);
-        assert_eq!(out[0].payload, 10);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), 0);
-    }
-
-    #[test]
     fn peek_time_sees_all_tiers() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
@@ -858,7 +792,7 @@ mod tests {
 
     /// Exhaustive cross-check against the retired heap: a seeded
     /// pseudo-random schedule of pushes (near, far, same-instant
-    /// bursts, sub-ns spacings) interleaved with pops and batch pops
+    /// bursts, sub-ns spacings) interleaved with pops and whole-instant drains
     /// must produce the identical `(time, seq, payload)` stream.
     #[test]
     fn matches_reference_queue_on_random_schedules() {
@@ -906,9 +840,18 @@ mod tests {
                         popped_ref.push((e.time, e.seq));
                     }
                 } else {
-                    let mut a = Vec::new();
-                    let mut b = Vec::new();
-                    assert_eq!(calendar.pop_batch(&mut a), reference.pop_batch(&mut b));
+                    // Drain one whole instant from each queue: a full
+                    // pop, then `pop_at` until the instant runs dry.
+                    let drain = |q: &mut EventQueue<u32>| {
+                        let mut out: Vec<Event<u32>> = q.pop().into_iter().collect();
+                        if let Some(time) = out.first().map(|e| e.time) {
+                            out.extend(std::iter::from_fn(|| q.pop_at(time)));
+                        }
+                        out
+                    };
+                    let a = drain(&mut calendar);
+                    let b = drain(&mut reference);
+                    assert_eq!(a.len(), b.len());
                     for (x, y) in a.iter().zip(&b) {
                         assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
                     }

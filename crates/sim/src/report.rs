@@ -125,27 +125,19 @@ pub struct ChipSimSummary {
     pub handoff_wait_ns: f64,
 }
 
-/// How a run was executed — provenance metadata so benchmarks and
-/// logs cannot misattribute single-threaded numbers to the sharded
-/// path (e.g. after a silent sharding fallback on a single-chip or
-/// zero-latency-link system).
+/// How a run was executed — provenance metadata that benchmarks
+/// check before they attribute a wall time to an engine. Every
+/// simulator run records [`EngineMode::SingleThread`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// Every chip on one event loop.
     SingleThread,
-    /// One engine thread per chip behind the conservative-lookahead
-    /// boundary.
-    Sharded {
-        /// Number of shard threads (one per chip).
-        shards: usize,
-    },
 }
 
 impl fmt::Display for EngineMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineMode::SingleThread => write!(f, "single-thread"),
-            EngineMode::Sharded { shards } => write!(f, "sharded:{shards}"),
         }
     }
 }
@@ -179,17 +171,16 @@ pub struct SimReport {
     /// serving runs ([`crate::SystemSimulator::run_serving`]).
     pub serving: Option<crate::ServingReport>,
     /// Effective execution mode (run metadata). Excluded from both
-    /// serialization and equality: sharded and single-threaded runs
-    /// of the same system must stay byte-identical and compare equal,
-    /// while logs and benchmarks can still see which engine produced
-    /// the numbers. `None` for reports assembled outside a run (e.g.
-    /// deserialized fixtures).
+    /// serialization and equality, so a report compares equal to its
+    /// deserialized copy while benchmarks can still see which engine
+    /// produced the numbers. `None` for reports assembled outside a
+    /// run (e.g. deserialized fixtures).
     pub engine: Option<EngineMode>,
 }
 
-// `engine` is provenance, not a result: two runs of the same system
-// on different engines are *required* to agree on everything else, so
-// equality ignores it (see the byte-identity suites).
+// `engine` is provenance, not a result: a run and its deserialized
+// copy (which carries no stamp) must compare equal, so equality
+// ignores it.
 impl PartialEq for SimReport {
     fn eq(&self, other: &Self) -> bool {
         self.batch == other.batch
@@ -456,13 +447,10 @@ mod tests {
     fn engine_mode_is_metadata_only() {
         let mut r = report();
         let plain = serde_json::to_string(&r).unwrap();
-        r.engine = Some(EngineMode::Sharded { shards: 4 });
+        r.engine = Some(EngineMode::SingleThread);
         let stamped = serde_json::to_string(&r).unwrap();
         assert_eq!(plain, stamped, "engine mode must never leak into serialized reports");
-        let mut other = report();
-        other.engine = Some(EngineMode::SingleThread);
-        assert_eq!(r, other, "equality ignores the engine stamp");
-        assert_eq!(EngineMode::Sharded { shards: 4 }.to_string(), "sharded:4");
+        assert_eq!(r, report(), "equality ignores the engine stamp");
         assert_eq!(EngineMode::SingleThread.to_string(), "single-thread");
     }
 }

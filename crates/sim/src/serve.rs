@@ -15,6 +15,11 @@
 //! The arrival stream is a pure function of the traffic spec (and
 //! seed), never of the simulated system: replaying the same traffic
 //! against two configurations compares them under identical load.
+//!
+//! The frontend is two components on the system's own engine: a
+//! `RequestSource` that pre-schedules the arrival stream a chunk at a
+//! time, and the `RequestBuffer` that batches it and appends the
+//! admitted rounds to every active chip.
 
 use crate::components::ChipEvent;
 use crate::error::SimError;
@@ -297,18 +302,15 @@ pub fn percentiles(sample: &mut [f64], qs: &[f64]) -> Vec<f64> {
 /// realistic simulated timestamp, and it is far below any physical
 /// latency in the model, so it never reorders real work.
 ///
-/// The strictly positive delay is load-bearing for sharded serving:
-/// it is what gives the conservative shard protocol a non-zero edge
-/// weight between "the buffer cuts a batch" and "a chip receives the
-/// appended round". With a zero-latency admission, a shard whose next
-/// event is the round it is itself waiting for would need a window
-/// strictly past its own frontier — a zero-weight cycle the lookahead
-/// protocol cannot break. Both engines apply the same delay, so their
-/// reports stay byte-identical.
+/// It stays non-zero because every recorded serving result — the
+/// serving baselines, the benchmarked p99 — was taken with it: a
+/// zero-latency admission would shift every serving timestamp by the
+/// quantum and change report bytes. Dropping it is a behaviour change
+/// in its own right, not a cleanup.
 pub const ADMISSION_LATENCY_NS: f64 = 1.0 / 4096.0;
 
-/// The default [`RequestSource`] chunk: how many arrivals are
-/// pre-scheduled per self-tick. Large enough that per-request source
+/// The [`RequestSource`] chunk: how many arrivals are pre-scheduled
+/// per self-tick. Large enough that per-request source
 /// overhead vanishes, small enough that the engine queue never holds
 /// more than a bounded slab of far-future arrivals.
 pub(crate) const ARRIVAL_CHUNK: usize = 512;
@@ -366,39 +368,22 @@ impl Component<ChipEvent> for RequestSource {
     }
 }
 
-/// Where a [`BufferCore`] transition's side effects land. The core is
-/// a pure state machine shared by both execution engines; the sink is
-/// what differs — the single-threaded engine schedules real events,
-/// the sharded boundary queues admissions for cross-shard release and
-/// arms its own timer heap. Keeping every effect behind this trait is
-/// what makes the two engines' serving reports byte-identical: there
-/// is exactly one copy of the batching logic.
-pub(crate) trait AdmissionSink {
-    /// Deliver one appended round to every active chip. The cut
-    /// happened at `cut_ns`; delivery is at
-    /// `cut_ns + `[`ADMISSION_LATENCY_NS`].
-    fn admit_round(&mut self, cut_ns: f64);
-
-    /// Arm the flush timer for `due_ns`, carrying `generation` so a
-    /// stale timer can be recognized and ignored when it fires.
-    fn arm_deadline(&mut self, due_ns: f64, generation: u64);
-}
-
-/// The engine-independent request-buffer state machine: queues
-/// arrivals under admission control, cuts batches per the
-/// [`BatchPolicy`], and counts per-chip round completions for the
-/// in-flight backpressure limit. Each transition takes the current
-/// instant and an [`AdmissionSink`] for its effects; the transition
-/// order is the caller's responsibility (the single engine's event
-/// queue, or the sharded frontend's merged arrival/timer/completion
-/// stream).
-pub(crate) struct BufferCore {
+/// The request buffer + dispatcher component: queues arrivals under
+/// admission control, cuts batches per the [`BatchPolicy`], and counts
+/// per-chip round completions for the in-flight backpressure limit.
+/// Each cut schedules one [`ChipEvent::AppendRound`] per active chip
+/// [`ADMISSION_LATENCY_NS`] after the cut; deadline timers are
+/// [`ChipEvent::FlushDeadline`] self-events. After the run its
+/// admission ledger (`formed`, `admitted`, `dropped`) feeds the report
+/// fold.
+pub(crate) struct RequestBuffer {
     policy: BatchPolicy,
     queue_capacity: usize,
     max_inflight: usize,
-    /// Active chip indices, in admission fan-out order.
-    chips: Vec<usize>,
-    /// Rounds each active chip has completed, parallel to `chips`.
+    /// Active chips `(index, sequencer address)`, in admission fan-out
+    /// order.
+    active: Vec<(usize, ComponentId)>,
+    /// Rounds each active chip has completed, parallel to `active`.
     completed: Vec<usize>,
     /// Arrival instants of queued requests, oldest first.
     queue: Vec<f64>,
@@ -419,14 +404,14 @@ pub(crate) struct BufferCore {
     pub(crate) dropped: usize,
 }
 
-impl BufferCore {
-    pub(crate) fn new(config: &ServingConfig, chips: Vec<usize>) -> Self {
-        let completed = vec![0; chips.len()];
+impl RequestBuffer {
+    pub(crate) fn new(config: &ServingConfig, active: Vec<(usize, ComponentId)>) -> Self {
+        let completed = vec![0; active.len()];
         Self {
             policy: config.policy,
             queue_capacity: config.queue_capacity,
             max_inflight: config.max_inflight,
-            chips,
+            active,
             completed,
             queue: Vec::new(),
             generation: 0,
@@ -457,150 +442,71 @@ impl BufferCore {
         }
     }
 
-    /// Whether the next cut is waiting on a round completion: a batch
-    /// is due but every in-flight slot is taken, so the next
-    /// admission will be triggered by a [`Self::on_round_done`]. The
-    /// sharded frontend folds this into its admission horizon — it is
-    /// the only state in which a chip's own progress can move the
-    /// buffer.
-    #[cfg_attr(not(feature = "sharded"), allow(dead_code))]
-    pub(crate) fn awaiting_capacity(&self) -> bool {
-        self.batch_due() && self.inflight() >= self.max_inflight
-    }
-
-    /// A request arrived at `now_ns`.
-    pub(crate) fn on_new_request(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        if self.queue.len() >= self.queue_capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.queue.push(now_ns);
-        if self.queue.len() == 1 {
-            self.arm_deadline(now_ns, sink);
-        }
-        self.try_cut(now_ns, sink);
-    }
-
-    /// The source emitted its last arrival (at `now_ns`).
-    pub(crate) fn on_source_drained(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        self.drained = true;
-        self.try_cut(now_ns, sink);
-    }
-
-    /// A flush timer fired at `now_ns`; stale generations are ignored.
-    pub(crate) fn on_flush_deadline(
-        &mut self,
-        generation: u64,
-        now_ns: f64,
-        sink: &mut dyn AdmissionSink,
-    ) {
-        if generation != self.generation {
-            return;
-        }
-        self.deadline_due = true;
-        self.try_cut(now_ns, sink);
-    }
-
-    /// Chip `chip` finished one round at `now_ns`.
-    pub(crate) fn on_round_done(&mut self, chip: usize, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        let slot = self
-            .chips
-            .iter()
-            .position(|&c| c == chip)
-            .expect("round reports come from registered sequencers");
-        self.completed[slot] += 1;
-        self.try_cut(now_ns, sink);
-    }
-
     /// Cuts every batch that is due and fits under the in-flight
-    /// limit.
-    fn try_cut(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
+    /// limit. Each cut admits the oldest queued requests as round
+    /// `formed`, broadcasts the round to every active chip, and
+    /// re-arms the flush timer.
+    fn try_cut(&mut self, now_ns: f64, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
         while self.inflight() < self.max_inflight && self.batch_due() {
-            self.cut(now_ns, sink);
+            let take = self.queue.len().min(self.policy.max_batch());
+            let round = self.formed;
+            self.formed += 1;
+            for arrival in self.queue.drain(..take) {
+                self.admitted.push((arrival, round));
+            }
+            self.generation += 1;
+            self.deadline_due = false;
+            let at = SimTime::from_ns(now_ns + ADMISSION_LATENCY_NS);
+            for &(_, sequencer) in &self.active {
+                ctx.schedule(at, sequencer, ChipEvent::AppendRound);
+            }
+            self.arm_deadline(now_ns, me, ctx);
         }
-    }
-
-    /// Cuts one batch: admits the oldest queued requests as round
-    /// `formed` and broadcasts the round to every active chip.
-    fn cut(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
-        let take = self.queue.len().min(self.policy.max_batch());
-        let round = self.formed;
-        self.formed += 1;
-        for arrival in self.queue.drain(..take) {
-            self.admitted.push((arrival, round));
-        }
-        self.generation += 1;
-        self.deadline_due = false;
-        sink.admit_round(now_ns);
-        self.arm_deadline(now_ns, sink);
     }
 
     /// (Re)arms the flush timer for the oldest queued request, if the
     /// policy has one.
-    fn arm_deadline(&mut self, now_ns: f64, sink: &mut dyn AdmissionSink) {
+    fn arm_deadline(&self, now_ns: f64, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
         let BatchPolicy::Deadline { timeout_ns, .. } = self.policy else { return };
         let Some(&oldest) = self.queue.first() else { return };
-        sink.arm_deadline((oldest + timeout_ns).max(now_ns), self.generation);
-    }
-}
-
-/// The [`AdmissionSink`] of the single-threaded engine: admissions
-/// become [`ChipEvent::AppendRound`]s scheduled
-/// [`ADMISSION_LATENCY_NS`] after the cut, deadline timers become
-/// [`ChipEvent::FlushDeadline`] self-events.
-struct EngineSink<'a, 'b> {
-    me: ComponentId,
-    sequencers: &'a [ComponentId],
-    ctx: &'a mut EngineCtx<'b, ChipEvent>,
-}
-
-impl AdmissionSink for EngineSink<'_, '_> {
-    fn admit_round(&mut self, cut_ns: f64) {
-        let at = SimTime::from_ns(cut_ns + ADMISSION_LATENCY_NS);
-        for &sequencer in self.sequencers {
-            self.ctx.schedule(at, sequencer, ChipEvent::AppendRound);
-        }
-    }
-
-    fn arm_deadline(&mut self, due_ns: f64, generation: u64) {
-        self.ctx.schedule(
-            SimTime::from_ns(due_ns),
-            self.me,
-            ChipEvent::FlushDeadline { generation },
-        );
-    }
-}
-
-/// The request buffer + dispatcher component of the single-threaded
-/// engine: a [`BufferCore`] wired to real engine events. The sharded
-/// path has no buffer component at all — the boundary holds the same
-/// core and drives it from its merged frontend stream.
-pub(crate) struct RequestBuffer {
-    pub(crate) core: BufferCore,
-    /// Active sequencer addresses, parallel to the core's chip list.
-    sequencers: Vec<ComponentId>,
-}
-
-impl RequestBuffer {
-    pub(crate) fn new(config: &ServingConfig, active: Vec<(usize, ComponentId)>) -> Self {
-        let (chips, sequencers) = active.into_iter().unzip();
-        Self { core: BufferCore::new(config, chips), sequencers }
+        let due = SimTime::from_ns((oldest + timeout_ns).max(now_ns));
+        ctx.schedule(due, me, ChipEvent::FlushDeadline { generation: self.generation });
     }
 }
 
 impl Component<ChipEvent> for RequestBuffer {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         let now_ns = event.time.as_ns();
-        let mut sink = EngineSink { me: event.target, sequencers: &self.sequencers, ctx };
+        let me = event.target;
         match event.payload {
-            ChipEvent::NewRequest => self.core.on_new_request(now_ns, &mut sink),
-            ChipEvent::SourceDrained => self.core.on_source_drained(now_ns, &mut sink),
-            ChipEvent::FlushDeadline { generation } => {
-                self.core.on_flush_deadline(generation, now_ns, &mut sink)
+            ChipEvent::NewRequest => {
+                if self.queue.len() >= self.queue_capacity {
+                    self.dropped += 1;
+                    return;
+                }
+                self.queue.push(now_ns);
+                if self.queue.len() == 1 {
+                    self.arm_deadline(now_ns, me, ctx);
+                }
             }
-            ChipEvent::RoundDone { chip } => self.core.on_round_done(chip, now_ns, &mut sink),
+            ChipEvent::SourceDrained => self.drained = true,
+            ChipEvent::FlushDeadline { generation } => {
+                if generation != self.generation {
+                    return;
+                }
+                self.deadline_due = true;
+            }
+            ChipEvent::RoundDone { chip } => {
+                let slot = self
+                    .active
+                    .iter()
+                    .position(|&(c, _)| c == chip)
+                    .expect("round reports come from registered sequencers");
+                self.completed[slot] += 1;
+            }
             other => unreachable!("request buffer received {other:?}"),
         }
+        self.try_cut(now_ns, me, ctx);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -681,6 +587,46 @@ mod tests {
         assert!(matches!(negative.arrivals(), Err(SimError::InvalidServing(_))));
         let nan = TrafficSpec::Trace(RequestTrace { arrivals_ns: vec![f64::NAN] });
         assert!(matches!(nan.arrivals(), Err(SimError::InvalidServing(_))));
+    }
+
+    #[test]
+    fn arrival_chunk_size_never_changes_the_stream() {
+        // Chunking only batches the source's scheduling work: every
+        // chunk size must deliver the identical (time, event) stream.
+        struct Recorder {
+            seen: Vec<(SimTime, &'static str)>,
+        }
+        impl Component<ChipEvent> for Recorder {
+            fn on_event(&mut self, event: Event<ChipEvent>, _: &mut EngineCtx<'_, ChipEvent>) {
+                let kind = match event.payload {
+                    ChipEvent::NewRequest => "request",
+                    ChipEvent::SourceDrained => "drained",
+                    other => unreachable!("recorder received {other:?}"),
+                };
+                self.seen.push((event.time, kind));
+            }
+            fn into_any(self: Box<Self>) -> Box<dyn Any> {
+                self
+            }
+        }
+        let model = TrafficModel::Poisson { rate_per_s: 2.5e5 };
+        let arrivals = RequestTrace::synthesize(model, 13, 48).arrivals_ns;
+        let stream = |chunk: usize| {
+            let mut engine = pim_engine::Engine::new(0);
+            let sink = engine.add_component(Recorder { seen: Vec::new() });
+            let source = engine.add_component(RequestSource::new(arrivals.clone(), sink, chunk));
+            engine.schedule(SimTime::ZERO, source, ChipEvent::Kick);
+            engine.run_until_idle();
+            engine.extract::<Recorder>(sink).expect("recorder survives the run").seen
+        };
+        let reference = stream(1);
+        let mut expected: Vec<(SimTime, &str)> =
+            arrivals.iter().map(|&ns| (SimTime::from_ns(ns), "request")).collect();
+        expected.push((SimTime::from_ns(arrivals[47]), "drained"));
+        assert_eq!(reference, expected, "one request per arrival, then the drain marker");
+        for chunk in [7usize, 48, 512, 4096] {
+            assert_eq!(stream(chunk), reference, "chunk {chunk} must replay the same stream");
+        }
     }
 
     #[test]

@@ -27,6 +27,14 @@
 //! The single-chip [`crate::ChipSimulator`] is a thin wrapper over
 //! this machinery with a [`Topology::single`] system; its analytic
 //! reports stay byte-identical to the golden fixtures.
+//!
+//! Every run — fixed-round ([`SystemSimulator::run`]) or open-loop
+//! serving ([`SystemSimulator::run_serving`]) — goes through one
+//! function that builds the whole system on one single-threaded engine.
+//! Serving adds the [`crate::serve`] request buffer and source to the
+//! same component layout. The engine's retired binary-heap queue
+//! (`reference-queue` feature) runs the identical simulation as the
+//! byte-identity oracle.
 
 use crate::components::{
     BusComponent, ChipEvent, ClosedLoopDram, CoreComponent, CoreTiming, InlineDram, MemChannel,
@@ -37,24 +45,15 @@ use crate::report::{
     ChipSimSummary, CoreActivity, EngineMode, LinkStats, PartitionSimReport, SimReport,
 };
 use crate::serve::{
-    percentiles, BufferCore, RequestBuffer, RequestRecord, RequestSource, ServingConfig,
-    ServingReport, ARRIVAL_CHUNK,
+    percentiles, RequestBuffer, RequestRecord, RequestSource, ServingConfig, ServingReport,
+    ARRIVAL_CHUNK,
 };
-#[cfg(feature = "sharded")]
-use crate::serve::{AdmissionSink, ADMISSION_LATENCY_NS};
 use crate::stage::StageGraph;
 use pim_arch::{ChipSpec, EnergyModel, Link, PowerBreakdown, ScheduleMode, TimingMode, Topology};
 use pim_dram::{DramConfig, DramEnergy, TraceStats};
 use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, SimTime};
 use pim_isa::{ChipProgram, CoreId};
 use std::any::Any;
-#[cfg(feature = "sharded")]
-use std::cmp::Reverse;
-#[cfg(feature = "sharded")]
-use std::collections::BinaryHeap;
-
-#[cfg(feature = "sharded")]
-use pim_engine::RemoteEvent;
 
 /// Default closed-loop address-interleave granularity: two LPDDR3 rows
 /// per stripe keeps sequential streams row-friendly while still
@@ -142,13 +141,8 @@ pub struct SystemSimulator {
     /// Explicit event-queue pre-size hint; `None` derives one from the
     /// workload.
     event_capacity: Option<usize>,
-    /// Serving-path arrival pre-generation chunk; `None` uses the
-    /// default [`ARRIVAL_CHUNK`].
-    arrival_chunk: Option<usize>,
     #[cfg(feature = "reference-queue")]
     reference_queue: bool,
-    #[cfg(feature = "sharded")]
-    sharded: bool,
 }
 
 impl SystemSimulator {
@@ -166,23 +160,9 @@ impl SystemSimulator {
             interleave_bytes: DEFAULT_INTERLEAVE_BYTES,
             dram_reorder: false,
             event_capacity: None,
-            arrival_chunk: None,
             #[cfg(feature = "reference-queue")]
             reference_queue: false,
-            #[cfg(feature = "sharded")]
-            sharded: std::env::var("PIM_SHARDED").map(|v| v == "1").unwrap_or(false),
         }
-    }
-
-    /// Runs multi-chip simulations with one event-loop thread per chip
-    /// shard (conservative link-latency lookahead; reports stay
-    /// byte-identical to the single-threaded engine). Defaults to the
-    /// `PIM_SHARDED=1` environment switch. Single-chip topologies have
-    /// no links to synchronize over and always run single-threaded.
-    #[cfg(feature = "sharded")]
-    pub fn with_sharded(mut self, enabled: bool) -> Self {
-        self.sharded = enabled;
-        self
     }
 
     /// Runs the simulation on the engine's retired binary-heap event
@@ -252,27 +232,10 @@ impl SystemSimulator {
 
     /// Pre-sizes the event queue for a known workload. A hint only —
     /// the queue grows past it transparently; the default derives a
-    /// size from the loads at `run` time. Sharded runs split an
-    /// explicit hint evenly across the shards.
+    /// size from the loads at `run` time.
     pub fn with_event_capacity(mut self, events: usize) -> Self {
         self.event_capacity = Some(events);
         self
-    }
-
-    /// Sets how many arrivals the serving request source pre-schedules
-    /// per engine visit (clamped to at least one). A measurement knob:
-    /// request timing is byte-identical for every chunk size — `1`
-    /// reproduces the legacy one-event-per-arrival pacing, the default
-    /// amortizes the per-arrival scheduling cost — so benchmarks can
-    /// isolate the chunking win honestly.
-    pub fn with_arrival_chunk(mut self, chunk: usize) -> Self {
-        self.arrival_chunk = Some(chunk.max(1));
-        self
-    }
-
-    /// The serving arrival pre-generation chunk in effect.
-    fn arrival_chunk(&self) -> usize {
-        self.arrival_chunk.unwrap_or(ARRIVAL_CHUNK).max(1)
     }
 
     /// The spec chip `c` runs: its slot override, or the system's base
@@ -392,31 +355,8 @@ impl SystemSimulator {
     ) -> Result<SimReport, SimError> {
         self.validate(loads)?;
         let rounds = rounds.max(1);
-        #[cfg(feature = "sharded")]
-        if self.sharded {
-            match self.shard_fallback_reason(loads) {
-                None => return self.run_sharded(loads, rounds, samples_per_round),
-                Some(reason) => note_shard_fallback(reason),
-            }
-        }
-        self.run_single(loads, rounds, samples_per_round)
-    }
-
-    /// Why a sharding request cannot be honoured for this system, if
-    /// it cannot: single-chip systems have nothing to parallelize, and
-    /// a zero-latency link admits no conservative lookahead window.
-    /// `None` means the sharded path will run. The effective mode is
-    /// always recorded in [`SimReport::engine`], so benchmarks cannot
-    /// misattribute single-threaded numbers to the sharded path.
-    #[cfg(feature = "sharded")]
-    fn shard_fallback_reason(&self, loads: &[ChipLoad<'_>]) -> Option<&'static str> {
-        if loads.len() <= 1 {
-            return Some("the system has a single chip, so there is nothing to parallelize");
-        }
-        if !self.topology.min_link_latency_ns().is_some_and(|latency| latency > 0.0) {
-            return Some("a zero-latency link admits no conservative lookahead window");
-        }
-        None
+        let (outcomes, links, _) = self.execute(loads, Workload::Rounds(rounds));
+        self.fold_report(loads, rounds, samples_per_round, outcomes, links)
     }
 
     /// Peak concurrently-live stage cores of one chip's load under
@@ -437,45 +377,19 @@ impl SystemSimulator {
     /// channel/bus/rendezvous/DRAM per chip, the interconnect) keeps
     /// only a bounded handful of events in flight, so peak occupancy
     /// scales with concurrent components — not with instructions ×
-    /// rounds, which measures throughput. A hint only; the queue
-    /// grows past it transparently.
-    fn event_capacity_for(&self, loads: &[ChipLoad<'_>]) -> usize {
+    /// rounds, which measures throughput. `frontend` adds the serving
+    /// frontend's own peak (zero for fixed-round runs). A hint only;
+    /// the queue grows past it transparently.
+    fn event_capacity_for(&self, loads: &[ChipLoad<'_>], frontend: usize) -> usize {
         self.event_capacity.unwrap_or_else(|| {
             let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
-            ((stage_cores + 8 * loads.len()) * 8).clamp(256, 1 << 16)
+            ((stage_cores + 8 * loads.len()) * 8 + frontend).clamp(256, 1 << 16)
         })
-    }
-
-    /// The serving-path pre-size: the steady-state derivation of
-    /// [`Self::event_capacity_for`] plus the frontend's own peak —
-    /// one pre-scheduled chunk of arrivals and the admission fan-out.
-    /// `requests` is the *realized* arrival count, i.e. the traffic
-    /// spec's mean rate × duration already sampled, so short traces
-    /// never over-reserve.
-    fn serving_event_capacity(&self, loads: &[ChipLoad<'_>], requests: usize) -> usize {
-        self.event_capacity.unwrap_or_else(|| {
-            let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
-            let steady = (stage_cores + 8 * loads.len()) * 8;
-            let frontend = requests.min(self.arrival_chunk()) + 2 * loads.len();
-            (steady + frontend).clamp(256, 1 << 16)
-        })
-    }
-
-    /// One shard's slice of the pre-size: an explicit hint is split
-    /// evenly across chips; the derived default counts only the
-    /// shard's own stage cores and shared components.
-    #[cfg(feature = "sharded")]
-    fn shard_event_capacity(&self, load: &ChipLoad<'_>, chips: usize) -> usize {
-        self.event_capacity
-            .map(|cap| (cap / chips).max(256))
-            .unwrap_or_else(|| ((self.stage_cores_of(load) + 8) * 8).clamp(256, 1 << 16))
     }
 
     /// Registers chip `c`'s shared components in the canonical order —
     /// `[dram?, rendezvous, channel, bus]` — and returns their
-    /// addresses. The single-threaded engine and every shard use this
-    /// same layout, so global component ids are identical across
-    /// execution modes.
+    /// addresses.
     fn register_chip(&self, engine: &mut Engine<ChipEvent>, c: usize) -> ChipParts {
         let chip = self.chip_for(c);
         let dram = match self.mode {
@@ -536,60 +450,6 @@ impl SystemSimulator {
         }
     }
 
-    /// The classic path: every chip on one engine, one event loop.
-    fn run_single(
-        &self,
-        loads: &[ChipLoad<'_>],
-        rounds: usize,
-        samples_per_round: usize,
-    ) -> Result<SimReport, SimError> {
-        let chips = loads.len();
-        let mut engine: Engine<ChipEvent> = Engine::new(0);
-        #[cfg(feature = "reference-queue")]
-        if self.reference_queue {
-            engine.use_reference_queue();
-        }
-        engine.reserve_events(self.event_capacity_for(loads));
-        let parts: Vec<ChipParts> =
-            (0..chips).map(|c| self.register_chip(&mut engine, c)).collect();
-
-        // The interconnect is registered before the sequencers, so the
-        // sequencer addresses it must deliver to are the next `chips`
-        // ids after its own.
-        let interconnect_id = engine.next_component_id();
-        let sequencer_ids: Vec<ComponentId> =
-            (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
-        let interconnect =
-            engine.add_component(InterconnectComponent::new(&self.topology, &sequencer_ids));
-        assert_eq!(interconnect, interconnect_id);
-        for c in 0..chips {
-            let id = engine.add_component(self.sequencer_for(
-                c,
-                loads,
-                rounds,
-                &parts[c],
-                interconnect_id,
-            ));
-            assert_eq!(id, sequencer_ids[c]);
-        }
-        for &id in &sequencer_ids {
-            engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
-        }
-        engine.run_until_idle();
-
-        let outcomes: Vec<ChipOutcome> = (0..chips)
-            .map(|c| self.chip_outcome(&mut engine, &parts[c], sequencer_ids[c]))
-            .collect();
-        let links = (!self.topology.is_single()).then(|| {
-            let ic: InterconnectComponent =
-                engine.extract(interconnect_id).expect("interconnect survives the run");
-            ic.stats
-        });
-        let mut report = self.fold_report(loads, rounds, samples_per_round, outcomes, links)?;
-        report.engine = Some(EngineMode::SingleThread);
-        Ok(report)
-    }
-
     /// Runs an *open-loop serving* workload: instead of a fixed round
     /// count, a [`crate::TrafficSpec`]-driven request source feeds a
     /// [`crate::BatchPolicy`]-governed request buffer, and every
@@ -599,17 +459,10 @@ impl SystemSimulator {
     /// p50/p99/p999 latency, queueing delay, goodput and drops — and
     /// `batch` reflects the requests actually served.
     ///
-    /// Serving runs are deterministic per traffic seed on *either*
-    /// engine. When sharding is requested and honoured, the admission
-    /// frontend (source + buffer) moves onto the shard boundary: the
-    /// arrival stream's next-arrival lower bound — advanced by the
-    /// [`crate::ADMISSION_LATENCY_NS`] admission delay — joins the
-    /// in-flight transfer tails as a horizon term, admitted rounds
-    /// ship to the shards as ordered remote events, and the report is
-    /// byte-identical to the single-threaded oracle. The fallback
-    /// reasons (single chip, zero-latency link) are exactly
-    /// [`Self::run`]'s, recorded in [`SimReport::engine`] and noted
-    /// once per process.
+    /// Serving runs are deterministic per traffic seed: the arrival
+    /// stream is resolved before the run starts, and every admitted
+    /// round reaches the chips [`crate::ADMISSION_LATENCY_NS`] after
+    /// its batch is cut.
     ///
     /// # Errors
     ///
@@ -647,71 +500,86 @@ impl SystemSimulator {
                 "every chip is idle; nothing can serve the request stream".into(),
             ));
         }
-        #[cfg(feature = "sharded")]
-        if self.sharded {
-            match self.shard_fallback_reason(loads) {
-                None => return self.run_serving_sharded(loads, serving, arrivals),
-                Some(reason) => note_shard_fallback(reason),
-            }
-        }
-        self.run_serving_single(loads, serving, arrivals)
+        let workload = Workload::Serving { config: serving, arrivals };
+        let (outcomes, links, buffer) = self.execute(loads, workload);
+        let buffer = buffer.expect("serving runs register a request buffer");
+        self.fold_serving_report(loads, serving, buffer, outcomes, links)
     }
 
-    /// The single-threaded serving path: the whole system plus the
-    /// request source and buffer on one engine — the byte-identity
-    /// oracle the sharded path is tested against.
-    fn run_serving_single(
+    /// The one system run path: every chip, the interconnect and — for
+    /// serving — the request buffer and source on one engine, run to
+    /// idle. Component ids follow one fixed layout: per chip
+    /// `[dram?, rendezvous, channel, bus]`, then the interconnect, then
+    /// one sequencer per chip, then the buffer and the source. Returns
+    /// the per-chip outcomes, the link statistics (multi-chip
+    /// topologies only) and, for serving, the request buffer's
+    /// admission ledger.
+    fn execute(
         &self,
         loads: &[ChipLoad<'_>],
-        serving: &ServingConfig,
-        arrivals: Vec<f64>,
-    ) -> Result<SimReport, SimError> {
+        workload: Workload<'_>,
+    ) -> (Vec<ChipOutcome>, Option<Vec<LinkStats>>, Option<RequestBuffer>) {
         let chips = loads.len();
         let mut engine: Engine<ChipEvent> = Engine::new(0);
         #[cfg(feature = "reference-queue")]
         if self.reference_queue {
             engine.use_reference_queue();
         }
-        engine.reserve_events(self.serving_event_capacity(loads, arrivals.len()));
+        // The serving frontend's own peak: one pre-scheduled chunk of
+        // arrivals plus the admission fan-out. `arrivals` is the
+        // realized stream, so short traces never over-reserve.
+        let frontend = match &workload {
+            Workload::Rounds(_) => 0,
+            Workload::Serving { arrivals, .. } => arrivals.len().min(ARRIVAL_CHUNK) + 2 * chips,
+        };
+        engine.reserve_events(self.event_capacity_for(loads, frontend));
         let parts: Vec<ChipParts> =
             (0..chips).map(|c| self.register_chip(&mut engine, c)).collect();
+
+        // The interconnect is registered before the sequencers, so the
+        // sequencer addresses it must deliver to are the next `chips`
+        // ids after its own.
         let interconnect_id = engine.next_component_id();
         let sequencer_ids: Vec<ComponentId> =
             (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
         let interconnect =
             engine.add_component(InterconnectComponent::new(&self.topology, &sequencer_ids));
         assert_eq!(interconnect, interconnect_id);
-        // The frontend components follow the sequencers: buffer, then
-        // source.
         let buffer_id = ComponentId(interconnect_id.0 + 1 + chips);
-        let source_id = ComponentId(buffer_id.0 + 1);
+        // Serving sequencers start with zero rounds; the buffer appends
+        // one per admitted batch and hears back when each drains.
+        let (rounds, notify) = match workload {
+            Workload::Rounds(rounds) => (rounds, None),
+            Workload::Serving { .. } => (0, Some(buffer_id)),
+        };
         for c in 0..chips {
-            // Sequencers start with zero rounds; the buffer appends
-            // one per admitted batch.
-            let mut sequencer = self.sequencer_for(c, loads, 0, &parts[c], interconnect_id);
+            let mut sequencer = self.sequencer_for(c, loads, rounds, &parts[c], interconnect_id);
             if !loads[c].programs.is_empty() {
-                sequencer.notify = Some(buffer_id);
+                sequencer.notify = notify;
             }
             let id = engine.add_component(sequencer);
             assert_eq!(id, sequencer_ids[c]);
         }
-        let active: Vec<(usize, ComponentId)> = (0..chips)
-            .filter(|&c| !loads[c].programs.is_empty())
-            .map(|c| (c, sequencer_ids[c]))
-            .collect();
-        let id = engine.add_component(RequestBuffer::new(serving, active));
-        assert_eq!(id, buffer_id);
-        let id =
-            engine.add_component(RequestSource::new(arrivals, buffer_id, self.arrival_chunk()));
-        assert_eq!(id, source_id);
-        for &id in &sequencer_ids {
+        let source_id = match workload {
+            Workload::Rounds(_) => None,
+            Workload::Serving { config, arrivals } => {
+                let active: Vec<(usize, ComponentId)> = (0..chips)
+                    .filter(|&c| !loads[c].programs.is_empty())
+                    .map(|c| (c, sequencer_ids[c]))
+                    .collect();
+                let id = engine.add_component(RequestBuffer::new(config, active));
+                assert_eq!(id, buffer_id);
+                Some(engine.add_component(RequestSource::new(arrivals, buffer_id, ARRIVAL_CHUNK)))
+            }
+        };
+        for &id in sequencer_ids.iter().chain(&source_id) {
             engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
         }
-        engine.schedule(SimTime::ZERO, source_id, ChipEvent::Kick);
         engine.run_until_idle();
 
-        let buffer: RequestBuffer =
-            engine.extract(buffer_id).expect("request buffer survives the run");
+        let buffer = source_id.map(|_| {
+            engine.extract::<RequestBuffer>(buffer_id).expect("request buffer survives the run")
+        });
         let outcomes: Vec<ChipOutcome> = (0..chips)
             .map(|c| self.chip_outcome(&mut engine, &parts[c], sequencer_ids[c]))
             .collect();
@@ -720,45 +588,34 @@ impl SystemSimulator {
                 engine.extract(interconnect_id).expect("interconnect survives the run");
             ic.stats
         });
-        self.fold_serving_report(
-            loads,
-            serving,
-            buffer.core,
-            outcomes,
-            links,
-            EngineMode::SingleThread,
-        )
+        (outcomes, links, buffer)
     }
 
-    /// Folds a finished serving run — the frontend's admission ledger
-    /// plus the per-chip outcomes — into the final report. Shared by
-    /// the single-threaded and sharded paths: identical ledgers and
-    /// outcomes fold to identical bytes, whatever engine produced
-    /// them.
+    /// Folds a finished serving run — the request buffer's admission
+    /// ledger plus the per-chip outcomes — into the final report.
     fn fold_serving_report(
         &self,
         loads: &[ChipLoad<'_>],
         serving: &ServingConfig,
-        core: BufferCore,
+        buffer: RequestBuffer,
         outcomes: Vec<ChipOutcome>,
         links: Option<Vec<LinkStats>>,
-        engine: EngineMode,
     ) -> Result<SimReport, SimError> {
         // Round spans — folded from the stage records *before*
         // fold_report consumes the outcomes. A round starts when its
         // first stage starts anywhere and finishes when its last stage
         // drains on the slowest chip.
-        let mut round_start = vec![f64::INFINITY; core.formed];
-        let mut round_finish = vec![0.0f64; core.formed];
+        let mut round_start = vec![f64::INFINITY; buffer.formed];
+        let mut round_finish = vec![0.0f64; buffer.formed];
         for outcome in &outcomes {
             for record in &outcome.sequencer.records {
                 round_start[record.round] = round_start[record.round].min(record.start_ns);
                 round_finish[record.round] = round_finish[record.round].max(record.end_ns);
             }
         }
-        let mut report = self.fold_report(loads, core.formed.max(1), 1, outcomes, links)?;
+        let mut report = self.fold_report(loads, buffer.formed.max(1), 1, outcomes, links)?;
 
-        let records: Vec<RequestRecord> = core
+        let records: Vec<RequestRecord> = buffer
             .admitted
             .iter()
             .map(|&(arrival_ns, round)| RequestRecord {
@@ -788,8 +645,8 @@ impl SystemSimulator {
         report.batch = records.len().max(1);
         report.serving = Some(ServingReport {
             requests: records.len(),
-            dropped: core.dropped,
-            rounds: core.formed,
+            dropped: buffer.dropped,
+            rounds: buffer.formed,
             p50_ns: tails[0],
             p99_ns: tails[1],
             p999_ns: tails[2],
@@ -798,14 +655,12 @@ impl SystemSimulator {
             slo_violations,
             records,
         });
-        report.engine = Some(engine);
         Ok(report)
     }
 
     /// Extracts everything the report fold needs about one chip from
     /// its (drained or stalled) engine — the hand-off from simulation
-    /// to accounting, engine-free so sharded workers can produce it
-    /// on their own threads.
+    /// to accounting.
     fn chip_outcome(
         &self,
         engine: &mut Engine<ChipEvent>,
@@ -841,9 +696,7 @@ impl SystemSimulator {
         ChipOutcome { sequencer, channel, rendezvous, inline_dram, closed_dram, stalled_cores }
     }
 
-    /// Folds per-chip outcomes into one [`SimReport`]. Shared by the
-    /// single-threaded and sharded paths: identical outcomes fold to
-    /// identical bytes.
+    /// Folds per-chip outcomes into one [`SimReport`].
     fn fold_report(
         &self,
         loads: &[ChipLoad<'_>],
@@ -969,229 +822,8 @@ impl SystemSimulator {
             links,
             // Serving runs attach their section after the fold.
             serving: None,
-            // The caller stamps the effective mode.
-            engine: None,
+            engine: Some(EngineMode::SingleThread),
         })
-    }
-
-    /// The sharded path: one engine thread per chip, synchronized
-    /// through the interconnect-as-[`pim_engine::Boundary`] with
-    /// dynamic per-chip lookahead derived from the declared hand-off
-    /// graph, each route's serialization + propagation, and the tails
-    /// of in-flight transfers. Component layout, event times, and
-    /// link accounting reproduce the single engine exactly, so the
-    /// folded report is byte-identical.
-    #[cfg(feature = "sharded")]
-    fn run_sharded(
-        &self,
-        loads: &[ChipLoad<'_>],
-        rounds: usize,
-        samples_per_round: usize,
-    ) -> Result<SimReport, SimError> {
-        let chips = loads.len();
-        // Mirror the single-engine global layout — per chip
-        // `[dram?, rendezvous, channel, bus]`, then the interconnect,
-        // then the sequencers — with each shard registering only its
-        // own chip's components and padding the rest as vacant slots,
-        // so every cross-shard address is identical in every engine.
-        let per_chip = 3 + usize::from(match self.mode {
-            TimingMode::Analytic => self.replay_dram,
-            TimingMode::ClosedLoop => true,
-        });
-        let interconnect_id = ComponentId(chips * per_chip);
-        let sequencer_ids: Vec<ComponentId> =
-            (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
-        // Per-pair delivery lower bounds for the *declared* hand-off
-        // graph: only a chip whose load declares a hand-off to `dst`
-        // can ever ship there, and each route hop pays the hand-off's
-        // full serialization plus propagation even when uncontended.
-        let mut route_bounds = vec![vec![None; chips]; chips];
-        for (src, load) in loads.iter().enumerate() {
-            for handoff in &load.handoffs {
-                route_bounds[src][handoff.dst] =
-                    self.topology.route_transfer_bound_ns(src, handoff.dst, handoff.bytes);
-            }
-        }
-        let mut boundary = LinkBoundary::new(
-            InterconnectComponent::new(&self.topology, &sequencer_ids),
-            interconnect_id,
-            chips,
-            route_bounds,
-        );
-        let sequencer_ids = &sequencer_ids;
-        let shards: Vec<_> = (0..chips)
-            .map(|c| {
-                move |session: pim_engine::ShardSession<ChipEvent>| -> ChipOutcome {
-                    let mut engine: Engine<ChipEvent> = Engine::new(0);
-                    #[cfg(feature = "reference-queue")]
-                    if self.reference_queue {
-                        engine.use_reference_queue();
-                    }
-                    engine.reserve_events(self.shard_event_capacity(&loads[c], chips));
-                    engine.enable_exports();
-                    let mut parts = None;
-                    for cc in 0..chips {
-                        if cc == c {
-                            parts = Some(self.register_chip(&mut engine, c));
-                        } else {
-                            engine.pad_components(per_chip);
-                        }
-                    }
-                    let parts = parts.expect("own chip registered");
-                    // The interconnect slot: vacant here, so its
-                    // events export to the coordinator's boundary.
-                    engine.pad_components(1);
-                    for cc in 0..chips {
-                        if cc == c {
-                            let id = engine.add_component(self.sequencer_for(
-                                c,
-                                loads,
-                                rounds,
-                                &parts,
-                                interconnect_id,
-                            ));
-                            assert_eq!(id, sequencer_ids[c]);
-                        } else {
-                            engine.pad_components(1);
-                        }
-                    }
-                    engine.schedule(SimTime::ZERO, sequencer_ids[c], ChipEvent::Kick);
-                    session.drive(&mut engine);
-                    self.chip_outcome(&mut engine, &parts, sequencer_ids[c])
-                }
-            })
-            .collect();
-        let outcomes = pim_engine::run_sharded(shards, &mut boundary);
-        // Sharded runs are multi-chip by construction (single-chip
-        // topologies never take this path), so links always report.
-        let links = Some(boundary.into_stats());
-        let mut report = self.fold_report(loads, rounds, samples_per_round, outcomes, links)?;
-        report.engine = Some(EngineMode::Sharded { shards: chips });
-        Ok(report)
-    }
-
-    /// The sharded serving path: the same per-chip shard layout as
-    /// [`Self::run_sharded`], with the admission frontend lifted onto
-    /// the boundary ([`ServingBoundary`]) instead of living as source
-    /// and buffer components. Each shard pads the buffer and source
-    /// slots, so its sequencer's `RoundDone` reports export to the
-    /// coordinator, and admitted rounds come back as released
-    /// `AppendRound` remote events. Reports are byte-identical to
-    /// [`Self::run_serving_single`].
-    #[cfg(feature = "sharded")]
-    fn run_serving_sharded(
-        &self,
-        loads: &[ChipLoad<'_>],
-        serving: &ServingConfig,
-        arrivals: Vec<f64>,
-    ) -> Result<SimReport, SimError> {
-        let chips = loads.len();
-        let per_chip = 3 + usize::from(match self.mode {
-            TimingMode::Analytic => self.replay_dram,
-            TimingMode::ClosedLoop => true,
-        });
-        let interconnect_id = ComponentId(chips * per_chip);
-        let sequencer_ids: Vec<ComponentId> =
-            (0..chips).map(|c| ComponentId(interconnect_id.0 + 1 + c)).collect();
-        let buffer_id = ComponentId(interconnect_id.0 + 1 + chips);
-        let mut route_bounds = vec![vec![None; chips]; chips];
-        for (src, load) in loads.iter().enumerate() {
-            for handoff in &load.handoffs {
-                route_bounds[src][handoff.dst] =
-                    self.topology.route_transfer_bound_ns(src, handoff.dst, handoff.bytes);
-            }
-        }
-        let link = LinkBoundary::new(
-            InterconnectComponent::new(&self.topology, &sequencer_ids),
-            interconnect_id,
-            chips,
-            route_bounds,
-        );
-        let active: Vec<usize> = (0..chips).filter(|&c| !loads[c].programs.is_empty()).collect();
-        let mut boundary = ServingBoundary::new(
-            link,
-            BufferCore::new(serving, active.clone()),
-            buffer_id,
-            active,
-            arrivals,
-        );
-        let sequencer_ids = &sequencer_ids;
-        let shards: Vec<_> = (0..chips)
-            .map(|c| {
-                move |session: pim_engine::ShardSession<ChipEvent>| -> ChipOutcome {
-                    let mut engine: Engine<ChipEvent> = Engine::new(0);
-                    #[cfg(feature = "reference-queue")]
-                    if self.reference_queue {
-                        engine.use_reference_queue();
-                    }
-                    engine.reserve_events(self.shard_event_capacity(&loads[c], chips));
-                    engine.enable_exports();
-                    let mut parts = None;
-                    for cc in 0..chips {
-                        if cc == c {
-                            parts = Some(self.register_chip(&mut engine, c));
-                        } else {
-                            engine.pad_components(per_chip);
-                        }
-                    }
-                    let parts = parts.expect("own chip registered");
-                    // The interconnect slot: vacant here, so its
-                    // events export to the coordinator's boundary.
-                    engine.pad_components(1);
-                    for cc in 0..chips {
-                        if cc == c {
-                            // Zero rounds up front; released
-                            // admissions append them at run time.
-                            let mut sequencer =
-                                self.sequencer_for(c, loads, 0, &parts, interconnect_id);
-                            if !loads[c].programs.is_empty() {
-                                sequencer.notify = Some(buffer_id);
-                            }
-                            let id = engine.add_component(sequencer);
-                            assert_eq!(id, sequencer_ids[c]);
-                        } else {
-                            engine.pad_components(1);
-                        }
-                    }
-                    // The buffer and source slots: vacant everywhere —
-                    // the boundary plays both roles, and `RoundDone`
-                    // reports addressed at the buffer slot export.
-                    engine.pad_components(2);
-                    engine.schedule(SimTime::ZERO, sequencer_ids[c], ChipEvent::Kick);
-                    session.drive(&mut engine);
-                    self.chip_outcome(&mut engine, &parts, sequencer_ids[c])
-                }
-            })
-            .collect();
-        let outcomes = pim_engine::run_sharded(shards, &mut boundary);
-        let (core, stats) = boundary.into_parts();
-        // Serving sharded runs are multi-chip by construction, so
-        // links always report.
-        self.fold_serving_report(
-            loads,
-            serving,
-            core,
-            outcomes,
-            Some(stats),
-            EngineMode::Sharded { shards: chips },
-        )
-    }
-}
-
-/// Prints a once-per-process note that a sharding request fell back
-/// to the single-threaded engine. The report still records the
-/// effective mode ([`SimReport::engine`]); the note exists so
-/// interactive runs and benchmark logs surface the fallback without
-/// anyone inspecting report metadata.
-#[cfg(feature = "sharded")]
-fn note_shard_fallback(reason: &str) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static NOTED: AtomicBool = AtomicBool::new(false);
-    if !NOTED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "pim-sim note: sharded execution was requested, but {reason}; \
-             running on the single-threaded engine (reported once per process)"
-        );
     }
 }
 
@@ -1224,8 +856,15 @@ struct ChipParts {
     rendezvous: ComponentId,
 }
 
+/// What a system run executes: a fixed round count, or an open-loop
+/// request stream whose admitted batches append rounds as it runs.
+enum Workload<'a> {
+    Rounds(usize),
+    Serving { config: &'a ServingConfig, arrivals: Vec<f64> },
+}
+
 /// One chip's extracted end-of-run state — everything the report fold
-/// needs, detached from any engine so it can cross a shard thread.
+/// needs, detached from the engine.
 struct ChipOutcome {
     sequencer: ChipSequencer,
     channel: MemChannel,
@@ -1236,730 +875,6 @@ struct ChipOutcome {
     /// vector per running stage in node order — the deadlock
     /// diagnosis walks these.
     stalled_cores: Vec<Vec<CoreComponent>>,
-}
-
-/// One queued unit of boundary work in a sharded run.
-#[cfg(feature = "sharded")]
-#[derive(Debug, Clone, Copy)]
-enum TransferKind {
-    /// A hop still to be carried over a link.
-    Ship { src: usize, dst: usize, bytes: usize, hop: usize },
-    /// A terminal delivery to `dst`'s sequencer.
-    Arrival { src: usize, dst: usize },
-    /// An admitted serving round bound for `dst`'s sequencer
-    /// ([`ChipEvent::AppendRound`]): cut by the boundary-resident
-    /// request buffer, delivered [`ADMISSION_LATENCY_NS`] later.
-    /// Touches no link state — like an [`TransferKind::Arrival`], its
-    /// delivery time is final at creation.
-    Admission { dst: usize },
-}
-
-/// A pending boundary transfer, ordered exactly as the single engine
-/// orders its events: primarily by firing time, then by the instant
-/// the work was scheduled, then by `(lane, emit)` — a canonical
-/// tie-break that is independent of the rendezvous schedule. Fresh
-/// exports use their source shard as the lane (equal-instant
-/// cross-shard ties fall back to shard id, the order the single
-/// engine's chip-major Kick seeding produces for symmetric chips);
-/// boundary-relayed hops share one lane past every shard's (relays
-/// with equal `(time, scheduled)` are always carried in the same
-/// [`LinkBoundary::advance`] pass, so their emission order is already
-/// the processing order). Lanes make cross-window ties — which the
-/// old global-window protocol could never produce, but lazy pacing
-/// can — deterministic.
-#[cfg(feature = "sharded")]
-#[derive(Debug)]
-struct PendingTransfer {
-    time: SimTime,
-    /// The instant the work was scheduled: its own time for shard
-    /// exports (sequencers ship at `now`), the predecessor hop's
-    /// instant for relayed hops.
-    scheduled: SimTime,
-    /// Source shard for fresh exports; `chips` for relayed hops.
-    lane: usize,
-    /// Per-lane monotone emission counter.
-    emit: u64,
-    kind: TransferKind,
-}
-
-#[cfg(feature = "sharded")]
-impl PendingTransfer {
-    fn key(&self) -> (SimTime, SimTime, usize, u64) {
-        (self.time, self.scheduled, self.lane, self.emit)
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl PartialEq for PendingTransfer {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl Eq for PendingTransfer {}
-
-#[cfg(feature = "sharded")]
-impl PartialOrd for PendingTransfer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl Ord for PendingTransfer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// Replaces `slot` with `candidate` when it is earlier (or the slot
-/// is unset) — the min-fold for optional horizon times.
-#[cfg(feature = "sharded")]
-fn tighten(slot: &mut Option<SimTime>, candidate: SimTime) {
-    let earlier = match *slot {
-        Some(current) => candidate < current,
-        None => true,
-    };
-    if earlier {
-        *slot = Some(candidate);
-    }
-}
-
-/// The sharded run's [`pim_engine::Boundary`]: the interconnect
-/// lifted out of the engines and driven by the coordinator between
-/// windows. All cross-chip `Ship`s export here; hops are carried in
-/// the exact `(time, seq)` order the single engine would use, so the
-/// link-contention arithmetic — including the order of its f64
-/// accumulations — is byte-identical.
-///
-/// The boundary owns all lookahead knowledge: per-destination
-/// horizons come from the tails of in-flight [`PendingTransfer`]s
-/// (a hop ready at `t` delivers no earlier than `t` plus its
-/// remaining hops' serialization + propagation) and from the shards'
-/// frontiers propagated through the *declared* hand-off graph — only
-/// a chip whose load declares a hand-off to `dst` can ever ship
-/// there, so chips with no inbound producers get an unbounded
-/// horizon and run to completion in one window.
-#[cfg(feature = "sharded")]
-struct LinkBoundary {
-    fabric: InterconnectComponent,
-    /// The interconnect's global component id (every non-terminal hop
-    /// re-targets it).
-    me: ComponentId,
-    chips: usize,
-    /// In-flight (never terminal) hops, in global dispatch order.
-    pending: BinaryHeap<Reverse<PendingTransfer>>,
-    /// Finalized sequencer deliveries, per destination chip: their
-    /// times are exact, so they release lazily and never bound their
-    /// destination's horizon.
-    ready: Vec<BinaryHeap<Reverse<PendingTransfer>>>,
-    /// Per-lane emission counters (`chips + 2`: one per shard, the
-    /// relay lane, and the admission lane of the serving frontend).
-    emit: Vec<u64>,
-    /// `route_bounds[src][dst]`: minimum delivery delay of the
-    /// declared `(src, dst)` hand-off over its route, `None` for
-    /// pairs no load declares.
-    route_bounds: Vec<Vec<Option<f64>>>,
-}
-
-#[cfg(feature = "sharded")]
-impl LinkBoundary {
-    fn new(
-        fabric: InterconnectComponent,
-        me: ComponentId,
-        chips: usize,
-        route_bounds: Vec<Vec<Option<f64>>>,
-    ) -> Self {
-        Self {
-            fabric,
-            me,
-            chips,
-            pending: BinaryHeap::new(),
-            ready: (0..chips).map(|_| BinaryHeap::new()).collect(),
-            emit: vec![0; chips + 2],
-            route_bounds,
-        }
-    }
-
-    /// The admission lane: all serving-frontend admissions share one
-    /// lane past every shard's and the relay lane, so equal-instant
-    /// ties against genuine transfers resolve the same way every run.
-    fn admission_lane(&self) -> usize {
-        self.chips + 1
-    }
-
-    /// Queues one admitted-round delivery for `dst`, cut at
-    /// `scheduled` and delivered at `time`.
-    fn push_admission(&mut self, time: SimTime, scheduled: SimTime, dst: usize) {
-        let lane = self.admission_lane();
-        self.push(time, scheduled, lane, TransferKind::Admission { dst });
-    }
-
-    /// Queues boundary work scheduled at instant `scheduled` on
-    /// `lane`, classifying terminal ships (`hop` past the route) as
-    /// arrivals up front: they touch no link state and their delivery
-    /// times are final, so they go straight to their destination's
-    /// ready queue.
-    fn push(&mut self, time: SimTime, scheduled: SimTime, lane: usize, kind: TransferKind) {
-        let kind = match kind {
-            TransferKind::Ship { src, dst, hop, .. } if hop >= self.fabric.route_len(src, dst) => {
-                TransferKind::Arrival { src, dst }
-            }
-            other => other,
-        };
-        let emit = self.emit[lane];
-        self.emit[lane] += 1;
-        let entry = PendingTransfer { time, scheduled, lane, emit, kind };
-        match entry.kind {
-            TransferKind::Arrival { dst, .. } | TransferKind::Admission { dst } => {
-                self.ready[dst].push(Reverse(entry))
-            }
-            TransferKind::Ship { .. } => self.pending.push(Reverse(entry)),
-        }
-    }
-
-    /// Earliest possible delivery instant of an in-flight hop: its
-    /// ready time plus full serialization + propagation of every
-    /// remaining hop (each hop re-serializes the payload), all
-    /// contention-free — the tail bound the dynamic lookahead is
-    /// built from.
-    fn ship_bound(&self, entry: &PendingTransfer) -> SimTime {
-        let TransferKind::Ship { src, dst, bytes, hop } = entry.kind else {
-            unreachable!("pending holds only in-flight hops")
-        };
-        let route = self.fabric.routes[src][dst].as_ref().expect("validated route exists");
-        let remaining: f64 = route[hop..]
-            .iter()
-            .map(|&link| {
-                let spec = self.fabric.links[link].spec;
-                spec.serialization_ns(bytes) + spec.latency_ns
-            })
-            .sum();
-        entry.time.advance(remaining)
-    }
-
-    /// Each chip's earliest possible *future send* instant: its local
-    /// frontier or earliest undelivered inbound (an in-flight tail or
-    /// a ready arrival can wake it), closed transitively over the
-    /// declared hand-off graph — a woken chip forwards influence
-    /// downstream, including back to the original sender.
-    fn effective_frontiers(&self, frontiers: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        let mut eff: Vec<Option<SimTime>> = frontiers.to_vec();
-        for Reverse(entry) in &self.pending {
-            let TransferKind::Ship { dst, .. } = entry.kind else {
-                unreachable!("pending holds only in-flight hops")
-            };
-            tighten(&mut eff[dst], self.ship_bound(entry));
-        }
-        for (dst, queue) in self.ready.iter().enumerate() {
-            if let Some(Reverse(front)) = queue.peek() {
-                tighten(&mut eff[dst], front.time);
-            }
-        }
-        // Bellman-Ford over strictly positive edge weights: chips are
-        // few, the exact fixpoint is cheap.
-        loop {
-            let mut changed = false;
-            for src in 0..self.chips {
-                let Some(from) = eff[src] else { continue };
-                for (dst, bound) in self.route_bounds[src].iter().enumerate() {
-                    let Some(bound) = *bound else { continue };
-                    let via = from.advance(bound);
-                    let earlier = match eff[dst] {
-                        Some(current) => via < current,
-                        None => true,
-                    };
-                    if earlier {
-                        eff[dst] = Some(via);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        eff
-    }
-
-    /// Carries the front pending hop over its next link if no future
-    /// export can precede it — below the minimum effective frontier in
-    /// `eff`, no chip can emit new boundary work, so processing in
-    /// `(time, scheduled, lane, emit)` order reproduces the single
-    /// engine's link arithmetic exactly. Returns whether a hop was
-    /// carried; bounds only grow as hops are carried, so callers
-    /// looping until `false` terminate.
-    fn carry_front_if_safe(&mut self, eff: &[Option<SimTime>]) -> bool {
-        let safe = eff.iter().flatten().min().copied();
-        let Some(Reverse(front)) = self.pending.peek() else { return false };
-        let carriable = match safe {
-            Some(safe) => front.time < safe,
-            None => true,
-        };
-        if !carriable {
-            return false;
-        }
-        let Reverse(entry) = self.pending.pop().expect("peeked entry exists");
-        let TransferKind::Ship { src, dst, bytes, hop } = entry.kind else {
-            unreachable!("pending holds only in-flight hops")
-        };
-        let (time, _target, payload) = self.fabric.relay(self.me, entry.time, src, dst, bytes, hop);
-        let ChipEvent::Ship { src, dst, bytes, hop } = payload else {
-            unreachable!("relay emits the next hop for non-terminal ships")
-        };
-        self.push(time, entry.time, self.chips, TransferKind::Ship { src, dst, bytes, hop });
-        true
-    }
-
-    /// Per-destination release horizons for the effective frontiers
-    /// `eff`: the tails of in-flight hops destined there, and every
-    /// declared producer's frontier advanced by its route bound.
-    fn horizons_from(&self, eff: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        (0..self.chips)
-            .map(|dst| {
-                let mut horizon: Option<SimTime> = None;
-                // In-flight tails destined here.
-                for Reverse(entry) in &self.pending {
-                    let TransferKind::Ship { dst: ship_dst, .. } = entry.kind else {
-                        unreachable!("pending holds only in-flight hops")
-                    };
-                    if ship_dst == dst {
-                        tighten(&mut horizon, self.ship_bound(entry));
-                    }
-                }
-                // Declared producers, at their effective frontiers.
-                for (src, from) in eff.iter().enumerate() {
-                    if let (Some(from), Some(bound)) = (*from, self.route_bounds[src][dst]) {
-                        tighten(&mut horizon, from.advance(bound));
-                    }
-                }
-                horizon
-            })
-            .collect()
-    }
-
-    /// The accumulated per-link statistics, for the report fold.
-    fn into_stats(self) -> Vec<LinkStats> {
-        self.fabric.stats
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl pim_engine::Boundary<ChipEvent> for LinkBoundary {
-    fn next_time(&self) -> Option<SimTime> {
-        let mut next = self.pending.peek().map(|Reverse(p)| p.time);
-        for queue in &self.ready {
-            if let Some(Reverse(front)) = queue.peek() {
-                tighten(&mut next, front.time);
-            }
-        }
-        next
-    }
-
-    fn advance(&mut self, frontiers: &[Option<SimTime>]) {
-        // Carry every hop that can no longer be preceded by any future
-        // export, recomputing the frontier after each step (bounds
-        // only grow as hops are carried, so the loop is monotone and
-        // terminates).
-        loop {
-            let eff = self.effective_frontiers(frontiers);
-            if !self.carry_front_if_safe(&eff) {
-                break;
-            }
-        }
-    }
-
-    fn horizons(&self, frontiers: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        let eff = self.effective_frontiers(frontiers);
-        self.horizons_from(&eff)
-    }
-
-    fn release(&mut self, shard: usize, horizon: Option<SimTime>) -> Vec<RemoteEvent<ChipEvent>> {
-        let mut inbox = Vec::new();
-        while let Some(Reverse(front)) = self.ready[shard].peek() {
-            let deliverable = match horizon {
-                Some(horizon) => front.time < horizon,
-                None => true,
-            };
-            if !deliverable {
-                break;
-            }
-            let Reverse(entry) = self.ready[shard].pop().expect("peeked entry exists");
-            let (dst, payload) = match entry.kind {
-                TransferKind::Arrival { src, dst } => (dst, ChipEvent::HandoffIn { src }),
-                TransferKind::Admission { dst } => (dst, ChipEvent::AppendRound),
-                TransferKind::Ship { .. } => {
-                    unreachable!("ready queues hold only terminal deliveries")
-                }
-            };
-            inbox.push(RemoteEvent {
-                time: entry.time,
-                target: self.fabric.sequencers[dst],
-                payload,
-            });
-        }
-        inbox
-    }
-
-    fn absorb(&mut self, shard: usize, exports: Vec<RemoteEvent<ChipEvent>>) {
-        // Every export's firing time equals its scheduling instant
-        // (sequencers ship at `now`); the source shard is its lane.
-        for event in exports {
-            assert_eq!(event.target, self.me, "cross-shard events all address the interconnect");
-            let ChipEvent::Ship { src, dst, bytes, hop } = event.payload else {
-                unreachable!("interconnect received {:?}", event.payload)
-            };
-            self.push(event.time, event.time, shard, TransferKind::Ship { src, dst, bytes, hop });
-        }
-    }
-}
-
-/// An armed flush timer on the serving boundary, ordered `(due,
-/// emit)` — `emit` is a frontend-wide monotone counter, so equal-due
-/// timers fire in arming order, exactly as the single engine's event
-/// queue orders equal-instant self-events.
-#[cfg(feature = "sharded")]
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct TimerEntry {
-    due: SimTime,
-    emit: u64,
-    generation: u64,
-}
-
-/// An absorbed round-completion report awaiting frontend processing,
-/// ordered `(time, lane, emit)`: equal-instant reports from different
-/// shards order by shard index — the order the single engine's
-/// chip-major component layout dispatches equal-instant `RoundDone`s
-/// in — and reports from one shard keep their export order.
-#[cfg(feature = "sharded")]
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct InboxDone {
-    time: SimTime,
-    lane: usize,
-    emit: u64,
-    chip: usize,
-}
-
-/// The [`AdmissionSink`] of the sharded serving frontend: admissions
-/// become [`TransferKind::Admission`] deliveries on the boundary's
-/// ready queues (released to their shards under the usual horizon
-/// discipline), deadline timers land on the frontend's own timer
-/// heap.
-#[cfg(feature = "sharded")]
-struct FrontendSink<'a> {
-    link: &'a mut LinkBoundary,
-    timers: &'a mut BinaryHeap<Reverse<TimerEntry>>,
-    timer_emit: &'a mut u64,
-    active: &'a [usize],
-}
-
-#[cfg(feature = "sharded")]
-impl AdmissionSink for FrontendSink<'_> {
-    fn admit_round(&mut self, cut_ns: f64) {
-        let time = SimTime::from_ns(cut_ns + ADMISSION_LATENCY_NS);
-        let scheduled = SimTime::from_ns(cut_ns);
-        // Ascending chip order — the order the single engine's buffer
-        // schedules its per-sequencer `AppendRound`s in.
-        for &dst in self.active {
-            self.link.push_admission(time, scheduled, dst);
-        }
-    }
-
-    fn arm_deadline(&mut self, due_ns: f64, generation: u64) {
-        let emit = *self.timer_emit;
-        *self.timer_emit += 1;
-        self.timers.push(Reverse(TimerEntry { due: SimTime::from_ns(due_ns), emit, generation }));
-    }
-}
-
-/// The sharded *serving* boundary: a [`LinkBoundary`] plus the
-/// admission frontend — the request source (as a pre-generated
-/// arrival stream), the [`BufferCore`] state machine, its flush
-/// timers, and the inbox of absorbed round completions. The frontend
-/// replays the exact event interleaving the single engine's buffer
-/// component sees, by merging its three input streams (arrivals,
-/// timers, completions) in time order and only consuming an input
-/// when no shard can still produce an earlier round completion.
-///
-/// Dynamic graph growth is safe because *potential future admissions*
-/// are a horizon term: the earliest instant the buffer could next cut
-/// a batch (next arrival, earliest armed timer, or — when a due batch
-/// waits on capacity — the earliest possible round completion),
-/// advanced by [`ADMISSION_LATENCY_NS`], bounds every active chip's
-/// effective frontier and release horizon exactly like an in-flight
-/// transfer's ship-tail. The admission delay is what keeps the
-/// protocol live: a cut at `t` delivers strictly after `t`, so
-/// granting a shard a window up to the admission bound always lets it
-/// pass the instant that triggers the admission.
-#[cfg(feature = "sharded")]
-struct ServingBoundary {
-    link: LinkBoundary,
-    core: BufferCore,
-    /// The request buffer's global component id: shard exports
-    /// targeting it are frontend input, everything else is fabric
-    /// traffic.
-    buffer_id: ComponentId,
-    /// Active chip indices (non-empty programs), ascending.
-    active: Vec<usize>,
-    /// Pre-generated absolute arrival instants, ns, ascending.
-    arrivals: Vec<f64>,
-    /// Next unconsumed arrival.
-    next_arrival: usize,
-    /// Armed flush timers, stale generations included (they pop as
-    /// no-ops, exactly like the single engine's stale
-    /// `FlushDeadline`s).
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_emit: u64,
-    /// Absorbed round completions not yet fed to the core.
-    inbox: BinaryHeap<Reverse<InboxDone>>,
-    /// Per-shard inbox emission counters.
-    inbox_emit: Vec<u64>,
-}
-
-#[cfg(feature = "sharded")]
-impl ServingBoundary {
-    fn new(
-        link: LinkBoundary,
-        core: BufferCore,
-        buffer_id: ComponentId,
-        active: Vec<usize>,
-        arrivals: Vec<f64>,
-    ) -> Self {
-        let chips = link.chips;
-        let mut this = Self {
-            link,
-            core,
-            buffer_id,
-            active,
-            arrivals,
-            next_arrival: 0,
-            timers: BinaryHeap::new(),
-            timer_emit: 0,
-            inbox: BinaryHeap::new(),
-            inbox_emit: vec![0; chips],
-        };
-        if this.arrivals.is_empty() {
-            // An empty stream drains at t = 0, exactly like the single
-            // engine's source scheduling `SourceDrained` off its Kick.
-            let mut sink = FrontendSink {
-                link: &mut this.link,
-                timers: &mut this.timers,
-                timer_emit: &mut this.timer_emit,
-                active: &this.active,
-            };
-            this.core.on_source_drained(0.0, &mut sink);
-        }
-        this
-    }
-
-    /// The earliest instant the buffer could next cut a batch, given
-    /// that future round completions arrive no earlier than `gate`:
-    /// the next arrival, the earliest armed timer (stale timers
-    /// included — a lower bound may be conservative), and, when a due
-    /// batch is waiting on round capacity, the earliest absorbed or
-    /// future completion. `None` means no future admission is
-    /// possible.
-    fn admission_trigger(&self, gate: Option<SimTime>) -> Option<SimTime> {
-        let mut trigger: Option<SimTime> = None;
-        if let Some(&at) = self.arrivals.get(self.next_arrival) {
-            tighten(&mut trigger, SimTime::from_ns(at));
-        }
-        if let Some(Reverse(front)) = self.timers.peek() {
-            tighten(&mut trigger, front.due);
-        }
-        if self.core.awaiting_capacity() {
-            // Only in this state can a completion move the buffer: a
-            // batch is due and every in-flight slot is taken, so the
-            // next cut fires off a `RoundDone`.
-            if let Some(Reverse(front)) = self.inbox.peek() {
-                tighten(&mut trigger, front.time);
-            }
-            if let Some(gate) = gate {
-                tighten(&mut trigger, gate);
-            }
-        }
-        trigger
-    }
-
-    /// The boundary's frontier view: the link's effective frontiers
-    /// tightened by potential future admissions, plus the *gate* — the
-    /// earliest instant any active chip could still emit a round
-    /// completion (`None` when every active chip is silent forever).
-    /// The gate is computed *before* admission tightening: completions
-    /// of already-admitted rounds are bounded by the pre-admission
-    /// frontiers, and any admission the frontend performs later is
-    /// performed in stream order, so it can only create completions at
-    /// or after the instant being consumed.
-    fn frontier_view(
-        &self,
-        frontiers: &[Option<SimTime>],
-    ) -> (Vec<Option<SimTime>>, Option<SimTime>) {
-        let mut eff = self.link.effective_frontiers(frontiers);
-        let mut gate: Option<SimTime> = None;
-        for &c in &self.active {
-            // `None` frontiers contribute nothing: a permanently
-            // silent chip never reports another round.
-            if let Some(t) = eff[c] {
-                tighten(&mut gate, t);
-            }
-        }
-        if let Some(trigger) = self.admission_trigger(gate) {
-            let adm = trigger.advance(ADMISSION_LATENCY_NS);
-            // One pass suffices: every chip that can ship is active
-            // (idle chips cannot declare hand-offs), so any secondary
-            // influence `adm + route bound` exceeds the `adm` every
-            // active chip is already tightened to.
-            for &c in &self.active {
-                tighten(&mut eff[c], adm);
-            }
-        }
-        (eff, gate)
-    }
-
-    /// Consumes the earliest frontend input strictly below `gate` (a
-    /// `None` gate consumes freely): an absorbed completion, an armed
-    /// timer, or the next arrival — completions before timers before
-    /// arrivals on equal instants, a fixed convention for a tie no
-    /// continuous-time trace produces. Returns whether an input was
-    /// consumed.
-    fn pump_one(&mut self, gate: Option<SimTime>) -> bool {
-        let arrival = self.arrivals.get(self.next_arrival).map(|&ns| SimTime::from_ns(ns));
-        let timer = self.timers.peek().map(|Reverse(t)| t.due);
-        let done = self.inbox.peek().map(|Reverse(d)| d.time);
-        // Class-priority min: inbox (0) < timer (1) < arrival (2).
-        let mut pick: Option<(SimTime, u8)> = None;
-        for (time, class) in
-            [(done, 0u8), (timer, 1), (arrival, 2)].into_iter().filter_map(|(t, c)| Some((t?, c)))
-        {
-            if pick.is_none_or(|best| (time, class) < best) {
-                pick = Some((time, class));
-            }
-        }
-        let Some((time, class)) = pick else { return false };
-        if let Some(gate) = gate {
-            if time >= gate {
-                return false;
-            }
-        }
-        match class {
-            0 => {
-                let Reverse(done) = self.inbox.pop().expect("peeked entry exists");
-                let mut sink = FrontendSink {
-                    link: &mut self.link,
-                    timers: &mut self.timers,
-                    timer_emit: &mut self.timer_emit,
-                    active: &self.active,
-                };
-                self.core.on_round_done(done.chip, done.time.as_ns(), &mut sink);
-            }
-            1 => {
-                let Reverse(timer) = self.timers.pop().expect("peeked entry exists");
-                let mut sink = FrontendSink {
-                    link: &mut self.link,
-                    timers: &mut self.timers,
-                    timer_emit: &mut self.timer_emit,
-                    active: &self.active,
-                };
-                self.core.on_flush_deadline(timer.generation, timer.due.as_ns(), &mut sink);
-            }
-            _ => {
-                let at = self.arrivals[self.next_arrival];
-                self.next_arrival += 1;
-                let last = self.next_arrival == self.arrivals.len();
-                let mut sink = FrontendSink {
-                    link: &mut self.link,
-                    timers: &mut self.timers,
-                    timer_emit: &mut self.timer_emit,
-                    active: &self.active,
-                };
-                self.core.on_new_request(at, &mut sink);
-                if last {
-                    // The single engine schedules `SourceDrained` at
-                    // the last arrival's instant, right behind it.
-                    self.core.on_source_drained(at, &mut sink);
-                }
-            }
-        }
-        true
-    }
-
-    /// Tears the boundary down into the admission ledger and the
-    /// accumulated link statistics, for the report fold.
-    fn into_parts(self) -> (BufferCore, Vec<LinkStats>) {
-        (self.core, self.link.into_stats())
-    }
-}
-
-#[cfg(feature = "sharded")]
-impl pim_engine::Boundary<ChipEvent> for ServingBoundary {
-    fn next_time(&self) -> Option<SimTime> {
-        let mut next = self.link.next_time();
-        if let Some(&ns) = self.arrivals.get(self.next_arrival) {
-            tighten(&mut next, SimTime::from_ns(ns));
-        }
-        if let Some(Reverse(front)) = self.timers.peek() {
-            tighten(&mut next, front.due);
-        }
-        if let Some(Reverse(front)) = self.inbox.peek() {
-            tighten(&mut next, front.time);
-        }
-        next
-    }
-
-    fn advance(&mut self, frontiers: &[Option<SimTime>]) {
-        // Interleave hop-carrying with frontend consumption to a joint
-        // fixpoint: a carried hop can raise the gate (unblocking the
-        // frontend), and a consumed arrival can queue an admission
-        // (tightening the frontiers hop-carrying runs under). Both
-        // steps only consume monotone state, so the loop terminates.
-        loop {
-            let (eff, gate) = self.frontier_view(frontiers);
-            if self.link.carry_front_if_safe(&eff) {
-                continue;
-            }
-            if self.pump_one(gate) {
-                continue;
-            }
-            break;
-        }
-    }
-
-    fn horizons(&self, frontiers: &[Option<SimTime>]) -> Vec<Option<SimTime>> {
-        let (eff, gate) = self.frontier_view(frontiers);
-        let mut horizons = self.link.horizons_from(&eff);
-        // A future admission is delivered to every active chip
-        // directly (no route hops), so it bounds their release
-        // horizons as well as their frontiers.
-        if let Some(trigger) = self.admission_trigger(gate) {
-            let adm = trigger.advance(ADMISSION_LATENCY_NS);
-            for &c in &self.active {
-                tighten(&mut horizons[c], adm);
-            }
-        }
-        horizons
-    }
-
-    fn release(&mut self, shard: usize, horizon: Option<SimTime>) -> Vec<RemoteEvent<ChipEvent>> {
-        self.link.release(shard, horizon)
-    }
-
-    fn absorb(&mut self, shard: usize, exports: Vec<RemoteEvent<ChipEvent>>) {
-        let mut ships = Vec::new();
-        for event in exports {
-            if event.target == self.buffer_id {
-                let ChipEvent::RoundDone { chip } = event.payload else {
-                    unreachable!("request buffer received {:?}", event.payload)
-                };
-                let emit = self.inbox_emit[shard];
-                self.inbox_emit[shard] += 1;
-                self.inbox.push(Reverse(InboxDone { time: event.time, lane: shard, emit, chip }));
-            } else {
-                ships.push(event);
-            }
-        }
-        self.link.absorb(shard, ships);
-    }
 }
 
 /// Dispatches one chip's `(batch, partition)` stages from the ready
@@ -2268,59 +1183,37 @@ impl InterconnectComponent {
             stats,
         }
     }
-
-    /// The number of link hops on the validated route from `src` to
-    /// `dst`.
-    #[cfg(feature = "sharded")]
-    fn route_len(&self, src: usize, dst: usize) -> usize {
-        self.routes[src][dst].as_ref().expect("validated route exists").len()
-    }
-
-    /// Carries one `Ship` one hop, returning the follow-on event to
-    /// schedule: the terminal hand-off to the destination sequencer,
-    /// or — after claiming the next link (serialization, queueing,
-    /// stats) — the next hop back to the interconnect (`me`).
-    /// Separated from `on_event` so the sharded boundary can drive
-    /// the identical arithmetic without an engine.
-    fn relay(
-        &mut self,
-        me: ComponentId,
-        time: SimTime,
-        src: usize,
-        dst: usize,
-        bytes: usize,
-        hop: usize,
-    ) -> (SimTime, ComponentId, ChipEvent) {
-        let route = self.routes[src][dst].as_ref().expect("validated route exists");
-        if hop >= route.len() {
-            return (time, self.sequencers[dst], ChipEvent::HandoffIn { src });
-        }
-        let link = route[hop];
-        let spec = self.links[link].spec;
-        let now = time.as_ns();
-        let start = now.max(self.free_ns[link]);
-        let serialization = spec.serialization_ns(bytes);
-        self.free_ns[link] = start + serialization;
-        let stats = &mut self.stats[link];
-        stats.transfers += 1;
-        stats.bytes += bytes as u64;
-        stats.busy_ns += serialization;
-        stats.wait_ns += start - now;
-        (
-            SimTime::from_ns(start + serialization + spec.latency_ns),
-            me,
-            ChipEvent::Ship { src, dst, bytes, hop: hop + 1 },
-        )
-    }
 }
 
 impl Component<ChipEvent> for InterconnectComponent {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         match event.payload {
+            // Carries the hand-off one hop: the terminal delivery to
+            // the destination sequencer, or — after claiming the next
+            // link (serialization, queueing, stats) — the next hop
+            // back to the interconnect itself.
             ChipEvent::Ship { src, dst, bytes, hop } => {
-                let (time, target, payload) =
-                    self.relay(event.target, event.time, src, dst, bytes, hop);
-                ctx.schedule(time, target, payload);
+                let route = self.routes[src][dst].as_ref().expect("validated route exists");
+                if hop >= route.len() {
+                    ctx.schedule(event.time, self.sequencers[dst], ChipEvent::HandoffIn { src });
+                    return;
+                }
+                let link = route[hop];
+                let spec = self.links[link].spec;
+                let now = event.time.as_ns();
+                let start = now.max(self.free_ns[link]);
+                let serialization = spec.serialization_ns(bytes);
+                self.free_ns[link] = start + serialization;
+                let stats = &mut self.stats[link];
+                stats.transfers += 1;
+                stats.bytes += bytes as u64;
+                stats.busy_ns += serialization;
+                stats.wait_ns += start - now;
+                ctx.schedule(
+                    SimTime::from_ns(start + serialization + spec.latency_ns),
+                    event.target,
+                    ChipEvent::Ship { src, dst, bytes, hop: hop + 1 },
+                );
             }
             other => unreachable!("interconnect received {other:?}"),
         }
@@ -2727,151 +1620,19 @@ mod tests {
         assert!(report.makespan_ns > 0.0);
     }
 
-    #[cfg(feature = "sharded")]
     #[test]
-    fn sharded_pipeline_matches_single_threaded() {
-        let chip = ChipSpec::chip_s();
-        let stage = mvm_program(chip.cores, 200);
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(1, 4096),
-            ChipLoad::new(std::slice::from_ref(&stage)),
-        ];
-        let run = |sharded: bool| {
-            SystemSimulator::new(chip.clone(), Topology::ring(2))
-                .with_sharded(sharded)
-                .run(&loads, 3, 1)
-                .unwrap()
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn sharded_multi_hop_contention_matches_single_threaded() {
-        // The hardest equivalence case: multi-hop routes relayed
-        // through an intermediate chip, shared-link queueing, an idle
-        // chip, and two symmetric producers shipping at identical
-        // instants (a cross-shard time tie).
-        let chip = ChipSpec::chip_s();
-        let stage = mvm_program(chip.cores, 10);
-        let bytes = 1 << 20;
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(2, bytes),
-            ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(2, bytes),
-            ChipLoad::new(std::slice::from_ref(&stage)),
-            ChipLoad::new(&[]),
-        ];
-        let run = |sharded: bool| {
-            SystemSimulator::new(chip.clone(), Topology::ring(4))
-                .with_sharded(sharded)
-                .run(&loads, 2, 1)
-                .unwrap()
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn sharded_runs_diagnose_deadlocks() {
-        let chip = ChipSpec::chip_s();
-        let good = mvm_program(chip.cores, 5);
-        let mut bad = ChipProgram::new(chip.cores);
-        bad.core_mut(CoreId(2)).push(I::Recv { from: CoreId(0), bytes: 64, tag: Tag(404) });
-        let loads =
-            [ChipLoad::new(std::slice::from_ref(&good)), ChipLoad::new(std::slice::from_ref(&bad))];
-        let err = SystemSimulator::new(chip, Topology::ring(2))
-            .with_sharded(true)
-            .run(&loads, 1, 1)
-            .unwrap_err();
-        assert_eq!(err, SimError::Deadlock { core: CoreId(2), tag: Tag(404) });
-    }
-
-    /// A ring whose links all carry zero propagation latency — legal
-    /// for the single-threaded engine, unusable for conservative
-    /// lookahead.
-    #[cfg(feature = "sharded")]
-    fn zero_latency_ring() -> Topology {
-        let mut topo = Topology::ring(2);
-        for link in &mut topo.links {
-            link.spec.latency_ns = 0.0;
-        }
-        topo
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn sharding_fallbacks_are_recorded_not_silent() {
-        use crate::report::EngineMode;
+    fn runs_record_the_single_threaded_engine() {
         let chip = ChipSpec::chip_s();
         let program = mvm_program(chip.cores, 5);
-        // Single chip: a sharding request has nothing to parallelize.
-        let single_load = [ChipLoad::new(std::slice::from_ref(&program))];
-        let sim = SystemSimulator::new(chip.clone(), Topology::single()).with_sharded(true);
-        assert!(sim.shard_fallback_reason(&single_load).unwrap().contains("single chip"));
-        let report = sim.run(&single_load, 1, 1).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-        // Zero-latency links admit no conservative lookahead window.
+        let single = SystemSimulator::new(chip.clone(), Topology::single())
+            .run(&[ChipLoad::new(std::slice::from_ref(&program))], 1, 1)
+            .unwrap();
+        assert_eq!(single.engine, Some(EngineMode::SingleThread));
         let loads = [
             ChipLoad::new(std::slice::from_ref(&program)).with_handoff(1, 4096),
             ChipLoad::new(std::slice::from_ref(&program)),
         ];
-        let sim = SystemSimulator::new(chip.clone(), zero_latency_ring()).with_sharded(true);
-        assert!(sim.shard_fallback_reason(&loads).unwrap().contains("zero-latency"));
-        let report = sim.run(&loads, 1, 1).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-        // A shardable system records the sharded mode — and the
-        // request is honoured, not silently dropped.
-        let sim = SystemSimulator::new(chip.clone(), Topology::ring(2)).with_sharded(true);
-        assert_eq!(sim.shard_fallback_reason(&loads), None);
-        let report = sim.run(&loads, 1, 1).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::Sharded { shards: 2 }));
-        // And an explicitly unsharded run says so too (explicit,
-        // because the PIM_SHARDED env switch may set the default).
-        let report = SystemSimulator::new(chip.clone(), Topology::ring(2))
-            .with_sharded(false)
-            .run(&loads, 1, 1)
-            .unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-        // Serving runs honour sharding through the same gate: the old
-        // unconditional dynamic-rounds fallback is gone, and the
-        // remaining fallback reasons apply unchanged.
-        let serving = crate::ServingConfig::new(crate::TrafficSpec::Trace(crate::RequestTrace {
-            arrivals_ns: vec![0.0, 100.0, 250.0],
-        }));
-        let sim = SystemSimulator::new(chip.clone(), Topology::ring(2)).with_sharded(true);
-        let report = sim.run_serving(&loads, &serving).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::Sharded { shards: 2 }));
-        let sim = SystemSimulator::new(chip, zero_latency_ring()).with_sharded(true);
-        let report = sim.run_serving(&loads, &serving).unwrap();
-        assert_eq!(report.engine, Some(EngineMode::SingleThread));
-    }
-
-    #[cfg(feature = "sharded")]
-    #[test]
-    fn late_traffic_reaches_a_long_idle_shard() {
-        // Lazy-release regression: chip 1 is idle from the first
-        // rendezvous on (its whole load gates on upstream hand-offs
-        // from slow chip 0), so for most of the run it reports no
-        // frontier while speculative deliveries accumulate at the
-        // boundary. It must keep receiving them — never be `Finish`ed
-        // early — and complete every round.
-        let chip = ChipSpec::chip_s();
-        let slow = mvm_program(chip.cores, 5_000);
-        let light = mvm_program(chip.cores, 1);
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&slow)).with_handoff(1, 65_536),
-            ChipLoad::new(std::slice::from_ref(&light)),
-        ];
-        let run = |sharded: bool| {
-            SystemSimulator::new(chip.clone(), Topology::ring(2))
-                .with_sharded(sharded)
-                .run(&loads, 3, 1)
-                .unwrap()
-        };
-        let sharded = run(true);
-        let consumer = &sharded.chips.as_ref().unwrap()[1];
-        assert_eq!(consumer.rounds, 3, "every late hand-off was delivered");
-        assert!(consumer.handoff_wait_ns > 0.0, "the consumer really did sit idle");
-        assert_eq!(sharded, run(false));
+        let ring = SystemSimulator::new(chip, Topology::ring(2)).run(&loads, 1, 1).unwrap();
+        assert_eq!(ring.engine, Some(EngineMode::SingleThread));
     }
 }

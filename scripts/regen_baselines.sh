@@ -31,12 +31,8 @@ cargo run --release -p compass-bench --bin topology_sweep -- --quick --schedule 
 cargo run --release -p compass-bench --bin timing_mode_sweep -- --quick --json "${BASELINE}"
 # Hot-path records: the hotpath:gate:* speedup ratios are gated (they
 # are same-process ratios, stable across machines); the hotpath:abs:*
-# events/sec and GA-generation numbers are trajectory-only. The
-# sharded feature adds the hotpath:gate:shard:* scaling ratios; their
-# floor is parallelism-aware (it only gates when the regenerating host
-# has one hardware thread per chip — a narrow host pins the honest
-# single-core ratio and prints a note instead).
-cargo run --release -p compass-bench --features sharded --bin engine_hotpath -- --quick --json "${BASELINE}" --min-speedup 3.0 --min-shard-speedup 2.0
+# events/sec and GA-generation numbers are trajectory-only.
+cargo run --release -p compass-bench --bin engine_hotpath -- --quick --json "${BASELINE}" --min-speedup 3.0
 # GA scaling records: ga:abs:* per-generation walls (trajectory-only)
 # and ga:gate:* memo/parallel speedup ratios, all stamped with the
 # regenerating host's parallelism so the gate never compares ratios
@@ -48,13 +44,6 @@ cargo run --release -p compass-bench --features parallel --bin ga_scaling -- --q
 # makespan slot, SLO goodput in throughput_ips. Seeded synthetic
 # traffic on the simulated clock — byte-deterministic everywhere.
 cargo run --release -p compass-bench --bin serving_sweep -- --quick --json "${BASELINE}"
-# Serving-engine records: serving:abs:shard:* / serving:gate:shard:*
-# single-vs-sharded walls over the rate × topology grid (byte-identity
-# asserted per point, parallelism-stamped like the ga:* records) plus
-# the serving:abs:hotpath:chunk:* arrival-pregeneration walls. The
-# floor is a collapse guard only; a narrow host pins the honest
-# sub-1x ratio and prints a skip note instead.
-cargo run --release -p compass-bench --features sharded --bin serving_sweep -- --shard --quick --json "${BASELINE}" --min-shard-speedup 0.25
 
 FRESH_COUNT=$(grep -o '"name":' "${BASELINE}" | wc -l)
 echo "== record count: ${FRESH_COUNT} regenerated vs ${COMMITTED_COUNT} committed at HEAD =="

@@ -12,11 +12,18 @@
 //!   topologies (`single`, `ring:2`) — the four env matrix legs,
 //! * the interleaved schedule mode (multi-stage in flight, mid-run
 //!   `add_component` core spawns with same-instant follow-up events),
-//! * FR-FCFS DRAM reordering (same-instant service-order sensitivity).
+//!   on one chip and on ring:4 / fc:4 hand-off chains,
+//! * FR-FCFS DRAM reordering (same-instant service-order sensitivity),
+//! * open-loop serving: traffic model × batching policy × topology ×
+//!   seed, plus a drop/backpressure regime.
 
 use compass::{CompileOptions, Compiler, GaParams, Strategy};
 use pim_arch::{ChipSpec, ScheduleMode, TimingMode, Topology};
-use pim_sim::{ChipLoad, ChipSimulator, SystemSimulator};
+use pim_isa::{ChipProgram, CoreId, Instruction};
+use pim_sim::{
+    BatchPolicy, ChipLoad, ChipSimulator, EngineMode, RequestTrace, ServingConfig, SimReport,
+    SystemSimulator, TrafficModel, TrafficSpec,
+};
 
 fn compiled_programs(batch: usize) -> compass::CompiledModel {
     let chip = ChipSpec::chip_s();
@@ -47,15 +54,30 @@ fn chip_report(timing: TimingMode, schedule: ScheduleMode, reference: bool) -> S
     serde_json::to_string(&report).expect("serializes")
 }
 
-/// Serialized report of a 2-chip pipelined system run on either queue.
-fn system_report(timing: TimingMode, reference: bool) -> String {
+/// Serialized report of a pipelined system run on either queue: every
+/// chip runs the compiled model and hands off to its successor, so the
+/// links carry traffic every round.
+fn system_report(
+    topology: Topology,
+    timing: TimingMode,
+    schedule: ScheduleMode,
+    reference: bool,
+) -> String {
     let compiled = compiled_programs(2);
-    let loads = [
-        ChipLoad::new(compiled.programs()).with_handoff(1, 4096),
-        ChipLoad::new(compiled.programs()),
-    ];
-    let report = SystemSimulator::new(ChipSpec::chip_s(), Topology::ring(2))
+    let chips = topology.chips();
+    let loads: Vec<ChipLoad<'_>> = (0..chips)
+        .map(|c| {
+            let load = ChipLoad::new(compiled.programs());
+            if c + 1 < chips {
+                load.with_handoff(c + 1, 4096)
+            } else {
+                load
+            }
+        })
+        .collect();
+    let report = SystemSimulator::new(ChipSpec::chip_s(), topology)
         .with_timing_mode(timing)
+        .with_schedule_mode(schedule)
         .with_reference_queue(reference)
         .run(&loads, 3, 2)
         .expect("simulates");
@@ -78,15 +100,17 @@ fn single_chip_closed_loop_reports_are_byte_identical() {
 
 #[test]
 fn ring2_analytic_reports_are_byte_identical() {
-    let a = system_report(TimingMode::Analytic, false);
-    let b = system_report(TimingMode::Analytic, true);
+    let ring = Topology::ring(2);
+    let a = system_report(ring.clone(), TimingMode::Analytic, ScheduleMode::Barrier, false);
+    let b = system_report(ring, TimingMode::Analytic, ScheduleMode::Barrier, true);
     assert_eq!(a, b, "calendar vs reference queue (analytic, ring:2)");
 }
 
 #[test]
 fn ring2_closed_loop_reports_are_byte_identical() {
-    let a = system_report(TimingMode::ClosedLoop, false);
-    let b = system_report(TimingMode::ClosedLoop, true);
+    let ring = Topology::ring(2);
+    let a = system_report(ring.clone(), TimingMode::ClosedLoop, ScheduleMode::Barrier, false);
+    let b = system_report(ring, TimingMode::ClosedLoop, ScheduleMode::Barrier, true);
     assert_eq!(a, b, "calendar vs reference queue (closed-loop, ring:2)");
 }
 
@@ -99,6 +123,20 @@ fn interleaved_schedule_reports_are_byte_identical() {
         let a = chip_report(timing, ScheduleMode::Interleaved, false);
         let b = chip_report(timing, ScheduleMode::Interleaved, true);
         assert_eq!(a, b, "calendar vs reference queue (interleaved, {timing})");
+    }
+}
+
+#[test]
+fn multi_chip_interleaved_reports_are_byte_identical() {
+    // Multi-hop routes (ring:4 relays through intermediate chips),
+    // shared-link queueing and several stages in flight per chip.
+    for topology in [Topology::ring(4), Topology::fully_connected(4)] {
+        for timing in [TimingMode::Analytic, TimingMode::ClosedLoop] {
+            let schedule = ScheduleMode::Interleaved;
+            let a = system_report(topology.clone(), timing, schedule, false);
+            let b = system_report(topology.clone(), timing, schedule, true);
+            assert_eq!(a, b, "calendar vs reference queue ({topology}, {timing}, interleaved)");
+        }
     }
 }
 
@@ -121,149 +159,6 @@ fn dram_reorder_reports_are_byte_identical() {
     assert_eq!(run(false), run(true), "calendar vs reference queue (FR-FCFS)");
 }
 
-/// Sharded ↔ single-threaded equivalence (PR 6).
-///
-/// One engine thread per chip with the interconnect as the
-/// conservative-lookahead boundary must produce **byte-identical**
-/// serialized reports to the single-threaded engine, across
-/// topologies × timing modes × schedule modes, with a hand-off chain
-/// keeping cross-shard traffic live every round.
-#[cfg(feature = "sharded")]
-mod sharded {
-    use super::*;
-
-    fn compiled_with_seed(batch: usize, seed: u64) -> compass::CompiledModel {
-        Compiler::new(ChipSpec::chip_s())
-            .compile(
-                &pim_model::zoo::tiny_cnn(),
-                &CompileOptions::new()
-                    .with_strategy(Strategy::Greedy)
-                    .with_batch_size(batch)
-                    .with_ga(GaParams::fast())
-                    .with_seed(seed),
-            )
-            .expect("compiles")
-    }
-
-    fn report(
-        topology: Topology,
-        timing: TimingMode,
-        schedule: ScheduleMode,
-        sharded: bool,
-        seed: u64,
-    ) -> String {
-        let compiled = compiled_with_seed(2, seed);
-        let chips = topology.chips();
-        // Hand-off chain: every chip feeds its successor, so shard
-        // boundaries carry traffic every round.
-        let loads: Vec<ChipLoad<'_>> = (0..chips)
-            .map(|c| {
-                let load = ChipLoad::new(compiled.programs());
-                if c + 1 < chips {
-                    load.with_handoff(c + 1, 4096)
-                } else {
-                    load
-                }
-            })
-            .collect();
-        let report = SystemSimulator::new(ChipSpec::chip_s(), topology)
-            .with_timing_mode(timing)
-            .with_schedule_mode(schedule)
-            .with_sharded(sharded)
-            .run(&loads, 3, 2)
-            .expect("simulates");
-        serde_json::to_string(&report).expect("serializes")
-    }
-
-    #[test]
-    fn sharded_reports_match_single_threaded_across_the_matrix() {
-        for topology in [Topology::ring(2), Topology::ring(4), Topology::fully_connected(4)] {
-            for timing in [TimingMode::Analytic, TimingMode::ClosedLoop] {
-                for schedule in ScheduleMode::ALL {
-                    let single = report(topology.clone(), timing, schedule, false, 11);
-                    let sharded = report(topology.clone(), timing, schedule, true, 11);
-                    assert_eq!(
-                        single, sharded,
-                        "sharded vs single ({topology}, {timing}, {schedule})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Degenerate-window shapes for the dynamic-lookahead protocol:
-    /// the horizon is now derived from each shard's actual inbound
-    /// links and in-flight transfers, so the cases that stress it are
-    /// the ones where those quantities are lopsided.
-    #[test]
-    fn degenerate_windows_stay_byte_identical() {
-        // (a) Heterogeneous link latencies: one fast edge (40 ns) and
-        // one slow edge (600 ns) on the same ring, so per-destination
-        // horizons differ by over an order of magnitude.
-        let mut skewed = Topology::ring(4);
-        skewed.links[0].spec.latency_ns = 40.0;
-        skewed.links[1].spec.latency_ns = 600.0;
-        assert_eq!(
-            report(skewed.clone(), TimingMode::Analytic, ScheduleMode::Interleaved, false, 11),
-            report(skewed, TimingMode::Analytic, ScheduleMode::Interleaved, true, 11),
-            "heterogeneous link latencies"
-        );
-        // (b) A chip that receives no hand-offs at all: its shard has
-        // no inbound producer, so its horizon is unbounded and it runs
-        // each round in a single window.
-        let compiled = compiled_with_seed(2, 11);
-        let loads = [
-            ChipLoad::new(compiled.programs()).with_handoff(1, 4096),
-            ChipLoad::new(compiled.programs()),
-            ChipLoad::new(compiled.programs()),
-        ];
-        let run = |sharded: bool| {
-            let report = SystemSimulator::new(ChipSpec::chip_s(), Topology::fully_connected(3))
-                .with_sharded(sharded)
-                .run(&loads, 2, 2)
-                .expect("simulates");
-            serde_json::to_string(&report).expect("serializes")
-        };
-        assert_eq!(run(false), run(true), "chip without inbound hand-offs");
-        // (c) Round-count clamps: zero rounds (clamped up to one) and
-        // a single round exercise start-up and tear-down with no
-        // steady state in between.
-        for rounds in [0usize, 1] {
-            let run = |sharded: bool| {
-                let report = SystemSimulator::new(ChipSpec::chip_s(), Topology::ring(2))
-                    .with_sharded(sharded)
-                    .run(
-                        &[
-                            ChipLoad::new(compiled.programs()).with_handoff(1, 4096),
-                            ChipLoad::new(compiled.programs()),
-                        ],
-                        rounds,
-                        1,
-                    )
-                    .expect("simulates");
-                serde_json::to_string(&report).expect("serializes")
-            };
-            assert_eq!(run(false), run(true), "round clamp (rounds = {rounds})");
-        }
-    }
-
-    #[test]
-    fn sharded_runs_are_deterministic_across_seeds() {
-        for seed in [11u64, 23] {
-            let run = || {
-                report(
-                    Topology::ring(4),
-                    TimingMode::Analytic,
-                    ScheduleMode::Interleaved,
-                    true,
-                    seed,
-                )
-            };
-            assert_eq!(run(), run(), "seed {seed}: repeated sharded runs must be byte-identical");
-        }
-    }
-}
-
 #[test]
 fn env_selected_leg_is_byte_identical() {
     // Whatever PIM_TIMING_MODE / PIM_TOPOLOGY the CI matrix selects,
@@ -282,4 +177,115 @@ fn env_selected_leg_is_byte_identical() {
         serde_json::to_string(&report).expect("serializes")
     };
     assert_eq!(run(false), run(true), "calendar vs reference queue ({timing}, {topology})");
+}
+
+fn mvm_program(cores: usize, waves: usize) -> ChipProgram {
+    let mut program = ChipProgram::new(cores);
+    for c in 0..4 {
+        program.core_mut(CoreId(c)).push(Instruction::Mvmul { waves, activations: 64, node: 0 });
+    }
+    program
+}
+
+/// An open-loop serving run of a `chips`-long hand-off chain on
+/// `topology`, every chip active, on either queue.
+fn serving_run(
+    topology: Topology,
+    serving: &ServingConfig,
+    waves: usize,
+    reference: bool,
+) -> SimReport {
+    let chip = ChipSpec::chip_s();
+    let stage = mvm_program(chip.cores, waves);
+    let chips = topology.chips();
+    let loads: Vec<ChipLoad<'_>> = (0..chips)
+        .map(|c| {
+            let load = ChipLoad::new(std::slice::from_ref(&stage));
+            if c + 1 < chips {
+                load.with_handoff(c + 1, 4096)
+            } else {
+                load
+            }
+        })
+        .collect();
+    SystemSimulator::new(chip, topology)
+        .with_reference_queue(reference)
+        .run_serving(&loads, serving)
+        .expect("serves")
+}
+
+/// Poisson, MMPP, and replayed-trace sources for one seed.
+fn sources(seed: u64) -> Vec<TrafficSpec> {
+    let bursty = TrafficModel::Mmpp {
+        calm_rate_per_s: 8e4,
+        burst_rate_per_s: 9e5,
+        mean_calm_s: 1e-3,
+        mean_burst_s: 3e-4,
+    };
+    vec![
+        TrafficSpec::Synthetic {
+            model: TrafficModel::Poisson { rate_per_s: 2.5e5 },
+            seed,
+            requests: 30,
+        },
+        TrafficSpec::Synthetic { model: bursty, seed, requests: 30 },
+        TrafficSpec::Trace(RequestTrace::synthesize(
+            TrafficModel::Poisson { rate_per_s: 3e5 },
+            seed ^ 0x5eed,
+            24,
+        )),
+    ]
+}
+
+#[test]
+fn serving_reports_are_byte_identical_across_the_matrix() {
+    let policies = [
+        BatchPolicy::Immediate,
+        BatchPolicy::MaxSize(4),
+        BatchPolicy::Deadline { max_size: 6, timeout_ns: 2e4 },
+    ];
+    for topology in [Topology::ring(2), Topology::fully_connected(4)] {
+        for seed in [3u64, 17, 29] {
+            for source in sources(seed) {
+                let offered = source.arrivals().expect("valid traffic").len();
+                for policy in policies {
+                    let config = ServingConfig::new(source.clone()).with_policy(policy);
+                    let calendar = serving_run(topology.clone(), &config, 40, false);
+                    let reference = serving_run(topology.clone(), &config, 40, true);
+                    let label = format!("{topology}, seed {seed}, {policy:?}");
+                    // perfbench rejects reports from any other engine.
+                    assert_eq!(calendar.engine, Some(EngineMode::SingleThread), "{label}");
+                    let serving = calendar.serving.as_ref().expect("serving section present");
+                    assert_eq!(serving.requests + serving.dropped, offered, "{label}");
+                    assert!(serving.p50_ns <= serving.p99_ns, "{label}: p50 > p99");
+                    assert!(serving.p99_ns <= serving.p999_ns, "{label}: p99 > p999");
+                    assert_eq!(
+                        serde_json::to_string(&calendar).expect("serializes"),
+                        serde_json::to_string(&reference).expect("serializes"),
+                        "calendar vs reference queue ({label})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn serving_backpressure_and_drops_are_byte_identical() {
+    // A tight burst against a long service time, a 3-slot queue and
+    // one round in flight: admission control must shed the same
+    // requests at the same instants on both queues.
+    let arrivals_ns: Vec<f64> = (0..40).map(|i| 25.0 * i as f64).collect();
+    let trace = TrafficSpec::Trace(RequestTrace { arrivals_ns });
+    let config = ServingConfig::new(trace).with_queue_capacity(3).with_max_inflight(1);
+    let calendar = serving_run(Topology::ring(2), &config, 1_500, false);
+    let reference = serving_run(Topology::ring(2), &config, 1_500, true);
+    let serving = calendar.serving.as_ref().expect("serving section present");
+    assert!(serving.dropped > 0, "the overload must shed");
+    assert_eq!(serving.requests + serving.dropped, 40, "served + dropped = offered");
+    assert_eq!(
+        serde_json::to_string(&calendar).expect("serializes"),
+        serde_json::to_string(&reference).expect("serializes"),
+        "drop accounting must agree byte for byte"
+    );
 }

@@ -210,171 +210,3 @@ fn empty_traffic_serves_nothing_gracefully() {
     assert_eq!(serving.p999_ns, 0.0, "empty buffer reports zero percentiles");
     assert_eq!(report.makespan_ns, 0.0);
 }
-
-#[test]
-fn arrival_chunk_size_never_changes_the_report() {
-    // The chunked request source is a scheduling-cost optimization,
-    // not a semantic knob: every chunk size replays the identical
-    // arrival stream, so the reports are byte-identical.
-    let chip = ChipSpec::chip_s();
-    let stage = mvm_program(chip.cores, 30);
-    let loads = [
-        ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(1, 4096),
-        ChipLoad::new(std::slice::from_ref(&stage)),
-    ];
-    let config = ServingConfig::new(poisson(2.5e5, 13, 48)).with_policy(BatchPolicy::MaxSize(4));
-    let run = |chunk: usize| {
-        let report = SystemSimulator::new(chip.clone(), Topology::ring(2))
-            .with_arrival_chunk(chunk)
-            .run_serving(&loads, &config)
-            .expect("serves");
-        serde_json::to_string(&report).expect("serializes")
-    };
-    let default = run(512);
-    for chunk in [1usize, 7, 48, 4096] {
-        assert_eq!(run(chunk), default, "chunk {chunk} must replay the same stream");
-    }
-}
-
-/// Sharded serving must reproduce the single-threaded oracle byte for
-/// byte: the admission frontend lives on the shard boundary, cuts the
-/// same batches at the same instants, and the folded report — request
-/// records, tails, drops, goodput — serializes identically.
-#[cfg(feature = "sharded")]
-mod sharded_serving {
-    use super::*;
-    use pim_sim::EngineMode;
-
-    /// A `chips`-long hand-off chain on `topology`, every chip active,
-    /// run on the requested engine.
-    fn chain_run(
-        topology: Topology,
-        serving: &ServingConfig,
-        waves: usize,
-        sharded: bool,
-    ) -> SimReport {
-        let chip = ChipSpec::chip_s();
-        let stage = mvm_program(chip.cores, waves);
-        let chips = topology.chips();
-        let loads: Vec<ChipLoad<'_>> = (0..chips)
-            .map(|c| {
-                let load = ChipLoad::new(std::slice::from_ref(&stage));
-                if c + 1 < chips {
-                    load.with_handoff(c + 1, 4096)
-                } else {
-                    load
-                }
-            })
-            .collect();
-        SystemSimulator::new(chip, topology)
-            .with_sharded(sharded)
-            .run_serving(&loads, serving)
-            .expect("serves")
-    }
-
-    fn bursty() -> TrafficModel {
-        TrafficModel::Mmpp {
-            calm_rate_per_s: 8e4,
-            burst_rate_per_s: 9e5,
-            mean_calm_s: 1e-3,
-            mean_burst_s: 3e-4,
-        }
-    }
-
-    /// Poisson, MMPP, and replayed-trace sources for one seed.
-    fn sources(seed: u64) -> Vec<TrafficSpec> {
-        vec![
-            poisson(2.5e5, seed, 30),
-            TrafficSpec::Synthetic { model: bursty(), seed, requests: 30 },
-            TrafficSpec::Trace(RequestTrace::synthesize(
-                TrafficModel::Poisson { rate_per_s: 3e5 },
-                seed ^ 0x5eed,
-                24,
-            )),
-        ]
-    }
-
-    fn policies() -> [BatchPolicy; 3] {
-        [
-            BatchPolicy::Immediate,
-            BatchPolicy::MaxSize(4),
-            BatchPolicy::Deadline { max_size: 6, timeout_ns: 2e4 },
-        ]
-    }
-
-    #[test]
-    fn sharded_serving_matches_single_threaded_across_the_matrix() {
-        for topology in [Topology::ring(2), Topology::fully_connected(4)] {
-            for seed in [3u64, 17, 29] {
-                for source in sources(seed) {
-                    for policy in policies() {
-                        let config = ServingConfig::new(source.clone()).with_policy(policy);
-                        let single = chain_run(topology.clone(), &config, 40, false);
-                        let shard = chain_run(topology.clone(), &config, 40, true);
-                        assert!(
-                            matches!(single.engine, Some(EngineMode::SingleThread)),
-                            "oracle runs single-threaded"
-                        );
-                        assert!(
-                            matches!(shard.engine, Some(EngineMode::Sharded { .. })),
-                            "honored sharding must be recorded, not silently dropped"
-                        );
-                        assert_eq!(
-                            serde_json::to_string(&single).expect("serializes"),
-                            serde_json::to_string(&shard).expect("serializes"),
-                            "sharded vs single ({topology}, seed {seed}, {policy:?})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_serving_is_deterministic_per_seed() {
-        for seed in [5u64, 21] {
-            let config =
-                ServingConfig::new(poisson(3e5, seed, 24)).with_policy(BatchPolicy::MaxSize(4));
-            let run = || {
-                serde_json::to_string(&chain_run(Topology::ring(2), &config, 40, true))
-                    .expect("serializes")
-            };
-            assert_eq!(run(), run(), "seed {seed}: repeated sharded runs must be byte-identical");
-        }
-        let a = serde_json::to_string(&chain_run(
-            Topology::ring(2),
-            &ServingConfig::new(poisson(3e5, 5, 24)),
-            40,
-            true,
-        ))
-        .expect("serializes");
-        let b = serde_json::to_string(&chain_run(
-            Topology::ring(2),
-            &ServingConfig::new(poisson(3e5, 6, 24)),
-            40,
-            true,
-        ))
-        .expect("serializes");
-        assert_ne!(a, b, "a different seed reshapes the sharded arrival stream too");
-    }
-
-    #[test]
-    fn backpressure_under_sharding_agrees_with_the_oracle() {
-        // A tight burst against a long service time, a 3-slot queue
-        // and one round in flight: admission control must shed the
-        // same requests at the same instants on both engines.
-        let arrivals_ns: Vec<f64> = (0..40).map(|i| 25.0 * i as f64).collect();
-        let trace = TrafficSpec::Trace(RequestTrace { arrivals_ns });
-        let config = ServingConfig::new(trace).with_queue_capacity(3).with_max_inflight(1);
-        let single = chain_run(Topology::ring(2), &config, 1_500, false);
-        let shard = chain_run(Topology::ring(2), &config, 1_500, true);
-        let serving = shard.serving.as_ref().expect("serving section present");
-        assert!(serving.dropped > 0, "the overload must shed");
-        assert_eq!(serving.requests + serving.dropped, 40, "served + dropped = offered");
-        assert_eq!(
-            serde_json::to_string(&single).expect("serializes"),
-            serde_json::to_string(&shard).expect("serializes"),
-            "drop accounting must agree byte for byte"
-        );
-    }
-}
