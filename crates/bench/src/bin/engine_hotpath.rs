@@ -1,7 +1,7 @@
-//! **Hot-path microbenchmarks**: raw simulator events/sec and full
-//! GA-generation latency, feeding the CI perf trajectory.
+//! **Hot-path microbenchmarks**: raw simulator events/sec, feeding
+//! the CI perf trajectory.
 //!
-//! Three measurements, all deterministic workloads (only the wall
+//! Two measurements, both deterministic workloads (only the wall
 //! clock varies):
 //!
 //! * **queue churn** — a classic hold-model schedule (pop an instant,
@@ -14,10 +14,9 @@
 //! * **engine dispatch** — the same churn through full
 //!   [`pim_engine::Engine`] component dispatch (batched same-instant
 //!   delivery, no per-event component take/put), on both queues.
-//! * **GA generation** — one population-100 COMPASS generation
-//!   (selection, 80 structural mutations, batch evaluation through
-//!   the segment memo) on ResNet18 / Chip-S, reported as
-//!   ns-per-generation and evaluations/sec.
+//!
+//! GA search throughput is measured by the `ga_scaling` bin through
+//! the real `compass::ga::run`.
 //!
 //! Records land in the perf trajectory under two prefixes:
 //! `hotpath:abs:*` are absolute wall-clock numbers (trajectory
@@ -29,15 +28,8 @@
 //! engine_hotpath [--quick] [--json BENCH_ci.json] [--min-speedup 3.0]
 //! ```
 
-use compass::fitness::{mean_unit_fitness, partition_scores, FitnessContext, FitnessKind};
-use compass::mutation::{self, MutationKind};
-use compass::{decompose, PartitionGroup, ValidityMap};
 use compass_bench::{arg_value, has_flag, print_table, BenchRecord};
-use pim_arch::ChipSpec;
 use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, EventQueue, SimRng, SimTime};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -145,47 +137,6 @@ fn engine_events_per_sec(reference: bool, total: u64) -> f64 {
     processed as f64 / start.elapsed().as_secs_f64()
 }
 
-/// One COMPASS GA generation (population 100, 20 survivors, 80
-/// mutated offspring) on ResNet18 / Chip-S at batch 8, measured over
-/// `generations` after a warm-started population. Returns
-/// `(ns per generation, evaluations per second)`.
-fn ga_generation_latency(generations: usize) -> (f64, f64) {
-    let chip = ChipSpec::chip_s();
-    let net = compass_bench::network("resnet18");
-    let seq = decompose(&net, &chip);
-    let validity = ValidityMap::build(&seq, &chip);
-    let ctx = FitnessContext::new(&net, &seq, &validity, &chip, 8, FitnessKind::Latency);
-    let mut rng = StdRng::seed_from_u64(2025);
-    let (population, n_sel, n_mut) = (100usize, 20usize, 80usize);
-
-    let initial: Vec<PartitionGroup> =
-        (0..population).map(|_| PartitionGroup::random(&mut rng, &validity)).collect();
-    let mut evals = 0usize;
-    let start = Instant::now();
-    let mut pool = ctx.evaluate_batch(&initial);
-    evals += initial.len();
-    for _ in 0..generations {
-        pool.sort_by(|a, b| a.pgf.partial_cmp(&b.pgf).unwrap());
-        pool.truncate(n_sel);
-        let mean_m = mean_unit_fitness(&pool, seq.len());
-        let mut children = Vec::with_capacity(n_mut);
-        while children.len() < n_mut {
-            let parent = pool.choose(&mut rng).expect("non-empty");
-            let scores = partition_scores(parent, &mean_m);
-            let kind = *MutationKind::ALL.choose(&mut rng).expect("non-empty");
-            let child = mutation::apply(kind, &parent.group, &scores, &mut rng, &validity)
-                .unwrap_or_else(|| PartitionGroup::random(&mut rng, &validity));
-            children.push(child);
-        }
-        evals += children.len();
-        pool.extend(ctx.evaluate_batch(&children));
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    // The initial-population evaluation amortizes over the measured
-    // generations, matching how a real run pays it once.
-    (elapsed * 1e9 / generations as f64, evals as f64 / elapsed)
-}
-
 /// Best of `runs` measurements (wall-clock benches jitter downward
 /// only: the fastest run is the least-disturbed one).
 fn best_of<F: FnMut() -> f64>(runs: usize, mut f: F) -> f64 {
@@ -198,14 +149,14 @@ fn main() -> ExitCode {
     let min_speedup: f64 = arg_value("--min-speedup")
         .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --min-speedup {v:?}: {e}")))
         .unwrap_or(0.0);
-    let (queue_events, engine_events, generations, runs) =
-        if quick { (600_000u64, 300_000u64, 2usize, 3usize) } else { (2_000_000, 1_000_000, 5, 3) };
+    let (queue_events, engine_events) =
+        if quick { (600_000u64, 300_000u64) } else { (2_000_000, 1_000_000) };
+    let runs = 3;
 
     let queue_cal = best_of(runs, || queue_events_per_sec(false, queue_events));
     let queue_ref = best_of(runs, || queue_events_per_sec(true, queue_events));
     let engine_cal = best_of(runs, || engine_events_per_sec(false, engine_events));
     let engine_ref = best_of(runs, || engine_events_per_sec(true, engine_events));
-    let (ga_ns, ga_evals_per_sec) = ga_generation_latency(generations);
 
     let queue_speedup = queue_cal / queue_ref;
     let engine_speedup = engine_cal / engine_ref;
@@ -229,11 +180,6 @@ fn main() -> ExitCode {
             ],
         ],
     );
-    println!(
-        "\nGA generation (ResNet18-S-8, pop 100): {:.1} ms/generation, {:.0} evaluations/s",
-        ga_ns / 1e6,
-        ga_evals_per_sec
-    );
 
     if let Some(path) = json {
         let record = |name: &str, makespan_ns: f64, throughput_ips: f64| BenchRecord {
@@ -252,7 +198,6 @@ fn main() -> ExitCode {
                 record("hotpath:abs:queue:reference", 1e9 / queue_ref, queue_ref),
                 record("hotpath:abs:engine:calendar", 1e9 / engine_cal, engine_cal),
                 record("hotpath:abs:engine:reference", 1e9 / engine_ref, engine_ref),
-                record("hotpath:abs:ga:generation", ga_ns, ga_evals_per_sec),
                 // Same-process ratios: machine-independent, gated on
                 // throughput like the satellite makespans are on
                 // cycles.

@@ -1,42 +1,30 @@
 //! **GA scaling benchmark**: how the COMPASS search loop scales with
-//! population size across evaluation strategies, feeding the CI perf
-//! trajectory with the `ga:*` record family.
+//! population size, and what the fitness memo buys, feeding the CI
+//! perf trajectory with the `ga:*` record family.
 //!
 //! For each population (100 / 1000, plus 4000 in full mode) the same
 //! seeded run — ResNet18 / Chip-S at batch 8, fixed generation count,
-//! early stopping disabled — is measured along every axis the
-//! build supports:
+//! early stopping disabled — is measured twice:
 //!
-//! * **serial** — one thread, the sharded memo on (the baseline).
-//! * **serial-nomemo** — one thread, memoization off: every
-//!   chromosome re-evaluates all its segments. The serial-nomemo /
-//!   serial wall ratio is the *memo speedup*.
-//! * **parallel** *(feature `parallel`)* — batch fan-out over the
-//!   shared [`compass::MemoShards`] memo. The serial / parallel wall
-//!   ratio is the *parallel speedup* the CI gate pins
-//!   (`--min-speedup`).
-//! * **parallel-nomemo** *(feature `parallel`)* — fan-out with the
-//!   memo off (pure evaluation throughput, no sharing).
-//! * **parallel-spec** *(feature `parallel`)* — fan-out plus
-//!   generation-level speculative pipelining.
+//! * **serial** — the fitness memo on (the default).
+//! * **serial-nomemo** — memoization off: every chromosome
+//!   re-evaluates all its segments. The serial-nomemo / serial wall
+//!   ratio is the *memo speedup*.
 //!
-//! Every axis must produce the byte-identical best chromosome and
+//! Both runs must produce the byte-identical best chromosome and
 //! fitness bits for the shared seed — the bin asserts this before
 //! recording anything, so a trajectory point can never come from a
 //! run that changed results.
 //!
 //! Records land under two prefixes: `ga:abs:pop:{N}:{axis}` are
 //! absolute ns-per-generation / evaluations-per-second walls
-//! (machine-dependent, never gated) and `ga:gate:pop:{N}:*-speedup`
-//! are same-process ratios gated on throughput. Parallel speedup is a
-//! function of the measuring host's core count, so every record
+//! (machine-dependent, never gated) and `ga:gate:pop:{N}:memo-speedup`
+//! is the same-process ratio, gated on throughput. Every record
 //! carries a `host_parallelism` stamp and the baseline gate only
-//! compares records measured at matching parallelism. On a one-core
-//! host the `--min-speedup` floor is skipped with a printed note — a
-//! parallelism-1 fan-out has nothing to win.
+//! compares records measured at matching parallelism.
 //!
 //! ```text
-//! ga_scaling [--quick] [--json BENCH_ci.json] [--min-speedup 1.3]
+//! ga_scaling [--quick] [--json BENCH_ci.json]
 //! ```
 
 use compass::fitness::{FitnessContext, FitnessKind};
@@ -47,68 +35,14 @@ use pim_arch::ChipSpec;
 use pim_model::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::process::ExitCode;
 use std::time::Instant;
 
-/// The population the `--min-speedup` gate (and the committed
-/// `ga:gate:*` trajectory floor) judges: large enough that fan-out
-/// dominates scheduling overhead, small enough for CI.
-const GATED_POPULATION: usize = 1000;
-
-/// Evaluation strategies; the parallel axes only exist when the
-/// `parallel` feature is compiled in, so serial-only builds emit a
-/// trajectory with no misleading fan-out records.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Axis {
-    Serial,
-    SerialNomemo,
-    #[cfg(feature = "parallel")]
-    Parallel,
-    #[cfg(feature = "parallel")]
-    ParallelNomemo,
-    #[cfg(feature = "parallel")]
-    ParallelSpec,
-}
-
-impl Axis {
-    fn all() -> Vec<Axis> {
-        vec![
-            Axis::Serial,
-            Axis::SerialNomemo,
-            #[cfg(feature = "parallel")]
-            Axis::Parallel,
-            #[cfg(feature = "parallel")]
-            Axis::ParallelNomemo,
-            #[cfg(feature = "parallel")]
-            Axis::ParallelSpec,
-        ]
-    }
-
-    /// Trajectory label (`ga:abs:pop:{N}:{label}`).
-    fn label(self) -> &'static str {
-        match self {
-            Axis::Serial => "serial",
-            Axis::SerialNomemo => "serial-nomemo",
-            #[cfg(feature = "parallel")]
-            Axis::Parallel => "parallel",
-            #[cfg(feature = "parallel")]
-            Axis::ParallelNomemo => "parallel-nomemo",
-            #[cfg(feature = "parallel")]
-            Axis::ParallelSpec => "parallel-spec",
-        }
-    }
-
-    fn configure<'a>(self, ctx: FitnessContext<'a>) -> FitnessContext<'a> {
-        match self {
-            Axis::Serial => ctx.with_parallel_eval(false),
-            Axis::SerialNomemo => ctx.with_parallel_eval(false).with_memo(false),
-            #[cfg(feature = "parallel")]
-            Axis::Parallel => ctx,
-            #[cfg(feature = "parallel")]
-            Axis::ParallelNomemo => ctx.with_memo(false),
-            #[cfg(feature = "parallel")]
-            Axis::ParallelSpec => ctx.with_speculation(true),
-        }
+/// Trajectory label of a run (`ga:abs:pop:{N}:{label}`).
+fn label(memo: bool) -> &'static str {
+    if memo {
+        "serial"
+    } else {
+        "serial-nomemo"
     }
 }
 
@@ -129,7 +63,7 @@ fn fixture() -> Fixture {
 }
 
 /// COMPASS's 20/80 selection split at population `pop`, with early
-/// stopping disabled so every axis runs exactly `gens` generations —
+/// stopping disabled so both runs take exactly `gens` generations —
 /// walls stay comparable and the byte-identity cross-check is total.
 fn params_for(pop: usize, gens: usize) -> GaParams {
     let n_sel = (pop / 5).max(1);
@@ -151,7 +85,7 @@ struct Measurement {
     /// Nominal chromosome evaluations per second (memo hits count:
     /// the GA consumed that many fitness values either way).
     evals_per_sec: f64,
-    /// Best chromosome, for the cross-axis byte-identity check.
+    /// Best chromosome, for the memo on/off byte-identity check.
     best_cuts: Vec<usize>,
     /// Best fitness bits, same purpose.
     best_pgf_bits: u64,
@@ -159,20 +93,15 @@ struct Measurement {
 
 /// Runs the seeded GA `runs` times on a fresh (cold-memo) context per
 /// run and keeps the fastest wall. Results must agree across runs —
-/// an axis that isn't reproducible has no business in the trajectory.
-fn measure(f: &Fixture, pop: usize, gens: usize, runs: usize, axis: Axis) -> Measurement {
+/// a run that isn't reproducible has no business in the trajectory.
+fn measure(f: &Fixture, pop: usize, gens: usize, runs: usize, memo: bool) -> Measurement {
     let params = params_for(pop, gens);
     let mut wall_ns = f64::MAX;
     let mut best: Option<(Vec<usize>, u64)> = None;
     for _ in 0..runs {
-        let ctx = axis.configure(FitnessContext::new(
-            &f.net,
-            &f.seq,
-            &f.validity,
-            &f.chip,
-            8,
-            FitnessKind::Latency,
-        ));
+        let ctx =
+            FitnessContext::new(&f.net, &f.seq, &f.validity, &f.chip, 8, FitnessKind::Latency)
+                .with_memo(memo);
         let mut rng = StdRng::seed_from_u64(2025);
         let start = Instant::now();
         let (winner, _trace) = ga::run(&ctx, &params, &mut rng);
@@ -183,8 +112,8 @@ fn measure(f: &Fixture, pop: usize, gens: usize, runs: usize, axis: Axis) -> Mea
         match &best {
             None => best = Some((cuts, bits)),
             Some((prev_cuts, prev_bits)) => {
-                assert_eq!(prev_cuts, &cuts, "{}: rerun diverged", axis.label());
-                assert_eq!(*prev_bits, bits, "{}: rerun fitness diverged", axis.label());
+                assert_eq!(prev_cuts, &cuts, "{}: rerun diverged", label(memo));
+                assert_eq!(*prev_bits, bits, "{}: rerun fitness diverged", label(memo));
             }
         }
     }
@@ -199,14 +128,10 @@ fn measure(f: &Fixture, pop: usize, gens: usize, runs: usize, axis: Axis) -> Mea
     }
 }
 
-fn main() -> ExitCode {
+fn main() {
     let quick = has_flag("--quick");
     let json = arg_value("--json");
-    let min_speedup: f64 = arg_value("--min-speedup")
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --min-speedup {v:?}: {e}")))
-        .unwrap_or(0.0);
-    let pops: &[usize] =
-        if quick { &[100, GATED_POPULATION] } else { &[100, GATED_POPULATION, 4000] };
+    let pops: &[usize] = if quick { &[100, 1000] } else { &[100, 1000, 4000] };
     // Always at least best-of-2: the fastest wall discards the run
     // that paid one-time process warm-up (page faults, allocator
     // growth) — with a single run the first-measured axis absorbs all
@@ -216,64 +141,42 @@ fn main() -> ExitCode {
     let f = fixture();
     // Touch every code path once before any clock starts, for the
     // same reason.
-    measure(&f, 50, 1, 1, Axis::Serial);
+    measure(&f, 50, 1, 1, true);
     let mut records: Vec<BenchRecord> = Vec::new();
-    // The gated parallel speedup at GATED_POPULATION, if measured.
-    #[cfg_attr(not(feature = "parallel"), allow(unused_mut))]
-    let mut gated_parallel_speedup: Option<f64> = None;
 
     for &pop in pops {
-        let axes = Axis::all();
-        let measured: Vec<(Axis, Measurement)> =
-            axes.iter().map(|&axis| (axis, measure(&f, pop, gens, runs, axis))).collect();
+        let memoized = measure(&f, pop, gens, runs, true);
+        let bare = measure(&f, pop, gens, runs, false);
+        let measured = [(true, &memoized), (false, &bare)];
 
-        // Byte-identity across every axis before anything is
-        // recorded: the scaling machinery may only change wall clock.
-        let (_, serial) = measured.iter().find(|(a, _)| *a == Axis::Serial).expect("serial axis");
-        for (axis, m) in &measured {
-            assert_eq!(
-                serial.best_cuts,
-                m.best_cuts,
-                "pop {pop}: {} best chromosome diverged from serial",
-                axis.label()
-            );
-            assert_eq!(
-                serial.best_pgf_bits,
-                m.best_pgf_bits,
-                "pop {pop}: {} best fitness diverged from serial",
-                axis.label()
-            );
-        }
+        // Byte-identity before anything is recorded: the memo may only
+        // change wall clock.
+        assert_eq!(
+            memoized.best_cuts, bare.best_cuts,
+            "pop {pop}: best chromosome diverged with the memo off"
+        );
+        assert_eq!(
+            memoized.best_pgf_bits, bare.best_pgf_bits,
+            "pop {pop}: best fitness diverged with the memo off"
+        );
 
-        let wall_of = |want: Axis| {
-            measured.iter().find(|(a, _)| *a == want).map(|(_, m)| m.wall_ns).expect("axis ran")
-        };
-        let memo_speedup = wall_of(Axis::SerialNomemo) / wall_of(Axis::Serial);
-        #[cfg(feature = "parallel")]
-        let parallel_speedup = wall_of(Axis::Serial) / wall_of(Axis::Parallel);
-        #[cfg(feature = "parallel")]
-        if pop == GATED_POPULATION {
-            gated_parallel_speedup = Some(parallel_speedup);
-        }
-
+        let memo_speedup = bare.wall_ns / memoized.wall_ns;
         print_table(
             &format!("GA scaling, population {pop} ({gens} generations, best of {runs})"),
             &["axis", "ms/generation", "evals/s", "vs serial"],
             &measured
                 .iter()
-                .map(|(axis, m)| {
+                .map(|(memo, m)| {
                     vec![
-                        axis.label().into(),
+                        label(*memo).into(),
                         format!("{:.1}", m.ns_per_gen / 1e6),
                         format!("{:.0}", m.evals_per_sec),
-                        format!("{:.2}x", wall_of(Axis::Serial) / m.wall_ns),
+                        format!("{:.2}x", memoized.wall_ns / m.wall_ns),
                     ]
                 })
                 .collect::<Vec<_>>(),
         );
         println!("memo speedup at population {pop}: {memo_speedup:.2}x");
-        #[cfg(feature = "parallel")]
-        println!("parallel speedup at population {pop}: {parallel_speedup:.2}x");
 
         let record = |name: String, makespan_ns: f64, throughput_ips: f64| {
             BenchRecord { name, makespan_ns, throughput_ips, host_parallelism: None }
@@ -281,25 +184,19 @@ fn main() -> ExitCode {
         };
         // Absolute walls: trajectory visibility only (the gate skips
         // the `ga:abs:` prefix entirely).
-        for (axis, m) in &measured {
+        for (memo, m) in measured {
             records.push(record(
-                format!("ga:abs:pop:{pop}:{}", axis.label()),
+                format!("ga:abs:pop:{pop}:{}", label(memo)),
                 m.ns_per_gen,
                 m.evals_per_sec,
             ));
         }
-        // Same-process ratios: gated on throughput, but only against
+        // Same-process ratio: gated on throughput, but only against
         // baselines measured at the same host parallelism.
         records.push(record(
             format!("ga:gate:pop:{pop}:memo-speedup"),
             1.0 / memo_speedup,
             memo_speedup,
-        ));
-        #[cfg(feature = "parallel")]
-        records.push(record(
-            format!("ga:gate:pop:{pop}:parallel-speedup"),
-            1.0 / parallel_speedup,
-            parallel_speedup,
         ));
     }
 
@@ -307,28 +204,4 @@ fn main() -> ExitCode {
         compass_bench::append_records(&path, records);
         println!("\nrecorded GA scaling trajectory into {path}");
     }
-
-    if min_speedup > 0.0 {
-        let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if cfg!(not(feature = "parallel")) {
-            println!(
-                "note: ga parallel-speedup gate skipped (built without the `parallel` feature)"
-            );
-        } else if parallelism < 2 {
-            println!(
-                "note: ga parallel-speedup gate skipped ({parallelism} hardware thread — a \
-                 parallelism-1 fan-out has nothing to win)"
-            );
-        } else {
-            let speedup = gated_parallel_speedup.expect("gated population always measured");
-            if speedup < min_speedup {
-                eprintln!(
-                    "ga_scaling: parallel speedup {speedup:.2}x at population \
-                     {GATED_POPULATION} below required {min_speedup:.2}x"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }

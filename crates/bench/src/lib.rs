@@ -435,14 +435,14 @@ pub fn append_records(path: &str, fresh: Vec<BenchRecord>) {
 pub const HOTPATH_GATE_PREFIX: &str = "hotpath:gate:";
 
 /// Prefix of hot-path records carried in the trajectory for
-/// visibility only: absolute wall-clock events/sec and GA-generation
-/// latency. They vary with the machine that ran them, so the gate
-/// skips them entirely (including the missing-record check).
+/// visibility only: absolute wall-clock events/sec. They vary with
+/// the machine that ran them, so the gate skips them entirely
+/// (including the missing-record check).
 pub const HOTPATH_ABS_PREFIX: &str = "hotpath:abs:";
 
 /// GA-scaling counterpart of [`HOTPATH_GATE_PREFIX`]: same-process
-/// speedup ratios from `ga_scaling` (parallel-over-serial,
-/// memo-over-recompute), gated on throughput.
+/// speedup ratios from `ga_scaling` (memo-over-recompute), gated on
+/// throughput.
 pub const GA_GATE_PREFIX: &str = "ga:gate:";
 
 /// GA-scaling counterpart of [`HOTPATH_ABS_PREFIX`]: absolute
@@ -739,7 +739,7 @@ mod tests {
 
     #[test]
     fn ga_records_share_the_hotpath_gate_semantics() {
-        assert!(gates_on_throughput("ga:gate:pop:1000:parallel-speedup"));
+        assert!(gates_on_throughput("ga:gate:pop:1000:memo-speedup"));
         assert!(gates_on_throughput("hotpath:gate:queue-speedup"));
         assert!(!gates_on_throughput("ga:abs:pop:100:serial"));
         assert!(is_ungated_abs("ga:abs:pop:100:serial"));
@@ -756,16 +756,16 @@ mod tests {
             host_parallelism: threads,
         };
         let baseline = vec![
-            record("ga:gate:pop:1000:parallel-speedup", 0.5, 2.0, Some(8)),
+            record("ga:gate:pop:1000:memo-speedup", 0.5, 2.0, Some(8)),
             record("ga:abs:pop:1000:serial", 9.0e6, 1.2e3, Some(8)),
         ];
         // Abs record absent and the gate measured on a different host:
         // nothing to judge.
-        let other_host = vec![record("ga:gate:pop:1000:parallel-speedup", 1.0, 1.0, Some(1))];
+        let other_host = vec![record("ga:gate:pop:1000:memo-speedup", 1.0, 1.0, Some(1))];
         assert!(check_against_baseline(&other_host, &baseline, 0.2).is_empty());
         // Same host, speedup collapsed beyond tolerance: gated on
         // throughput, with makespan ignored.
-        let collapsed = vec![record("ga:gate:pop:1000:parallel-speedup", 0.5, 1.0, Some(8))];
+        let collapsed = vec![record("ga:gate:pop:1000:memo-speedup", 0.5, 1.0, Some(8))];
         let violations = check_against_baseline(&collapsed, &baseline, 0.2);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("throughput"));
@@ -787,10 +787,10 @@ mod tests {
             throughput_ips: ips,
             host_parallelism: threads,
         };
-        // A parallel-speedup gate measured on a 16-thread host must
+        // A memo-speedup gate measured on a 16-thread host must
         // not fail a run on a 1-thread host (or vice versa) — nor judge
         // an unstamped legacy baseline against a stamped run.
-        let gate = "ga:gate:pop:1000:parallel-speedup";
+        let gate = "ga:gate:pop:1000:memo-speedup";
         let baseline = vec![record(gate, 2.0, Some(16))];
         let collapsed = vec![record(gate, 0.5, Some(1))];
         assert!(check_against_baseline(&collapsed, &baseline, 0.2).is_empty());

@@ -1,21 +1,4 @@
 //! The COMPASS genetic algorithm (paper Algorithm 1).
-//!
-//! ## Speculative generation pipelining (`parallel` feature)
-//!
-//! Child generation is serial by construction — the seeded RNG stream
-//! *defines* the run — so in a parallel build the main thread's
-//! selection/mutation pass is a serial bubble between batch
-//! evaluations. When the context opts in
-//! ([`FitnessContext::with_speculation`]), [`run`] hides that bubble:
-//! while the main thread draws generation g's offspring from the real
-//! RNG stream, a [`rayon::scope`] pool *guesses* likely children
-//! (same survivors, same mutation operators, independently seeded
-//! RNGs) and evaluates the guesses into the shared memo. Because every
-//! memoized value is a pure function of its key, a guess can only
-//! prewarm the memo — hit, and the real batch evaluation skips the
-//! work; miss, and a harmless extra entry is retained. The best
-//! chromosome, its fitness, and the whole trace stay **byte-identical**
-//! to the serial run, whatever the speculation pool did.
 
 use crate::fitness::{mean_unit_fitness, partition_scores, EvaluatedGroup, FitnessContext};
 use crate::mutation::{self, MutationKind};
@@ -147,21 +130,19 @@ pub fn run<R: Rng + ?Sized>(
     assert!(params.population > 0 && params.n_sel > 0, "degenerate GA parameters");
     let mut trace = GaTrace::default();
 
-    // Pre-size the memo shards for the incoming population so
-    // steady-state generations never rehash mid-batch.
+    // Pre-size the memo for the incoming population so steady-state
+    // generations never rehash mid-generation.
     ctx.reserve_for_population(params.population);
 
     // Π₀: initial population from the validity map. Candidates are
-    // drawn serially (the RNG stream defines the run) and evaluated
-    // as a batch, which fans out across threads under the `parallel`
-    // feature.
+    // drawn first (the RNG stream defines the run), then evaluated.
     let initial: Vec<PartitionGroup> =
         (0..params.population).map(|_| PartitionGroup::random(rng, ctx.validity())).collect();
     // Evaluations are shared `Arc`s out of the fitness memo, so
     // survivors carried across generations are pointer bumps, not
     // clones of whole plans.
     let mut population: Vec<(Arc<EvaluatedGroup>, bool)> =
-        ctx.evaluate_batch(&initial).into_iter().map(|e| (e, false)).collect();
+        initial.iter().map(|group| (ctx.evaluate(group), false)).collect();
 
     let mut best_so_far = f64::INFINITY;
     let mut stale = 0usize;
@@ -203,25 +184,10 @@ pub fn run<R: Rng + ?Sized>(
             population.iter().map(|(e, _)| Arc::clone(e)).collect();
         let mean_m = mean_unit_fitness(&survivors, ctx.seq().len());
 
-        // Πmut: offspring from randomly drawn survivors. Child
-        // generation is serial (it consumes the RNG stream); the
-        // evaluations batch up and parallelize under the `parallel`
-        // feature, since mutation needs only parent data. With
-        // speculation enabled, a worker pool prewarms the memo with
-        // guessed children while the serial draw runs.
-        #[cfg(feature = "parallel")]
-        let children = if ctx.speculation_enabled() {
-            speculate_while_generating(
-                ctx, params, rng, &survivors, &mean_m, &mut trace, generation,
-            )
-        } else {
-            generate_children(ctx, params, rng, &survivors, &mean_m, &mut trace)
-        };
-        #[cfg(not(feature = "parallel"))]
+        // Πmut: offspring from randomly drawn survivors.
         let children = generate_children(ctx, params, rng, &survivors, &mean_m, &mut trace);
-
         ctx.reserve_for_population(children.len());
-        population.extend(ctx.evaluate_batch(&children).into_iter().map(|e| (e, false)));
+        population.extend(children.iter().map(|group| (ctx.evaluate(group), false)));
     }
 
     population.sort_by(|a, b| a.0.pgf.partial_cmp(&b.0.pgf).unwrap_or(std::cmp::Ordering::Equal));
@@ -278,72 +244,6 @@ fn generate_children<R: Rng + ?Sized>(
         }
     }
     children
-}
-
-/// Runs the serial offspring draw while a [`rayon::scope`] pool
-/// speculatively evaluates *guessed* children of the same survivors
-/// into the shared memo (see the module docs for why this cannot
-/// change results). Each speculation lane forks its own RNG from a
-/// hash of the generation and the survivor set, so the guesses are
-/// deterministic, drawn from the same mutation distribution as the
-/// real children, and independent of the caller's RNG stream.
-#[cfg(feature = "parallel")]
-fn speculate_while_generating<R: Rng + ?Sized>(
-    ctx: &FitnessContext<'_>,
-    params: &GaParams,
-    rng: &mut R,
-    survivors: &[Arc<EvaluatedGroup>],
-    mean_m: &[f64],
-    trace: &mut GaTrace,
-    generation: usize,
-) -> Vec<PartitionGroup> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let stop = AtomicBool::new(false);
-    let seed = speculation_seed(generation, survivors);
-    rayon::scope(|pool| {
-        for lane in 0..params.n_mut {
-            let stop = &stop;
-            pool.spawn(move |_| {
-                // The real children are in; late guesses would only
-                // burn cycles the batch evaluation wants.
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                let mut lane_rng = StdRng::seed_from_u64(
-                    seed ^ (lane as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let parent = survivors.choose(&mut lane_rng).expect("non-empty survivors");
-                let scores = partition_scores(parent, mean_m);
-                let kind = *MutationKind::ALL.choose(&mut lane_rng).expect("non-empty");
-                if let Some(child) =
-                    mutation::apply(kind, &parent.group, &scores, &mut lane_rng, ctx.validity())
-                {
-                    let _ = ctx.evaluate(&child);
-                }
-            });
-        }
-        let children = generate_children(ctx, params, rng, survivors, mean_m, trace);
-        stop.store(true, Ordering::Relaxed);
-        children
-    })
-}
-
-/// A deterministic seed for one generation's speculation lanes: a
-/// pure function of the generation index and the survivor set, so
-/// speculative work is reproducible run-to-run (the *results* are
-/// seed-independent either way — the memo only stores pure values).
-#[cfg(feature = "parallel")]
-fn speculation_seed(generation: usize, survivors: &[Arc<EvaluatedGroup>]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = fxhash::FxHasher::default();
-    generation.hash(&mut hasher);
-    for survivor in survivors {
-        survivor.group.cuts().hash(&mut hasher);
-    }
-    hasher.finish()
 }
 
 #[cfg(test)]

@@ -52,7 +52,6 @@ pub mod decompose;
 pub mod estimate;
 pub mod fitness;
 pub mod ga;
-pub mod memo;
 pub mod mutation;
 pub mod packing;
 pub mod partition;
@@ -72,7 +71,6 @@ pub use error::CompileError;
 pub use estimate::{GroupEstimate, PartitionEstimate};
 pub use fitness::ServingSlo;
 pub use ga::{GaParams, GaTrace, GenerationRecord};
-pub use memo::MemoShards;
 pub use partition::{Partition, PartitionGroup};
 pub use plan::{GroupPlan, PartitionPlan};
 pub use report::CompileReport;

@@ -176,15 +176,6 @@ pub struct SegmentPlanner<'a> {
     attach_order: Vec<(usize, NodeId)>,
 }
 
-// The planner is shared by `&` across the fitness batch fan-out and
-// the GA's speculative pool; it must stay immutable shared state
-// (references plus owned plain data, no interior mutability).
-#[allow(dead_code)]
-fn _planner_is_sync() {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<SegmentPlanner<'static>>();
-}
-
 impl<'a> SegmentPlanner<'a> {
     /// Number of partition units in the decomposition — the segment
     /// key space is `(start, end)` spans over these units, so callers

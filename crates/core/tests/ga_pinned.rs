@@ -1,17 +1,19 @@
-//! GA output pinned across commits.
+//! GA output pinned across commits, and reproducible within one.
 //!
-//! `ga_parallel.rs` compares evaluation modes within one build; this
-//! suite pins what the GA *finds* — the winner's cuts, its fitness
-//! bits, and a hash of the serialized trace — so a change to the
-//! fitness hot path (segment sharing, replication feasibility checks,
-//! memo layout) that claims to be behaviour-preserving is checked
-//! against the numbers the previous implementation produced.
+//! The pins record what the GA *finds* — the winner's cuts, its
+//! fitness bits, and a hash of the serialized trace — so a change to
+//! the fitness hot path (segment sharing, replication feasibility
+//! checks, memo layout) that claims to be behaviour-preserving is
+//! checked against the numbers the previous implementation produced.
+//! The pinned points are the benchmark's `compile` workload: the
+//! paper's GA parameters with early stopping off, seed 1, batch 8,
+//! latency fitness, analytic timing and barrier scheduling.
 //!
-//! The points are the benchmark's `compile` workload: the paper's GA
-//! parameters with early stopping off, seed 1, batch 8, latency
-//! fitness, analytic timing and barrier scheduling.
+//! The reproducibility check reruns the fast GA for several seeds
+//! under both the makespan and the `ServingSlo` tail objective and
+//! compares the two runs byte for byte.
 
-use compass::fitness::{FitnessContext, FitnessKind};
+use compass::fitness::{FitnessContext, FitnessKind, ServingSlo};
 use compass::ga::{self, GaParams};
 use compass::{decompose, ValidityMap};
 use pim_arch::ChipSpec;
@@ -96,4 +98,30 @@ fn vgg16_s_8_winner_is_pinned() {
             trace_hash: 7556146442803687681,
         },
     );
+}
+
+#[test]
+fn serial_evaluation_is_reproducible() {
+    let chip = ChipSpec::chip_s();
+    let net = zoo::resnet18();
+    let seq = decompose(&net, &chip);
+    let validity = ValidityMap::build(&seq, &chip);
+    let run = |seed: u64, slo: Option<ServingSlo>| {
+        let ctx = FitnessContext::new(&net, &seq, &validity, &chip, 8, FitnessKind::Latency)
+            .with_serving_slo(slo);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (best, trace) = ga::run(&ctx, &GaParams::fast(), &mut rng);
+        let trace_json = serde_json::to_string(&trace).expect("trace serializes");
+        (best.group.cuts().to_vec(), best.pgf.to_bits(), trace_json, ctx.cache_len())
+    };
+    for seed in [11, 12, 13] {
+        for slo in [None, Some(ServingSlo::new(2_000.0, 8))] {
+            let a = run(seed, slo);
+            let b = run(seed, slo);
+            assert_eq!(a.0, b.0, "seed {seed}, {slo:?}: best chromosome diverged");
+            assert_eq!(a.1, b.1, "seed {seed}, {slo:?}: best fitness bits diverged");
+            assert_eq!(a.2, b.2, "seed {seed}, {slo:?}: fitness trace diverged");
+            assert_eq!(a.3, b.3, "seed {seed}, {slo:?}: memo contents diverged");
+        }
+    }
 }

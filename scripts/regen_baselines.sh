@@ -31,15 +31,13 @@ cargo run --release -p compass-bench --bin topology_sweep -- --quick --schedule 
 cargo run --release -p compass-bench --bin timing_mode_sweep -- --quick --json "${BASELINE}"
 # Hot-path records: the hotpath:gate:* speedup ratios are gated (they
 # are same-process ratios, stable across machines); the hotpath:abs:*
-# events/sec and GA-generation numbers are trajectory-only.
+# events/sec numbers are trajectory-only.
 cargo run --release -p compass-bench --bin engine_hotpath -- --quick --json "${BASELINE}" --min-speedup 3.0
 # GA scaling records: ga:abs:* per-generation walls (trajectory-only)
-# and ga:gate:* memo/parallel speedup ratios, all stamped with the
+# and ga:gate:* memo speedup ratios, all stamped with the
 # regenerating host's parallelism so the gate never compares ratios
-# across differently-sized machines. The --min-speedup floor only
-# applies on multi-core hosts (one hardware thread pins the honest
-# ~1x ratio and prints a note instead).
-cargo run --release -p compass-bench --features parallel --bin ga_scaling -- --quick --json "${BASELINE}" --min-speedup 1.3
+# across differently-sized machines.
+cargo run --release -p compass-bench --bin ga_scaling -- --quick --json "${BASELINE}"
 # Open-loop serving records (serving:*): p99 latency in the gated
 # makespan slot, SLO goodput in throughput_ips. Seeded synthetic
 # traffic on the simulated clock — byte-deterministic everywhere.
