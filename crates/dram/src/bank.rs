@@ -1,6 +1,6 @@
 //! Per-bank row-buffer state machine.
 
-use crate::config::DramConfig;
+use crate::config::DramTiming;
 use serde::{Deserialize, Serialize};
 
 /// Outcome class of a column access, used for energy accounting.
@@ -51,44 +51,43 @@ impl Bank {
     }
 
     /// Performs one burst access to `row` starting no earlier than
-    /// `now_ns`, returning `(data_ready_ns, class)`: the time the data
-    /// burst completes on the data bus and the row-buffer outcome.
+    /// `now_ns` under the controller's precomputed `timing`, returning
+    /// `(data_ready_ns, class)`: the time the data burst completes on
+    /// the data bus and the row-buffer outcome.
     ///
     /// The bank becomes ready for its next column command `tCCD` after
     /// the column command issues; the caller (controller) serializes
     /// the shared data bus separately.
     pub fn access(
         &mut self,
-        cfg: &DramConfig,
+        timing: &DramTiming,
         now_ns: f64,
         row: u64,
         is_write: bool,
     ) -> (f64, AccessClass) {
-        let cyc = cfg.cycle_ns();
         let class = self.classify(row);
         let mut t = now_ns.max(self.ready_ns);
         match class {
             AccessClass::RowHit => {}
             AccessClass::RowClosed => {
-                t += cfg.t_rcd as f64 * cyc;
+                t += timing.rcd_ns;
                 self.activated_ns = t;
                 self.open_row = Some(row);
             }
             AccessClass::RowConflict => {
                 // Respect tRAS from the previous activate, then
                 // precharge and activate the new row.
-                let ras_done = self.activated_ns + cfg.t_ras as f64 * cyc;
+                let ras_done = self.activated_ns + timing.ras_ns;
                 t = t.max(ras_done);
-                t += (cfg.t_rp + cfg.t_rcd) as f64 * cyc;
+                t += timing.rp_rcd_ns;
                 self.activated_ns = t;
                 self.open_row = Some(row);
             }
         }
-        let cas = if is_write { cfg.t_cwl } else { cfg.t_cl };
         let data_ready =
-            t + (cas + cfg.t_ccd) as f64 * cyc + if is_write { cfg.t_wr as f64 * cyc } else { 0.0 };
+            if is_write { t + timing.write_cas_ns + timing.wr_ns } else { t + timing.read_cas_ns };
         // Next column command to this bank can issue tCCD after this one.
-        self.ready_ns = t + cfg.t_ccd as f64 * cyc;
+        self.ready_ns = t + timing.ccd_ns;
         (data_ready, class)
     }
 
@@ -103,6 +102,7 @@ impl Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DramConfig;
 
     fn cfg() -> DramConfig {
         DramConfig::lpddr3_1600()
@@ -112,7 +112,7 @@ mod tests {
     fn first_access_activates() {
         let cfg = cfg();
         let mut bank = Bank::new();
-        let (done, class) = bank.access(&cfg, 0.0, 7, false);
+        let (done, class) = bank.access(&cfg.timing(), 0.0, 7, false);
         assert_eq!(class, AccessClass::RowClosed);
         // tRCD + tCL + tCCD cycles.
         let expect = (cfg.t_rcd + cfg.t_cl + cfg.t_ccd) as f64 * cfg.cycle_ns();
@@ -124,13 +124,13 @@ mod tests {
     fn row_hit_is_faster_than_conflict() {
         let cfg = cfg();
         let mut bank = Bank::new();
-        let (t0, _) = bank.access(&cfg, 0.0, 1, false);
-        let (t_hit, c_hit) = bank.access(&cfg, t0, 1, false);
+        let (t0, _) = bank.access(&cfg.timing(), 0.0, 1, false);
+        let (t_hit, c_hit) = bank.access(&cfg.timing(), t0, 1, false);
         assert_eq!(c_hit, AccessClass::RowHit);
 
         let mut bank2 = Bank::new();
-        let (s0, _) = bank2.access(&cfg, 0.0, 1, false);
-        let (t_conf, c_conf) = bank2.access(&cfg, s0, 2, false);
+        let (s0, _) = bank2.access(&cfg.timing(), 0.0, 1, false);
+        let (t_conf, c_conf) = bank2.access(&cfg.timing(), s0, 2, false);
         assert_eq!(c_conf, AccessClass::RowConflict);
         assert!(t_conf - s0 > t_hit - t0, "conflict {t_conf} hit {t_hit}");
     }
@@ -139,10 +139,10 @@ mod tests {
     fn conflict_respects_tras() {
         let cfg = cfg();
         let mut bank = Bank::new();
-        bank.access(&cfg, 0.0, 1, false);
+        bank.access(&cfg.timing(), 0.0, 1, false);
         // Immediately conflict: precharge cannot begin before
         // activate + tRAS.
-        let (done, _) = bank.access(&cfg, 0.0, 2, false);
+        let (done, _) = bank.access(&cfg.timing(), 0.0, 2, false);
         let min_done = (cfg.t_rcd + cfg.t_ras + cfg.t_rp + cfg.t_rcd + cfg.t_cl + cfg.t_ccd) as f64
             * cfg.cycle_ns();
         assert!(done >= min_done - 1e-9, "{done} vs {min_done}");
@@ -152,9 +152,9 @@ mod tests {
     fn write_includes_recovery() {
         let cfg = cfg();
         let mut rd = Bank::new();
-        let (t_read, _) = rd.access(&cfg, 0.0, 1, false);
+        let (t_read, _) = rd.access(&cfg.timing(), 0.0, 1, false);
         let mut wr = Bank::new();
-        let (t_write, _) = wr.access(&cfg, 0.0, 1, true);
+        let (t_write, _) = wr.access(&cfg.timing(), 0.0, 1, true);
         // Write: tCWL < tCL but +tWR recovery makes it slower overall.
         assert!(t_write > t_read);
     }
@@ -163,7 +163,7 @@ mod tests {
     fn refresh_closes_rows() {
         let cfg = cfg();
         let mut bank = Bank::new();
-        bank.access(&cfg, 0.0, 3, false);
+        bank.access(&cfg.timing(), 0.0, 3, false);
         bank.refresh_until(500.0);
         assert_eq!(bank.open_row(), None);
         assert!(bank.ready_ns() >= 500.0);

@@ -176,6 +176,11 @@ impl MultiChannelDram {
     /// dense address space. Takes `Copy` inputs rather than `&self` so
     /// the routing loops can mutate `self.channels` while iterating —
     /// no per-request stripe buffer is allocated.
+    ///
+    /// Only the first stripe divides: every later one starts on an
+    /// interleave boundary, so its channel is the next one round-robin
+    /// and its local address advances by one interleave each time the
+    /// channel wraps to zero.
     fn stripes(
         channels: usize,
         interleave_bytes: usize,
@@ -183,19 +188,27 @@ impl MultiChannelDram {
     ) -> impl Iterator<Item = (usize, Request)> {
         let n = channels as u64;
         let il = interleave_bytes as u64;
-        let mut addr = request.addr;
+        let stripe_off = request.addr % il;
+        let mut channel = ((request.addr / il) % n) as usize;
+        // Local address of the current stripe's interleave boundary.
+        let mut local_base = (request.addr / (il * n)) * il;
+        let mut take = ((il - stripe_off) as usize).min(request.bytes);
+        let mut local = local_base + stripe_off;
         let mut remaining = request.bytes;
         std::iter::from_fn(move || {
             if remaining == 0 {
                 return None;
             }
-            let stripe_off = addr % il;
-            let take = ((il - stripe_off) as usize).min(remaining);
-            let channel = ((addr / il) % n) as usize;
-            let local = (addr / (il * n)) * il + stripe_off;
-            addr += take as u64;
+            let piece = (channel, Request::at_ns(request.issue_ns, local, request.kind, take));
             remaining -= take;
-            Some((channel, Request::at_ns(request.issue_ns, local, request.kind, take)))
+            take = interleave_bytes.min(remaining);
+            channel += 1;
+            if channel == channels {
+                channel = 0;
+                local_base += il;
+            }
+            local = local_base;
+            Some(piece)
         })
     }
 
@@ -333,6 +346,72 @@ mod tests {
             mem.service_batch(&requests)
         };
         assert_eq!(run(), run(), "same batch, same windows, every run");
+    }
+
+    /// The division-per-stripe split the incremental
+    /// [`MultiChannelDram::stripes`] replaced, kept as its oracle.
+    fn stripes_by_division(
+        channels: usize,
+        interleave: usize,
+        request: Request,
+    ) -> Vec<(usize, Request)> {
+        let n = channels as u64;
+        let il = interleave as u64;
+        let mut addr = request.addr;
+        let mut remaining = request.bytes;
+        let mut out = Vec::new();
+        while remaining > 0 {
+            let stripe_off = addr % il;
+            let take = ((il - stripe_off) as usize).min(remaining);
+            let channel = ((addr / il) % n) as usize;
+            let local = (addr / (il * n)) * il + stripe_off;
+            out.push((channel, Request::at_ns(request.issue_ns, local, request.kind, take)));
+            addr += take as u64;
+            remaining -= take;
+        }
+        out
+    }
+
+    /// SplitMix64: a seedable test RNG with no dependencies.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn incremental_stripes_match_the_division_split() {
+        let interleaves = [32, 64, 96, 1000, 3000, 4096, 4097, 65_536];
+        for seed in 0..2_000u64 {
+            let mut rng = seed;
+            let channels = 1 + (splitmix(&mut rng) % 5) as usize;
+            let interleave = interleaves[(splitmix(&mut rng) % interleaves.len() as u64) as usize];
+            // Sizes: empty, sub-burst, within one stripe, and spanning
+            // many stripes (and several channel wraps).
+            let bytes = match splitmix(&mut rng) % 4 {
+                0 => 0,
+                1 => 1 + (splitmix(&mut rng) % 31) as usize,
+                2 => 1 + (splitmix(&mut rng) % interleave as u64) as usize,
+                _ => (splitmix(&mut rng) % (40 * interleave as u64)) as usize,
+            };
+            // Addresses: stripe-aligned, arbitrary, and near the top of
+            // the activation region's 4 GiB offset.
+            let addr = match splitmix(&mut rng) % 3 {
+                0 => (splitmix(&mut rng) % 1_000) * interleave as u64,
+                1 => splitmix(&mut rng) % (1 << 40),
+                _ => (1 << 32) + splitmix(&mut rng) % (1 << 20),
+            };
+            let kind = if seed % 2 == 0 { RequestKind::Read } else { RequestKind::Write };
+            let request = Request::at_ns(seed as f64 * 1.5, addr, kind, bytes);
+            let got: Vec<_> = MultiChannelDram::stripes(channels, interleave, request).collect();
+            assert_eq!(
+                got,
+                stripes_by_division(channels, interleave, request),
+                "seed {seed}: {channels} channels, {interleave} B interleave, {request:?}"
+            );
+        }
     }
 
     #[test]

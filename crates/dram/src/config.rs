@@ -95,6 +95,25 @@ impl DramConfig {
         ((aggregate_gbps / self.peak_bandwidth_gbps()).ceil() as usize).max(1)
     }
 
+    /// The cycle-scaled timing constants, in ns. Each is the single
+    /// `cycles as f64 * cycle_ns()` product the bank and controller
+    /// formulas use, so code that reads them computes bit-identical
+    /// times.
+    pub fn timing(&self) -> DramTiming {
+        let cyc = self.cycle_ns();
+        DramTiming {
+            rcd_ns: self.t_rcd as f64 * cyc,
+            ras_ns: self.t_ras as f64 * cyc,
+            rp_rcd_ns: (self.t_rp + self.t_rcd) as f64 * cyc,
+            read_cas_ns: (self.t_cl + self.t_ccd) as f64 * cyc,
+            write_cas_ns: (self.t_cwl + self.t_ccd) as f64 * cyc,
+            wr_ns: self.t_wr as f64 * cyc,
+            ccd_ns: self.t_ccd as f64 * cyc,
+            rfc_ns: self.t_rfc as f64 * cyc,
+            refi_ns: self.t_refi as f64 * cyc,
+        }
+    }
+
     /// Maps a byte address to `(bank, row)` using row-interleaved
     /// mapping (consecutive rows rotate across banks so sequential
     /// streams exploit bank-level parallelism).
@@ -104,6 +123,31 @@ impl DramConfig {
         let row = row_global / self.banks as u64;
         (bank, row)
     }
+}
+
+/// The timing parameters of a [`DramConfig`] scaled to nanoseconds
+/// ([`DramConfig::timing`]). The controller computes them once, so the
+/// per-burst path multiplies and divides nothing to derive them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DramTiming {
+    /// Activate to column command (tRCD).
+    pub rcd_ns: f64,
+    /// Minimum row-open time (tRAS).
+    pub ras_ns: f64,
+    /// Precharge then activate (tRP + tRCD): a row conflict's cost.
+    pub rp_rcd_ns: f64,
+    /// Read column command to data done (tCL + tCCD).
+    pub read_cas_ns: f64,
+    /// Write column command to data done (tCWL + tCCD).
+    pub write_cas_ns: f64,
+    /// Write recovery (tWR).
+    pub wr_ns: f64,
+    /// Column-to-column delay: one burst on the data bus (tCCD).
+    pub ccd_ns: f64,
+    /// Refresh cycle time (tRFC).
+    pub rfc_ns: f64,
+    /// Refresh interval (tREFI).
+    pub refi_ns: f64,
 }
 
 impl Default for DramConfig {

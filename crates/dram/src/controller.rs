@@ -1,7 +1,7 @@
 //! The memory controller / simulator front end.
 
 use crate::bank::{AccessClass, Bank};
-use crate::config::DramConfig;
+use crate::config::{DramConfig, DramTiming};
 use crate::energy::DramEnergy;
 use crate::request::{Request, RequestId, RequestKind};
 use pim_engine::{Component, Engine, EngineCtx, Event, SimTime};
@@ -86,6 +86,11 @@ impl ChannelStats {
 /// traffic pays activate/precharge latency, the two behaviours the
 /// COMPASS weight-replacement schedule is sensitive to.
 ///
+/// The cycle-scaled timing constants ([`DramTiming`]) are computed
+/// once, when the controller is built: the per-burst path reads them
+/// instead of re-deriving `cycles × cycle time` (a float division) on
+/// every access, and computes bit-identical times.
+///
 /// # Example
 ///
 /// ```
@@ -102,6 +107,8 @@ impl ChannelStats {
 #[derive(Debug, Clone)]
 pub struct DramSimulator {
     cfg: DramConfig,
+    /// `cfg`'s timing in ns, computed once at construction.
+    timing: DramTiming,
     banks: Vec<Bank>,
     queue: VecDeque<(RequestId, Request)>,
     next_id: u64,
@@ -122,14 +129,15 @@ impl DramSimulator {
     /// Creates an idle simulator.
     pub fn new(cfg: DramConfig) -> Self {
         let banks = vec![Bank::new(); cfg.banks];
-        let next_refresh_ns = cfg.t_refi as f64 * cfg.cycle_ns();
+        let timing = cfg.timing();
         Self {
+            next_refresh_ns: timing.refi_ns,
             cfg,
+            timing,
             banks,
             queue: VecDeque::new(),
             next_id: 0,
             bus_free_ns: 0.0,
-            next_refresh_ns,
             refreshes: 0,
             activates: 0,
             row_hits: 0,
@@ -241,8 +249,7 @@ impl DramSimulator {
     }
 
     fn serve(&mut self, id: RequestId, req: Request) -> CompletedRequest {
-        let cyc = self.cfg.cycle_ns();
-        let burst_time = self.cfg.t_ccd as f64 * cyc;
+        let burst_time = self.timing.ccd_ns;
         let is_write = req.kind == RequestKind::Write;
         let mut t = req.issue_ns.max(0.0);
         let mut start_ns = f64::INFINITY;
@@ -257,7 +264,7 @@ impl DramSimulator {
             let (bank_idx, row) = self.cfg.map_address(addr);
             let service_start = t.max(self.banks[bank_idx].ready_ns());
             start_ns = start_ns.min(service_start);
-            let (data_ready, class) = self.banks[bank_idx].access(&self.cfg, t, row, is_write);
+            let (data_ready, class) = self.banks[bank_idx].access(&self.timing, t, row, is_write);
             if class != AccessClass::RowHit {
                 self.activates += 1;
             } else {
@@ -298,15 +305,14 @@ impl DramSimulator {
     /// counts and refresh stalls are applied analytically, so energy
     /// and bandwidth match the per-burst path closely.
     fn serve_bulk(&mut self, id: RequestId, req: Request, bursts: usize) -> CompletedRequest {
-        let cyc = self.cfg.cycle_ns();
-        let burst_time = self.cfg.t_ccd as f64 * cyc;
+        let burst_time = self.timing.ccd_ns;
         let is_write = req.kind == RequestKind::Write;
         let t = req.issue_ns.max(0.0);
         self.apply_refresh(t);
         // First access pays the usual bank latency.
         let (bank_idx, row) = self.cfg.map_address(req.addr);
         let service_start = t.max(self.banks[bank_idx].ready_ns());
-        let (first_ready, class) = self.banks[bank_idx].access(&self.cfg, t, row, is_write);
+        let (first_ready, class) = self.banks[bank_idx].access(&self.timing, t, row, is_write);
         let first_activate = (class != crate::bank::AccessClass::RowHit) as u64;
         self.activates += first_activate;
         // Remaining rows each cost one activate (banks rotate, so the
@@ -320,14 +326,14 @@ impl DramSimulator {
         let stream_time = bursts as f64 * burst_time;
         let start_bus = first_ready.max(self.bus_free_ns + burst_time) - burst_time;
         let mut finish = start_bus + stream_time;
-        let rfc_ns = self.cfg.t_rfc as f64 * cyc;
+        let rfc_ns = self.timing.rfc_ns;
         while finish >= self.next_refresh_ns {
             let end = self.next_refresh_ns + rfc_ns;
             for bank in &mut self.banks {
                 bank.refresh_until(end);
             }
             self.refreshes += 1;
-            self.next_refresh_ns += self.cfg.t_refi as f64 * cyc;
+            self.next_refresh_ns += self.timing.refi_ns;
             finish += rfc_ns;
         }
         self.bus_free_ns = finish;
@@ -356,14 +362,13 @@ impl DramSimulator {
     /// All-bank refresh every tREFI: banks stall for tRFC and rows
     /// close.
     fn apply_refresh(&mut self, now_ns: f64) {
-        let cyc = self.cfg.cycle_ns();
         while now_ns >= self.next_refresh_ns {
-            let end = self.next_refresh_ns + self.cfg.t_rfc as f64 * cyc;
+            let end = self.next_refresh_ns + self.timing.rfc_ns;
             for bank in &mut self.banks {
                 bank.refresh_until(end);
             }
             self.refreshes += 1;
-            self.next_refresh_ns += self.cfg.t_refi as f64 * cyc;
+            self.next_refresh_ns += self.timing.refi_ns;
         }
     }
 

@@ -18,8 +18,19 @@
 //! All iteration orders are by ascending node id, so dispatch driven
 //! by this graph is deterministic by construction — no hash-map
 //! iteration anywhere.
+//!
+//! # Cost
+//!
+//! The graph keeps the *eligible* set — unstarted nodes with no
+//! pending predecessor or external input — up to date as edges,
+//! externals, appended nodes and completions change it, at O(log n)
+//! per change. [`TaskGraph::take_ready`] therefore walks only the
+//! eligible set (the nodes that may start, plus those of them still
+//! waiting on a claimed resource), not every node ever created: a
+//! long-running graph that grows one round at a time dispatches in
+//! time proportional to its frontier, not its history.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How a node holds a resource while it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,12 +86,20 @@ pub struct TaskGraph {
     nodes: Vec<Node>,
     resources: BTreeMap<u64, ResourceState>,
     completed: usize,
+    /// Unstarted nodes with no pending deps or externals: the only
+    /// candidates [`Self::take_ready`] has to look at.
+    eligible: BTreeSet<usize>,
 }
 
 impl TaskGraph {
     /// Creates a graph of `nodes` isolated, unclaimed nodes.
     pub fn new(nodes: usize) -> Self {
-        Self { nodes: vec![Node::default(); nodes], resources: BTreeMap::new(), completed: 0 }
+        Self {
+            nodes: vec![Node::default(); nodes],
+            resources: BTreeMap::new(),
+            completed: 0,
+            eligible: (0..nodes).collect(),
+        }
     }
 
     /// Number of nodes.
@@ -105,6 +124,7 @@ impl TaskGraph {
         assert!(!self.nodes[before].started && !self.nodes[after].started, "graph is frozen");
         self.nodes[before].dependents.push(after);
         self.nodes[after].pending_deps += 1;
+        self.eligible.remove(&after);
     }
 
     /// Declares that `node` holds `resource` with `kind` while it
@@ -127,6 +147,9 @@ impl TaskGraph {
     pub fn add_external(&mut self, node: usize, count: usize) {
         assert!(!self.nodes[node].started, "graph is frozen");
         self.nodes[node].pending_external += count;
+        if count > 0 {
+            self.eligible.remove(&node);
+        }
     }
 
     /// Appends a fresh, isolated node to a (possibly running) graph
@@ -135,8 +158,10 @@ impl TaskGraph {
     /// nodes are already dispatching — this is how an open-loop
     /// scheduler grows a round graph as requests arrive.
     pub fn push_node(&mut self) -> usize {
+        let node = self.nodes.len();
         self.nodes.push(Node::default());
-        self.nodes.len() - 1
+        self.eligible.insert(node);
+        node
     }
 
     /// Pre-sizes the node table for `additional` more
@@ -165,6 +190,7 @@ impl TaskGraph {
         }
         self.nodes[before].dependents.push(after);
         self.nodes[after].pending_deps += 1;
+        self.eligible.remove(&after);
     }
 
     /// Clears one external dependency of `node`.
@@ -176,6 +202,16 @@ impl TaskGraph {
         let pending = &mut self.nodes[node].pending_external;
         assert!(*pending > 0, "node {node} has no outstanding external dependency");
         *pending -= 1;
+        self.mark_if_eligible(node);
+    }
+
+    /// Adds `node` to the eligible set once nothing but resources can
+    /// hold it back.
+    fn mark_if_eligible(&mut self, node: usize) {
+        let n = &self.nodes[node];
+        if !n.started && n.pending_deps == 0 && n.pending_external == 0 {
+            self.eligible.insert(node);
+        }
     }
 
     /// `true` when `node`'s precedence edges are all satisfied but at
@@ -186,45 +222,33 @@ impl TaskGraph {
         !n.started && n.pending_deps == 0 && n.pending_external > 0
     }
 
-    fn resources_free(&self, node: usize) -> bool {
-        self.nodes[node].claims.iter().all(|&(resource, kind)| {
-            let state = self.resources.get(&resource).copied().unwrap_or_default();
-            match kind {
-                ClaimKind::Exclusive => state.exclusive_holders == 0 && state.shared_holders == 0,
-                ClaimKind::Shared => state.exclusive_holders == 0,
-            }
-        })
-    }
-
-    fn start(&mut self, node: usize) {
-        for &(resource, kind) in &self.nodes[node].claims {
-            let state = self.resources.entry(resource).or_default();
-            match kind {
-                ClaimKind::Exclusive => state.exclusive_holders += 1,
-                ClaimKind::Shared => state.shared_holders += 1,
-            }
-        }
-        self.nodes[node].started = true;
-    }
-
     /// Pops every currently ready node (deps satisfied, externals
     /// satisfied, claims acquirable), acquiring its resources. Nodes
     /// are returned — and acquire resources — in ascending id order,
     /// so two nodes racing for one exclusive resource resolve to the
-    /// lower id deterministically.
+    /// lower id deterministically. Only the eligible set is walked;
+    /// nodes whose claims are still held stay in it for a later call.
     pub fn take_ready(&mut self) -> Vec<usize> {
         let mut ready = Vec::new();
-        for node in 0..self.nodes.len() {
-            let n = &self.nodes[node];
-            if !n.started && n.pending_deps == 0 && n.pending_external == 0 {
-                // Acquisition is immediate so a later node in this
-                // same sweep sees the claim.
-                if self.resources_free(node) {
-                    self.start(node);
-                    ready.push(node);
+        let Self { nodes, resources, eligible, .. } = self;
+        // `retain` visits in ascending order, and acquisition is
+        // immediate so a later node in this same sweep sees the claim.
+        eligible.retain(|&node| {
+            let claims = &nodes[node].claims;
+            if !resources_free(resources, claims) {
+                return true;
+            }
+            for &(resource, kind) in claims {
+                let state = resources.entry(resource).or_default();
+                match kind {
+                    ClaimKind::Exclusive => state.exclusive_holders += 1,
+                    ClaimKind::Shared => state.shared_holders += 1,
                 }
             }
-        }
+            nodes[node].started = true;
+            ready.push(node);
+            false
+        });
         ready
     }
 
@@ -251,8 +275,9 @@ impl TaskGraph {
             }
         }
         let dependents = std::mem::take(&mut self.nodes[node].dependents);
-        for dep in &dependents {
-            self.nodes[*dep].pending_deps -= 1;
+        for &dep in &dependents {
+            self.nodes[dep].pending_deps -= 1;
+            self.mark_if_eligible(dep);
         }
         self.nodes[node].dependents = dependents;
     }
@@ -271,6 +296,17 @@ impl TaskGraph {
     pub fn is_complete(&self, node: usize) -> bool {
         self.nodes[node].completed
     }
+}
+
+/// `true` when every claim in `claims` can be acquired now.
+fn resources_free(resources: &BTreeMap<u64, ResourceState>, claims: &[(u64, ClaimKind)]) -> bool {
+    claims.iter().all(|&(resource, kind)| {
+        let state = resources.get(&resource).copied().unwrap_or_default();
+        match kind {
+            ClaimKind::Exclusive => state.exclusive_holders == 0 && state.shared_holders == 0,
+            ClaimKind::Shared => state.exclusive_holders == 0,
+        }
+    })
 }
 
 #[cfg(test)]

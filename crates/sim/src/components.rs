@@ -16,6 +16,7 @@ use pim_engine::{Component, ComponentId, EngineCtx, Event, SimTime};
 use pim_isa::{Instruction, Tag};
 use std::any::Any;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// The event protocol between chip components.
 #[derive(Debug, Clone)]
@@ -200,7 +201,9 @@ impl CoreTiming {
 
 /// One core stepping through its instruction stream.
 pub(crate) struct CoreComponent {
-    program: Vec<Instruction>,
+    /// The partition's stream for this core, shared with every other
+    /// stage that runs it.
+    program: Rc<[Instruction]>,
     pc: usize,
     /// The core's clock, ns (updated from event times only).
     pub(crate) clock_ns: f64,
@@ -229,7 +232,7 @@ pub(crate) struct CoreComponent {
 impl CoreComponent {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        program: Vec<Instruction>,
+        program: Rc<[Instruction]>,
         start: SimTime,
         timing: CoreTiming,
         channel: ComponentId,

@@ -35,6 +35,12 @@ const CHANNEL_RESOURCE: u64 = u64::MAX;
 pub(crate) struct StageGraph {
     graph: TaskGraph,
     partitions: usize,
+    mode: ScheduleMode,
+    /// Inter-chip producers gating each batch's head stage.
+    upstream: usize,
+    /// Each partition's resource claims, computed once (empty under
+    /// the barrier schedule, which orders stages by edges alone).
+    claims: Vec<Vec<(u64, ClaimKind)>>,
 }
 
 impl StageGraph {
@@ -46,56 +52,36 @@ impl StageGraph {
         mode: ScheduleMode,
         upstream: usize,
     ) -> Self {
-        let partitions = programs.len();
-        let nodes = rounds * partitions;
-        let mut graph = TaskGraph::new(nodes);
-        for b in 0..rounds {
-            for (p, program) in programs.iter().enumerate() {
-                let node = b * partitions + p;
-                match mode {
-                    ScheduleMode::Barrier => {
-                        // Full-chip barrier: a single round-major chain.
-                        if node > 0 {
-                            graph.add_dep(node - 1, node);
-                        }
-                    }
-                    ScheduleMode::Interleaved => {
-                        // Intra-batch order: (b, p-1) feeds (b, p).
-                        if p > 0 {
-                            graph.add_dep(node - 1, node);
-                        }
-                        // Cross-batch resource reuse: batch b-1's run
-                        // of this partition must drain first.
-                        if b > 0 {
-                            graph.add_dep(node - partitions, node);
-                        }
-                        for claim in stage_claims(program) {
-                            graph.claim(node, claim.0, claim.1);
-                        }
-                    }
-                }
-                if p == 0 {
-                    graph.add_external(node, upstream);
-                }
-            }
+        let claims = programs
+            .iter()
+            .map(|program| match mode {
+                ScheduleMode::Barrier => Vec::new(),
+                ScheduleMode::Interleaved => stage_claims(program),
+            })
+            .collect();
+        let mut stages =
+            Self { graph: TaskGraph::new(0), partitions: programs.len(), mode, upstream, claims };
+        stages.graph.reserve_nodes(rounds * stages.partitions);
+        for _ in 0..rounds {
+            stages.append_round();
         }
-        Self { graph, partitions }
+        stages
     }
 
     /// Appends one more batch worth of stages to a graph that may
-    /// already be executing — the open-loop serving path, where the
-    /// round count is decided by the request buffer at run time rather
-    /// than fixed up front. The new stages get the same edges, claims
-    /// and external gate [`StageGraph::build`] would have given them;
-    /// edges from already-completed predecessors are dropped as
+    /// already be executing — how [`StageGraph::build`] lays out its
+    /// rounds, and the open-loop serving path, where the round count
+    /// is decided by the request buffer at run time rather than fixed
+    /// up front. Every round gets the same edges, claims and external
+    /// gate; edges from already-completed predecessors are dropped as
     /// trivially satisfied.
-    pub(crate) fn append_round(
-        &mut self,
-        programs: &[ChipProgram],
-        mode: ScheduleMode,
-        upstream: usize,
-    ) {
-        debug_assert_eq!(programs.len(), self.partitions);
+    ///
+    /// * **Barrier** — every stage depends on the previous one in
+    ///   round-major order: a single chain.
+    /// * **Interleaved** — `(b, p-1)` feeds `(b, p)` (intra-batch
+    ///   order), and batch `b-1`'s run of partition `p` must drain
+    ///   first (cross-batch resource reuse).
+    pub(crate) fn append_round(&mut self) {
         if self.partitions == 0 {
             return;
         }
@@ -104,10 +90,10 @@ impl StageGraph {
         // hot path appends thousands of rounds one at a time.
         self.graph.reserve_nodes(self.partitions);
         let b = self.graph.len() / self.partitions;
-        for (p, program) in programs.iter().enumerate() {
+        for p in 0..self.partitions {
             let node = self.graph.push_node();
             debug_assert_eq!(node, b * self.partitions + p);
-            match mode {
+            match self.mode {
                 ScheduleMode::Barrier => {
                     if node > 0 {
                         self.graph.add_dep_late(node - 1, node);
@@ -120,13 +106,13 @@ impl StageGraph {
                     if b > 0 {
                         self.graph.add_dep_late(node - self.partitions, node);
                     }
-                    for claim in stage_claims(program) {
-                        self.graph.claim(node, claim.0, claim.1);
+                    for &(resource, kind) in &self.claims[p] {
+                        self.graph.claim(node, resource, kind);
                     }
                 }
             }
             if p == 0 {
-                self.graph.add_external(node, upstream);
+                self.graph.add_external(node, self.upstream);
             }
         }
     }
@@ -267,7 +253,7 @@ mod tests {
         assert_eq!(g.take_ready(), vec![1]);
         // Round 1 arrives while (0, 1) is still in flight: its head must
         // wait for the running stage, not start alongside it.
-        g.append_round(&programs, ScheduleMode::Barrier, 0);
+        g.append_round();
         assert!(g.take_ready().is_empty(), "chained behind the live stage");
         g.complete(1);
         assert_eq!(g.take_ready(), vec![g.node(1, 0)]);
@@ -285,7 +271,7 @@ mod tests {
         assert_eq!(g.take_ready(), vec![g.node(0, 0)]);
         g.complete(g.node(0, 0));
         assert_eq!(g.take_ready(), vec![g.node(0, 1)]);
-        g.append_round(&programs, ScheduleMode::Interleaved, 1);
+        g.append_round();
         // The new head is gated on its hand-off even though its cores
         // are free; once satisfied it overlaps the draining tail.
         assert!(g.blocked_on_external(g.node(1, 0)));

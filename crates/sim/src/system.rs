@@ -52,8 +52,9 @@ use crate::stage::StageGraph;
 use pim_arch::{ChipSpec, EnergyModel, Link, PowerBreakdown, ScheduleMode, TimingMode, Topology};
 use pim_dram::{DramConfig, DramEnergy, TraceStats};
 use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, SimTime};
-use pim_isa::{ChipProgram, CoreId};
+use pim_isa::{ChipProgram, CoreId, Instruction, InstructionStats};
 use std::any::Any;
+use std::rc::Rc;
 
 /// Default closed-loop address-interleave granularity: two LPDDR3 rows
 /// per stripe keeps sequential streams row-friendly while still
@@ -429,9 +430,20 @@ impl SystemSimulator {
             .collect();
         let graph = StageGraph::build(load.programs, rounds, self.schedule, upstream.len());
         let nodes = rounds * load.programs.len();
+        // Every stage of a partition runs the same per-core streams:
+        // build them once and hand each spawned core a shared handle.
+        let streams = load
+            .programs
+            .iter()
+            .map(|program| {
+                (0..program.cores())
+                    .map(|c| Rc::from(program.core(CoreId(c)).instructions()))
+                    .collect()
+            })
+            .collect();
         ChipSequencer {
             chip_index: c,
-            programs: load.programs.to_vec(),
+            streams,
             timing: CoreTiming::of(self.chip_for(c)),
             channel: parts.channel,
             bus: parts.bus,
@@ -444,6 +456,7 @@ impl SystemSimulator {
             notify: None,
             graph,
             running: (0..nodes).map(|_| None).collect(),
+            next_head: 0,
             wait_from: vec![None; rounds],
             handoff_wait_ns: 0.0,
             records: Vec::new(),
@@ -721,20 +734,30 @@ impl SystemSimulator {
             // reports stay in (round, partition) order either way.
             seq.records.sort_by_key(|r| (r.round, r.partition));
             let energy_model = &energy_models[c];
+            // A partition's instruction stats and dynamic energy are the
+            // same in every round: derive them once per partition.
+            let costs: Vec<(InstructionStats, PowerBreakdown)> = load
+                .programs
+                .iter()
+                .map(|program| {
+                    let stats = program.stats();
+                    let mut part_energy = PowerBreakdown::new();
+                    part_energy.mvm_nj = energy_model.mvm_energy_nj(stats.mvm_activations);
+                    part_energy.weight_write_nj =
+                        energy_model.weight_write_energy_nj(stats.weight_write_bits);
+                    part_energy.weight_load_nj =
+                        energy_model.dram_energy_nj(stats.weight_load_bytes * 8);
+                    part_energy.activation_dram_nj = energy_model
+                        .dram_energy_nj((stats.data_load_bytes + stats.data_store_bytes) * 8);
+                    part_energy.interconnect_nj =
+                        energy_model.bus_energy_nj(stats.interconnect_bytes);
+                    part_energy.vfu_nj = energy_model.vfu_energy_nj(stats.vfu_elements);
+                    (stats, part_energy)
+                })
+                .collect();
             let mut chip_end = 0.0f64;
             for record in &seq.records {
-                let program = &load.programs[record.partition];
-                let stats = program.stats();
-                let mut part_energy = PowerBreakdown::new();
-                part_energy.mvm_nj = energy_model.mvm_energy_nj(stats.mvm_activations);
-                part_energy.weight_write_nj =
-                    energy_model.weight_write_energy_nj(stats.weight_write_bits);
-                part_energy.weight_load_nj =
-                    energy_model.dram_energy_nj(stats.weight_load_bytes * 8);
-                part_energy.activation_dram_nj = energy_model
-                    .dram_energy_nj((stats.data_load_bytes + stats.data_store_bytes) * 8);
-                part_energy.interconnect_nj = energy_model.bus_energy_nj(stats.interconnect_bytes);
-                part_energy.vfu_nj = energy_model.vfu_energy_nj(stats.vfu_elements);
+                let (stats, part_energy) = costs[record.partition];
                 energy += part_energy;
                 chip_end = chip_end.max(record.end_ns);
                 partitions.push(PartitionSimReport {
@@ -882,7 +905,9 @@ struct ChipOutcome {
 /// claim-driven under interleaving. See the module docs.
 pub(crate) struct ChipSequencer {
     chip_index: usize,
-    programs: Vec<ChipProgram>,
+    /// Per partition, the per-core instruction streams every stage of
+    /// that partition shares with its spawned cores.
+    streams: Vec<Vec<Rc<[Instruction]>>>,
     timing: CoreTiming,
     channel: ComponentId,
     bus: ComponentId,
@@ -903,6 +928,11 @@ pub(crate) struct ChipSequencer {
     pub(crate) graph: StageGraph,
     /// In-flight stages, indexed by graph node.
     pub(crate) running: Vec<Option<RunningStage>>,
+    /// The first round whose head stage has not started. Heads start
+    /// in round order (each depends, directly or through its round's
+    /// chain, on the previous head), so this is the only round that
+    /// can be blocked on upstream hand-offs.
+    next_head: usize,
     /// Per-round timestamp at which the round's head stage became
     /// blocked purely on upstream hand-offs.
     wait_from: Vec<Option<f64>>,
@@ -947,17 +977,17 @@ impl ChipSequencer {
         }
     }
 
-    /// Stamps the moment each round's head stage becomes blocked
+    /// Stamps the moment the next round's head stage becomes blocked
     /// purely on upstream hand-offs (graph deps done, externals not).
+    /// Only the first unstarted head can be: every later head still
+    /// waits on it through the graph.
     fn refresh_upstream_wait(&mut self, now_ns: f64) {
-        if self.upstream.is_empty() || self.programs.is_empty() {
+        let b = self.next_head;
+        if self.upstream.is_empty() || self.streams.is_empty() || b >= self.rounds {
             return;
         }
-        for b in 0..self.rounds {
-            if self.wait_from[b].is_none() && self.graph.blocked_on_external(self.graph.node(b, 0))
-            {
-                self.wait_from[b] = Some(now_ns);
-            }
+        if self.wait_from[b].is_none() && self.graph.blocked_on_external(self.graph.node(b, 0)) {
+            self.wait_from[b] = Some(now_ns);
         }
     }
 
@@ -969,6 +999,8 @@ impl ChipSequencer {
         let (round, partition) = self.graph.coords(node);
         let now = ctx.now();
         if partition == 0 {
+            debug_assert_eq!(round, self.next_head, "round heads start in order");
+            self.next_head = round + 1;
             if let Some(since) = self.wait_from[round].take() {
                 self.handoff_wait_ns += (now.as_ns() - since).max(0.0);
             }
@@ -994,12 +1026,13 @@ impl ChipSequencer {
                 (node as u64) << 48
             }
         };
-        let program = &self.programs[partition];
-        let cores: Vec<ComponentId> = (0..program.cores())
-            .map(|c| {
-                let stream = program.core(CoreId(c)).instructions().to_vec();
+        let streams = &self.streams[partition];
+        let cores: Vec<ComponentId> = streams
+            .iter()
+            .enumerate()
+            .map(|(c, stream)| {
                 let id = ctx.add_component(CoreComponent::new(
-                    stream,
+                    Rc::clone(stream),
                     now,
                     self.timing,
                     self.channel,
@@ -1018,7 +1051,7 @@ impl ChipSequencer {
         self.running[node] = Some(RunningStage {
             round,
             partition,
-            activity: vec![CoreActivity::default(); program.cores()],
+            activity: vec![CoreActivity::default(); streams.len()],
             cores,
             done: 0,
             start_ns: now.as_ns(),
@@ -1094,7 +1127,7 @@ impl Component<ChipEvent> for ChipSequencer {
                     .expect("hand-off arrives only from declared producers");
                 entry.1 += 1;
                 let batch = entry.1 - 1;
-                if batch < self.rounds && !self.programs.is_empty() {
+                if batch < self.rounds && !self.streams.is_empty() {
                     let node = self.graph.node(batch, 0);
                     self.graph.satisfy_external(node);
                     if !self.graph.blocked_on_external(node) {
@@ -1113,10 +1146,10 @@ impl Component<ChipEvent> for ChipSequencer {
                 // credit any hand-offs that were banked before the
                 // round existed (a fast upstream may run ahead of
                 // admission).
-                assert!(!self.programs.is_empty(), "idle chips receive no rounds");
+                assert!(!self.streams.is_empty(), "idle chips receive no rounds");
                 let b = self.rounds;
                 self.rounds += 1;
-                self.graph.append_round(&self.programs, self.schedule, self.upstream.len());
+                self.graph.append_round();
                 for _ in 0..self.graph.partitions() {
                     self.running.push(None);
                 }

@@ -210,3 +210,62 @@ fn empty_traffic_serves_nothing_gracefully() {
     assert_eq!(serving.p999_ns, 0.0, "empty buffer reports zero percentiles");
     assert_eq!(report.makespan_ns, 0.0);
 }
+
+/// FNV-1a over the report bytes: stable across toolchains, unlike
+/// `std`'s `DefaultHasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn hand_off_waits_are_pinned() {
+    // A slow producer feeding a fast consumer: the consumer's round
+    // heads block on hand-offs, so `handoff_wait_ns` is non-zero and
+    // depends on exactly when each head became blocked. The hashes pin
+    // the report bytes of fixed-round and serving runs under both
+    // stage schedules, so a change to the sequencer's upstream-wait
+    // bookkeeping that claims to keep every byte is checked against the
+    // bytes the previous code wrote.
+    use pim_arch::ScheduleMode;
+    let chip = ChipSpec::chip_s();
+    // Two partitions per chip on disjoint core halves, so interleaving
+    // overlaps a round's tail with the next round's head.
+    let halves = |waves: usize| -> Vec<ChipProgram> {
+        (0..2)
+            .map(|p| {
+                let mut program = ChipProgram::new(chip.cores);
+                for c in 4 * p..4 * p + 4 {
+                    program.core_mut(CoreId(c)).push(Instruction::Mvmul {
+                        waves,
+                        activations: 64,
+                        node: p,
+                    });
+                }
+                program
+            })
+            .collect()
+    };
+    let (producer, consumer) = (halves(30), halves(8));
+    let loads = [ChipLoad::new(&producer).with_handoff(1, 4096), ChipLoad::new(&consumer)];
+    let serving = ServingConfig::new(poisson(4e5, 5, 48))
+        .with_policy(BatchPolicy::Deadline { max_size: 3, timeout_ns: 2e3 });
+    let pins = [
+        (ScheduleMode::Barrier, 7_840_747_765_904_425_067, 1_688_166_735_493_214_424),
+        (ScheduleMode::Interleaved, 7_737_271_368_226_187_078, 15_528_596_223_450_575_482),
+    ];
+    for (schedule, rounds_pin, serving_pin) in pins {
+        let sim =
+            SystemSimulator::new(chip.clone(), Topology::ring(2)).with_schedule_mode(schedule);
+        let rounds = sim.run(&loads, 6, 1).expect("runs");
+        let served = sim.run_serving(&loads, &serving).expect("serves");
+        for report in [&rounds, &served] {
+            let chips = report.chips.as_ref().expect("multi-chip section");
+            assert!(chips[1].handoff_wait_ns > 0.0, "{schedule:?}: the consumer waits");
+        }
+        let hash = |r: &SimReport| fnv1a(serde_json::to_string(r).unwrap().as_bytes());
+        assert_eq!(hash(&rounds), rounds_pin, "{schedule:?}: fixed-round report bytes moved");
+        assert_eq!(hash(&served), serving_pin, "{schedule:?}: serving report bytes moved");
+    }
+}
