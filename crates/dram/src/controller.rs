@@ -216,12 +216,19 @@ impl DramSimulator {
     /// requests in as simulation time advances.
     pub fn service_pending(&mut self) -> Vec<CompletedRequest> {
         let mut done = Vec::with_capacity(self.queue.len());
+        self.service_pending_with(|completed| done.push(completed));
+        done
+    }
+
+    /// Serves everything currently queued, FR-FCFS order, handing each
+    /// completion to `sink` instead of collecting them — a front end
+    /// that only refines energy passes `|_| {}` and allocates nothing.
+    pub fn service_pending_with(&mut self, mut sink: impl FnMut(CompletedRequest)) {
         while !self.queue.is_empty() {
             let idx = self.pick_next();
             let (id, req) = self.queue.remove(idx).expect("index in range");
-            done.push(self.serve(id, req));
+            sink(self.serve(id, req));
         }
-        done
     }
 
     /// FR-FCFS-lite: among the oldest `reorder_window` requests whose
@@ -417,8 +424,8 @@ impl DramSimulator {
 /// Coalesces same-instant arrivals into a single drain event, so
 /// every request that lands at one timestamp is visible to the
 /// FR-FCFS pick before any of them is served. Shared by the
-/// controller's own event loop and the chip simulator's in-line DRAM
-/// component — the batching granularity is defined here, once.
+/// controller's own event loop and the chip simulator's closed-loop
+/// FR-FCFS front end — the batching granularity is defined here, once.
 #[derive(Debug, Clone, Default)]
 pub struct DrainLatch(bool);
 

@@ -2,20 +2,22 @@
 //!
 //! Every piece of shared hardware is a [`pim_engine::Component`]:
 //! per-core sequencers, the global-memory channel, the arbitrated
-//! core-to-core bus, the SEND/RECV rendezvous, and (optionally) the
-//! in-line LPDDR3 controller. They interact only by scheduling
-//! [`ChipEvent`]s, so simulated time advances exclusively through the
-//! engine's `(time, sequence)`-ordered queue.
+//! core-to-core bus, the SEND/RECV rendezvous, and in closed-loop
+//! timing the multi-channel LPDDR3 controllers. They interact only by
+//! scheduling [`ChipEvent`]s, so simulated time advances exclusively
+//! through the engine's `(time, sequence)`-ordered queue. The analytic
+//! mode's in-line LPDDR3 energy model is not a component: it never
+//! shapes timing, so the memory channel feeds it directly.
 
 use crate::report::CoreActivity;
-use pim_arch::{ChipSpec, InterconnectSpec, TimingMode};
+use fxhash::FxHashMap;
+use pim_arch::{ChipSpec, InterconnectSpec};
 use pim_dram::{
     DrainLatch, DramConfig, DramSimulator, MultiChannelDram, Request, RequestKind, TraceStats,
 };
 use pim_engine::{Component, ComponentId, EngineCtx, Event, SimTime};
 use pim_isa::{Instruction, Tag};
 use std::any::Any;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The event protocol between chip components.
@@ -36,24 +38,26 @@ pub(crate) enum ChipEvent {
         stage: usize,
         /// Index of the core within its partition program.
         core_index: usize,
-        /// The core's final activity breakdown.
-        activity: CoreActivity,
-        /// Absolute completion time of the core's weight-replace
-        /// phase, ns.
-        replace_done_ns: f64,
+        /// The core's final activity breakdown and the absolute
+        /// completion time of its weight-replace phase, ns. Boxed: it
+        /// is sent once per core per stage, and inline it would more
+        /// than double the size of every event.
+        accounting: Box<(CoreActivity, f64)>,
     },
     /// An inter-chip transfer progresses one hop along its route
     /// (`hop` is the next route index to traverse; past the last hop
-    /// the payload is delivered to the destination sequencer).
+    /// the payload is delivered to the destination sequencer). Indices
+    /// are `u32`: the interconnect's route table holds chips² entries,
+    /// so a chip or hop index never reaches 2^32.
     Ship {
         /// Source chip.
-        src: usize,
+        src: u32,
         /// Destination chip.
-        dst: usize,
+        dst: u32,
         /// Payload size.
         bytes: usize,
         /// Next hop index on the precomputed route.
-        hop: usize,
+        hop: u32,
     },
     /// A pipeline hand-off landed on this sequencer's chip.
     HandoffIn {
@@ -126,16 +130,8 @@ pub(crate) enum ChipEvent {
         /// The stage's tag-space bucket (its graph node id).
         stage: u64,
     },
-    /// A chunk of DRAM traffic reaches the in-line controller.
-    DramRequest {
-        /// Byte address (from the channel's bump allocators).
-        addr: u64,
-        /// Read or write.
-        kind: RequestKind,
-        /// Chunk size.
-        bytes: usize,
-    },
-    /// The in-line controller services everything that has arrived.
+    /// The closed-loop controllers' FR-FCFS drain: serves every access
+    /// latched at the current instant together.
     DramDrain,
     /// Closed-loop timing: one blocking block access reaches the
     /// multi-channel controllers. The requesting core's `MemDone` is
@@ -152,7 +148,7 @@ pub(crate) enum ChipEvent {
         bytes: usize,
         /// Row-friendly chunk granularity the stream is split at (the
         /// same chunking the analytic-mode energy refinement uses).
-        chunk: usize,
+        chunk: u32,
     },
     /// The request source's self-tick: one open-loop request arrives
     /// at the event time (the source forwards it to the buffer and
@@ -181,6 +177,9 @@ pub(crate) enum ChipEvent {
     },
 }
 
+// The event queue moves whole events on every push, bucket sort and pop.
+const _: () = assert!(std::mem::size_of::<ChipEvent>() <= 32);
+
 /// Per-core timing parameters copied out of the [`ChipSpec`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CoreTiming {
@@ -198,6 +197,10 @@ impl CoreTiming {
         }
     }
 }
+
+/// Program tags must stay below the stage-offset bits the cores add on
+/// the wire (bits 48 and up carry the stage id under interleaving).
+pub(crate) const MAX_PROGRAM_TAG: u64 = 1 << 48;
 
 /// One core stepping through its instruction stream.
 pub(crate) struct CoreComponent {
@@ -263,11 +266,11 @@ impl CoreComponent {
     }
 
     /// The on-the-wire tag: the program's tag shifted into this
-    /// stage's private tag space. A hard assert, not a debug one —
-    /// silent tag aliasing between overlapping stages would corrupt
-    /// rendezvous matching in release builds too.
+    /// stage's private tag space. `SystemSimulator::validate` rejects
+    /// program tags that reach the stage-offset bits before a run
+    /// starts, so tags of overlapping stages never alias.
     fn wire_tag(&self, tag: Tag) -> Tag {
-        assert!(tag.0 < 1 << 48, "program tag {tag} collides with the stage-offset bits");
+        debug_assert!(tag.0 < MAX_PROGRAM_TAG, "program tag {tag} reaches the stage-offset bits");
         Tag(tag.0 + self.tag_offset)
     }
 
@@ -387,8 +390,7 @@ impl Component<ChipEvent> for CoreComponent {
                 ChipEvent::CoreDone {
                     stage: self.stage,
                     core_index: self.core_index,
-                    activity: self.activity,
-                    replace_done_ns: self.replace_done_ns,
+                    accounting: Box::new((self.activity, self.replace_done_ns)),
                 },
             );
         }
@@ -399,20 +401,45 @@ impl Component<ChipEvent> for CoreComponent {
     }
 }
 
-/// Chunk sizes for the in-line DRAM traffic, reproducing the
+/// Chunk sizes for the DRAM request stream, reproducing the
 /// row-buffer locality of bulk weight streams vs scattered
 /// activations.
 const WEIGHT_CHUNK: usize = 1 << 20;
 const ACTIVATION_CHUNK: usize = 64 << 10;
 
+/// Splits a block transfer into the row-friendly chunks both timing
+/// modes feed their DRAM models, all issued at `issue_ns`.
+fn chunks(
+    issue_ns: f64,
+    addr: u64,
+    kind: RequestKind,
+    bytes: usize,
+    chunk: usize,
+) -> impl Iterator<Item = Request> {
+    (0..bytes).step_by(chunk).map(move |offset| {
+        Request::at_ns(issue_ns, addr + offset as u64, kind, chunk.min(bytes - offset))
+    })
+}
+
+/// Where the memory channel's transfers go besides its own timing.
+pub(crate) enum DramPort {
+    /// Analytic timing without a DRAM model.
+    Off,
+    /// Analytic timing: the in-line LPDDR3 model refines energy from
+    /// the channel's request stream. Chip timing is not affected.
+    Inline(Box<DramSimulator>),
+    /// Closed-loop timing: the multi-channel controllers own each
+    /// access's completion time.
+    ClosedLoop(ComponentId),
+}
+
 /// The single global-memory channel port. In `Analytic` timing mode it
 /// serializes block transfers itself (bandwidth + first-access latency)
-/// and forwards the request stream to the in-line DRAM model for energy
+/// and feeds the request stream to the in-line DRAM model for energy
 /// refinement; in `ClosedLoop` mode it only assigns addresses and hands
 /// each blocking access to the multi-channel controllers, which own the
 /// completion time.
 pub(crate) struct MemChannel {
-    mode: TimingMode,
     free_ns: f64,
     bandwidth_gbps: f64,
     access_latency_ns: f64,
@@ -420,14 +447,16 @@ pub(crate) struct MemChannel {
     /// sequential regions.
     weight_addr: u64,
     activation_addr: u64,
+    /// The request stream in chunks and bytes; in analytic mode with
+    /// the in-line model, `stats.requests` is also the number of
+    /// chunks the model served.
     pub(crate) stats: TraceStats,
-    dram: Option<ComponentId>,
+    pub(crate) dram: DramPort,
 }
 
 impl MemChannel {
-    pub(crate) fn new(chip: &ChipSpec, dram: Option<ComponentId>, mode: TimingMode) -> Self {
+    pub(crate) fn new(chip: &ChipSpec, dram: DramPort) -> Self {
         Self {
-            mode,
             free_ns: 0.0,
             bandwidth_gbps: chip.memory.bandwidth_gbps,
             access_latency_ns: chip.memory.access_latency_ns,
@@ -462,43 +491,48 @@ impl Component<ChipEvent> for MemChannel {
                     RequestKind::Write => self.stats.write_bytes += bytes,
                 }
 
-                if self.mode == TimingMode::ClosedLoop {
-                    // Closed loop: the controllers decide when this
-                    // access completes; the core's MemDone comes from
-                    // them, not from the analytic channel equation.
-                    let dram = self.dram.expect("closed-loop mode wires a DRAM component");
-                    ctx.schedule(
-                        event.time,
-                        dram,
-                        ChipEvent::DramAccess { core, addr: base, kind, bytes, chunk },
-                    );
-                    return;
-                }
+                let inline = match &mut self.dram {
+                    DramPort::ClosedLoop(dram) => {
+                        // Closed loop: the controllers decide when this
+                        // access completes; the core's MemDone comes
+                        // from them, not from the analytic channel
+                        // equation.
+                        let chunk = chunk as u32;
+                        let access = ChipEvent::DramAccess { core, addr: base, kind, bytes, chunk };
+                        ctx.schedule(event.time, *dram, access);
+                        return;
+                    }
+                    DramPort::Inline(dram) => Some(dram),
+                    DramPort::Off => None,
+                };
 
                 let start = now.max(self.free_ns);
                 let stream_ns = bytes as f64 / self.bandwidth_gbps;
                 let dur = self.access_latency_ns + stream_ns;
                 self.free_ns = start + stream_ns;
 
-                // Forward the transfer to the in-line DRAM model in
-                // row-friendly chunks, all issued at the grant time —
-                // the same request stream the trace replay used to
-                // rebuild after the fact.
-                if let Some(dram) = self.dram {
-                    let mut offset = 0usize;
-                    while offset < bytes {
-                        let take = chunk.min(bytes - offset);
-                        ctx.schedule(
-                            SimTime::from_ns(start),
-                            dram,
-                            ChipEvent::DramRequest {
-                                addr: base + offset as u64,
-                                kind,
-                                bytes: take,
-                            },
-                        );
-                        offset += take;
+                // Feed the transfer to the in-line DRAM model in
+                // row-friendly chunks, all issued at the grant time, and
+                // serve them at once. This is exactly the request stream
+                // and service order of the model run as its own engine
+                // component that drains each instant's arrivals:
+                // - a channel's grant times strictly increase for
+                //   non-zero transfers: `free_ns` only rises, and a
+                //   `Barrier` resets it to a time after every earlier
+                //   grant (it fires once the previous stage's cores have
+                //   all received their `MemDone`s, each later than its
+                //   grant). So each instant's drain serves exactly one
+                //   transfer's chunks, in grant order;
+                // - the DRAM model reads the chunks' issue times, never
+                //   engine time;
+                // - dropping the model's own events renumbers sequence
+                //   ids but keeps the `(time, seq)` order of every
+                //   remaining event.
+                if let Some(dram) = inline {
+                    for request in chunks(start, base, kind, bytes, chunk) {
+                        dram.enqueue(request);
                     }
+                    dram.service_pending_with(|_| {});
                 }
 
                 ctx.schedule(
@@ -565,12 +599,17 @@ impl Component<ChipEvent> for BusComponent {
 /// the order they blocked. Deliveries are bucketed by the tag's
 /// stage-offset bits so an interleaved stage's whole tag space can be
 /// retired in O(1) when the stage drains (barrier mode clears
-/// everything at each stage boundary instead).
+/// everything at each stage boundary instead). The maps hash with Fx,
+/// not SipHash: tags are small integers, and colliding tags could only
+/// slow a run, never change its result.
 #[derive(Default)]
 pub(crate) struct Rendezvous {
     /// `delivered[stage bucket][tag]` — delivery instant, ns.
-    pub(crate) delivered: HashMap<u64, HashMap<Tag, f64>>,
-    waiting: HashMap<Tag, Vec<(ComponentId, f64)>>,
+    pub(crate) delivered: FxHashMap<u64, FxHashMap<Tag, f64>>,
+    /// Blocked receivers `(tag, core, since_ns)`, in the order they
+    /// blocked. At most one entry per live core, so a scan beats a map
+    /// of per-tag lists.
+    waiting: Vec<(Tag, ComponentId, f64)>,
 }
 
 /// The stage bucket a wire tag belongs to (the high offset bits the
@@ -579,18 +618,12 @@ fn tag_bucket(tag: Tag) -> u64 {
     tag.0 >> 48
 }
 
-impl Rendezvous {
-    fn complete(
-        &mut self,
-        core: ComponentId,
-        since_ns: f64,
-        at_ns: f64,
-        ctx: &mut EngineCtx<'_, ChipEvent>,
-    ) {
-        let resume = since_ns.max(at_ns);
-        let wait_ns = (at_ns - since_ns).max(0.0);
-        ctx.schedule(SimTime::from_ns(resume), core, ChipEvent::RecvDone { wait_ns });
-    }
+/// Resumes a receiver that blocked at `since_ns` on a transfer whose
+/// data lands at `at_ns`.
+fn recv_done(core: ComponentId, since_ns: f64, at_ns: f64, ctx: &mut EngineCtx<'_, ChipEvent>) {
+    let resume = since_ns.max(at_ns);
+    let wait_ns = (at_ns - since_ns).max(0.0);
+    ctx.schedule(SimTime::from_ns(resume), core, ChipEvent::RecvDone { wait_ns });
 }
 
 impl Component<ChipEvent> for Rendezvous {
@@ -605,68 +638,21 @@ impl Component<ChipEvent> for Rendezvous {
             }
             ChipEvent::Deliver { tag, at_ns } => {
                 self.delivered.entry(tag_bucket(tag)).or_default().insert(tag, at_ns);
-                if let Some(waiters) = self.waiting.remove(&tag) {
-                    for (core, since_ns) in waiters {
-                        self.complete(core, since_ns, at_ns, ctx);
+                self.waiting.retain(|&(waiting_on, core, since_ns)| {
+                    let wake = waiting_on == tag;
+                    if wake {
+                        recv_done(core, since_ns, at_ns, ctx);
                     }
-                }
+                    !wake
+                });
             }
             ChipEvent::AwaitTag { core, tag, since_ns } => {
-                if let Some(&at_ns) = self.delivered.get(&tag_bucket(tag)).and_then(|b| b.get(&tag))
-                {
-                    self.complete(core, since_ns, at_ns, ctx);
-                } else {
-                    self.waiting.entry(tag).or_default().push((core, since_ns));
+                match self.delivered.get(&tag_bucket(tag)).and_then(|b| b.get(&tag)) {
+                    Some(&at_ns) => recv_done(core, since_ns, at_ns, ctx),
+                    None => self.waiting.push((tag, core, since_ns)),
                 }
             }
             other => unreachable!("rendezvous received {other:?}"),
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// The in-line LPDDR3 model: consumes the channel's request stream as
-/// it is generated (replacing the old post-hoc trace replay) and
-/// accumulates refined DRAM energy. Chip timing is not affected — the
-/// analytic channel model owns the critical path, the controller
-/// refines energy, exactly as the trace replay did.
-pub(crate) struct InlineDram {
-    pub(crate) sim: DramSimulator,
-    pub(crate) requests: usize,
-    latch: DrainLatch,
-}
-
-impl InlineDram {
-    pub(crate) fn new() -> Self {
-        Self {
-            sim: DramSimulator::new(DramConfig::lpddr3_1600()),
-            requests: 0,
-            latch: DrainLatch::default(),
-        }
-    }
-}
-
-impl Component<ChipEvent> for InlineDram {
-    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        match event.payload {
-            ChipEvent::DramRequest { addr, kind, bytes } => {
-                self.sim.enqueue(Request::at_ns(event.time.as_ns(), addr, kind, bytes));
-                self.requests += 1;
-                if self.latch.arm() {
-                    ctx.schedule(event.time, event.target, ChipEvent::DramDrain);
-                }
-            }
-            ChipEvent::DramDrain => {
-                self.latch.release();
-                // Completions are absorbed into the controller's
-                // energy/bandwidth counters.
-                let _ = self.sim.service_pending();
-            }
-            ChipEvent::Barrier => {}
-            other => unreachable!("dram received {other:?}"),
         }
     }
 
@@ -712,21 +698,6 @@ impl ClosedLoopDram {
         Self { mem, requests: 0, fr_fcfs, pending: Vec::new(), latch: DrainLatch::default() }
     }
 
-    /// Chunks a block access at the row-friendly granularity both
-    /// timing modes share.
-    fn chunks(now: f64, access: &PendingAccess) -> impl Iterator<Item = Request> + '_ {
-        let mut offset = 0usize;
-        std::iter::from_fn(move || {
-            if offset >= access.bytes {
-                return None;
-            }
-            let take = access.chunk.min(access.bytes - offset);
-            let request = Request::at_ns(now, access.addr + offset as u64, access.kind, take);
-            offset += take;
-            Some(request)
-        })
-    }
-
     /// Completes one access: schedules the requesting core's `MemDone`
     /// at the slowest chunk's completion.
     fn complete(
@@ -752,7 +723,7 @@ impl Component<ChipEvent> for ClosedLoopDram {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         match event.payload {
             ChipEvent::DramAccess { core, addr, kind, bytes, chunk } => {
-                let access = PendingAccess { core, addr, kind, bytes, chunk };
+                let access = PendingAccess { core, addr, kind, bytes, chunk: chunk as usize };
                 if self.fr_fcfs {
                     // Batch same-instant arrivals behind the latch so
                     // independent cores' chunks reach the FR-FCFS pick
@@ -770,7 +741,7 @@ impl Component<ChipEvent> for ClosedLoopDram {
                 // when its slowest chunk's data lands.
                 let mut start_ns = f64::INFINITY;
                 let mut finish_ns = now;
-                for request in Self::chunks(now, &access) {
+                for request in chunks(now, access.addr, access.kind, access.bytes, access.chunk) {
                     let served = self.mem.service(request);
                     start_ns = start_ns.min(served.start_ns);
                     finish_ns = finish_ns.max(served.finish_ns);
@@ -784,9 +755,9 @@ impl Component<ChipEvent> for ClosedLoopDram {
                 let batch = std::mem::take(&mut self.pending);
                 let mut requests = Vec::new();
                 let mut spans = Vec::with_capacity(batch.len());
-                for access in &batch {
+                for &PendingAccess { addr, kind, bytes, chunk, .. } in &batch {
                     let from = requests.len();
-                    requests.extend(Self::chunks(now, access));
+                    requests.extend(chunks(now, addr, kind, bytes, chunk));
                     spans.push((from, requests.len()));
                 }
                 self.requests += requests.len();
@@ -808,5 +779,108 @@ impl Component<ChipEvent> for ClosedLoopDram {
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pim_engine::Engine;
+    use std::cell::RefCell;
+
+    /// Wake-ups the receivers saw: `(receiver, resume time, wait)`.
+    type Log = Rc<RefCell<Vec<(usize, f64, f64)>>>;
+
+    /// A stand-in core that logs every `RecvDone` it is sent.
+    struct Receiver(Log);
+
+    impl Component<ChipEvent> for Receiver {
+        fn on_event(&mut self, event: Event<ChipEvent>, _: &mut EngineCtx<'_, ChipEvent>) {
+            let ChipEvent::RecvDone { wait_ns } = event.payload else {
+                unreachable!("receiver got {:?}", event.payload)
+            };
+            self.0.borrow_mut().push((event.target.0, event.time.as_ns(), wait_ns));
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+
+    /// A rendezvous at id 0 and `receivers` logging cores at ids 1...
+    fn tiny_engine(receivers: usize) -> (Engine<ChipEvent>, Log) {
+        let log = Log::default();
+        let mut engine = Engine::new(0);
+        engine.add_component(Rendezvous::default());
+        for _ in 0..receivers {
+            engine.add_component(Receiver(Rc::clone(&log)));
+        }
+        (engine, log)
+    }
+
+    const RENDEZVOUS: ComponentId = ComponentId(0);
+
+    fn at(ns: f64) -> SimTime {
+        SimTime::from_ns(ns)
+    }
+
+    fn await_tag(core: usize, tag: u64, since_ns: f64) -> ChipEvent {
+        ChipEvent::AwaitTag { core: ComponentId(core), tag: Tag(tag), since_ns }
+    }
+
+    #[test]
+    fn rendezvous_wakes_receivers_in_blocking_order_and_serves_late_ones() {
+        let (mut engine, log) = tiny_engine(5);
+        // Receivers 3, 1 and 2 block on tag 7, receiver 4 on tag 8.
+        engine.schedule(at(1.0), RENDEZVOUS, await_tag(3, 7, 1.0));
+        engine.schedule(at(2.0), RENDEZVOUS, await_tag(1, 7, 2.0));
+        engine.schedule(at(2.0), RENDEZVOUS, await_tag(4, 8, 2.0));
+        engine.schedule(at(3.0), RENDEZVOUS, await_tag(2, 7, 3.0));
+        engine.schedule(at(5.0), RENDEZVOUS, ChipEvent::Deliver { tag: Tag(7), at_ns: 9.0 });
+        // After the delivery: one receiver before the data lands, one
+        // after.
+        engine.schedule(at(6.0), RENDEZVOUS, await_tag(5, 7, 6.0));
+        engine.schedule(at(12.0), RENDEZVOUS, await_tag(5, 7, 12.0));
+        engine.schedule(at(20.0), RENDEZVOUS, ChipEvent::Deliver { tag: Tag(8), at_ns: 21.0 });
+        engine.run_until_idle();
+        // Every receiver resumes at max(since, at) and waits
+        // max(at - since, 0), whether it blocked before the Deliver or
+        // arrived after it; tag 7's receivers wake in blocking order.
+        let woken = log.borrow().clone();
+        assert_eq!(
+            woken,
+            [
+                (3, 9.0, 8.0),
+                (1, 9.0, 7.0),
+                (2, 9.0, 6.0),
+                (5, 9.0, 3.0),
+                (5, 12.0, 0.0),
+                (4, 21.0, 19.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn barrier_clears_and_retire_drops_only_its_own_bucket() {
+        let (mut engine, _) = tiny_engine(0);
+        for stage in [1u64, 2] {
+            for tag in [7u64, 9] {
+                let tag = Tag((stage << 48) + tag);
+                engine.schedule(at(1.0), RENDEZVOUS, ChipEvent::Deliver { tag, at_ns: 4.0 });
+            }
+        }
+        engine.schedule(at(2.0), RENDEZVOUS, ChipEvent::RetireStage { stage: 1 });
+        engine.run_until_idle();
+        let rendezvous: Rendezvous = engine.extract(RENDEZVOUS).expect("rendezvous");
+        let buckets: Vec<(u64, usize)> =
+            rendezvous.delivered.iter().map(|(&stage, tags)| (stage, tags.len())).collect();
+        assert_eq!(buckets, [(2, 2)], "only stage 1's bucket is retired");
+
+        let (mut engine, _) = tiny_engine(0);
+        engine.schedule(at(1.0), RENDEZVOUS, ChipEvent::Deliver { tag: Tag(7), at_ns: 4.0 });
+        engine.schedule(at(2.0), RENDEZVOUS, ChipEvent::Barrier);
+        engine.run_until_idle();
+        let rendezvous: Rendezvous = engine.extract(RENDEZVOUS).expect("rendezvous");
+        assert!(rendezvous.delivered.is_empty(), "a barrier forgets every delivery");
     }
 }

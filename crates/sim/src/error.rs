@@ -22,6 +22,12 @@ pub enum SimError {
         /// Cores on the chip.
         chip_cores: usize,
     },
+    /// A SEND/RECV tag reaches the bits the simulator stamps with the
+    /// stage id on the wire (tags must be below 2^48).
+    TagOutOfRange {
+        /// The offending program tag.
+        tag: Tag,
+    },
     /// The system description does not fit the topology (wrong chip
     /// count, broken link graph, or a hand-off to a chip that cannot
     /// be reached).
@@ -46,6 +52,9 @@ impl fmt::Display for SimError {
             }
             SimError::CoreCountMismatch { program_cores, chip_cores } => {
                 write!(f, "program targets {program_cores} cores but chip has {chip_cores}")
+            }
+            SimError::TagOutOfRange { tag } => {
+                write!(f, "program tag {tag} is out of range (tags must be below 2^48)")
             }
             SimError::InvalidTopology(reason) => {
                 write!(f, "invalid system topology: {reason}")

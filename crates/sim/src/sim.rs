@@ -16,8 +16,9 @@ use pim_isa::ChipProgram;
 ///
 /// Every hardware resource is an engine component: per-core
 /// sequencers, one global-memory channel (bandwidth + first-access
-/// latency per block transfer), one arbitrated bus for core-to-core
-/// sends, the SEND/RECV rendezvous, and the in-line LPDDR3 controller.
+/// latency per block transfer, feeding the in-line LPDDR3 energy
+/// model), one arbitrated bus for core-to-core sends, and the
+/// SEND/RECV rendezvous.
 /// `SEND` is buffered (the sender proceeds after arbitration); `RECV`
 /// blocks until the matching send has delivered. Partitions are
 /// separated by full-chip barriers, and time advances exclusively

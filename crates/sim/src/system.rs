@@ -37,8 +37,8 @@
 //! byte-identity oracle.
 
 use crate::components::{
-    BusComponent, ChipEvent, ClosedLoopDram, CoreComponent, CoreTiming, InlineDram, MemChannel,
-    Rendezvous,
+    BusComponent, ChipEvent, ClosedLoopDram, CoreComponent, CoreTiming, DramPort, MemChannel,
+    Rendezvous, MAX_PROGRAM_TAG,
 };
 use crate::error::SimError;
 use crate::report::{
@@ -50,7 +50,7 @@ use crate::serve::{
 };
 use crate::stage::StageGraph;
 use pim_arch::{ChipSpec, EnergyModel, Link, PowerBreakdown, ScheduleMode, TimingMode, Topology};
-use pim_dram::{DramConfig, DramEnergy, TraceStats};
+use pim_dram::{DramConfig, DramEnergy, DramSimulator, TraceStats};
 use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, SimTime};
 use pim_isa::{ChipProgram, CoreId, Instruction, InstructionStats};
 use std::any::Any;
@@ -295,6 +295,15 @@ impl SystemSimulator {
                         chip_cores: chip.cores,
                     });
                 }
+                let mut tags = (0..program.cores())
+                    .flat_map(|core| program.core(CoreId(core)).instructions())
+                    .filter_map(|instruction| match *instruction {
+                        Instruction::Send { tag, .. } | Instruction::Recv { tag, .. } => Some(tag),
+                        _ => None,
+                    });
+                if let Some(tag) = tags.find(|tag| tag.0 >= MAX_PROGRAM_TAG) {
+                    return Err(SimError::TagOutOfRange { tag });
+                }
             }
         }
         // A cyclic hand-off chain starves at round 0: every chip on
@@ -346,8 +355,9 @@ impl SystemSimulator {
     ///
     /// Returns [`SimError::InvalidTopology`] for workloads that do not
     /// fit the topology, [`SimError::CoreCountMismatch`] when a
-    /// program does not match its slot's chip, and
-    /// [`SimError::Deadlock`] for malformed schedules.
+    /// program does not match its slot's chip,
+    /// [`SimError::TagOutOfRange`] for a SEND/RECV tag of 2^48 or
+    /// more, and [`SimError::Deadlock`] for malformed schedules.
     pub fn run(
         &self,
         loads: &[ChipLoad<'_>],
@@ -389,24 +399,28 @@ impl SystemSimulator {
     }
 
     /// Registers chip `c`'s shared components in the canonical order —
-    /// `[dram?, rendezvous, channel, bus]` — and returns their
-    /// addresses.
+    /// `[closed-loop dram?, rendezvous, channel, bus]` — and returns
+    /// their addresses. The analytic mode's in-line DRAM model lives
+    /// inside the channel.
     fn register_chip(&self, engine: &mut Engine<ChipEvent>, c: usize) -> ChipParts {
         let chip = self.chip_for(c);
         let dram = match self.mode {
-            TimingMode::Analytic => {
-                self.replay_dram.then(|| engine.add_component(InlineDram::new()))
+            TimingMode::Analytic if self.replay_dram => {
+                DramPort::Inline(Box::new(DramSimulator::new(DramConfig::lpddr3_1600())))
             }
-            TimingMode::ClosedLoop => Some(engine.add_component(ClosedLoopDram::new(
-                self.dram_channel_count_for(chip),
-                self.interleave_bytes,
-                self.dram_reorder,
-            ))),
+            TimingMode::Analytic => DramPort::Off,
+            TimingMode::ClosedLoop => {
+                DramPort::ClosedLoop(engine.add_component(ClosedLoopDram::new(
+                    self.dram_channel_count_for(chip),
+                    self.interleave_bytes,
+                    self.dram_reorder,
+                )))
+            }
         };
         let rendezvous = engine.add_component(Rendezvous::default());
-        let channel = engine.add_component(MemChannel::new(chip, dram, self.mode));
+        let channel = engine.add_component(MemChannel::new(chip, dram));
         let bus = engine.add_component(BusComponent::new(chip, rendezvous));
-        ChipParts { dram, channel, bus, rendezvous }
+        ChipParts { channel, bus, rendezvous }
     }
 
     /// Builds chip `c`'s sequencer over its stage graph and per-source
@@ -522,8 +536,9 @@ impl SystemSimulator {
     /// The one system run path: every chip, the interconnect and — for
     /// serving — the request buffer and source on one engine, run to
     /// idle. Component ids follow one fixed layout: per chip
-    /// `[dram?, rendezvous, channel, bus]`, then the interconnect, then
-    /// one sequencer per chip, then the buffer and the source. Returns
+    /// `[closed-loop dram?, rendezvous, channel, bus]`, then the
+    /// interconnect, then one sequencer per chip, then the buffer and
+    /// the source. Returns
     /// the per-chip outcomes, the link statistics (multi-chip
     /// topologies only) and, for serving, the request buffer's
     /// admission ledger.
@@ -697,16 +712,11 @@ impl SystemSimulator {
         let channel: MemChannel = engine.extract(parts.channel).expect("channel survives the run");
         let rendezvous: Rendezvous =
             engine.extract(parts.rendezvous).expect("rendezvous survives the run");
-        let (inline_dram, closed_dram) = match self.mode {
-            TimingMode::Analytic => {
-                (parts.dram.map(|id| engine.extract(id).expect("dram survives the run")), None)
-            }
-            TimingMode::ClosedLoop => {
-                let id = parts.dram.expect("closed-loop mode wires a DRAM component");
-                (None, Some(engine.extract(id).expect("dram survives the run")))
-            }
+        let closed_dram = match channel.dram {
+            DramPort::ClosedLoop(id) => Some(engine.extract(id).expect("dram survives the run")),
+            _ => None,
         };
-        ChipOutcome { sequencer, channel, rendezvous, inline_dram, closed_dram, stalled_cores }
+        ChipOutcome { sequencer, channel, rendezvous, closed_dram, stalled_cores }
     }
 
     /// Folds per-chip outcomes into one [`SimReport`].
@@ -805,19 +815,15 @@ impl SystemSimulator {
                 dram_trace.read_bytes += outcome.channel.stats.read_bytes;
                 dram_trace.write_bytes += outcome.channel.stats.write_bytes;
             }
-            let chip_energy = match self.mode {
-                TimingMode::Analytic => outcome
-                    .inline_dram
-                    .as_ref()
-                    .and_then(|dram| (dram.requests > 0).then(|| dram.sim.energy())),
-                TimingMode::ClosedLoop => {
-                    let dram = outcome
-                        .closed_dram
-                        .as_ref()
-                        .expect("closed-loop mode wires a DRAM component");
+            let chip_energy = match (&outcome.channel.dram, &outcome.closed_dram) {
+                (DramPort::Inline(dram), _) => {
+                    (outcome.channel.stats.requests > 0).then(|| dram.energy())
+                }
+                (_, Some(dram)) => {
                     dram_channels.get_or_insert_with(Vec::new).extend(dram.mem.channel_stats());
                     (dram.requests > 0).then(|| dram.mem.energy())
                 }
+                _ => None,
             };
             if let Some(e) = chip_energy {
                 dram_energy = Some(match dram_energy {
@@ -873,7 +879,6 @@ fn deadlock_of(outcomes: &[ChipOutcome]) -> SimError {
 
 /// Component addresses of one chip's shared infrastructure.
 struct ChipParts {
-    dram: Option<ComponentId>,
     channel: ComponentId,
     bus: ComponentId,
     rendezvous: ComponentId,
@@ -892,7 +897,6 @@ struct ChipOutcome {
     sequencer: ChipSequencer,
     channel: MemChannel,
     rendezvous: Rendezvous,
-    inline_dram: Option<InlineDram>,
     closed_dram: Option<ClosedLoopDram>,
     /// Cores of stages still in flight when the run stalled, one
     /// vector per running stage in node order — the deadlock
@@ -1089,8 +1093,8 @@ impl ChipSequencer {
                     now,
                     self.interconnect,
                     ChipEvent::Ship {
-                        src: self.chip_index,
-                        dst: handoff.dst,
+                        src: self.chip_index as u32,
+                        dst: handoff.dst as u32,
                         bytes: handoff.bytes,
                         hop: 0,
                     },
@@ -1162,7 +1166,8 @@ impl Component<ChipEvent> for ChipSequencer {
                 self.dispatch(event.target, ctx);
                 self.refresh_upstream_wait(event.time.as_ns());
             }
-            ChipEvent::CoreDone { stage, core_index, activity, replace_done_ns } => {
+            ChipEvent::CoreDone { stage, core_index, accounting } => {
+                let (activity, replace_done_ns) = *accounting;
                 let running = self.running[stage].as_mut().expect("core reports a live stage");
                 running.activity[core_index] = activity;
                 running.end_ns = running.end_ns.max(event.time.as_ns());
@@ -1226,12 +1231,14 @@ impl Component<ChipEvent> for InterconnectComponent {
             // link (serialization, queueing, stats) — the next hop
             // back to the interconnect itself.
             ChipEvent::Ship { src, dst, bytes, hop } => {
-                let route = self.routes[src][dst].as_ref().expect("validated route exists");
-                if hop >= route.len() {
-                    ctx.schedule(event.time, self.sequencers[dst], ChipEvent::HandoffIn { src });
+                let route = self.routes[src as usize][dst as usize]
+                    .as_ref()
+                    .expect("validated route exists");
+                let Some(&link) = route.get(hop as usize) else {
+                    let sequencer = self.sequencers[dst as usize];
+                    ctx.schedule(event.time, sequencer, ChipEvent::HandoffIn { src: src as usize });
                     return;
-                }
-                let link = route[hop];
+                };
                 let spec = self.links[link].spec;
                 let now = event.time.as_ns();
                 let start = now.max(self.free_ns[link]);
@@ -1390,6 +1397,36 @@ mod tests {
         ];
         let err = SystemSimulator::new(chip, Topology::ring(2)).run(&doubled, 1, 1).unwrap_err();
         assert!(matches!(err, SimError::InvalidTopology(ref r) if r.contains("multiple")), "{err}");
+    }
+
+    #[test]
+    fn rejects_tags_that_reach_the_stage_offset_bits() {
+        // A pair on the widest tag runs; one tag wider is refused
+        // before the run starts, under either schedule and for serving
+        // too, instead of panicking mid-run.
+        let chip = ChipSpec::chip_s();
+        let pair = |tag: u64| {
+            let mut program = ChipProgram::new(chip.cores);
+            program.core_mut(CoreId(0)).push(I::Send { to: CoreId(1), bytes: 64, tag: Tag(tag) });
+            program.core_mut(CoreId(1)).push(I::Recv { from: CoreId(0), bytes: 64, tag: Tag(tag) });
+            program
+        };
+        let (widest, wide) = (pair(MAX_PROGRAM_TAG - 1), pair(MAX_PROGRAM_TAG));
+        let serving = crate::ServingConfig::new(crate::TrafficSpec::Synthetic {
+            model: crate::TrafficModel::Poisson { rate_per_s: 1e4 },
+            seed: 1,
+            requests: 4,
+        });
+        for schedule in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
+            let sim =
+                SystemSimulator::new(chip.clone(), Topology::single()).with_schedule_mode(schedule);
+            let loads = [ChipLoad::new(std::slice::from_ref(&widest))];
+            assert!(sim.run(&loads, 2, 1).is_ok(), "{schedule:?}");
+            let loads = [ChipLoad::new(std::slice::from_ref(&wide))];
+            let want = SimError::TagOutOfRange { tag: Tag(MAX_PROGRAM_TAG) };
+            assert_eq!(sim.run(&loads, 2, 1).unwrap_err(), want, "{schedule:?}");
+            assert_eq!(sim.run_serving(&loads, &serving).unwrap_err(), want, "{schedule:?}");
+        }
     }
 
     #[test]

@@ -230,3 +230,116 @@ fn closed_loop_report_bytes_are_pinned() {
     }
     assert_eq!(checked, CLOSED_LOOP_PINS.len());
 }
+
+/// Two partitions that drive the analytic channel's DRAM energy model
+/// and the rendezvous at their edges. In the first, core 0 streams a
+/// weight block of more 1 MiB chunks than the controller's reorder
+/// window (8) and a multi-chunk activation load before it sends on
+/// tag 7; cores 1 and 2 block on that tag before the send, and cores 3
+/// and 4 compute long enough to reach their `Recv` after it. The
+/// second runs on the remaining cores, so under interleaving it
+/// overlaps the next round's first partition on the channel and in
+/// the rendezvous (with the same program tag).
+fn rendezvous_programs(cores: usize) -> Vec<ChipProgram> {
+    let tag = pim_isa::Tag(7);
+    let mut program = ChipProgram::new(cores);
+    let sender = program.core_mut(CoreId(0));
+    sender.push(I::LoadWeight { bytes: (8 << 20) + 12_345 });
+    sender.push(I::LoadData { bytes: 200_000 });
+    sender.push(I::Mvmul { waves: 3, activations: 64, node: 0 });
+    sender.push(I::Send { to: CoreId(1), bytes: 4_096, tag });
+    sender.push(I::StoreData { bytes: 70_000 });
+    for c in 1..5 {
+        let stream = program.core_mut(CoreId(c));
+        if c >= 3 {
+            stream.push(I::Mvmul { waves: 40_000, activations: 64, node: 0 });
+        }
+        stream.push(I::Recv { from: CoreId(0), bytes: 4_096, tag });
+        stream.push(I::LoadData { bytes: 1_000 * c });
+        stream.push(I::StoreData { bytes: 65_537 });
+    }
+    let mut tail = ChipProgram::new(cores);
+    let sender = tail.core_mut(CoreId(5));
+    sender.push(I::LoadWeight { bytes: 3 << 20 });
+    sender.push(I::Send { to: CoreId(6), bytes: 2_048, tag });
+    for c in 6..8 {
+        let stream = tail.core_mut(CoreId(c));
+        stream.push(I::LoadData { bytes: 150_000 + c });
+        stream.push(I::Recv { from: CoreId(5), bytes: 2_048, tag });
+        stream.push(I::Mvmul { waves: 5, activations: 64, node: 1 });
+        stream.push(I::StoreData { bytes: 9_000 });
+    }
+    vec![program, tail]
+}
+
+/// FNV-1a hashes of analytic-timing reports with the in-line DRAM
+/// energy model on, in the loop order of
+/// [`analytic_dram_report_bytes_are_pinned`]: per workload, barrier
+/// then interleaved, each as (fixed-round run, serving run).
+#[rustfmt::skip]
+const ANALYTIC_DRAM_PINS: [u64; 8] = [
+    // resnet18-S, greedy, batch 4, layer pipeline on ring:2.
+    10104050808463739562, 13065243053771953287, 10754861213691208665, 15302601813084204254,
+    // rendezvous_programs on both chips of ring:2.
+    17397362019018457829, 14028355755931673136, 8070446810191988774, 7597395358183710658,
+];
+
+#[test]
+fn analytic_dram_report_bytes_are_pinned() {
+    // No golden exercises the analytic channel's DRAM energy model on a
+    // multi-chip or serving run. These hashes pin those report bytes
+    // under both stage schedules, so a change to how the channel feeds
+    // the DRAM model or to the rendezvous that claims to keep every
+    // byte is checked against the bytes the previous code wrote.
+    use compass::{plan_system, SystemStrategy, SystemTarget};
+    use pim_arch::Topology;
+    use pim_sim::{ChipLoad, ServingConfig, SystemSimulator, TrafficModel, TrafficSpec};
+
+    let chip = ChipSpec::chip_s();
+    let topology = Topology::ring(2);
+    let compiled = compile(&chip, "resnet18", 4);
+    let target = SystemTarget::new(topology.clone(), SystemStrategy::LayerPipeline);
+    let schedule =
+        plan_system(&workload("resnet18"), &compiled, &chip, &target, 4, 4).expect("plans");
+    let hand = rendezvous_programs(chip.cores);
+    let workloads: [(&str, Vec<ChipLoad<'_>>, usize); 2] = [
+        ("resnet18", compass_bench::system_loads(&schedule), schedule.samples_per_round),
+        ("rendezvous", vec![ChipLoad::new(&hand).with_handoff(1, 8_192), ChipLoad::new(&hand)], 1),
+    ];
+    let serving = ServingConfig::new(TrafficSpec::Synthetic {
+        model: TrafficModel::Poisson { rate_per_s: 2e3 },
+        seed: 3,
+        requests: 12,
+    });
+    let hash = |r: &SimReport| fnv1a(serde_json::to_string(r).expect("serializes").as_bytes());
+    let mut hashes = Vec::new();
+    for (name, loads, samples) in &workloads {
+        for schedule in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
+            let sim = SystemSimulator::new(chip.clone(), topology.clone())
+                .with_timing_mode(TimingMode::Analytic)
+                .with_schedule_mode(schedule);
+            let rounds = sim.run(loads, 3, *samples).expect("runs");
+            let served = sim.run_serving(loads, &serving).expect("serves");
+            for report in [&rounds, &served] {
+                let energy = report.dram_energy.expect("the DRAM energy model is on");
+                assert!(energy.total_nj() > 0.0, "{name}, {schedule:?}");
+            }
+            if *name == "rendezvous" {
+                // Both sides of the rendezvous are exercised: receivers
+                // that blocked before the send and ones that arrived
+                // after it.
+                let waits: Vec<f64> = rounds.partitions[0].core_activity[1..5]
+                    .iter()
+                    .map(|a| a.recv_wait_ns)
+                    .collect();
+                assert!(waits[..2].iter().all(|&w| w > 0.0), "{schedule:?}: {waits:?}");
+                assert!(waits[2..].iter().all(|&w| w == 0.0), "{schedule:?}: {waits:?}");
+            }
+            hashes.push((format!("{name}, {schedule:?}"), hash(&rounds), hash(&served)));
+        }
+    }
+    for ((what, rounds, served), want) in hashes.iter().zip(ANALYTIC_DRAM_PINS.chunks(2)) {
+        assert_eq!(*rounds, want[0], "{what}: fixed-round report bytes moved");
+        assert_eq!(*served, want[1], "{what}: serving report bytes moved");
+    }
+}
