@@ -24,12 +24,12 @@
 //! `batch latency = Σ partition latency`, throughput = `B / batch
 //! latency`.
 
+use crate::packing::CoreLoad;
 use crate::plan::{GroupPlan, PartitionPlan};
 use crate::system::{SystemStrategy, SystemTarget};
 use pim_arch::{ChipSpec, EnergyModel, PowerBreakdown, ScheduleMode, TimingMode};
 use pim_dram::DramConfig;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::fmt;
 
 /// Latency/energy estimate for one partition at a given batch size.
@@ -180,25 +180,48 @@ impl SystemScaling {
 /// (the in-line controller measures > 0.8; 0.9 matches its bulk path).
 const CLOSED_LOOP_STREAM_EFFICIENCY: f64 = 0.9;
 
-/// The crossbar groups (cores) a partition's packing occupies: the
-/// distinct assignment targets when a packing exists, else the first
-/// `ceil(crossbars / per-core)` cores (the packer fills from core 0).
-fn plan_used_cores(plan: &PartitionPlan, chip: &ChipSpec) -> Vec<usize> {
-    match plan.packing.as_ref() {
-        Some(packing) => {
-            let mut cores: Vec<usize> = packing.assignment.clone();
-            cores.sort_unstable();
-            cores.dedup();
-            cores
-        }
-        None => {
-            let used = plan
-                .replicated_crossbars()
-                .div_ceil(chip.crossbars_per_core.max(1))
-                .min(chip.cores.max(1));
-            (0..used).collect()
+/// The cores a partition occupies, as the group fold and the
+/// interleave offsets read them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Occupancy {
+    /// A packing exists. FFD opens bins in order and never leaves one
+    /// empty, so it occupies exactly cores `0..cores_used`.
+    Packed(usize),
+    /// No packing: charged the first `ceil(crossbars / per-core)`
+    /// cores (the packer fills from core 0), and no interleave offset
+    /// applies.
+    Unpacked(usize),
+}
+
+impl Occupancy {
+    /// The occupancy of `plan` given its packing's load.
+    pub(crate) fn new(plan: &PartitionPlan, load: Option<CoreLoad>, chip: &ChipSpec) -> Self {
+        match load {
+            Some(load) => Occupancy::Packed(load.cores_used),
+            None => Occupancy::Unpacked(
+                plan.replicated_crossbars()
+                    .div_ceil(chip.crossbars_per_core.max(1))
+                    .min(chip.cores.max(1)),
+            ),
         }
     }
+
+    /// The occupancy of every plan, from its recorded packing.
+    pub(crate) fn of_plans(plans: &[PartitionPlan], chip: &ChipSpec) -> Vec<Self> {
+        plans.iter().map(|plan| Self::new(plan, core_load(plan, chip), chip)).collect()
+    }
+
+    /// Cores `0..cores()` are occupied.
+    fn cores(self) -> usize {
+        match self {
+            Occupancy::Packed(cores) | Occupancy::Unpacked(cores) => cores,
+        }
+    }
+}
+
+/// The load of `plan`'s recorded packing.
+fn core_load(plan: &PartitionPlan, chip: &ChipSpec) -> Option<CoreLoad> {
+    plan.packing.as_ref().map(|p| p.load(chip.crossbars_per_core))
 }
 
 impl<'c> Estimator<'c> {
@@ -311,6 +334,18 @@ impl<'c> Estimator<'c> {
 
     /// Estimates one partition at batch size `batch`.
     pub fn estimate_partition(&self, plan: &PartitionPlan, batch: usize) -> PartitionEstimate {
+        self.estimate_loaded(plan, core_load(plan, self.chip), batch)
+    }
+
+    /// [`Self::estimate_partition`] with the packing's core load given
+    /// apart from the plan (`None` for an unpacked plan) — the fitness
+    /// memo's path, which never builds the packing.
+    pub(crate) fn estimate_loaded(
+        &self,
+        plan: &PartitionPlan,
+        load: Option<CoreLoad>,
+        batch: usize,
+    ) -> PartitionEstimate {
         let chip = self.chip;
         let requested_batch = batch.max(1);
         // Multi-chip terms: shard the batch, or charge the would-be
@@ -336,10 +371,8 @@ impl<'c> Estimator<'c> {
         // Crossbars within a core are written sequentially; cores work
         // in parallel. Use the most-loaded core from the packing if
         // available.
-        let max_core_xbars = plan
-            .packing
-            .as_ref()
-            .map(|p| p.slack.iter().map(|&s| chip.crossbars_per_core - s).max().unwrap_or(0))
+        let max_core_xbars = load
+            .map(|l| l.max_crossbars)
             .unwrap_or_else(|| plan.replicated_crossbars().div_ceil(chip.cores.max(1)));
         let write_ns = max_core_xbars as f64 * chip.crossbar.full_write_latency_ns();
         let replace_ns = load_ns.max(write_ns);
@@ -348,8 +381,7 @@ impl<'c> Estimator<'c> {
         let stage_max_ns =
             plan.slices.iter().map(|s| s.waves_per_sample() as f64 * t_mvm).fold(0.0, f64::max);
         let fill_ns: f64 = plan.slices.iter().map(|s| s.waves_per_sample() as f64 * t_mvm).sum();
-        let cores_used =
-            plan.packing.as_ref().map(|p| p.cores_used.max(1)).unwrap_or(chip.cores.max(1));
+        let cores_used = load.map(|l| l.cores_used.max(1)).unwrap_or(chip.cores.max(1));
         let vfu_ns = plan.vfu_elements_per_sample as f64
             / (chip.core.vfu_throughput_per_ns() * cores_used as f64);
         let bus_ns = plan.intra_traffic_bytes_per_sample as f64 / chip.interconnect.bandwidth_gbps;
@@ -390,19 +422,17 @@ impl<'c> Estimator<'c> {
     pub fn estimate_group(&self, plans: &GroupPlan, batch: usize) -> GroupEstimate {
         let partitions: Vec<PartitionEstimate> =
             plans.plans().iter().map(|p| self.estimate_partition(p, batch)).collect();
-        self.combine_group(plans.plans(), partitions, batch)
+        self.combine_group(&Occupancy::of_plans(plans.plans(), self.chip), partitions, batch)
     }
 
-    /// Folds already-computed per-partition estimates into the group
-    /// estimate — the per-segment memo path of the fitness cache,
-    /// where each partition's estimate may have been computed under a
-    /// *different* group. Bitwise identical to
+    /// Folds already-computed per-partition estimates and occupancies
+    /// into the group estimate — the per-segment memo path of the
+    /// fitness cache, where each partition's numbers may have been
+    /// computed under a *different* group. Bitwise identical to
     /// [`Self::estimate_group`] given the same per-partition numbers.
-    /// Reads each plan's packing and footprint but never its `index`,
-    /// so `plans` may be the memo's shared segment plans.
     pub(crate) fn combine_group(
         &self,
-        plans: &[impl Borrow<PartitionPlan>],
+        occupancy: &[Occupancy],
         partitions: Vec<PartitionEstimate>,
         batch: usize,
     ) -> GroupEstimate {
@@ -433,11 +463,10 @@ impl<'c> Estimator<'c> {
                 // executor will deliver. Groups whose packings still
                 // collide (unpacked plans, a stage wider than half the
                 // chip) keep the barrier-sum bound.
-                let offsets = crate::scheduler::interleave_offsets(plans, self.chip);
+                let offsets = crate::scheduler::interleave_offsets(occupancy, self.chip);
                 let mut core_occupancy_ns: Vec<f64> = Vec::new();
-                for ((plan, est), &offset) in plans.iter().zip(&partitions).zip(&offsets) {
-                    for core in plan_used_cores(plan.borrow(), self.chip) {
-                        let core = core + offset;
+                for ((occupied, est), &offset) in occupancy.iter().zip(&partitions).zip(&offsets) {
+                    for core in offset..offset + occupied.cores() {
                         if core_occupancy_ns.len() <= core {
                             core_occupancy_ns.resize(core + 1, 0.0);
                         }
@@ -607,7 +636,8 @@ mod tests {
         // the barrier sum — the GA cannot be lured by overlap the
         // executor would never deliver (tests/interleaving.rs pins the
         // executor side of the same claim-conflict behaviour).
-        let offsets = crate::scheduler::interleave_offsets(plans.plans(), &chip);
+        let offsets =
+            crate::scheduler::interleave_offsets(&Occupancy::of_plans(plans.plans(), &chip), &chip);
         if offsets.iter().all(|&o| o == 0) {
             assert!(
                 (interleaved.batch_latency_ns - barrier.batch_latency_ns).abs() < 1e-6,
@@ -635,9 +665,12 @@ mod tests {
             .map(|seed| optimized_plans(&net, &chip, seed))
             .find(|plans| {
                 plans.len() > 1
-                    && crate::scheduler::interleave_offsets(plans.plans(), &chip)
-                        .iter()
-                        .any(|&o| o > 0)
+                    && crate::scheduler::interleave_offsets(
+                        &Occupancy::of_plans(plans.plans(), &chip),
+                        &chip,
+                    )
+                    .iter()
+                    .any(|&o| o > 0)
             })
             .expect("some seed yields a half-chip multi-partition group");
         let batch = 8;

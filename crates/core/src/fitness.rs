@@ -8,37 +8,40 @@
 //! * **whole chromosomes** — survivors are re-evaluated every
 //!   generation, so the context memoizes full evaluations by interned
 //!   cut vector and returns [`Arc`]s: a hit is a hash lookup plus a
-//!   pointer bump, with no plan or estimate cloned;
+//!   pointer bump, with no estimate cloned;
 //! * **segments** — different chromosomes overwhelmingly share
 //!   contiguous `[start, end)` unit spans (a mutation moves one cut;
 //!   every other partition is unchanged). A partition's plan,
 //!   replication, packing, and estimate depend *only* on its own span
-//!   (see [`crate::plan::SegmentPlanner`]), so they are memoized per
-//!   segment and reused across every group in the population. An
-//!   evaluated group holds its segments as shared [`Arc`]s, so a new
-//!   chromosome made of known segments costs one pointer bump per
-//!   partition and the group fold — no planning, packing, estimation,
-//!   or plan clone.
+//!   (see [`crate::plan::SegmentPlanner`]), so its score is memoized
+//!   per segment and reused across every group in the population.
+//!   The segment memo holds what the group fold reads and nothing
+//!   else: the partition's estimate and the cores it occupies. A new
+//!   chromosome made of known segments costs one lookup per partition
+//!   and the fold — no planning, replication, or estimation.
 //!
-//! A segment miss pays for replication, whose per-replica chip check
-//! is an exact size-class feasibility test
-//! ([`crate::packing::ffd_fits_classes`]) rather than a repack of
-//! every replica item.
+//! A segment miss plans the span, runs the replication greedy, and
+//! estimates the result. The greedy checks each replica against the
+//! chip with an exact size-class packing
+//! ([`crate::packing::ffd_pack_classes`]), whose final bins also give
+//! the core load the estimate reads, so a miss never packs replica
+//! items one by one. Its plan is dropped once the score is computed;
+//! [`crate::Compiler::compile`] re-plans the winner from its cuts.
 //!
 //! Both memos are plain single-threaded hash maps behind a
 //! [`RefCell`], so evaluation is `&self`. Every memoized value is a
-//! **pure function of its key** (a segment's plan/estimate depends
-//! only on its span; a group's evaluation only on its cut vector —
-//! given the context's fixed knobs), so a hit is indistinguishable
-//! from a recomputation and the memo never changes results. A lookup
-//! is released before a miss is computed, so the evaluation that
-//! fills one memo is free to consult both.
+//! **pure function of its key** (a segment's score depends only on its
+//! span; a group's evaluation only on its cut vector — given the
+//! context's fixed knobs), so a hit is indistinguishable from a
+//! recomputation and the memo never changes results. A lookup is
+//! released before a miss is computed, so the evaluation that fills
+//! one memo is free to consult both.
 
 use crate::decompose::UnitSequence;
-use crate::estimate::{Estimator, GroupEstimate, PartitionEstimate, SystemScaling};
+use crate::estimate::{Estimator, GroupEstimate, Occupancy, PartitionEstimate, SystemScaling};
 use crate::partition::{Partition, PartitionGroup};
-use crate::plan::{GroupPlan, PartitionPlan, SegmentPlanner};
-use crate::replication::optimize_partition;
+use crate::plan::SegmentPlanner;
+use crate::replication::optimize_partition_load;
 use crate::system::SystemTarget;
 use crate::validity::ValidityMap;
 use fxhash::FxHashMap;
@@ -131,15 +134,12 @@ impl ServingSlo {
     }
 }
 
-/// A fully evaluated partition group: its segments, estimate, and the
-/// fitness values the GA consumes.
+/// A fully evaluated partition group: its estimate and the fitness
+/// values the GA consumes.
 #[derive(Debug, Clone)]
 pub struct EvaluatedGroup {
     /// The chromosome.
     pub group: PartitionGroup,
-    /// The memoized segment of each partition, in execution order,
-    /// shared with the context's segment memo.
-    segments: Vec<Arc<SegmentEval>>,
     /// Analytical estimate at the GA's batch size.
     pub estimate: GroupEstimate,
     /// Per-partition fitness `f(Pₖ)` (lower is better).
@@ -148,31 +148,17 @@ pub struct EvaluatedGroup {
     pub pgf: f64,
 }
 
-impl EvaluatedGroup {
-    /// The resolved and replication-optimized plans, assembled from
-    /// the shared segments with their execution-order indices.
-    pub fn plans(&self) -> GroupPlan {
-        GroupPlan::from_plans(
-            self.segments
-                .iter()
-                .enumerate()
-                .map(|(index, seg)| PartitionPlan { index, ..seg.plan.clone() })
-                .collect(),
-        )
-    }
-}
-
-/// One memoized segment: its replication-optimized plan (with a
-/// placeholder partition index) and its analytical estimate at the
-/// context's batch size and modes.
-#[derive(Debug)]
+/// One memoized segment: the analytical estimate of its
+/// replication-optimized plan at the context's batch size and modes,
+/// and the cores that plan occupies.
+#[derive(Debug, Clone, Copy)]
 struct SegmentEval {
-    plan: PartitionPlan,
     estimate: PartitionEstimate,
+    occupancy: Occupancy,
 }
 
 /// Evaluation context shared across a GA run; memoizes whole
-/// evaluations by interned cut vector and partition plans/estimates by
+/// evaluations by interned cut vector and partition scores by
 /// `(start, end)` segment (see the module docs).
 pub struct FitnessContext<'a> {
     seq: &'a UnitSequence,
@@ -191,7 +177,7 @@ pub struct FitnessContext<'a> {
     /// bare latency.
     serving_slo: Option<ServingSlo>,
     cache: RefCell<FxHashMap<Arc<[usize]>, Arc<EvaluatedGroup>>>,
-    segments: RefCell<FxHashMap<(usize, usize), Arc<SegmentEval>>>,
+    segments: RefCell<FxHashMap<(usize, usize), SegmentEval>>,
     /// `false` disables both memos (every evaluation recomputes) —
     /// the benchmark axis that prices what the memo buys.
     memo_enabled: bool,
@@ -262,9 +248,9 @@ impl<'a> FitnessContext<'a> {
 
     /// Drops the whole-group memo's reference to one chromosome, so a
     /// caller holding the only other [`Arc`] can unwrap it in place
-    /// instead of deep-cloning plans and estimates. Returns the
-    /// dropped reference (if the chromosome was memoized) purely so
-    /// the caller controls when it dies.
+    /// instead of deep-cloning its estimate and fitness vectors.
+    /// Returns the dropped reference (if the chromosome was memoized)
+    /// purely so the caller controls when it dies.
     pub fn release(&self, cuts: &[usize]) -> Option<Arc<EvaluatedGroup>> {
         self.cache.borrow_mut().remove(cuts)
     }
@@ -349,25 +335,25 @@ impl<'a> FitnessContext<'a> {
     }
 
     /// Plans, replication-optimizes, and estimates one segment.
-    fn compute_segment(&self, partition: Partition) -> Arc<SegmentEval> {
+    fn compute_segment(&self, partition: Partition) -> SegmentEval {
         let mut plan = self.planner.plan(0, partition);
-        optimize_partition(&mut plan, self.chip);
-        let estimate = self.estimator().estimate_partition(&plan, self.batch);
-        Arc::new(SegmentEval { plan, estimate })
+        let load = optimize_partition_load(&mut plan, self.chip);
+        let estimate = self.estimator().estimate_loaded(&plan, load, self.batch);
+        SegmentEval { estimate, occupancy: Occupancy::new(&plan, load, self.chip) }
     }
 
     /// Recalls (or computes and memoizes) one segment.
-    fn segment_eval(&self, partition: Partition) -> Arc<SegmentEval> {
+    fn segment_eval(&self, partition: Partition) -> SegmentEval {
         if !self.memo_enabled {
             return self.compute_segment(partition);
         }
         let key = (partition.start, partition.end);
-        let hit = self.segments.borrow().get(&key).cloned();
+        let hit = self.segments.borrow().get(&key).copied();
         if let Some(hit) = hit {
             return hit;
         }
         let eval = self.compute_segment(partition);
-        self.segments.borrow_mut().insert(key, Arc::clone(&eval));
+        self.segments.borrow_mut().insert(key, eval);
         eval
     }
 
@@ -391,11 +377,15 @@ impl<'a> FitnessContext<'a> {
     /// The evaluation itself: per-segment plan/replicate/estimate
     /// (through the segment memo), then the group fold and score.
     fn evaluate_uncached(&self, group: &PartitionGroup) -> EvaluatedGroup {
-        let segments: Vec<Arc<SegmentEval>> =
-            group.partitions().iter().map(|&part| self.segment_eval(part)).collect();
-        let plans: Vec<&PartitionPlan> = segments.iter().map(|seg| &seg.plan).collect();
-        let estimates = segments.iter().map(|seg| seg.estimate).collect();
-        let estimate = self.estimator().combine_group(&plans, estimates, self.batch);
+        let (occupancy, estimates): (Vec<Occupancy>, Vec<PartitionEstimate>) = group
+            .partitions()
+            .iter()
+            .map(|&part| {
+                let seg = self.segment_eval(part);
+                (seg.occupancy, seg.estimate)
+            })
+            .unzip();
+        let estimate = self.estimator().combine_group(&occupancy, estimates, self.batch);
         // Under interleaving the group's batch cycle is shorter than
         // the serial partition sum; scale each partition's share so
         // `PGF = Σ f(Pₖ)` still equals the latency the executor pays
@@ -423,7 +413,7 @@ impl<'a> FitnessContext<'a> {
             })
             .collect();
         let pgf = partition_fitness.iter().sum();
-        EvaluatedGroup { group: group.clone(), segments, estimate, partition_fitness, pgf }
+        EvaluatedGroup { group: group.clone(), estimate, partition_fitness, pgf }
     }
 
     /// Number of memoized whole-group evaluations.
@@ -496,8 +486,10 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let chip = ChipSpec::chip_s();
-        let network = zoo::resnet18();
+        fixture_on(zoo::resnet18(), ChipSpec::chip_s())
+    }
+
+    fn fixture_on(network: Network, chip: ChipSpec) -> Fixture {
         let seq = decompose(&network, &chip);
         let validity = ValidityMap::build(&seq, &chip);
         Fixture { network, seq, validity, chip }
@@ -536,7 +528,7 @@ mod tests {
     fn segments_are_shared_across_groups() {
         // Two chromosomes differing by one cut share every other
         // segment: the segment memo must grow by at most the two new
-        // spans, and the shared partitions' plans must be reused.
+        // spans, and the shared partitions' scores must be reused.
         let f = fixture();
         let ctx =
             FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency);
@@ -570,17 +562,51 @@ mod tests {
     }
 
     #[test]
-    fn plans_match_a_fresh_build_of_the_group() {
-        // The shared segments carry placeholder indices; the assembled
-        // plans must equal what the compiler builds from the cuts.
-        let f = fixture();
-        let ctx =
-            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency);
-        let mut rng = StdRng::seed_from_u64(11);
-        let group = PartitionGroup::random(&mut rng, &f.validity);
-        let mut fresh = GroupPlan::build(&f.network, &f.seq, &group);
-        crate::replication::optimize_group(&mut fresh, &f.chip);
-        assert_eq!(ctx.evaluate(&group).plans(), fresh);
+    fn memo_scores_match_a_fresh_build_of_the_group() {
+        // The memo keeps per-span scores computed without the item
+        // packing; folded into a group they must equal, bit for bit,
+        // the estimate of the plans the compiler builds from the cuts.
+        // On tiny_cnn-L some groups fit half the chip, so the
+        // interleaved fold shifts partitions by nonzero offsets.
+        let mut offset_groups = 0;
+        for f in [fixture(), fixture_on(zoo::tiny_cnn(), ChipSpec::chip_l())] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let groups: Vec<PartitionGroup> =
+                (0..16).map(|_| PartitionGroup::random(&mut rng, &f.validity)).collect();
+            for mode in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
+                let ctx = FitnessContext::new(
+                    &f.network,
+                    &f.seq,
+                    &f.validity,
+                    &f.chip,
+                    4,
+                    FitnessKind::Latency,
+                )
+                .with_schedule_mode(mode);
+                let estimator = Estimator::new(&f.chip).with_schedule_mode(mode);
+                for group in &groups {
+                    let mut fresh = crate::plan::GroupPlan::build(&f.network, &f.seq, group);
+                    crate::replication::optimize_group(&mut fresh, &f.chip);
+                    let want = estimator.estimate_group(&fresh, 4);
+                    let got = &ctx.evaluate(group).estimate;
+                    let bits = |e: &GroupEstimate| -> Vec<u64> {
+                        e.partitions
+                            .iter()
+                            .flat_map(|p| [p.replace_ns, p.pipeline_ns, p.latency_ns])
+                            .chain([e.batch_latency_ns, e.energy.total_nj()])
+                            .map(f64::to_bits)
+                            .collect()
+                    };
+                    assert_eq!(got, &want, "{mode:?}: the memo fold moved the group estimate");
+                    assert_eq!(bits(got), bits(&want), "{mode:?}: estimate bits moved");
+                    let occupancy = Occupancy::of_plans(fresh.plans(), &f.chip);
+                    offset_groups += crate::scheduler::interleave_offsets(&occupancy, &f.chip)
+                        .iter()
+                        .any(|&o| o > 0) as usize;
+                }
+            }
+        }
+        assert!(offset_groups > 0, "no group exercised nonzero interleave offsets");
     }
 
     #[test]

@@ -197,8 +197,7 @@ pub fn run<R: Rng + ?Sized>(
     // other owners must go first — the rest of the population
     // (including any duplicate of the winner) and the memo's own
     // reference; otherwise the fallback clone of the estimate and
-    // fitness vectors would be the unconditional path. Its segments
-    // stay shared either way.
+    // fitness vectors would be the unconditional path.
     drop(population);
     drop(ctx.release(best.group.cuts()));
     (Arc::try_unwrap(best).unwrap_or_else(|arc| (*arc).clone()), trace)

@@ -88,11 +88,43 @@ pub fn fits(items: &[PackItem], cores: usize, capacity: usize) -> bool {
     pack_ffd(items, cores, capacity).is_some()
 }
 
-/// `true` if [`pack_ffd`] would pack an item multiset given as
-/// `(crossbars, count)` size classes, listed in strictly descending
-/// size order — without enumerating the items.
+/// What the estimator reads of a packing: how many cores it uses and
+/// the busiest core's crossbars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CoreLoad {
+    /// Number of cores used.
+    pub(crate) cores_used: usize,
+    /// Crossbars on the most loaded core (0 when no core is used).
+    pub(crate) max_crossbars: usize,
+}
+
+impl CoreLoad {
+    /// The load of bins of `capacity` crossbars with `free` crossbars
+    /// left in each.
+    pub(crate) fn from_free(free: &[usize], capacity: usize) -> Self {
+        Self {
+            cores_used: free.len(),
+            max_crossbars: free.iter().map(|&f| capacity - f).max().unwrap_or(0),
+        }
+    }
+}
+
+impl Packing {
+    /// The packing's core load, for cores of `capacity` crossbars.
+    pub(crate) fn load(&self, capacity: usize) -> CoreLoad {
+        CoreLoad::from_free(&self.slack, capacity)
+    }
+}
+
+/// Packs an item multiset given as `(crossbars, count)` size classes,
+/// listed in strictly descending size order, exactly as [`pack_ffd`]
+/// packs the items — without enumerating them. Returns the free
+/// crossbars per opened bin (equal to [`pack_ffd`]'s `slack`), or
+/// `None` where [`pack_ffd`] returns `None`. `bins` is scratch space
+/// the result borrows, so a caller checking many multisets reuses one
+/// allocation.
 ///
-/// The verdict is exact, not a bound. In FFD order equal-size items
+/// The result is exact, not a bound. In FFD order equal-size items
 /// are adjacent and fill bins in index order: every earlier bin is
 /// already too full for the size, so each open bin takes
 /// `min(count, free / size)` of the class at once, and each new bin
@@ -102,38 +134,45 @@ pub fn fits(items: &[PackItem], cores: usize, capacity: usize) -> bool {
 /// # Example
 ///
 /// ```
-/// use compass::packing::{ffd_fits_classes, fits, PackItem};
+/// use compass::packing::{ffd_pack_classes, pack_ffd, PackItem};
 ///
 /// let sizes = [5, 4, 4, 3, 3, 3];
 /// let items: Vec<PackItem> =
 ///     sizes.iter().enumerate().map(|(id, &crossbars)| PackItem { id, crossbars }).collect();
 /// let classes = [(5, 1), (4, 2), (3, 3)];
+/// let mut bins = Vec::new();
 /// for cores in 1..4 {
-///     assert_eq!(ffd_fits_classes(&classes, cores, 9), fits(&items, cores, 9));
+///     let slack = ffd_pack_classes(&classes, cores, 9, &mut bins).map(<[usize]>::to_vec);
+///     assert_eq!(slack, pack_ffd(&items, cores, 9).map(|p| p.slack));
 /// }
 /// ```
-pub fn ffd_fits_classes(classes: &[(usize, usize)], cores: usize, capacity: usize) -> bool {
+pub fn ffd_pack_classes<'b>(
+    classes: &[(usize, usize)],
+    cores: usize,
+    capacity: usize,
+    bins: &'b mut Vec<usize>,
+) -> Option<&'b [usize]> {
     debug_assert!(classes.windows(2).all(|w| w[0].0 > w[1].0), "sizes must strictly descend");
-    let mut free: Vec<usize> = Vec::with_capacity(cores);
+    bins.clear();
     for &(size, count) in classes {
         if count == 0 {
             continue;
         }
         if size > capacity {
-            return false;
+            return None;
         }
         if size == 0 {
             // Zero-size items land in the first open bin (or open one).
-            if free.is_empty() {
+            if bins.is_empty() {
                 if cores == 0 {
-                    return false;
+                    return None;
                 }
-                free.push(capacity);
+                bins.push(capacity);
             }
             continue;
         }
         let mut left = count;
-        for f in free.iter_mut() {
+        for f in bins.iter_mut() {
             let take = left.min(*f / size);
             *f -= take * size;
             left -= take;
@@ -146,21 +185,67 @@ pub fn ffd_fits_classes(classes: &[(usize, usize)], cores: usize, capacity: usiz
         }
         let per_bin = capacity / size;
         let opened = left.div_ceil(per_bin);
-        if free.len() + opened > cores {
-            return false;
+        if bins.len() + opened > cores {
+            return None;
         }
-        free.extend(std::iter::repeat_n(capacity - per_bin * size, opened - 1));
-        free.push(capacity - (left - (opened - 1) * per_bin) * size);
+        bins.extend(std::iter::repeat_n(capacity - per_bin * size, opened - 1));
+        bins.push(capacity - (left - (opened - 1) * per_bin) * size);
     }
-    true
+    Some(bins)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn items(sizes: &[usize]) -> Vec<PackItem> {
         sizes.iter().enumerate().map(|(id, &crossbars)| PackItem { id, crossbars }).collect()
+    }
+
+    /// `(crossbars, count)` classes of `sizes`, in descending size order.
+    fn classes(sizes: &[usize]) -> Vec<(usize, usize)> {
+        let mut sorted = sizes.to_vec();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let mut classes: Vec<(usize, usize)> = Vec::new();
+        for size in sorted {
+            match classes.last_mut() {
+                Some((s, n)) if *s == size => *n += 1,
+                _ => classes.push((size, 1)),
+            }
+        }
+        classes
+    }
+
+    #[test]
+    fn class_level_ffd_reproduces_the_item_packing_loads() {
+        let mut rng = StdRng::seed_from_u64(0xB1_75);
+        let mut bins = Vec::new();
+        let mut packed = 0usize;
+        for case in 0..5_000 {
+            let capacity = rng.gen_range(1usize..20);
+            let cores = rng.gen_range(0usize..10);
+            // Sizes from zero to one past the capacity, so zero-size
+            // and oversize items both occur.
+            let sizes: Vec<usize> =
+                (0..rng.gen_range(0usize..30)).map(|_| rng.gen_range(0..capacity + 2)).collect();
+            let expected = pack_ffd(&items(&sizes), cores, capacity);
+            let got = ffd_pack_classes(&classes(&sizes), cores, capacity, &mut bins);
+            assert_eq!(got, expected.as_ref().map(|p| &p.slack[..]), "case {case}: {sizes:?}");
+            if let (Some(free), Some(packing)) = (got, &expected) {
+                assert_eq!(CoreLoad::from_free(free, capacity), packing.load(capacity));
+                assert_eq!(free.len(), packing.cores_used);
+                // FFD never leaves an opened bin empty, so the items
+                // occupy exactly cores `0..cores_used`.
+                let mut used = packing.assignment.clone();
+                used.sort_unstable();
+                used.dedup();
+                assert_eq!(used, (0..packing.cores_used).collect::<Vec<_>>(), "case {case}");
+                packed += 1;
+            }
+        }
+        assert!((500..4_500).contains(&packed), "{packed} of 5000 cases pack");
     }
 
     #[test]
@@ -216,8 +301,9 @@ mod tests {
         let mut more = all.clone();
         more.push(PackItem { id: 6, crossbars: 4 });
         assert!(!fits(&more, 3, 9));
-        assert!(ffd_fits_classes(&[(4, 6)], 3, 9));
-        assert!(!ffd_fits_classes(&[(4, 7)], 3, 9));
+        let mut bins = Vec::new();
+        assert_eq!(ffd_pack_classes(&[(4, 6)], 3, 9, &mut bins), Some(&[1, 1, 1][..]));
+        assert!(ffd_pack_classes(&[(4, 7)], 3, 9, &mut bins).is_none());
     }
 
     #[test]

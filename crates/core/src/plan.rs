@@ -158,8 +158,8 @@ impl PartitionPlan {
 /// The planner precomputes those per-node positions once, after which
 /// [`SegmentPlanner::plan`] resolves any contiguous segment in
 /// isolation — the foundation of the fitness cache's segment memo,
-/// which reuses one segment's plan across every partition group in a
-/// GA population that shares it.
+/// which scores each span once and reuses that score across every
+/// partition group in a GA population that shares it.
 pub struct SegmentPlanner<'a> {
     network: &'a Network,
     seq: &'a UnitSequence,
@@ -340,8 +340,7 @@ impl<'a> SegmentPlanner<'a> {
             let slice_fraction = slices.iter().find(|s| s.node == id).map(|s| s.fraction);
             let is_partial = slice_fraction.map(|f| f < 1.0).unwrap_or(false);
             let consumers = network.consumers(id);
-            let leaves = consumers.is_empty()
-                || consumers.iter().any(|&c| !local_consumer(network, c, &local_nodes));
+            let leaves = consumers.is_empty() || consumers.iter().any(|c| !local_nodes.contains(c));
             if is_partial {
                 let frac = slice_fraction.unwrap_or(1.0);
                 exit_bytes.insert(id, (bytes as f64 * frac).ceil() as usize);
@@ -396,14 +395,6 @@ impl GroupPlan {
         }
     }
 
-    /// Assembles a group plan from already-resolved partition plans
-    /// (the fitness cache's segment-memo path). Plans must be in
-    /// execution order with correct `index` fields.
-    pub(crate) fn from_plans(plans: Vec<PartitionPlan>) -> Self {
-        debug_assert!(plans.iter().enumerate().all(|(k, p)| p.index == k));
-        Self { plans }
-    }
-
     /// The plans in execution order.
     pub fn plans(&self) -> &[PartitionPlan] {
         &self.plans
@@ -424,11 +415,6 @@ impl GroupPlan {
     pub fn is_empty(&self) -> bool {
         self.plans.is_empty()
     }
-}
-
-fn local_consumer(network: &Network, consumer: NodeId, local: &[NodeId]) -> bool {
-    let _ = network;
-    local.contains(&consumer)
 }
 
 /// VFU element-ops to execute one non-crossbar node per sample.

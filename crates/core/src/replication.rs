@@ -11,14 +11,19 @@
 //! cost of extra crossbars and extra weight-write work during the
 //! replace phase — the joint trade-off COMPASS's GA explores.
 //!
+//! One greedy decides the replication counts and has two outputs.
 //! Every `+1` replica is checked against the chip with
-//! [`ffd_fits_classes`] over a running per-size item count, which
+//! [`ffd_pack_classes`] over a running per-size item count, which
 //! gives the same verdict as repacking every replica item with
-//! [`pack_ffd`] at a fraction of the cost. Only the final packing is
-//! built item by item.
+//! [`pack_ffd`] at a fraction of the cost. [`optimize_partition`]
+//! then packs the final replica items one by one, since the
+//! scheduler maps each item to its core. The GA's segment memo needs
+//! only the packing's core load, which the size classes already give
+//! exactly ([`optimize_partition_load`]), so it skips the item
+//! packing.
 
-use crate::packing::{ffd_fits_classes, pack_ffd, PackItem};
-use crate::plan::{GroupPlan, PartitionPlan};
+use crate::packing::{ffd_pack_classes, pack_ffd, CoreLoad, PackItem};
+use crate::plan::{GroupPlan, NodeSlice, PartitionPlan};
 use pim_arch::ChipSpec;
 
 /// Optimizes one partition in place: raises replication counts
@@ -29,35 +34,21 @@ use pim_arch::ChipSpec;
 /// per-slice (per-kernel) property, so all units of a kernel share one
 /// count. Condition 3 (chip memory) is enforced by the packing check.
 pub fn optimize_partition(plan: &mut PartitionPlan, chip: &ChipSpec) {
-    if plan.slices.is_empty() {
-        return;
+    if replicate(plan, chip).is_some() {
+        plan.packing = pack(plan, chip);
+        debug_assert!(plan.packing.is_some(), "replication-1 partitions must pack");
     }
-    let mut items = SizeClasses::of(plan);
-    let mut saturated = vec![false; plan.slices.len()];
-    while let Some(bottleneck) = plan
-        .slices
-        .iter()
-        .enumerate()
-        .filter(|(i, s)| !saturated[*i] && improves(s.mvms_per_sample, s.replication))
-        .max_by_key(|(_, s)| s.waves_per_sample())
-    {
-        let idx = bottleneck.0;
-        // The true pipeline bottleneck may be a saturated slice; if so,
-        // replicating others cannot help.
-        let best_waves = plan.bottleneck_waves();
-        if plan.slices[idx].waves_per_sample() < best_waves {
-            break;
-        }
-        items.add_replica(idx);
-        if items.fit(chip) {
-            plan.slices[idx].replication += 1;
-        } else {
-            items.remove_replica(idx);
-            saturated[idx] = true;
-        }
-    }
-    plan.packing = pack(plan, chip);
-    debug_assert!(plan.packing.is_some(), "replication-1 partitions must pack");
+}
+
+/// Sets the replication counts [`optimize_partition`] sets, but
+/// returns only the load of the packing it would record — `None`
+/// where it would record none — without packing any item.
+pub(crate) fn optimize_partition_load(
+    plan: &mut PartitionPlan,
+    chip: &ChipSpec,
+) -> Option<CoreLoad> {
+    let mut items = replicate(plan, chip)?;
+    items.pack(chip).map(|free| CoreLoad::from_free(free, chip.crossbars_per_core))
 }
 
 /// Runs [`optimize_partition`] over every partition of a group.
@@ -65,6 +56,44 @@ pub fn optimize_group(group: &mut GroupPlan, chip: &ChipSpec) {
     for plan in group.plans_mut() {
         optimize_partition(plan, chip);
     }
+}
+
+/// The replication greedy: raises `plan`'s replication counts one
+/// replica at a time and returns the final replica multiset, or `None`
+/// for a plan without slices.
+///
+/// Each step picks the slice with the most waves among those one more
+/// replica would improve (the last one on a tie) and keeps the replica
+/// if the chip still packs. Only the changed slice's wave count and
+/// flag are recomputed. FFD is not monotone in the item multiset, so
+/// every step is checked rather than skipped ahead or bisected.
+fn replicate(plan: &mut PartitionPlan, chip: &ChipSpec) -> Option<SizeClasses> {
+    if plan.slices.is_empty() {
+        return None;
+    }
+    let mut items = SizeClasses::of(plan);
+    let mut waves: Vec<usize> = plan.slices.iter().map(NodeSlice::waves_per_sample).collect();
+    // Cleared once a replica stops lowering the waves or stops fitting.
+    let mut open: Vec<bool> =
+        plan.slices.iter().map(|s| improves(s.mvms_per_sample, s.replication)).collect();
+    while let Some(idx) = (0..waves.len()).filter(|&i| open[i]).max_by_key(|&i| waves[i]) {
+        // The true pipeline bottleneck may be a saturated slice; if so,
+        // replicating others cannot help.
+        if waves.iter().any(|&w| w > waves[idx]) {
+            break;
+        }
+        items.add_replica(idx);
+        if items.pack(chip).is_some() {
+            let slice = &mut plan.slices[idx];
+            slice.replication += 1;
+            waves[idx] = slice.waves_per_sample();
+            open[idx] = improves(slice.mvms_per_sample, slice.replication);
+        } else {
+            items.remove_replica(idx);
+            open[idx] = false;
+        }
+    }
+    Some(items)
 }
 
 fn improves(spatial: usize, replication: usize) -> bool {
@@ -78,6 +107,8 @@ struct SizeClasses {
     classes: Vec<(usize, usize)>,
     /// Per slice: one replica's `(class index, units)` histogram.
     replica: Vec<Vec<(usize, usize)>>,
+    /// Scratch bins every packing check reuses.
+    bins: Vec<usize>,
 }
 
 impl SizeClasses {
@@ -105,7 +136,7 @@ impl SizeClasses {
                 histogram
             })
             .collect();
-        let mut items = Self { classes, replica };
+        let mut items = Self { classes, replica, bins: Vec::new() };
         for (idx, slice) in plan.slices.iter().enumerate() {
             (0..slice.replication).for_each(|_| items.add_replica(idx));
         }
@@ -124,9 +155,10 @@ impl SizeClasses {
         }
     }
 
-    /// Same verdict as `pack(plan, chip).is_some()`.
-    fn fit(&self, chip: &ChipSpec) -> bool {
-        ffd_fits_classes(&self.classes, chip.cores, chip.crossbars_per_core)
+    /// Free crossbars per core of the packing [`pack`] would build
+    /// (its `slack`), or `None` where it would fail.
+    fn pack(&mut self, chip: &ChipSpec) -> Option<&[usize]> {
+        ffd_pack_classes(&self.classes, chip.cores, chip.crossbars_per_core, &mut self.bins)
     }
 }
 
@@ -195,6 +227,42 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let group = PartitionGroup::random(&mut rng, &validity);
         GroupPlan::build(net, &seq, &group)
+    }
+
+    #[test]
+    fn load_path_matches_the_packing_path_on_every_compile_span() {
+        // The benchmark's `compile` points: every valid span gets the
+        // same replication counts from both outputs of the greedy, and
+        // the load computed from size classes equals the load of the
+        // recorded item packing.
+        use crate::plan::SegmentPlanner;
+        use crate::Partition;
+        let points = [
+            (zoo::resnet18(), ChipSpec::chip_s()),
+            (zoo::squeezenet(), ChipSpec::chip_l()),
+            (zoo::vgg16(), ChipSpec::chip_s()),
+        ];
+        for (net, chip) in points {
+            let seq = decompose(&net, &chip);
+            let validity = ValidityMap::build(&seq, &chip);
+            let planner = SegmentPlanner::new(&net, &seq);
+            for start in 0..seq.len() {
+                for end in start + 1..=validity.max_end(start) {
+                    let mut packed = planner.plan(0, Partition::new(start, end));
+                    let mut loaded = packed.clone();
+                    optimize_partition(&mut packed, &chip);
+                    let load = optimize_partition_load(&mut loaded, &chip);
+                    assert_eq!(loaded.slices, packed.slices, "{} [{start}, {end})", net.name());
+                    assert_eq!(
+                        load,
+                        packed.packing.as_ref().map(|p| p.load(chip.crossbars_per_core)),
+                        "{} [{start}, {end})",
+                        net.name()
+                    );
+                    assert!(loaded.packing.is_none(), "the load path packs no items");
+                }
+            }
+        }
     }
 
     #[test]

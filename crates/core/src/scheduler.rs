@@ -8,13 +8,13 @@
 //! buffered (non-blocking) and Recv blocks, so emitting instructions
 //! in topological slice order guarantees deadlock freedom.
 
+use crate::estimate::Occupancy;
 use crate::plan::PartitionPlan;
 use crate::replication::replica_items;
 use pim_arch::{ChipSpec, ScheduleMode};
 use pim_isa::{ChipProgram, CoreId, Instruction, Tag, VectorOpKind};
 use pim_model::{LayerKind, Network, NodeId};
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Scheduling knobs.
@@ -273,7 +273,7 @@ pub fn schedule_group(
 ) -> Vec<ChipProgram> {
     let offsets = match options.schedule {
         ScheduleMode::Barrier => vec![0; plans.len()],
-        ScheduleMode::Interleaved => interleave_offsets(plans, chip),
+        ScheduleMode::Interleaved => interleave_offsets(&Occupancy::of_plans(plans, chip), chip),
     };
     let mut tag_base = 0u64;
     plans
@@ -296,21 +296,17 @@ pub fn schedule_group(
 /// at zero, leaving the schedule unchanged. The estimator's occupancy
 /// bound applies the same offsets so GA fitness prices exactly the
 /// overlap the executor will deliver.
-pub(crate) fn interleave_offsets(
-    plans: &[impl Borrow<PartitionPlan>],
-    chip: &ChipSpec,
-) -> Vec<usize> {
-    let zeros = vec![0usize; plans.len()];
+pub(crate) fn interleave_offsets(occupancy: &[Occupancy], chip: &ChipSpec) -> Vec<usize> {
+    let zeros = vec![0usize; occupancy.len()];
     let mut base = 0usize;
-    for plan in plans {
-        let Some(packing) = plan.borrow().packing.as_ref() else { return zeros };
-        let width = packing.assignment.iter().map(|&c| c + 1).max().unwrap_or(0);
+    for &occupied in occupancy {
+        let Occupancy::Packed(width) = occupied else { return zeros };
         base = base.max(width);
     }
     if base == 0 || 2 * base > chip.cores {
         return zeros;
     }
-    (0..plans.len()).map(|i| if i % 2 == 1 { base } else { 0 }).collect()
+    (0..occupancy.len()).map(|i| if i % 2 == 1 { base } else { 0 }).collect()
 }
 
 /// Splits `total` into `chunks` shares: the remainder goes to the
@@ -504,7 +500,9 @@ mod tests {
             let group = PartitionGroup::random(&mut rng, &validity);
             let mut plans = GroupPlan::build(net, &seq, &group);
             optimize_group(&mut plans, chip);
-            let applied = interleave_offsets(plans.plans(), chip).iter().any(|&o| o > 0);
+            let applied = interleave_offsets(&Occupancy::of_plans(plans.plans(), chip), chip)
+                .iter()
+                .any(|&o| o > 0);
             (plans.len() > 1 && applied == want_offsets).then_some(plans)
         })
     }

@@ -5,9 +5,12 @@
 //! the fitness hot path (segment sharing, replication feasibility
 //! checks, memo layout) that claims to be behaviour-preserving is
 //! checked against the numbers the previous implementation produced.
-//! The pinned points are the benchmark's `compile` workload: the
-//! paper's GA parameters with early stopping off, seed 1, batch 8,
-//! latency fitness, analytic timing and barrier scheduling.
+//! The first pinned points are the benchmark's `compile` workload:
+//! the paper's GA parameters with early stopping off, seed 1, batch 8,
+//! latency fitness, analytic timing and barrier scheduling. The rest
+//! pin the same GA under each knob the group fold or the per-segment
+//! estimate reads: the interleaved schedule, ring:2 pipeline and
+//! batch-shard targets, closed-loop timing, and EDP fitness.
 //!
 //! The reproducibility check reruns the fast GA for several seeds
 //! under both the makespan and the `ServingSlo` tail objective and
@@ -15,8 +18,8 @@
 
 use compass::fitness::{FitnessContext, FitnessKind, ServingSlo};
 use compass::ga::{self, GaParams};
-use compass::{decompose, ValidityMap};
-use pim_arch::ChipSpec;
+use compass::{decompose, ScheduleMode, SystemStrategy, SystemTarget, TimingMode, ValidityMap};
+use pim_arch::{ChipSpec, Topology};
 use pim_model::{zoo, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,10 +38,27 @@ struct Pinned {
     trace_hash: u64,
 }
 
-fn check(name: &str, net: Network, chip: ChipSpec, want: Pinned) {
+/// The context knobs a pinned run scores under; the default is the
+/// `compile` workload's.
+#[derive(Default)]
+struct Knobs {
+    kind: FitnessKind,
+    timing: TimingMode,
+    schedule: ScheduleMode,
+    system: Option<SystemTarget>,
+}
+
+fn ring2(strategy: SystemStrategy) -> Option<SystemTarget> {
+    Some(SystemTarget::new(Topology::ring(2), strategy))
+}
+
+fn check(name: &str, net: Network, chip: ChipSpec, knobs: Knobs, want: Pinned) {
     let seq = decompose(&net, &chip);
     let validity = ValidityMap::build(&seq, &chip);
-    let ctx = FitnessContext::new(&net, &seq, &validity, &chip, 8, FitnessKind::Latency);
+    let ctx = FitnessContext::new(&net, &seq, &validity, &chip, 8, knobs.kind)
+        .with_timing_mode(knobs.timing)
+        .with_schedule_mode(knobs.schedule)
+        .with_system_target(knobs.system);
     let params = GaParams { early_stop_patience: 0, ..GaParams::paper() };
     let mut rng = StdRng::seed_from_u64(1);
     let (best, trace) = ga::run(&ctx, &params, &mut rng);
@@ -57,6 +77,7 @@ fn resnet18_s_8_winner_is_pinned() {
         "resnet18-S-8",
         zoo::resnet18(),
         ChipSpec::chip_s(),
+        Knobs::default(),
         Pinned {
             cuts: &[3, 9, 17, 30, 46, 61, 74, 87, 89],
             pgf_bits: 4702599793963171840,
@@ -71,6 +92,7 @@ fn squeezenet_l_8_winner_is_pinned() {
         "squeezenet-L-8",
         zoo::squeezenet(),
         ChipSpec::chip_l(),
+        Knobs::default(),
         Pinned {
             cuts: &[3, 7, 13, 22],
             pgf_bits: 4696257144637358080,
@@ -85,6 +107,7 @@ fn vgg16_s_8_winner_is_pinned() {
         "vgg16-S-8",
         zoo::vgg16(),
         ChipSpec::chip_s(),
+        Knobs::default(),
         Pinned {
             cuts: &[
                 9, 17, 32, 45, 60, 61, 72, 81, 92, 100, 114, 119, 133, 146, 157, 170, 181, 184,
@@ -96,6 +119,81 @@ fn vgg16_s_8_winner_is_pinned() {
             ],
             pgf_bits: 4716163354975010816,
             trace_hash: 7556146442803687681,
+        },
+    );
+}
+
+#[test]
+fn squeezenet_l_8_interleaved_winner_is_pinned() {
+    check(
+        "squeezenet-L-8 interleaved",
+        zoo::squeezenet(),
+        ChipSpec::chip_l(),
+        Knobs { schedule: ScheduleMode::Interleaved, ..Knobs::default() },
+        Pinned {
+            cuts: &[2, 6, 12, 20, 23, 25, 26],
+            pgf_bits: 4693695403877466112,
+            trace_hash: 15468027245503214146,
+        },
+    );
+}
+
+#[test]
+fn resnet18_s_8_ring2_pipeline_winner_is_pinned() {
+    check(
+        "resnet18-S-8 ring:2 pipeline",
+        zoo::resnet18(),
+        ChipSpec::chip_s(),
+        Knobs { system: ring2(SystemStrategy::LayerPipeline), ..Knobs::default() },
+        Pinned {
+            cuts: &[3, 13, 30, 40, 55, 71, 87],
+            pgf_bits: 4703208313788039168,
+            trace_hash: 4366482837910282026,
+        },
+    );
+}
+
+#[test]
+fn resnet18_s_8_ring2_batch_shard_winner_is_pinned() {
+    check(
+        "resnet18-S-8 ring:2 batch shard",
+        zoo::resnet18(),
+        ChipSpec::chip_s(),
+        Knobs { system: ring2(SystemStrategy::BatchShard), ..Knobs::default() },
+        Pinned {
+            cuts: &[4, 9, 13, 22, 30, 44, 55, 71, 87],
+            pgf_bits: 4700240433136009216,
+            trace_hash: 2648899207122821672,
+        },
+    );
+}
+
+#[test]
+fn resnet18_s_8_closed_loop_winner_is_pinned() {
+    check(
+        "resnet18-S-8 closed-loop",
+        zoo::resnet18(),
+        ChipSpec::chip_s(),
+        Knobs { timing: TimingMode::ClosedLoop, ..Knobs::default() },
+        Pinned {
+            cuts: &[3, 9, 17, 30, 41, 55, 71, 87],
+            pgf_bits: 4702764310895875413,
+            trace_hash: 2823764620557091628,
+        },
+    );
+}
+
+#[test]
+fn squeezenet_l_8_edp_winner_is_pinned() {
+    check(
+        "squeezenet-L-8 EDP",
+        zoo::squeezenet(),
+        ChipSpec::chip_l(),
+        Knobs { kind: FitnessKind::Edp, ..Knobs::default() },
+        Pinned {
+            cuts: &[2, 5, 8, 11, 14, 17, 20, 23, 25],
+            pgf_bits: 4675965189459718431,
+            trace_hash: 17252117453439693535,
         },
     );
 }

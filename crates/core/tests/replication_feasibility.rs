@@ -1,15 +1,15 @@
 //! Differential tests for the replication optimizer's chip check.
 //!
 //! `optimize_partition` decides every `+1` replica with
-//! `ffd_fits_classes` over per-size item counts instead of repacking
+//! `ffd_pack_classes` over per-size item counts instead of repacking
 //! every replica item with `pack_ffd`. These seeded sweeps (the
-//! offline environment has no proptest) check that the two verdicts
+//! offline environment has no proptest) check that the two packings
 //! agree on random multisets, and that the optimizer reproduces — on
 //! every valid span of the paper's networks — the replication counts
 //! and packing of the repack-per-step loop it replaced, kept here as
 //! the reference.
 
-use compass::packing::{ffd_fits_classes, pack_ffd, PackItem, Packing};
+use compass::packing::{ffd_pack_classes, pack_ffd, PackItem, Packing};
 use compass::plan::SegmentPlanner;
 use compass::replication::{optimize_partition, replica_items};
 use compass::{decompose, Partition, PartitionPlan, ValidityMap};
@@ -39,6 +39,7 @@ fn items_of(sizes: &[usize]) -> Vec<PackItem> {
 #[test]
 fn size_classes_agree_with_ffd_on_random_multisets() {
     let mut rng = StdRng::seed_from_u64(0xFFD);
+    let mut bins = Vec::new();
     let mut fits = 0usize;
     for case in 0..20_000 {
         // Every 16th case packs into single-crossbar cores.
@@ -55,10 +56,10 @@ fn size_classes_agree_with_ffd_on_random_multisets() {
                 sizes.extend_from_slice(&units);
             }
         }
-        let expected = pack_ffd(&items_of(&sizes), cores, capacity).is_some();
-        let got = ffd_fits_classes(&classes_of(&sizes), cores, capacity);
-        assert_eq!(got, expected, "case {case}: {sizes:?} into {cores} x {capacity}");
-        fits += usize::from(expected);
+        let expected = pack_ffd(&items_of(&sizes), cores, capacity).map(|p| p.slack);
+        let got = ffd_pack_classes(&classes_of(&sizes), cores, capacity, &mut bins);
+        assert_eq!(got, expected.as_deref(), "case {case}: {sizes:?} into {cores} x {capacity}");
+        fits += usize::from(expected.is_some());
     }
     // Both verdicts must be well represented for the sweep to mean
     // anything.
@@ -67,16 +68,20 @@ fn size_classes_agree_with_ffd_on_random_multisets() {
 
 #[test]
 fn size_classes_handle_degenerate_inputs() {
-    assert!(ffd_fits_classes(&[], 0, 0));
-    assert!(ffd_fits_classes(&[(3, 0)], 0, 2), "empty classes need no bins");
-    assert!(!ffd_fits_classes(&[(3, 1)], 4, 2), "oversize item");
-    assert!(ffd_fits_classes(&[(1, 4)], 4, 1));
-    assert!(!ffd_fits_classes(&[(1, 5)], 4, 1));
+    let mut bins = Vec::new();
+    let mut fits = |classes: &[(usize, usize)], cores, capacity| {
+        ffd_pack_classes(classes, cores, capacity, &mut bins).map(<[usize]>::to_vec)
+    };
+    assert_eq!(fits(&[], 0, 0), Some(vec![]));
+    assert_eq!(fits(&[(3, 0)], 0, 2), Some(vec![]), "empty classes need no bins");
+    assert_eq!(fits(&[(3, 1)], 4, 2), None, "oversize item");
+    assert_eq!(fits(&[(1, 4)], 4, 1), Some(vec![0; 4]));
+    assert_eq!(fits(&[(1, 5)], 4, 1), None);
     for (classes, cores) in [(vec![(0, 2)], 0), (vec![(0, 2)], 1), (vec![(2, 1), (0, 3)], 1)] {
         let sizes: Vec<usize> = classes.iter().flat_map(|&(s, n)| vec![s; n]).collect();
         assert_eq!(
-            ffd_fits_classes(&classes, cores, 2),
-            pack_ffd(&items_of(&sizes), cores, 2).is_some(),
+            fits(&classes, cores, 2),
+            pack_ffd(&items_of(&sizes), cores, 2).map(|p| p.slack),
             "zero-size items {classes:?} on {cores} cores"
         );
     }
