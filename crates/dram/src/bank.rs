@@ -23,6 +23,9 @@ pub struct Bank {
     ready_ns: f64,
     /// Time the current row was activated (for tRAS), ns.
     activated_ns: f64,
+    /// How many of the controller's all-bank closes this bank has
+    /// applied (see [`Bank::catch_up`]).
+    closes_seen: u64,
 }
 
 impl Bank {
@@ -91,11 +94,47 @@ impl Bank {
         (data_ready, class)
     }
 
+    /// Issues `bursts` back-to-back column commands to the open row,
+    /// the first at `first_ns` (at or after [`Self::ready_ns`]), each
+    /// `tCCD` after the last; returns the last command's issue time.
+    /// The caller checks that every one is a row hit and that the sums
+    /// are exact, so this equals `bursts` calls of [`Self::access`].
+    pub(crate) fn hit_run(&mut self, timing: &DramTiming, first_ns: f64, bursts: usize) -> f64 {
+        let last = first_ns + (bursts - 1) as f64 * timing.ccd_ns;
+        self.ready_ns = last + timing.ccd_ns;
+        last
+    }
+
     /// Applies a refresh completing at `end_ns`: all rows closed, bank
     /// unavailable until then.
     pub fn refresh_until(&mut self, end_ns: f64) {
         self.open_row = None;
         self.ready_ns = self.ready_ns.max(end_ns);
+    }
+
+    /// Applies the all-bank closes this bank missed. The controller
+    /// counts its closes (`closes`) and keeps the latest close end
+    /// (`end_ns`) instead of walking every bank; a bank that lags the
+    /// count closes its row and waits for that end. Ends only act
+    /// through `max`, and the bank's ready time already covers every
+    /// end it caught up on before, so this equals applying each missed
+    /// close in turn.
+    #[inline]
+    pub(crate) fn catch_up(&mut self, closes: u64, end_ns: f64) {
+        if self.closes_seen != closes {
+            self.closes_seen = closes;
+            self.refresh_until(end_ns);
+        }
+    }
+
+    /// [`Self::classify`] as the bank would answer once caught up to
+    /// `closes` all-bank closes: a lagging bank is closed.
+    pub(crate) fn classify_after(&self, closes: u64, row: u64) -> AccessClass {
+        if self.closes_seen == closes {
+            self.classify(row)
+        } else {
+            AccessClass::RowClosed
+        }
     }
 }
 

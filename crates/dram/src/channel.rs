@@ -132,13 +132,20 @@ impl MultiChannelDram {
     /// it behind an off-by-default flag because it relaxes the
     /// arrival-order service guarantee the closed-loop mode documents.
     pub fn service_batch(&mut self, requests: &[Request]) -> Vec<ChannelAccess> {
-        let mut owner: Vec<Vec<(RequestId, usize)>> = vec![Vec::new(); self.channels.len()];
+        // Per channel, the id of its first stripe and every stripe's
+        // parent request: a channel hands out consecutive ids, so a
+        // completion's parent sits at `id - first`.
+        let mut owners: Vec<(u64, Vec<usize>)> = vec![(0, Vec::new()); self.channels.len()];
         for (parent, request) in requests.iter().enumerate() {
             for (channel, piece) in
                 Self::stripes(self.channels.len(), self.interleave_bytes, *request)
             {
                 let id = self.channels[channel].enqueue(piece);
-                owner[channel].push((id, parent));
+                let (first, parents) = &mut owners[channel];
+                if parents.is_empty() {
+                    *first = id.0;
+                }
+                parents.push(parent);
                 self.next_id += 1;
             }
         }
@@ -150,13 +157,15 @@ impl MultiChannelDram {
                 stripes: 0,
             })
             .collect();
-        for (channel, owners) in self.channels.iter_mut().zip(&owner) {
+        for (channel, (first, parents)) in self.channels.iter_mut().zip(&owners) {
             for done in channel.service_pending() {
-                let &(_, parent) = owners
-                    .iter()
-                    .find(|(id, _)| *id == done.id)
+                let parent = done
+                    .id
+                    .0
+                    .checked_sub(*first)
+                    .and_then(|i| parents.get(i as usize))
                     .expect("every completion belongs to a batched request");
-                let acc = &mut accesses[parent];
+                let acc = &mut accesses[*parent];
                 acc.start_ns = acc.start_ns.min(done.start_ns);
                 acc.finish_ns = acc.finish_ns.max(done.finish_ns);
                 acc.stripes += 1;
@@ -168,6 +177,13 @@ impl MultiChannelDram {
             }
         }
         accesses
+    }
+
+    /// Switches every channel of a fresh instance to the reference
+    /// controller path (the differential tests' oracle).
+    #[cfg(test)]
+    pub(crate) fn use_reference(&mut self) {
+        self.channels.iter_mut().for_each(DramSimulator::use_reference);
     }
 
     /// Splits a block request into per-channel stripes: for each

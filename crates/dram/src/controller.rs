@@ -8,6 +8,9 @@ use pim_engine::{Component, Engine, EngineCtx, Event, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+#[cfg(test)]
+mod reference;
+
 /// Completion record for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompletedRequest {
@@ -91,6 +94,28 @@ impl ChannelStats {
 /// instead of re-deriving `cycles × cycle time` (a float division) on
 /// every access, and computes bit-identical times.
 ///
+/// Two shortcuts skip work whose result cannot differ from the
+/// per-burst model, bit for bit:
+///
+/// * **Row-hit runs in closed form.** When a burst finds its bank open
+///   on its row, the bursts left in that row are back-to-back hits:
+///   column commands at `T0 = max(t, ready)` and every `tCCD` after,
+///   the bus done at `max(T_last + CAS, bus_free + k·tCCD)`, the bank
+///   ready at `T_last + tCCD`. The run is taken in O(1) when it ends
+///   before the next refresh instant (it is cut short there) and when
+///   every value the loop would compute lies in one binade whose
+///   spacing divides every timing constant — checked on the lowest
+///   and highest value's exponent bits — so every sum the loop rounds
+///   is exact. Otherwise the per-burst loop, the one general path,
+///   serves the bursts.
+/// * **Lazy all-bank closes.** A refresh or a bulk stream closes every
+///   bank. The controller counts these closes and keeps the latest
+///   close end instead of walking the banks; a bank catches up when
+///   it is next touched (its row closes, its ready time becomes
+///   `max(ready, latest end)`), and the FR-FCFS pick treats a bank
+///   that has not caught up as closed. Ends act only through `max`, so
+///   this is exact. Missed refreshes are still counted one by one.
+///
 /// # Example
 ///
 /// ```
@@ -123,6 +148,19 @@ pub struct DramSimulator {
     write_bits: u64,
     makespan_ns: f64,
     reorder_window: usize,
+    /// All-bank closes (refreshes, bulk streams) issued so far; banks
+    /// apply them lazily ([`Bank::catch_up`]).
+    closes: u64,
+    /// The latest end among those closes, ns.
+    close_end_ns: f64,
+    /// Binary exponent every run-relevant timing constant is a
+    /// multiple of ([`exact_grain`]); bounds where row-hit runs may be
+    /// taken in closed form.
+    exact_grain: i32,
+    /// Serve through the pre-closed-form per-burst loop and eager
+    /// all-bank closes (the differential tests' oracle).
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl DramSimulator {
@@ -147,6 +185,16 @@ impl DramSimulator {
             write_bits: 0,
             makespan_ns: 0.0,
             reorder_window: 8,
+            closes: 0,
+            close_end_ns: 0.0,
+            exact_grain: exact_grain(&[
+                timing.ccd_ns,
+                timing.read_cas_ns,
+                timing.write_cas_ns,
+                timing.wr_ns,
+            ]),
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -235,6 +283,13 @@ impl DramSimulator {
     /// issue time has been reached, prefer a row-buffer hit; fall back
     /// to the globally oldest request.
     fn pick_next(&self) -> usize {
+        #[cfg(test)]
+        if self.reference {
+            return self.pick_next_reference();
+        }
+        if self.queue.len() == 1 {
+            return 0;
+        }
         let horizon = self
             .queue
             .iter()
@@ -246,7 +301,7 @@ impl DramSimulator {
         for (i, (_, req)) in self.queue.iter().take(window).enumerate() {
             if req.issue_ns <= horizon {
                 let (bank, row) = self.cfg.map_address(req.addr);
-                if self.banks[bank].classify(row) == AccessClass::RowHit {
+                if self.banks[bank].classify_after(self.closes, row) == AccessClass::RowHit {
                     return i;
                 }
             }
@@ -256,6 +311,10 @@ impl DramSimulator {
     }
 
     fn serve(&mut self, id: RequestId, req: Request) -> CompletedRequest {
+        #[cfg(test)]
+        if self.reference {
+            return self.serve_reference(id, req);
+        }
         let burst_time = self.timing.ccd_ns;
         let is_write = req.kind == RequestKind::Write;
         let mut t = req.issue_ns.max(0.0);
@@ -265,13 +324,30 @@ impl DramSimulator {
         if bursts > 64 {
             return self.serve_bulk(id, req, bursts);
         }
-        for b in 0..bursts {
+        let mut b = 0;
+        while b < bursts {
             let addr = req.addr + (b * self.cfg.burst_bytes) as u64;
             self.apply_refresh(t);
             let (bank_idx, row) = self.cfg.map_address(addr);
-            let service_start = t.max(self.banks[bank_idx].ready_ns());
+            let bank = &mut self.banks[bank_idx];
+            bank.catch_up(self.closes, self.close_end_ns);
+            if bank.open_row() == Some(row) {
+                // Every burst left in this row is a hit on this bank.
+                let in_row = (self.cfg.row_bytes - (addr % self.cfg.row_bytes as u64) as usize)
+                    .div_ceil(self.cfg.burst_bytes);
+                if let Some(run) = self.hit_run(bank_idx, t, (bursts - b).min(in_row), is_write) {
+                    start_ns = start_ns.min(run.first_ns);
+                    self.bus_free_ns = run.bus_done_ns;
+                    finish_ns = run.bus_done_ns;
+                    t = self.banks[bank_idx].ready_ns();
+                    b += run.bursts;
+                    continue;
+                }
+            }
+            let bank = &mut self.banks[bank_idx];
+            let service_start = t.max(bank.ready_ns());
             start_ns = start_ns.min(service_start);
-            let (data_ready, class) = self.banks[bank_idx].access(&self.timing, t, row, is_write);
+            let (data_ready, class) = bank.access(&self.timing, t, row, is_write);
             if class != AccessClass::RowHit {
                 self.activates += 1;
             } else {
@@ -285,6 +361,7 @@ impl DramSimulator {
             // this one's column command; approximate by advancing to
             // the bus handoff minus the CAS latency floor.
             t = self.banks[bank_idx].ready_ns();
+            b += 1;
         }
         let bits = (req.bytes * 8) as u64;
         if is_write {
@@ -305,6 +382,64 @@ impl DramSimulator {
         }
     }
 
+    /// Serves up to the next `run` bursts of a request in closed form,
+    /// when they are row hits on `bank_idx` (open on their row, caught
+    /// up) issued no earlier than `t`. Returns the run taken, or `None`
+    /// to leave the bursts to the per-burst loop.
+    ///
+    /// Back-to-back hits issue at `T0 = max(t, ready)` and every `tCCD`
+    /// after, so the loop's bus chain `max(data_ready, bus_free + tCCD)`
+    /// folds to `max(T_last + CAS, bus_free + run·tCCD)`. Two checks
+    /// keep this bit-equal to the loop:
+    ///
+    /// * **refresh** — burst `j ≥ 1` checks refresh at its own issue
+    ///   time, so the run stops before the first burst at or after the
+    ///   next refresh instant (and is declined if that leaves one
+    ///   burst);
+    /// * **exactness** — every value the loop computes lies in
+    ///   `[min(T0, bus_free), max(T_last + CAS, bus_free + run·tCCD)]`.
+    ///   When both ends share one binade whose spacing divides every
+    ///   timing constant ([`exact_span`]), each sum the loop rounds is
+    ///   exact, and so are the products here.
+    fn hit_run(&mut self, bank_idx: usize, t: f64, run: usize, is_write: bool) -> Option<HitRun> {
+        if run < 2 {
+            return None;
+        }
+        let ccd = self.timing.ccd_ns;
+        let cas_done = |at: f64| {
+            if is_write {
+                at + self.timing.write_cas_ns + self.timing.wr_ns
+            } else {
+                at + self.timing.read_cas_ns
+            }
+        };
+        let first = t.max(self.banks[bank_idx].ready_ns());
+        let span = |bursts: usize| {
+            let last = first + (bursts - 1) as f64 * ccd;
+            cas_done(last).max(self.bus_free_ns + bursts as f64 * ccd)
+        };
+        if !exact_span(first.min(self.bus_free_ns), span(run), self.exact_grain) {
+            return None;
+        }
+        let mut run = run;
+        if first + (run - 1) as f64 * ccd >= self.next_refresh_ns {
+            if first >= self.next_refresh_ns {
+                return None;
+            }
+            // Bursts issuing before the refresh instant. Inside the
+            // exact span the quotient cannot round across an integer.
+            run = ((self.next_refresh_ns - first) / ccd).ceil() as usize;
+            debug_assert!(first + (run - 1) as f64 * ccd < self.next_refresh_ns);
+            debug_assert!(first + run as f64 * ccd >= self.next_refresh_ns);
+            if run < 2 {
+                return None;
+            }
+        }
+        self.banks[bank_idx].hit_run(&self.timing, first, run);
+        self.row_hits += run as u64;
+        Some(HitRun { bursts: run, first_ns: first, bus_done_ns: span(run) })
+    }
+
     /// Closed-form fast path for large sequential transfers (weight
     /// streams): per-burst simulation would dominate runtime, and for
     /// a sequential stream the shared data bus is the binding
@@ -318,9 +453,11 @@ impl DramSimulator {
         self.apply_refresh(t);
         // First access pays the usual bank latency.
         let (bank_idx, row) = self.cfg.map_address(req.addr);
-        let service_start = t.max(self.banks[bank_idx].ready_ns());
-        let (first_ready, class) = self.banks[bank_idx].access(&self.timing, t, row, is_write);
-        let first_activate = (class != crate::bank::AccessClass::RowHit) as u64;
+        let bank = &mut self.banks[bank_idx];
+        bank.catch_up(self.closes, self.close_end_ns);
+        let service_start = t.max(bank.ready_ns());
+        let (first_ready, class) = bank.access(&self.timing, t, row, is_write);
+        let first_activate = (class != AccessClass::RowHit) as u64;
         self.activates += first_activate;
         // Remaining rows each cost one activate (banks rotate, so the
         // activations hide behind the streaming data bus); every other
@@ -333,20 +470,17 @@ impl DramSimulator {
         let stream_time = bursts as f64 * burst_time;
         let start_bus = first_ready.max(self.bus_free_ns + burst_time) - burst_time;
         let mut finish = start_bus + stream_time;
-        let rfc_ns = self.timing.rfc_ns;
         while finish >= self.next_refresh_ns {
-            let end = self.next_refresh_ns + rfc_ns;
-            for bank in &mut self.banks {
-                bank.refresh_until(end);
-            }
             self.refreshes += 1;
             self.next_refresh_ns += self.timing.refi_ns;
-            finish += rfc_ns;
+            finish += self.timing.rfc_ns;
         }
         self.bus_free_ns = finish;
-        for bank in &mut self.banks {
-            bank.refresh_until(finish); // stream occupied all banks; rows closed
-        }
+        // The stream occupied all banks and closed their rows. Each
+        // refresh above ended at or before `finish` (it added tRFC on
+        // top of a finish at or past the refresh instant), so one
+        // close at `finish` covers them all.
+        self.close_all(finish);
         let bits = (req.bytes * 8) as u64;
         if is_write {
             self.write_bits += bits;
@@ -367,16 +501,26 @@ impl DramSimulator {
     }
 
     /// All-bank refresh every tREFI: banks stall for tRFC and rows
-    /// close.
+    /// close. Every missed refresh is counted; refresh ends increase,
+    /// so the banks only need the last one.
     fn apply_refresh(&mut self, now_ns: f64) {
+        if now_ns < self.next_refresh_ns {
+            return;
+        }
+        let mut end = 0.0;
         while now_ns >= self.next_refresh_ns {
-            let end = self.next_refresh_ns + self.timing.rfc_ns;
-            for bank in &mut self.banks {
-                bank.refresh_until(end);
-            }
+            end = self.next_refresh_ns + self.timing.rfc_ns;
             self.refreshes += 1;
             self.next_refresh_ns += self.timing.refi_ns;
         }
+        self.close_all(end);
+    }
+
+    /// Closes every bank's row and holds every bank until `end_ns`,
+    /// lazily: banks catch up when next touched ([`Bank::catch_up`]).
+    fn close_all(&mut self, end_ns: f64) {
+        self.closes += 1;
+        self.close_end_ns = self.close_end_ns.max(end_ns);
     }
 
     /// Total simulated time (completion of the last burst so far).
@@ -419,6 +563,50 @@ impl DramSimulator {
             makespan_ns: self.makespan_ns,
         }
     }
+}
+
+/// A row-hit run served in closed form ([`DramSimulator::hit_run`]).
+struct HitRun {
+    /// Bursts served.
+    bursts: usize,
+    /// The first burst's column command time, ns.
+    first_ns: f64,
+    /// When the last burst's data leaves the bus, ns.
+    bus_done_ns: f64,
+}
+
+/// The largest binary exponent `g` such that every value in `xs` is a
+/// whole multiple of `2^g` (zeros are multiples of anything);
+/// `i32::MIN` when a value is not finite.
+fn exact_grain(xs: &[f64]) -> i32 {
+    xs.iter()
+        .filter(|x| **x != 0.0)
+        .map(|x| {
+            if !x.is_finite() {
+                return i32::MIN;
+            }
+            let bits = x.to_bits();
+            let exp = ((bits >> 52) & 0x7ff) as i32;
+            let mantissa = bits & ((1 << 52) - 1);
+            if exp == 0 {
+                mantissa.trailing_zeros() as i32 - 1074
+            } else {
+                (mantissa | 1 << 52).trailing_zeros() as i32 + exp - 1075
+            }
+        })
+        .min()
+        .unwrap_or(i32::MAX)
+}
+
+/// `true` when `lo` and `hi` are normal, non-negative and in one
+/// binade whose spacing divides `2^grain`. Every double between them
+/// then lies in that binade, and adding a multiple of `2^grain` that
+/// lands between them is exact.
+fn exact_span(lo: f64, hi: f64, grain: i32) -> bool {
+    // The sign bit sits above the exponent, so a negative value fails
+    // the spacing bound.
+    let exp = lo.to_bits() >> 52;
+    exp == hi.to_bits() >> 52 && exp != 0 && exp as i32 - 1075 <= grain
 }
 
 /// Coalesces same-instant arrivals into a single drain event, so
@@ -568,6 +756,44 @@ mod tests {
         big.enqueue(Request::new(0, 0, RequestKind::Read, 1024 * 1024));
         big.run_to_completion();
         assert!(big.energy().total_nj() > 10.0 * small.energy().total_nj());
+    }
+
+    #[test]
+    fn exact_grain_is_the_coarsest_common_power_of_two() {
+        let t = DramConfig::lpddr3_1600().timing();
+        // 1.25 ns cycles: 5.0, 20.0, 12.5, 15.0 are multiples of 0.5.
+        assert_eq!(exact_grain(&[t.ccd_ns, t.read_cas_ns, t.write_cas_ns, t.wr_ns]), -1);
+        assert_eq!(exact_grain(&[1.25, 5.0]), -2);
+        assert_eq!(exact_grain(&[0.0, 0.0]), i32::MAX, "zero is a multiple of anything");
+        assert_eq!(exact_grain(&[1.0, f64::INFINITY]), i32::MIN);
+        assert_eq!(exact_grain(&[f64::from_bits(1)]), -1074, "smallest subnormal");
+        assert_eq!(exact_grain(&[3.0 * f64::MIN_POSITIVE]), -1022);
+        // 1000 / 933 MHz is no dyadic fraction: the guard never passes
+        // in a realistic range.
+        let odd = DramConfig { clock_mhz: 933.0, ..DramConfig::lpddr3_1600() }.timing();
+        assert!(exact_grain(&[odd.ccd_ns]) < -40);
+    }
+
+    #[test]
+    fn exact_span_needs_one_binade_fine_enough_for_the_grain() {
+        assert!(exact_span(1024.0, 2047.75, -2));
+        assert!(exact_span(1536.0, 1536.0, -2));
+        // Crosses 2^11, or 2^10 from below.
+        assert!(!exact_span(1024.0, 2048.0, -2));
+        assert!(!exact_span(1023.75, 1024.0, -2));
+        // Zero and subnormals never pass: their "binade" is not one.
+        assert!(!exact_span(0.0, 0.0, 10));
+        assert!(!exact_span(0.0, 20.0, -2));
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        assert!(!exact_span(tiny, tiny, 10));
+        // Spacing 0.25 is fine for a 0.25 grain, 0.5 is not.
+        let two_50 = 2f64.powi(50);
+        assert!(exact_span(two_50, two_50 + 4.0, -2));
+        assert!(!exact_span(2.0 * two_50, 2.0 * two_50 + 4.0, -2));
+        assert!(exact_span(2.0 * two_50, 2.0 * two_50 + 4.0, -1));
+        // Negative and non-finite values fail.
+        assert!(!exact_span(-8.0, -8.0, 10));
+        assert!(!exact_span(f64::INFINITY, f64::INFINITY, 10));
     }
 
     #[test]

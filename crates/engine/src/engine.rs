@@ -5,6 +5,7 @@ use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::ComponentId;
 use std::any::Any;
+use std::collections::VecDeque;
 
 /// A simulation component: anything that owns state and reacts to
 /// events addressed to it (a core, a bus, a memory controller, ...).
@@ -52,11 +53,15 @@ fn backwards_queue_panic() -> ! {
 }
 
 /// The slice of engine state a component may touch while handling an
-/// event: the clock, the queue, the seeded RNG, and the spawn list
-/// (for registering new components — never for reaching into a peer).
+/// event: the clock, the queue and same-instant lane, the seeded RNG,
+/// and the spawn list (for registering new components — never for
+/// reaching into a peer).
 pub struct EngineCtx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
+    /// The engine's same-instant lane (see [`Engine::step`]); `None`
+    /// on the reference queue, which takes every event itself.
+    lane: Option<&'a mut VecDeque<Event<E>>>,
     rng: &'a mut SimRng,
     /// Components spawned during the current dispatch; the engine
     /// folds them into the registry right after the handler returns,
@@ -96,7 +101,7 @@ impl<E> EngineCtx<'_, E> {
         if time < self.now {
             past_schedule_panic(time, self.now);
         }
-        self.queue.push(time, target, payload);
+        self.push(time, target, payload);
     }
 
     /// Schedules `payload` for `target` after `delay_ns`.
@@ -113,7 +118,23 @@ impl<E> EngineCtx<'_, E> {
             past_delay_panic(delay_ns);
         }
         let time = self.now.advance(delay_ns);
-        self.queue.push(time, target, payload);
+        self.push(time, target, payload);
+    }
+
+    /// Queues an event at or after the clock: one at the current
+    /// instant joins the same-instant lane with the next sequence id,
+    /// anything later goes to the calendar.
+    #[inline]
+    fn push(&mut self, time: SimTime, target: ComponentId, payload: E) {
+        match &mut self.lane {
+            Some(lane) if time == self.now => {
+                let seq = self.queue.take_seq();
+                lane.push_back(Event { time, seq, target, payload });
+            }
+            _ => {
+                self.queue.push(time, target, payload);
+            }
+        }
     }
 
     /// The engine's seeded RNG.
@@ -131,9 +152,11 @@ impl<E> EngineCtx<'_, E> {
 /// Dispatch drains the queue one *instant* at a time: the instant's
 /// first event comes from a full pop, the rest of the burst from
 /// [`EventQueue::pop_at`] — O(1) pops off the queue's active bucket —
-/// delivered in sequence order while the target components stay in
-/// their registry slots. No per-event `Option::take`/put round-trip,
-/// no per-event allocation, no intermediate batch buffer.
+/// then from a FIFO *same-instant lane* that holds every event
+/// scheduled at the current instant, all delivered in sequence order
+/// while the target components stay in their registry slots. No
+/// per-event `Option::take`/put round-trip, no per-event allocation,
+/// no intermediate batch buffer.
 ///
 /// # Example
 ///
@@ -166,6 +189,11 @@ impl<E> EngineCtx<'_, E> {
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
+    /// Events scheduled at the current instant, in sequence order; see
+    /// [`Self::step`].
+    lane: VecDeque<Event<E>>,
+    /// `false` on the reference queue, which stays the seed-era engine.
+    lane_on: bool,
     components: Vec<Option<Box<dyn Component<E>>>>,
     /// Spawn list shared with dispatch (see [`EngineCtx`]); kept here
     /// so its allocation is reused across events.
@@ -180,6 +208,8 @@ impl<E: 'static> Engine<E> {
         Self {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            lane: VecDeque::new(),
+            lane_on: true,
             components: Vec::new(),
             spawned: Vec::new(),
             rng: SimRng::seed_from_u64(seed),
@@ -189,7 +219,8 @@ impl<E: 'static> Engine<E> {
 
     /// Swaps the calendar queue for the retired binary-heap reference
     /// implementation (the seed-era queue, kept as an ordering
-    /// oracle). Only meaningful on a fresh engine.
+    /// oracle), which also takes the same-instant events the lane
+    /// would hold. Only meaningful on a fresh engine.
     ///
     /// # Panics
     ///
@@ -199,6 +230,7 @@ impl<E: 'static> Engine<E> {
     pub fn use_reference_queue(&mut self) {
         assert!(self.queue.is_empty(), "switch queues before scheduling");
         self.queue = EventQueue::reference();
+        self.lane_on = false;
     }
 
     /// Pre-sizes the event queue for roughly `events` pending events —
@@ -259,7 +291,7 @@ impl<E: 'static> Engine<E> {
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.lane.len()
     }
 
     /// The engine's seeded RNG (for seeding initial state before a
@@ -286,10 +318,18 @@ impl<E: 'static> Engine<E> {
     /// idle.
     ///
     /// The drain is zero-copy: the instant's first event comes from
-    /// `pop`, the rest of the burst from [`EventQueue::pop_at`] (each
-    /// an O(1) pop off the queue's active bucket), and the target
-    /// components are dispatched in place — no per-event
-    /// `Option::take`/put round-trip, no intermediate batch buffer.
+    /// `pop`, the rest of the calendar's burst from
+    /// [`EventQueue::pop_at`] (each an O(1) pop off the queue's active
+    /// bucket), then the same-instant lane. A handler that schedules
+    /// at the current instant appends to the lane with the next
+    /// sequence id instead of sorting into the calendar. The order is
+    /// still exactly `(time, seq)`: the calendar's events at the
+    /// instant were all scheduled before the clock reached it, so
+    /// every lane event has a larger sequence id than each of them,
+    /// and handlers run from the lane only add lane events or later
+    /// ones. The target components are dispatched in place — no
+    /// per-event `Option::take`/put round-trip, no intermediate batch
+    /// buffer.
     ///
     /// # Panics
     ///
@@ -311,6 +351,10 @@ impl<E: 'static> Engine<E> {
             self.dispatch(event);
             n += 1;
         }
+        while let Some(event) = self.lane.pop_front() {
+            self.dispatch(event);
+            n += 1;
+        }
         self.processed += n;
         n
     }
@@ -327,6 +371,7 @@ impl<E: 'static> Engine<E> {
         let mut ctx = EngineCtx {
             now: self.now,
             queue: &mut self.queue,
+            lane: if self.lane_on { Some(&mut self.lane) } else { None },
             rng: &mut self.rng,
             spawned: &mut self.spawned,
             registered,
@@ -585,5 +630,92 @@ mod tests {
             (n, now, pa.log)
         }
         assert_eq!(run(false), run(true));
+    }
+
+    /// A seeded component zoo for the lane equivalence test: each
+    /// event, drawn from the engine RNG, spends its budget on
+    /// zero-delay chains, same-instant fan-outs, pushes a few ns ahead
+    /// (into the active 8 ns bucket), later events, or a spawned
+    /// component plus a same-instant follow-up to it. Every dispatch
+    /// is logged as `(time bits, seq, target)`.
+    struct Zoo {
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u64, u64, usize)>>>,
+        peers: usize,
+    }
+
+    impl Component<u32> for Zoo {
+        fn on_event(&mut self, event: Event<u32>, ctx: &mut EngineCtx<'_, u32>) {
+            self.log.borrow_mut().push((event.time.as_ns().to_bits(), event.seq, event.target.0));
+            let budget = event.payload;
+            if budget == 0 {
+                return;
+            }
+            let peer = ComponentId((ctx.rng().next_u64() % self.peers as u64) as usize);
+            match ctx.rng().next_u64() % 6 {
+                0 => ctx.schedule(ctx.now(), peer, budget - 1),
+                1 => {
+                    let fan = 1 + ctx.rng().next_u64() % 4;
+                    for i in 0..fan {
+                        let target = ComponentId((peer.0 + i as usize) % self.peers);
+                        ctx.schedule_in(0.0, target, (budget - 1) / fan as u32);
+                    }
+                }
+                2 => {
+                    let delay = [0.001, 0.25, 1.0, 3.5, 7.999][(ctx.rng().next_u64() % 5) as usize];
+                    ctx.schedule_in(delay, peer, budget - 1);
+                    ctx.schedule(ctx.now(), event.target, budget / 2);
+                }
+                3 => {
+                    let delay = (ctx.rng().next_u64() % 5_000) as f64 * 0.5;
+                    ctx.schedule_in(delay, peer, budget - 1);
+                }
+                4 => {
+                    let child = ctx.add_component(Zoo { log: self.log.clone(), peers: 1 });
+                    ctx.schedule(ctx.now(), child, 0);
+                    ctx.schedule_in(8.0, peer, budget - 1);
+                }
+                _ => {
+                    ctx.schedule_in(0.0, peer, budget - 1);
+                    ctx.schedule_in(16.0, event.target, budget / 3);
+                }
+            }
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    #[test]
+    fn same_instant_lane_matches_the_reference_heap() {
+        fn run(seed: u64, reference: bool) -> (u64, Vec<(u64, u64, usize)>) {
+            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let mut engine = Engine::new(seed);
+            if reference {
+                engine.use_reference_queue();
+            }
+            let peers = 6;
+            for _ in 0..peers {
+                engine.add_component(Zoo { log: log.clone(), peers });
+            }
+            for i in 0..peers {
+                let at = SimTime::from_ns((i % 3) as f64 * 4.0);
+                engine.schedule(at, ComponentId(i), 60);
+            }
+            let n = engine.run_until_idle();
+            assert_eq!(engine.pending(), 0);
+            drop(engine);
+            let log = std::rc::Rc::try_unwrap(log).expect("engine dropped").into_inner();
+            (n, log)
+        }
+        for seed in 0..64 {
+            let (n, lane) = run(seed, false);
+            let heap = run(seed, true);
+            assert_eq!((n, &lane), (heap.0, &heap.1), "seed {seed}");
+            assert!(n > 100, "seed {seed}: only {n} events");
+            for pair in lane.windows(2) {
+                let key = |e: &(u64, u64, usize)| (f64::from_bits(e.0), e.1);
+                assert!(key(&pair[0]) < key(&pair[1]), "seed {seed}: {pair:?}");
+            }
+        }
     }
 }

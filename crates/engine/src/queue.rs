@@ -401,13 +401,24 @@ impl<E> CalendarQueue<E> {
     /// Pops the next event only if it fires exactly at `time` — the
     /// engine's zero-copy same-instant drain: after `pop` hands out an
     /// instant's first event, `pop_at` yields the rest one by one
-    /// (each an O(1) pop off the active bucket), including events a
-    /// handler schedules *at* the instant being drained (they carry
-    /// higher sequence ids, so handing them out last is exactly the
-    /// `(time, seq)` order).
+    /// (each an O(1) pop off the active bucket).
+    ///
+    /// Once the active bucket runs dry it is not replaced by the next
+    /// one while `time` still falls in it: the engine then runs its
+    /// same-instant lane, whose handlers schedule into this bucket and
+    /// later ones, and activating a later bucket would send those
+    /// pushes down the cold [`Self::rewind_to`] path. Events of the
+    /// active bucket live in `cur` or, before it was activated (fresh
+    /// or re-anchored queue), in its ring slot; only an empty `cur`
+    /// *and* an empty slot prove that nothing at `time` is pending.
     fn pop_at(&mut self, time: SimTime) -> Option<Event<E>> {
-        if self.cur.is_empty() && !self.activate_next_bucket() {
-            return None;
+        if self.cur.is_empty() {
+            let bucket = Self::bucket_of(time);
+            let s = (self.cur_bucket & MASK) as usize;
+            let slot_empty = self.occupied[s / 64] & (1u64 << (s % 64)) == 0;
+            if (bucket <= self.cur_bucket && slot_empty) || !self.activate_next_bucket() {
+                return None;
+            }
         }
         match self.cur.last() {
             Some(e) if e.time == time => {
@@ -506,14 +517,22 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` for `target` at `time`, returning the
     /// assigned sequence id.
     pub fn push(&mut self, time: SimTime, target: ComponentId, payload: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let event = Event { time, seq, target, payload };
         match &mut self.imp {
             QueueImpl::Calendar(q) => q.push(event),
             #[cfg(any(test, feature = "reference-queue"))]
             QueueImpl::Reference(q) => q.push(event),
         }
+        seq
+    }
+
+    /// Takes the next sequence id without queueing anything: the
+    /// engine's same-instant lane holds events outside the queue but
+    /// numbers them from the same counter.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         seq
     }
 
@@ -532,7 +551,7 @@ impl<E> EventQueue<E> {
     /// instant's first event, then `pop_at(now)` until `None` — every
     /// event of the burst comes off the active bucket in O(1) with no
     /// intermediate buffer, in exact `(time, seq)` order (including
-    /// events scheduled *at* the instant mid-drain, which carry higher
+    /// events pushed *at* the instant mid-drain, which carry higher
     /// sequence ids and surface last).
     pub fn pop_at(&mut self, time: SimTime) -> Option<Event<E>> {
         match &mut self.imp {
@@ -788,6 +807,55 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 100);
+    }
+
+    #[test]
+    fn pop_at_on_a_fresh_queue_keeps_its_contract() {
+        // No `pop` has activated a bucket yet: events at the asked
+        // instant sit in a ring slot, the coarse rung or the far heap,
+        // and `pop_at` must still find them (and only them).
+        for reference in [false, true] {
+            let fresh = || if reference { EventQueue::reference() } else { EventQueue::new() };
+            let mut q = fresh();
+            assert!(q.pop_at(SimTime::ZERO).is_none(), "empty queue");
+            q.push(SimTime::from_ns(5.0), T, "a");
+            q.push(SimTime::from_ns(5.0), T, "b");
+            q.push(SimTime::from_ns(9.0), T, "c");
+            assert!(q.pop_at(SimTime::from_ns(9.0)).is_none(), "5.0 comes first");
+            assert_eq!(q.pop_at(SimTime::from_ns(5.0)).unwrap().payload, "a");
+            assert_eq!(q.pop_at(SimTime::from_ns(5.0)).unwrap().payload, "b");
+            assert!(q.pop_at(SimTime::from_ns(5.0)).is_none(), "instant drained");
+            assert_eq!(q.pop_at(SimTime::from_ns(9.0)).unwrap().payload, "c");
+            assert!(q.pop_at(SimTime::from_ns(9.0)).is_none());
+            assert!(q.is_empty());
+
+            for far in [20_000.0, 1e7] {
+                let mut q = fresh();
+                q.push(SimTime::from_ns(far), T, "far");
+                assert!(q.pop_at(SimTime::ZERO).is_none());
+                assert_eq!(q.pop_at(SimTime::from_ns(far)).unwrap().payload, "far", "{far}");
+            }
+        }
+    }
+
+    #[test]
+    fn pop_at_leaves_a_later_bucket_inactive() {
+        // After an instant drains its bucket, the drain position stays
+        // put, so pushes into that bucket (the engine's same-instant
+        // lane makes them) need no re-anchor, and keep their order.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(2.0), T, 0);
+        q.push(SimTime::from_ns(100.0), T, 1);
+        assert_eq!(q.pop().unwrap().payload, 0);
+        assert!(q.pop_at(SimTime::from_ns(2.0)).is_none());
+        match &q.imp {
+            QueueImpl::Calendar(c) => assert_eq!(c.cur_bucket, 0, "bucket of 100 ns activated"),
+            QueueImpl::Reference(_) => unreachable!("a calendar queue"),
+        }
+        q.push(SimTime::from_ns(3.0), T, 2);
+        q.push(SimTime::from_ns(9.0), T, 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, [2, 3, 1]);
     }
 
     /// Exhaustive cross-check against the retired heap: a seeded

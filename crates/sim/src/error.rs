@@ -28,6 +28,15 @@ pub enum SimError {
         /// The offending program tag.
         tag: Tag,
     },
+    /// A fixed-round interleaved run would start more stages on one
+    /// chip than the rendezvous tag space can tell apart (each
+    /// overlapping stage gets its own 16-bit stage id on the wire).
+    TooManyStages {
+        /// The chip.
+        chip: usize,
+        /// Its rounds × partitions.
+        stages: usize,
+    },
     /// The system description does not fit the topology (wrong chip
     /// count, broken link graph, or a hand-off to a chip that cannot
     /// be reached).
@@ -56,6 +65,12 @@ impl fmt::Display for SimError {
             SimError::TagOutOfRange { tag } => {
                 write!(f, "program tag {tag} is out of range (tags must be below 2^48)")
             }
+            SimError::TooManyStages { chip, stages } => write!(
+                f,
+                "chip {chip} would run {stages} interleaved stages (rounds x partitions); \
+                 at most {} fit the rendezvous tag space",
+                crate::system::MAX_INTERLEAVED_STAGES
+            ),
             SimError::InvalidTopology(reason) => {
                 write!(f, "invalid system topology: {reason}")
             }

@@ -61,6 +61,11 @@ use std::rc::Rc;
 /// spreading blocks across channels.
 pub(crate) const DEFAULT_INTERLEAVE_BYTES: usize = 4096;
 
+/// Stages (rounds × partitions) one chip can run under the interleaved
+/// schedule: overlapping stages tell their rendezvous tags apart by a
+/// 16-bit stage id above [`MAX_PROGRAM_TAG`].
+pub(crate) const MAX_INTERLEAVED_STAGES: usize = 1 << 16;
+
 /// One per-round boundary transfer a chip ships downstream after its
 /// last partition drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,7 +362,9 @@ impl SystemSimulator {
     /// fit the topology, [`SimError::CoreCountMismatch`] when a
     /// program does not match its slot's chip,
     /// [`SimError::TagOutOfRange`] for a SEND/RECV tag of 2^48 or
-    /// more, and [`SimError::Deadlock`] for malformed schedules.
+    /// more, [`SimError::TooManyStages`] for an interleaved run with
+    /// more than 65,536 (2^16) rounds × partitions on a chip, and
+    /// [`SimError::Deadlock`] for malformed schedules.
     pub fn run(
         &self,
         loads: &[ChipLoad<'_>],
@@ -366,6 +373,14 @@ impl SystemSimulator {
     ) -> Result<SimReport, SimError> {
         self.validate(loads)?;
         let rounds = rounds.max(1);
+        if self.schedule == ScheduleMode::Interleaved {
+            for (chip, load) in loads.iter().enumerate() {
+                let stages = rounds.saturating_mul(load.programs.len());
+                if stages > MAX_INTERLEAVED_STAGES {
+                    return Err(SimError::TooManyStages { chip, stages });
+                }
+            }
+        }
         let (outcomes, links, _) = self.execute(loads, Workload::Rounds(rounds));
         self.fold_report(loads, rounds, samples_per_round, outcomes, links)
     }
@@ -496,7 +511,11 @@ impl SystemSimulator {
     /// Everything [`SystemSimulator::run`] returns, plus
     /// [`SimError::InvalidServing`] for malformed traces, a zero
     /// queue capacity or in-flight limit, or a system with no active
-    /// chip to serve on.
+    /// chip to serve on. The exception is
+    /// [`SimError::TooManyStages`]: serving appends rounds live, so
+    /// the stage count is unknown up front, and an interleaved serving
+    /// run that would start a chip's 65,537th stage panics there
+    /// instead.
     pub fn run_serving(
         &self,
         loads: &[ChipLoad<'_>],
@@ -1018,12 +1037,14 @@ impl ChipSequencer {
         // barrier chain never overlaps, and its per-stage rendezvous
         // reset expects the program's raw tags. The stage id must fit
         // the 16 offset bits — overflow would silently alias two
-        // stages' tag spaces, so fail loudly instead.
+        // stages' tag spaces, so fail loudly instead. Fixed-round runs
+        // reject such a load up front (`SimError::TooManyStages`);
+        // serving appends rounds live and can only stop here.
         let tag_offset = match self.schedule {
             ScheduleMode::Barrier => 0,
             ScheduleMode::Interleaved => {
                 assert!(
-                    node < 1 << 16,
+                    node < MAX_INTERLEAVED_STAGES,
                     "interleaved runs support at most 65536 stages (rounds x partitions); \
                      stage {node} would alias another stage's rendezvous tag space"
                 );
@@ -1397,6 +1418,28 @@ mod tests {
         ];
         let err = SystemSimulator::new(chip, Topology::ring(2)).run(&doubled, 1, 1).unwrap_err();
         assert!(matches!(err, SimError::InvalidTopology(ref r) if r.contains("multiple")), "{err}");
+    }
+
+    #[test]
+    fn interleaved_stage_limit_is_a_typed_error() {
+        // Rounds x partitions above 2^16 on any chip is refused before
+        // the engine starts; the barrier chain has no such limit.
+        let chip = ChipSpec::chip_s();
+        let one = mvm_program(chip.cores, 1);
+        let two = [one.clone(), one.clone()];
+        let interleaved = SystemSimulator::new(chip.clone(), Topology::ring(2))
+            .with_schedule_mode(ScheduleMode::Interleaved);
+        let loads = [ChipLoad::new(std::slice::from_ref(&one)), ChipLoad::new(&two)];
+        let rounds = MAX_INTERLEAVED_STAGES / 2 + 1;
+        let err = interleaved.run(&loads, rounds, 1).unwrap_err();
+        assert_eq!(err, SimError::TooManyStages { chip: 1, stages: 2 * rounds });
+        assert!(err.to_string().contains("65536"), "{err}");
+        let single = SystemSimulator::new(chip.clone(), Topology::single())
+            .with_schedule_mode(ScheduleMode::Interleaved);
+        let loads = [ChipLoad::new(std::slice::from_ref(&one))];
+        let err = single.run(&loads, MAX_INTERLEAVED_STAGES + 1, 1).unwrap_err();
+        assert_eq!(err, SimError::TooManyStages { chip: 0, stages: MAX_INTERLEAVED_STAGES + 1 });
+        assert!(single.run(&loads, 3, 1).is_ok());
     }
 
     #[test]
