@@ -21,12 +21,14 @@
 //!   and the fold — no planning, replication, or estimation.
 //!
 //! A segment miss plans the span, runs the replication greedy, and
-//! estimates the result. The greedy checks each replica against the
-//! chip with an exact size-class packing
-//! ([`crate::packing::ffd_pack_classes`]), whose final bins also give
-//! the core load the estimate reads, so a miss never packs replica
-//! items one by one. Its plan is dropped once the score is computed;
-//! [`crate::Compiler::compile`] re-plans the winner from its cuts.
+//! estimates the result, all in buffers the context keeps from miss
+//! to miss, so a miss allocates nothing and costs time in proportion
+//! to its span. The greedy checks each replica against the chip with
+//! an exact size-class packing ([`crate::packing::ffd_pack_classes`]),
+//! whose final bins also give the core load the estimate reads, so a
+//! miss never packs replica items one by one. Its plan is overwritten by
+//! the next miss; [`crate::Compiler::compile`] re-plans the winner
+//! from its cuts.
 //!
 //! Both memos are plain single-threaded hash maps behind a
 //! [`RefCell`], so evaluation is `&self`. Every memoized value is a
@@ -36,12 +38,16 @@
 //! recomputation and the memo never changes results. A lookup is
 //! released before a miss is computed, so the evaluation that fills
 //! one memo is free to consult both.
+//!
+//! With the memo off ([`FitnessContext::with_memo`]) nothing is
+//! stored: every evaluation plans, replicates and estimates every
+//! partition afresh (still in the reused buffers).
 
 use crate::decompose::UnitSequence;
 use crate::estimate::{Estimator, GroupEstimate, Occupancy, PartitionEstimate, SystemScaling};
 use crate::partition::{Partition, PartitionGroup};
-use crate::plan::SegmentPlanner;
-use crate::replication::optimize_partition_load;
+use crate::plan::{PlanBuffer, SegmentPlanner};
+use crate::replication::{optimize_partition_load, Greedy};
 use crate::system::SystemTarget;
 use crate::validity::ValidityMap;
 use fxhash::FxHashMap;
@@ -178,6 +184,8 @@ pub struct FitnessContext<'a> {
     serving_slo: Option<ServingSlo>,
     cache: RefCell<FxHashMap<Arc<[usize]>, Arc<EvaluatedGroup>>>,
     segments: RefCell<FxHashMap<(usize, usize), SegmentEval>>,
+    /// The plan and greedy buffers every segment miss reuses.
+    miss: RefCell<(PlanBuffer, Greedy)>,
     /// `false` disables both memos (every evaluation recomputes) —
     /// the benchmark axis that prices what the memo buys.
     memo_enabled: bool,
@@ -208,6 +216,7 @@ impl<'a> FitnessContext<'a> {
             serving_slo: None,
             cache: RefCell::default(),
             segments: RefCell::default(),
+            miss: RefCell::default(),
             memo_enabled: true,
         }
     }
@@ -241,7 +250,7 @@ impl<'a> FitnessContext<'a> {
             return;
         }
         self.cache.borrow_mut().reserve(population);
-        let units = self.planner.unit_count();
+        let units = self.seq.len();
         let span_space = units * (units + 1) / 2;
         self.segments.borrow_mut().reserve((population * 4).min(span_space));
     }
@@ -334,12 +343,15 @@ impl<'a> FitnessContext<'a> {
             .with_system_scaling(self.system_scaling)
     }
 
-    /// Plans, replication-optimizes, and estimates one segment.
+    /// Plans, replication-optimizes, and estimates one segment, in the
+    /// context's reused buffers.
     fn compute_segment(&self, partition: Partition) -> SegmentEval {
-        let mut plan = self.planner.plan(0, partition);
-        let load = optimize_partition_load(&mut plan, self.chip);
-        let estimate = self.estimator().estimate_loaded(&plan, load, self.batch);
-        SegmentEval { estimate, occupancy: Occupancy::new(&plan, load, self.chip) }
+        let mut miss = self.miss.borrow_mut();
+        let (buffer, greedy) = &mut *miss;
+        let plan = self.planner.refill(0, partition, buffer);
+        let load = optimize_partition_load(plan, self.chip, greedy);
+        let estimate = self.estimator().estimate_loaded(plan, load, self.batch);
+        SegmentEval { estimate, occupancy: Occupancy::new(plan, load, self.chip) }
     }
 
     /// Recalls (or computes and memoizes) one segment.
@@ -469,6 +481,9 @@ pub fn partition_scores(eval: &EvaluatedGroup, mean_m: &[f64]) -> Vec<f64> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

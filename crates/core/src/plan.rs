@@ -11,7 +11,6 @@ use crate::packing::Packing;
 use crate::partition::{Partition, PartitionGroup};
 use pim_model::{LayerKind, Network, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// The portion of one weighted node mapped inside one partition.
@@ -47,6 +46,23 @@ pub struct NodeSlice {
 }
 
 impl NodeSlice {
+    /// A placeholder a [`PlanBuffer`] refill overwrites field by field.
+    fn empty() -> Self {
+        Self {
+            node: NodeId(0),
+            units: 0..0,
+            crossbars: 0,
+            weight_bits: 0,
+            unit_crossbars: Vec::new(),
+            unit_weight_bits: Vec::new(),
+            fraction: 0.0,
+            mvms_per_sample: 0,
+            activations_per_sample: 0,
+            reduction_elements: 0,
+            replication: 1,
+        }
+    }
+
     /// Crossbars including replication.
     pub fn replicated_crossbars(&self) -> usize {
         self.crossbars * self.replication
@@ -160,11 +176,25 @@ impl PartitionPlan {
 /// isolation — the foundation of the fitness cache's segment memo,
 /// which scores each span once and reuses that score across every
 /// partition group in a GA population that shares it.
+///
+/// It also precomputes each weighted node's total weight bits and a
+/// node → unit-range index, so resolving a span costs time in
+/// proportion to the span (its units and the nodes attached to it),
+/// never to the layers it slices. [`SegmentPlanner::plan`] builds a
+/// fresh plan; the GA's segment misses refill one reused plan
+/// buffer instead, through the same code, and allocate
+/// nothing once the buffer has grown to the widest span.
 pub struct SegmentPlanner<'a> {
     network: &'a Network,
     seq: &'a UnitSequence,
     /// `(node, start, end)` per weighted node, in unit order.
     node_ranges: Vec<(NodeId, usize, usize)>,
+    /// Total weight bits of each weighted node (same order as
+    /// `node_ranges`).
+    node_bits: Vec<usize>,
+    /// Index into `node_ranges` of every node (by `NodeId::index`),
+    /// `usize::MAX` for nodes without units.
+    range_index: Vec<usize>,
     /// Unit index -> index into `node_ranges` of the owning node.
     unit_owner: Vec<usize>,
     /// Production unit position of every node (by `NodeId::index`):
@@ -176,20 +206,44 @@ pub struct SegmentPlanner<'a> {
     attach_order: Vec<(usize, NodeId)>,
 }
 
-impl<'a> SegmentPlanner<'a> {
-    /// Number of partition units in the decomposition — the segment
-    /// key space is `(start, end)` spans over these units, so callers
-    /// sizing memo tables cap reservations at `n·(n+1)/2`.
-    pub fn unit_count(&self) -> usize {
-        self.seq.len()
-    }
+/// A caller-owned [`PartitionPlan`] that [`SegmentPlanner`] refills
+/// span after span. Slices a narrower span leaves over are kept, unit
+/// vectors and all, for the next wider one, so a refill allocates only
+/// while the buffer is still growing.
+#[derive(Debug)]
+pub(crate) struct PlanBuffer {
+    plan: PartitionPlan,
+    spare: Vec<NodeSlice>,
+}
 
+impl Default for PlanBuffer {
+    fn default() -> Self {
+        let plan = PartitionPlan {
+            index: 0,
+            partition: Partition { start: 0, end: 0 },
+            slices: Vec::new(),
+            attached: Vec::new(),
+            entries: Vec::new(),
+            exits: Vec::new(),
+            vfu_elements_per_sample: 0,
+            intra_traffic_bytes_per_sample: 0,
+            packing: None,
+        };
+        Self { plan, spare: Vec::new() }
+    }
+}
+
+impl<'a> SegmentPlanner<'a> {
     /// Precomputes the planning state (one pass over the network).
     pub fn new(network: &'a Network, seq: &'a UnitSequence) -> Self {
         let node_ranges: Vec<(NodeId, usize, usize)> =
             seq.node_ranges().map(|(n, r)| (n, r.start, r.end)).collect();
+        let node_bits =
+            node_ranges.iter().map(|&(_, start, end)| seq.span_weight_bits(start..end)).collect();
+        let mut range_index = vec![usize::MAX; network.nodes().len()];
         let mut unit_owner = vec![usize::MAX; seq.len()];
-        for (ri, &(_, start, end)) in node_ranges.iter().enumerate() {
+        for (ri, &(node, start, end)) in node_ranges.iter().enumerate() {
+            range_index[node.index()] = ri;
             for slot in &mut unit_owner[start..end] {
                 *slot = ri;
             }
@@ -213,7 +267,22 @@ impl<'a> SegmentPlanner<'a> {
             attach_order.push((latest, node.id));
         }
         attach_order.sort_unstable();
-        Self { network, seq, node_ranges, unit_owner, produced_pos, attach_order }
+        Self {
+            network,
+            seq,
+            node_ranges,
+            node_bits,
+            range_index,
+            unit_owner,
+            produced_pos,
+            attach_order,
+        }
+    }
+
+    /// The unit range of a weighted node, `None` for any other node.
+    fn units_of(&self, id: NodeId) -> Option<(usize, usize)> {
+        let &(_, start, end) = self.node_ranges.get(self.range_index[id.index()])?;
+        Some((start, end))
     }
 
     /// `true` when `id` is computed *wholly* inside `[start, end)`:
@@ -222,62 +291,93 @@ impl<'a> SegmentPlanner<'a> {
     fn computed_whole(&self, id: NodeId, start: usize, end: usize) -> bool {
         let node = self.network.node(id);
         if node.kind.is_weighted() {
-            match self.seq.range_of(id) {
-                Some(r) => start <= r.start && r.end <= end,
+            match self.units_of(id) {
+                Some((first, last)) => start <= first && last <= end,
                 None => false,
             }
-        } else if matches!(node.kind, LayerKind::Input { .. }) {
-            false
         } else {
-            let pos = self.produced_pos[id.index()];
-            (start..end).contains(&pos)
+            self.attached_to(id, start, end)
         }
+    }
+
+    /// `true` when `id` executes inside `[start, end)` at all: a
+    /// weighted node with a unit in the span, or a node attached to it.
+    fn computed_here(&self, id: NodeId, start: usize, end: usize) -> bool {
+        if self.network.node(id).kind.is_weighted() {
+            self.units_of(id).is_some_and(|(first, last)| first < end && last > start)
+        } else {
+            self.attached_to(id, start, end)
+        }
+    }
+
+    /// `true` when the non-weighted node `id` attaches to
+    /// `[start, end)` (Input nodes attach nowhere).
+    fn attached_to(&self, id: NodeId, start: usize, end: usize) -> bool {
+        !matches!(self.network.node(id).kind, LayerKind::Input { .. })
+            && (start..end).contains(&self.produced_pos[id.index()])
     }
 
     /// Resolves the plan of the `[start, end)` segment as partition
     /// number `index`. Identical to the corresponding plan of any
     /// [`GroupPlan::build`] whose group cuts this exact span.
     pub fn plan(&self, index: usize, partition: Partition) -> PartitionPlan {
+        let mut buffer = PlanBuffer::default();
+        self.refill(index, partition, &mut buffer);
+        buffer.plan
+    }
+
+    /// [`Self::plan`] written into `buffer`, reusing its vectors; the
+    /// result equals a fresh `plan(index, partition)` whatever span the
+    /// buffer held before.
+    pub(crate) fn refill<'b>(
+        &self,
+        index: usize,
+        partition: Partition,
+        buffer: &'b mut PlanBuffer,
+    ) -> &'b mut PartitionPlan {
         let (start, end) = (partition.start, partition.end);
         let activation_bits = 4; // matches chip precision; see Estimator.
         let network = self.network;
         let seq = self.seq;
+        let PlanBuffer { plan, spare } = buffer;
+        spare.extend(plan.slices.drain(..).rev());
+        plan.index = index;
+        plan.partition = partition;
+        plan.packing = None;
 
         // 1. Slices: walk the span's units, one slice per maximal run
         //    of a single weighted node.
-        let mut slices = Vec::new();
         let mut i = start;
         while i < end {
-            let (node_id, node_start, node_end) = self.node_ranges[self.unit_owner[i]];
+            let owner = self.unit_owner[i];
+            let (node_id, node_start, node_end) = self.node_ranges[owner];
             debug_assert!((node_start..node_end).contains(&i));
             let node = network.node(node_id);
-            let node_bits: usize = seq.span_weight_bits(node_start..node_end);
+            let node_bits = self.node_bits[owner];
             let span_end = node_end.min(end);
-            let units = i..span_end;
-            let crossbars = seq.span_crossbars(units.clone());
-            let weight_bits = seq.span_weight_bits(units.clone());
-            let unit_crossbars: Vec<usize> = units.clone().map(|u| seq.unit(u).crossbars).collect();
-            let unit_weight_bits: Vec<usize> =
-                units.clone().map(|u| seq.unit(u).weight_bits).collect();
-            let spatial = seq.unit(i).mvms_per_sample;
-            let row_chunks_extra =
-                seq.units()[units.clone()].iter().filter(|u| u.row_split).count().saturating_sub(1);
+            let units = &seq.units()[i..span_end];
+            let mut slice = spare.pop().unwrap_or_else(NodeSlice::empty);
+            slice.unit_crossbars.clear();
+            slice.unit_crossbars.extend(units.iter().map(|u| u.crossbars));
+            slice.unit_weight_bits.clear();
+            slice.unit_weight_bits.extend(units.iter().map(|u| u.weight_bits));
+            let crossbars = slice.unit_crossbars.iter().sum();
+            let weight_bits = slice.unit_weight_bits.iter().sum();
+            let spatial = units[0].mvms_per_sample;
+            let row_chunks_extra = units.iter().filter(|u| u.row_split).count().saturating_sub(1);
             let out_elems = node.output_shape.elements();
             let fraction = if node_bits == 0 { 1.0 } else { weight_bits as f64 / node_bits as f64 };
-            slices.push(NodeSlice {
-                node: node_id,
-                units: units.clone(),
-                crossbars,
-                weight_bits,
-                unit_crossbars,
-                unit_weight_bits,
-                fraction,
-                mvms_per_sample: spatial,
-                activations_per_sample: spatial * crossbars,
-                reduction_elements: row_chunks_extra
-                    * ((out_elems as f64 * fraction).ceil() as usize),
-                replication: 1,
-            });
+            slice.node = node_id;
+            slice.units = i..span_end;
+            slice.crossbars = crossbars;
+            slice.weight_bits = weight_bits;
+            slice.fraction = fraction;
+            slice.mvms_per_sample = spatial;
+            slice.activations_per_sample = spatial * crossbars;
+            slice.reduction_elements =
+                row_chunks_extra * ((out_elems as f64 * fraction).ceil() as usize);
+            slice.replication = 1;
+            plan.slices.push(slice);
             i = span_end;
         }
 
@@ -285,21 +385,23 @@ impl<'a> SegmentPlanner<'a> {
         //    the span (paper §III-B2 — the latest-produced input).
         let lo = self.attach_order.partition_point(|&(pos, _)| pos < start);
         let hi = self.attach_order.partition_point(|&(pos, _)| pos < end);
-        let mut attached: Vec<NodeId> =
-            self.attach_order[lo..hi].iter().map(|&(_, id)| id).collect();
-        attached.sort_unstable();
+        plan.attached.clear();
+        plan.attached.extend(self.attach_order[lo..hi].iter().map(|&(_, id)| id));
+        plan.attached.sort_unstable();
 
-        // 3. Entries, exits, VFU work, intra-partition traffic.
-        let mut entry_bytes: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut exit_bytes: BTreeMap<NodeId, usize> = BTreeMap::new();
+        // 3. Entries, exits, VFU work, intra-partition traffic. Every
+        //    node computed here appears once, so exits need no merge;
+        //    an entry tensor read by several local consumers keeps the
+        //    largest remote share.
+        let PartitionPlan { slices, attached, entries, exits, .. } = plan;
+        entries.clear();
+        exits.clear();
         let mut intra = 0usize;
         let mut vfu = 0usize;
+        let local_fraction = |id: NodeId| slices.iter().find(|s| s.node == id).map(|s| s.fraction);
+        let local_nodes = slices.iter().map(|s| s.node).chain(attached.iter().copied());
 
-        // Consumers of each slice/attached node.
-        let local_nodes: Vec<NodeId> =
-            slices.iter().map(|s| s.node).chain(attached.iter().copied()).collect();
-
-        for &id in &local_nodes {
+        for id in local_nodes.clone() {
             let node = network.node(id);
             // Inputs: on-chip if produced (whole) here, else DRAM.
             for &input in &node.inputs {
@@ -310,12 +412,10 @@ impl<'a> SegmentPlanner<'a> {
                 } else {
                     // Partially-local producers only need the remote
                     // fraction.
-                    let local_fraction =
-                        slices.iter().find(|s| s.node == input).map(|s| s.fraction).unwrap_or(0.0);
+                    let local_fraction = local_fraction(input).unwrap_or(0.0);
                     let remote = ((1.0 - local_fraction) * bytes as f64).ceil() as usize;
                     if remote > 0 {
-                        let e = entry_bytes.entry(input).or_insert(0);
-                        *e = (*e).max(remote);
+                        entries.push(TensorTransfer { node: input, bytes_per_sample: remote });
                     }
                     if local_fraction > 0.0 {
                         intra += bytes - ((1.0 - local_fraction) * bytes as f64).ceil() as usize;
@@ -327,45 +427,44 @@ impl<'a> SegmentPlanner<'a> {
                 vfu += vfu_elements(network, id);
             }
         }
-        for slice in &slices {
+        for slice in slices.iter() {
             vfu += slice.reduction_elements;
         }
+        entries.sort_by_key(|t| t.node);
+        entries.dedup_by(|later, kept| {
+            let same = later.node == kept.node;
+            if same {
+                kept.bytes_per_sample = kept.bytes_per_sample.max(later.bytes_per_sample);
+            }
+            same
+        });
 
         // Exits: a locally computed value leaves the chip if any
         // consumer is not computed here, if it is a network output,
         // or if it is a partial slice (stored for later reassembly).
-        for &id in &local_nodes {
+        for id in local_nodes {
             let node = network.node(id);
             let bytes = node.output_shape.bytes(activation_bits);
-            let slice_fraction = slices.iter().find(|s| s.node == id).map(|s| s.fraction);
+            let slice_fraction = local_fraction(id);
             let is_partial = slice_fraction.map(|f| f < 1.0).unwrap_or(false);
             let consumers = network.consumers(id);
-            let leaves = consumers.is_empty() || consumers.iter().any(|c| !local_nodes.contains(c));
+            let leaves = consumers.is_empty()
+                || consumers.iter().any(|&c| !self.computed_here(c, start, end));
             if is_partial {
                 let frac = slice_fraction.unwrap_or(1.0);
-                exit_bytes.insert(id, (bytes as f64 * frac).ceil() as usize);
+                exits.push(TensorTransfer {
+                    node: id,
+                    bytes_per_sample: (bytes as f64 * frac).ceil() as usize,
+                });
             } else if leaves {
-                exit_bytes.insert(id, bytes);
+                exits.push(TensorTransfer { node: id, bytes_per_sample: bytes });
             }
         }
+        exits.sort_by_key(|t| t.node);
 
-        PartitionPlan {
-            index,
-            partition,
-            slices,
-            attached,
-            entries: entry_bytes
-                .into_iter()
-                .map(|(node, bytes_per_sample)| TensorTransfer { node, bytes_per_sample })
-                .collect(),
-            exits: exit_bytes
-                .into_iter()
-                .map(|(node, bytes_per_sample)| TensorTransfer { node, bytes_per_sample })
-                .collect(),
-            vfu_elements_per_sample: vfu,
-            intra_traffic_bytes_per_sample: intra,
-            packing: None,
-        }
+        plan.vfu_elements_per_sample = vfu;
+        plan.intra_traffic_bytes_per_sample = intra;
+        plan
     }
 }
 
@@ -441,6 +540,7 @@ mod tests {
     use pim_model::zoo;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn setup(net: &Network, chip: &ChipSpec, seed: u64) -> (UnitSequence, PartitionGroup) {
         let seq = decompose(net, chip);

@@ -2,11 +2,9 @@
 //!
 //! COMPASS never needs weight *values* — it optimizes latency and
 //! energy — but a compiler repository needs executable semantics for
-//! its IR: to validate shape inference against real data flow, to
-//! study the paper's 4-bit quantization operating point (see
-//! [`crate::quant`]), and to let downstream users check that a
-//! partitioned execution computes the same function as the original
-//! graph.
+//! its IR: to validate shape inference against real data flow, and to
+//! let downstream users check that a partitioned execution computes
+//! the same function as the original graph.
 //!
 //! The engine is a straightforward f32 interpreter: channel-major
 //! dense tensors, im2col-free direct convolution. It is meant for
@@ -155,11 +153,6 @@ impl Weights {
     /// A layer's weights, if set.
     pub fn get(&self, node: NodeId) -> Option<&[f32]> {
         self.tensors.get(&node).map(Vec::as_slice)
-    }
-
-    /// Mutable access for in-place transforms (quantization).
-    pub fn get_mut(&mut self, node: NodeId) -> Option<&mut Vec<f32>> {
-        self.tensors.get_mut(&node)
     }
 
     /// Iterates `(node, weights)`.

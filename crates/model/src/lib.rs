@@ -32,11 +32,9 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod dot;
 pub mod exec;
 pub mod graph;
 pub mod layer;
-pub mod quant;
 pub mod shape;
 pub mod stats;
 pub mod zoo;

@@ -28,13 +28,16 @@ pub enum SimError {
         /// The offending program tag.
         tag: Tag,
     },
-    /// A fixed-round interleaved run would start more stages on one
-    /// chip than the rendezvous tag space can tell apart (each
-    /// overlapping stage gets its own 16-bit stage id on the wire).
+    /// An interleaved run would start more stages on one chip than the
+    /// rendezvous tag space can tell apart (each overlapping stage gets
+    /// its own 16-bit stage id on the wire): a fixed-round run asked
+    /// for them up front, or a serving run admitted one round too
+    /// many.
     TooManyStages {
         /// The chip.
         chip: usize,
-        /// Its rounds × partitions.
+        /// Its rounds × partitions (for serving, counting the refused
+        /// round).
         stages: usize,
     },
     /// The system description does not fit the topology (wrong chip

@@ -483,6 +483,7 @@ impl SystemSimulator {
             rounds,
             schedule: self.schedule,
             notify: None,
+            refused_stages: None,
             graph,
             running: (0..nodes).map(|_| None).collect(),
             next_head: 0,
@@ -511,11 +512,13 @@ impl SystemSimulator {
     /// Everything [`SystemSimulator::run`] returns, plus
     /// [`SimError::InvalidServing`] for malformed traces, a zero
     /// queue capacity or in-flight limit, or a system with no active
-    /// chip to serve on. The exception is
-    /// [`SimError::TooManyStages`]: serving appends rounds live, so
-    /// the stage count is unknown up front, and an interleaved serving
-    /// run that would start a chip's 65,537th stage panics there
-    /// instead.
+    /// chip to serve on. Serving appends rounds live, so the stage
+    /// count is unknown up front: an interleaved serving run whose
+    /// next admitted round would take a chip past 65,536 (2^16)
+    /// rounds × partitions stops admitting work to that chip there,
+    /// runs out what was already admitted, and returns
+    /// [`SimError::TooManyStages`] with the stage count that round
+    /// would have reached.
     pub fn run_serving(
         &self,
         loads: &[ChipLoad<'_>],
@@ -548,6 +551,12 @@ impl SystemSimulator {
         }
         let workload = Workload::Serving { config: serving, arrivals };
         let (outcomes, links, buffer) = self.execute(loads, workload);
+        let refused = outcomes.iter().enumerate().find_map(|(chip, outcome)| {
+            outcome.sequencer.refused_stages.map(|stages| SimError::TooManyStages { chip, stages })
+        });
+        if let Some(error) = refused {
+            return Err(error);
+        }
         let buffer = buffer.expect("serving runs register a request buffer");
         self.fold_serving_report(loads, serving, buffer, outcomes, links)
     }
@@ -947,6 +956,10 @@ pub(crate) struct ChipSequencer {
     /// [`ChipEvent::RoundDone`] each time a round fully drains.
     /// `None` for fixed-round (closed-loop) runs.
     notify: Option<ComponentId>,
+    /// Interleaved serving only: the stage count of the first round
+    /// this chip refused to append because it would exceed
+    /// [`MAX_INTERLEAVED_STAGES`].
+    refused_stages: Option<usize>,
     /// The stage dependency graph driving dispatch.
     pub(crate) graph: StageGraph,
     /// In-flight stages, indexed by graph node.
@@ -1038,8 +1051,9 @@ impl ChipSequencer {
         // reset expects the program's raw tags. The stage id must fit
         // the 16 offset bits — overflow would silently alias two
         // stages' tag spaces, so fail loudly instead. Fixed-round runs
-        // reject such a load up front (`SimError::TooManyStages`);
-        // serving appends rounds live and can only stop here.
+        // reject such a load up front and serving refuses the round
+        // that would pass the limit (`SimError::TooManyStages`), so
+        // this never fires.
         let tag_offset = match self.schedule {
             ScheduleMode::Barrier => 0,
             ScheduleMode::Interleaved => {
@@ -1172,6 +1186,13 @@ impl Component<ChipEvent> for ChipSequencer {
                 // round existed (a fast upstream may run ahead of
                 // admission).
                 assert!(!self.streams.is_empty(), "idle chips receive no rounds");
+                if self.schedule == ScheduleMode::Interleaved {
+                    let stages = (self.rounds + 1).saturating_mul(self.graph.partitions());
+                    if stages > MAX_INTERLEAVED_STAGES {
+                        self.refused_stages = Some(stages);
+                        return;
+                    }
+                }
                 let b = self.rounds;
                 self.rounds += 1;
                 self.graph.append_round();
@@ -1440,6 +1461,35 @@ mod tests {
         let err = single.run(&loads, MAX_INTERLEAVED_STAGES + 1, 1).unwrap_err();
         assert_eq!(err, SimError::TooManyStages { chip: 0, stages: MAX_INTERLEAVED_STAGES + 1 });
         assert!(single.run(&loads, 3, 1).is_ok());
+    }
+
+    #[test]
+    fn interleaved_serving_past_the_stage_limit_is_a_typed_error() {
+        // 256 zero-core partitions: round 256 fills the 2^16 stage ids
+        // exactly, and the round after it is refused. Barrier serving
+        // has no limit and serves every request.
+        let chip = ChipSpec::chip_s();
+        let partitions = 256;
+        let programs = vec![ChipProgram::new(0); partitions];
+        let loads = [ChipLoad::new(&programs)];
+        let serving = |requests| {
+            crate::ServingConfig::new(crate::TrafficSpec::Synthetic {
+                model: crate::TrafficModel::Poisson { rate_per_s: 1e6 },
+                seed: 3,
+                requests,
+            })
+        };
+        let rounds = MAX_INTERLEAVED_STAGES / partitions;
+        let sim = |schedule| {
+            SystemSimulator::new(chip.clone(), Topology::single()).with_schedule_mode(schedule)
+        };
+        let full = sim(ScheduleMode::Interleaved).run_serving(&loads, &serving(rounds)).unwrap();
+        assert_eq!(full.serving.as_ref().map(|s| s.rounds), Some(rounds));
+        let err =
+            sim(ScheduleMode::Interleaved).run_serving(&loads, &serving(rounds + 1)).unwrap_err();
+        assert_eq!(err, SimError::TooManyStages { chip: 0, stages: (rounds + 1) * partitions });
+        let barrier = sim(ScheduleMode::Barrier).run_serving(&loads, &serving(rounds + 1)).unwrap();
+        assert_eq!(barrier.serving.as_ref().map(|s| s.requests), Some(rounds + 1));
     }
 
     #[test]
