@@ -30,24 +30,6 @@ pub enum ScheduleMode {
 impl ScheduleMode {
     /// Both modes, in increasing overlap order.
     pub const ALL: [ScheduleMode; 2] = [ScheduleMode::Barrier, ScheduleMode::Interleaved];
-
-    /// Reads the mode from the `PIM_SCHEDULE_MODE` environment
-    /// variable (`barrier` / `interleaved`, case-insensitive),
-    /// defaulting to [`ScheduleMode::Barrier`] when unset.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set to an unrecognized value — a
-    /// misspelled CI matrix leg must fail loudly, not silently run the
-    /// barrier suite twice.
-    pub fn from_env() -> Self {
-        match std::env::var("PIM_SCHEDULE_MODE") {
-            Ok(raw) => raw
-                .parse()
-                .unwrap_or_else(|e| panic!("PIM_SCHEDULE_MODE: {e} (use barrier or interleaved)")),
-            Err(_) => ScheduleMode::Barrier,
-        }
-    }
 }
 
 impl fmt::Display for ScheduleMode {

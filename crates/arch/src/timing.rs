@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// How the memory channel's latency is modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -28,24 +27,6 @@ pub enum TimingMode {
 impl TimingMode {
     /// Both modes, in fidelity order.
     pub const ALL: [TimingMode; 2] = [TimingMode::Analytic, TimingMode::ClosedLoop];
-
-    /// Reads the mode from the `PIM_TIMING_MODE` environment variable
-    /// (`analytic` / `closed-loop`, case-insensitive), defaulting to
-    /// [`TimingMode::Analytic`] when the variable is unset.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set to an unrecognized value — a
-    /// misspelled CI matrix leg must fail loudly, not silently run
-    /// the analytic suite twice.
-    pub fn from_env() -> Self {
-        match std::env::var("PIM_TIMING_MODE") {
-            Ok(raw) => raw
-                .parse()
-                .unwrap_or_else(|e| panic!("PIM_TIMING_MODE: {e} (use analytic or closed-loop)")),
-            Err(_) => TimingMode::Analytic,
-        }
-    }
 }
 
 impl fmt::Display for TimingMode {
@@ -53,18 +34,6 @@ impl fmt::Display for TimingMode {
         match self {
             TimingMode::Analytic => write!(f, "analytic"),
             TimingMode::ClosedLoop => write!(f, "closed-loop"),
-        }
-    }
-}
-
-impl FromStr for TimingMode {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, Self::Err> {
-        match raw.to_ascii_lowercase().as_str() {
-            "analytic" => Ok(TimingMode::Analytic),
-            "closed-loop" | "closed_loop" | "closedloop" => Ok(TimingMode::ClosedLoop),
-            other => Err(format!("unknown timing mode {other:?}")),
         }
     }
 }
@@ -79,17 +48,8 @@ mod tests {
     }
 
     #[test]
-    fn parses_both_spellings() {
-        assert_eq!("analytic".parse::<TimingMode>().unwrap(), TimingMode::Analytic);
-        assert_eq!("closed-loop".parse::<TimingMode>().unwrap(), TimingMode::ClosedLoop);
-        assert_eq!("Closed_Loop".parse::<TimingMode>().unwrap(), TimingMode::ClosedLoop);
-        assert!("cycle-exact".parse::<TimingMode>().is_err());
-    }
-
-    #[test]
-    fn display_round_trips() {
-        for mode in TimingMode::ALL {
-            assert_eq!(mode.to_string().parse::<TimingMode>().unwrap(), mode);
-        }
+    fn display_names_each_mode() {
+        assert_eq!(TimingMode::Analytic.to_string(), "analytic");
+        assert_eq!(TimingMode::ClosedLoop.to_string(), "closed-loop");
     }
 }

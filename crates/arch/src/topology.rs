@@ -8,16 +8,12 @@
 //! rather than seeing a flat latency.
 //!
 //! Presets cover the single-chip machine of the paper, a
-//! bidirectional ring, and a fully connected mesh; `PIM_TOPOLOGY`
-//! selects one from the environment (`single`, `ring:N`, `fc:N`) so
-//! CI legs and sweeps can retarget the whole harness without code
-//! changes.
+//! bidirectional ring, and a fully connected mesh.
 
 use crate::chip::ChipSpec;
 use crate::error::InvalidConfigError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// Timing/width parameters of one inter-chip link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -282,37 +278,7 @@ impl Topology {
         }
         worst
     }
-
-    /// Reads the topology from the `PIM_TOPOLOGY` environment variable
-    /// (`single`, `ring:N`, `fc:N` / `fully-connected:N`), defaulting
-    /// to [`Topology::single`] when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse failure for a malformed value, naming the
-    /// offending preset and every accepted form.
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var("PIM_TOPOLOGY") {
-            Ok(raw) => raw.parse().map_err(|e| format!("PIM_TOPOLOGY: {e}")),
-            Err(_) => Ok(Topology::single()),
-        }
-    }
-
-    /// [`Self::try_from_env`] for harness entry points.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the descriptive parse error when the variable is
-    /// set to an unrecognized value — a misspelled CI matrix leg must
-    /// fail loudly, not silently run the single-chip suite twice.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
-
-/// The preset spellings [`Topology::from_str`] accepts, quoted in
-/// every parse error so a malformed `PIM_TOPOLOGY` names its fix.
-const ACCEPTED_FORMS: &str = "accepted forms: single, ring:N, fc:N / fully-connected:N (N >= 1)";
 
 impl Default for Topology {
     fn default() -> Self {
@@ -323,35 +289,6 @@ impl Default for Topology {
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name)
-    }
-}
-
-impl FromStr for Topology {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, Self::Err> {
-        let lower = raw.trim().to_ascii_lowercase();
-        if lower == "single" || lower == "1" {
-            return Ok(Topology::single());
-        }
-        let (kind, count) = lower
-            .split_once(':')
-            .ok_or_else(|| format!("unknown topology preset {raw:?}; {ACCEPTED_FORMS}"))?;
-        let chips: usize = count.parse().map_err(|_| {
-            format!("invalid chip count {count:?} in topology preset {raw:?}; {ACCEPTED_FORMS}")
-        })?;
-        if chips == 0 {
-            return Err(format!(
-                "topology preset {raw:?} must have at least one chip; {ACCEPTED_FORMS}"
-            ));
-        }
-        match kind {
-            "ring" => Ok(Topology::ring(chips)),
-            "fc" | "fully-connected" | "fully_connected" => Ok(Topology::fully_connected(chips)),
-            other => {
-                Err(format!("unknown topology kind {other:?} in preset {raw:?}; {ACCEPTED_FORMS}"))
-            }
-        }
     }
 }
 
@@ -399,24 +336,6 @@ mod tests {
     #[test]
     fn two_chip_ring_has_one_edge_pair() {
         assert_eq!(Topology::ring(2).links().len(), 2);
-    }
-
-    #[test]
-    fn parses_all_spellings() {
-        assert!(Topology::from_str("single").unwrap().is_single());
-        assert_eq!(Topology::from_str("ring:4").unwrap(), Topology::ring(4));
-        assert_eq!(Topology::from_str("fc:2").unwrap(), Topology::fully_connected(2));
-        assert_eq!(Topology::from_str("Fully-Connected:3").unwrap(), Topology::fully_connected(3));
-        assert!(Topology::from_str("mesh:4").is_err());
-        assert!(Topology::from_str("ring:0").is_err());
-        assert!(Topology::from_str("torus").is_err());
-    }
-
-    #[test]
-    fn display_round_trips() {
-        for topo in [Topology::single(), Topology::ring(3), Topology::fully_connected(4)] {
-            assert_eq!(topo.to_string().parse::<Topology>().unwrap(), topo);
-        }
     }
 
     #[test]
@@ -472,23 +391,5 @@ mod tests {
         broken.cores = 0;
         assert!(Topology::ring(2).with_chip_override(0, broken).validate().is_err());
         assert!(!Topology::ring(2).is_heterogeneous());
-    }
-
-    #[test]
-    fn parse_errors_name_the_preset_and_accepted_forms() {
-        for raw in ["mesh:4", "ring:x", "ring:0", "torus"] {
-            let err = Topology::from_str(raw).unwrap_err();
-            assert!(err.contains(raw), "{err:?} must quote the offending value {raw:?}");
-            assert!(err.contains("single, ring:N, fc:N"), "{err:?} must list accepted forms");
-        }
-    }
-
-    #[test]
-    fn env_parse_errors_are_descriptive() {
-        // try_from_env reads the live environment; exercise the
-        // formatting through the same code path FromStr feeds.
-        let err = "star:3".parse::<Topology>().unwrap_err();
-        assert!(err.contains("star"), "{err}");
-        assert!(err.contains("accepted forms"), "{err}");
     }
 }

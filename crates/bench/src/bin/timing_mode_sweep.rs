@@ -11,8 +11,8 @@
 
 use compass::Strategy;
 use compass_bench::{
-    append_records, arg_value, bench_rounds, geomean, has_flag, print_table, run_config_in_mode,
-    run_config_scheduled, BenchMode, BenchRecord, BATCHES, NETWORKS,
+    append_records, arg_value, geomean, has_flag, print_table, run_config, run_config_scheduled,
+    BenchMode, BenchRecord, BATCHES, NETWORKS,
 };
 use pim_arch::{ChipClass, ScheduleMode, TimingMode};
 
@@ -29,10 +29,12 @@ fn main() {
         .unwrap_or_default();
     let batches = [BATCHES[0], BATCHES[2], BATCHES[4]]; // 1, 4, 16
 
-    // One cycle for barrier, several for interleaved (which only
-    // overlaps consecutive cycles) — shared with the env-driven
-    // harness so both axes always measure the same round count.
-    let rounds = bench_rounds(schedule);
+    // Barrier mode keeps the paper's single cycle; interleaving only
+    // overlaps *consecutive* cycles, so its measurements need several.
+    let rounds = match schedule {
+        ScheduleMode::Barrier => 1,
+        ScheduleMode::Interleaved => 4,
+    };
 
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
@@ -122,14 +124,7 @@ fn main() {
     // Channel scaling: the closed-loop model rewards extra channels,
     // the analytic model cannot see them.
     use pim_sim::ChipSimulator;
-    let base = run_config_in_mode(
-        "resnet18",
-        ChipClass::S,
-        Strategy::Greedy,
-        4,
-        mode,
-        TimingMode::Analytic,
-    );
+    let base = run_config("resnet18", ChipClass::S, Strategy::Greedy, 4, mode);
     let mut scale_rows = Vec::new();
     for channels in [1usize, 2, 4] {
         let report = ChipSimulator::new(pim_arch::ChipSpec::preset(ChipClass::S))

@@ -108,15 +108,8 @@ impl ConfigResult {
     }
 }
 
-/// Compiles and simulates one configuration in the timing and
-/// schedule modes named by the `PIM_TIMING_MODE` / `PIM_SCHEDULE_MODE`
-/// environment variables (defaults: analytic, barrier — the paper's
-/// methodology). CI runs the suite in both timing modes; the schedule
-/// axis retargets the same harness without code changes. Barrier mode
-/// runs the paper's single batch cycle; interleaved mode runs four
-/// back-to-back cycles, because interleaving only overlaps
-/// *consecutive* cycles — one round would measure barrier mode under
-/// a different name.
+/// Compiles and simulates one configuration the paper's way: analytic
+/// memory timing, barrier scheduling, one batch cycle.
 pub fn run_config(
     net_name: &str,
     class: ChipClass,
@@ -124,42 +117,16 @@ pub fn run_config(
     batch: usize,
     mode: BenchMode,
 ) -> ConfigResult {
-    let schedule = ScheduleMode::from_env();
     run_config_scheduled(
         net_name,
         class,
         strategy,
         batch,
-        bench_rounds(schedule),
+        1,
         mode,
-        TimingMode::from_env(),
-        schedule,
+        TimingMode::Analytic,
+        ScheduleMode::Barrier,
     )
-}
-
-/// The batch cycles a bench measurement runs per configuration under
-/// `schedule` — the single source of truth for the env-driven
-/// harness and the sweeps' `--schedule` axis. Barrier mode keeps the
-/// paper's single cycle; interleaving only overlaps *consecutive*
-/// cycles, so its measurements need several to say anything.
-pub fn bench_rounds(schedule: ScheduleMode) -> usize {
-    match schedule {
-        ScheduleMode::Barrier => 1,
-        ScheduleMode::Interleaved => 4,
-    }
-}
-
-/// Compiles and simulates one configuration in an explicit timing
-/// mode (one round, barrier scheduling).
-pub fn run_config_in_mode(
-    net_name: &str,
-    class: ChipClass,
-    strategy: Strategy,
-    batch: usize,
-    mode: BenchMode,
-    timing: TimingMode,
-) -> ConfigResult {
-    run_config_scheduled(net_name, class, strategy, batch, 1, mode, timing, ScheduleMode::Barrier)
 }
 
 /// Compiles and simulates one configuration over `rounds` successive

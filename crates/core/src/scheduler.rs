@@ -29,7 +29,7 @@ pub struct SchedulerOptions {
     /// Stage dispatch the programs are scheduled for. Under
     /// [`ScheduleMode::Interleaved`], alternating partitions shift
     /// onto disjoint crossbar groups where capacity allows (see
-    /// [`interleave_offsets`]), so the interleaved executor can
+    /// `interleave_offsets`), so the interleaved executor can
     /// actually overlap adjacent stages instead of serializing on the
     /// core-0 claim every packing otherwise starts from.
     pub schedule: ScheduleMode,
@@ -264,7 +264,7 @@ fn schedule_partition_at(
 /// Under [`ScheduleMode::Interleaved`] alternating partitions are
 /// shifted onto disjoint crossbar groups where capacity allows, so
 /// the interleaved executor overlaps adjacent stages instead of
-/// serializing on shared cores (see [`interleave_offsets`]).
+/// serializing on shared cores (see `interleave_offsets`).
 pub fn schedule_group(
     network: &Network,
     plans: &[PartitionPlan],

@@ -6,18 +6,18 @@
 //! Channels are fully independent (own banks, bus, refresh), and
 //! requests route by address interleave at a configurable granularity.
 //!
-//! Two front ends share the routing policy: the batch path
-//! ([`MultiChannelDram::enqueue`] + [`MultiChannelDram::run_to_completion`])
-//! for trace replay, and the immediate path ([`MultiChannelDram::service`])
-//! used by the chip simulator's closed-loop timing mode, where each
-//! block access is served as its event arrives and the aggregated
-//! completion time feeds back into the chip's critical path.
+//! Two front ends share the routing policy, both used by the chip
+//! simulator's closed-loop timing mode: the immediate path
+//! ([`MultiChannelDram::service`]), where each block access is served
+//! as its event arrives and the aggregated completion time feeds back
+//! into the chip's critical path, and the FR-FCFS batch path
+//! ([`MultiChannelDram::service_batch`]).
 
 use crate::config::DramConfig;
-use crate::controller::{ChannelStats, CompletedRequest, DramSimulator};
+use crate::controller::{ChannelStats, DramSimulator};
 use crate::energy::DramEnergy;
 use crate::error::DramError;
-use crate::request::{Request, RequestId};
+use crate::request::Request;
 
 /// The closed-loop outcome of one block access: when its first stripe
 /// started service and when its last stripe's data completed, across
@@ -40,16 +40,14 @@ pub struct ChannelAccess {
 /// use pim_dram::{DramConfig, MultiChannelDram, Request, RequestKind};
 ///
 /// let mut mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), 2, 4096).unwrap();
-/// mem.enqueue(Request::new(0, 0, RequestKind::Read, 64 * 1024));
-/// let done = mem.run_to_completion();
-/// assert!(!done.is_empty());
+/// let access = mem.service(Request::new(0, 0, RequestKind::Read, 64 * 1024));
+/// assert_eq!(access.stripes, 16);
 /// // Two channels stream roughly twice as fast as one.
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiChannelDram {
     channels: Vec<DramSimulator>,
     interleave_bytes: usize,
-    next_id: u64,
 }
 
 impl MultiChannelDram {
@@ -71,7 +69,6 @@ impl MultiChannelDram {
         Ok(Self {
             channels: (0..channels).map(|_| DramSimulator::new(cfg.clone())).collect(),
             interleave_bytes: interleave,
-            next_id: 0,
         })
     }
 
@@ -85,18 +82,6 @@ impl MultiChannelDram {
         self.interleave_bytes
     }
 
-    /// Splits a block request across channels by interleave and
-    /// enqueues the pieces. Returns one id (of the first piece) for
-    /// bookkeeping; completions report per-piece.
-    pub fn enqueue(&mut self, request: Request) -> RequestId {
-        let first = RequestId(self.next_id);
-        for (channel, piece) in Self::stripes(self.channels.len(), self.interleave_bytes, request) {
-            self.channels[channel].enqueue(piece);
-            self.next_id += 1;
-        }
-        first
-    }
-
     /// Serves a block request immediately (closed-loop path): every
     /// stripe is serviced on its channel in call order, and the
     /// access completes when its slowest stripe's data lands. Channel
@@ -108,7 +93,6 @@ impl MultiChannelDram {
         let mut count = 0usize;
         for (channel, piece) in Self::stripes(self.channels.len(), self.interleave_bytes, request) {
             let done = self.channels[channel].service_one(piece);
-            self.next_id += 1;
             start_ns = start_ns.min(done.start_ns);
             finish_ns = finish_ns.max(done.finish_ns);
             count += 1;
@@ -146,7 +130,6 @@ impl MultiChannelDram {
                     *first = id.0;
                 }
                 parents.push(parent);
-                self.next_id += 1;
             }
         }
         let mut accesses: Vec<ChannelAccess> = requests
@@ -228,16 +211,6 @@ impl MultiChannelDram {
         })
     }
 
-    /// Drains every channel, returning all completions (channel order,
-    /// then service order).
-    pub fn run_to_completion(&mut self) -> Vec<CompletedRequest> {
-        let mut done = Vec::new();
-        for channel in &mut self.channels {
-            done.extend(channel.run_to_completion());
-        }
-        done
-    }
-
     /// Latest completion time across channels.
     pub fn makespan_ns(&self) -> f64 {
         self.channels.iter().map(DramSimulator::makespan_ns).fold(0.0, f64::max)
@@ -273,8 +246,7 @@ mod tests {
 
     fn stream_time(channels: usize, bytes: usize) -> f64 {
         let mut mem = mem(channels);
-        mem.enqueue(Request::new(0, 0, RequestKind::Read, bytes));
-        mem.run_to_completion();
+        mem.service(Request::new(0, 0, RequestKind::Read, bytes));
         mem.makespan_ns()
     }
 
@@ -299,17 +271,15 @@ mod tests {
     #[test]
     fn all_bytes_accounted() {
         let mut mem = mem(2);
-        mem.enqueue(Request::new(0, 1000, RequestKind::Read, 100_000));
-        let done = mem.run_to_completion();
-        let total: usize = done.iter().map(|c| c.bytes).sum();
+        mem.service(Request::new(0, 1000, RequestKind::Read, 100_000));
+        let total: u64 = mem.channel_stats().iter().map(ChannelStats::total_bytes).sum();
         assert_eq!(total, 100_000);
     }
 
     #[test]
     fn energy_sums_channels() {
         let mut mem = mem(2);
-        mem.enqueue(Request::new(0, 0, RequestKind::Write, 64 * 1024));
-        mem.run_to_completion();
+        mem.service(Request::new(0, 0, RequestKind::Write, 64 * 1024));
         let e = mem.energy();
         assert!(e.write_nj > 0.0);
         assert!(e.total_nj() > e.write_nj);

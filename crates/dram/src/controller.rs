@@ -4,12 +4,15 @@ use crate::bank::{AccessClass, Bank};
 use crate::config::{DramConfig, DramTiming};
 use crate::energy::DramEnergy;
 use crate::request::{Request, RequestId, RequestKind};
-use pim_engine::{Component, Engine, EngineCtx, Event, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 #[cfg(test)]
 mod reference;
+
+/// How many of the oldest queued requests the FR-FCFS pick looks at
+/// for a row-buffer hit.
+const REORDER_WINDOW: usize = 8;
 
 /// Completion record for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -124,8 +127,7 @@ impl ChannelStats {
 /// let mut sim = DramSimulator::new(DramConfig::lpddr3_1600());
 /// // Stream 64 KiB of weights.
 /// sim.enqueue(Request::new(0, 0, RequestKind::Read, 64 * 1024));
-/// let done = sim.run_to_completion();
-/// let seconds = done[0].finish_ns * 1e-9;
+/// let done = sim.service_pending();
 /// let gbps = 64.0 * 1024.0 / done[0].finish_ns; // bytes per ns
 /// assert!(gbps > 4.0, "sequential stream should be near peak, got {gbps}");
 /// ```
@@ -147,7 +149,6 @@ pub struct DramSimulator {
     read_bits: u64,
     write_bits: u64,
     makespan_ns: f64,
-    reorder_window: usize,
     /// All-bank closes (refreshes, bulk streams) issued so far; banks
     /// apply them lazily ([`Bank::catch_up`]).
     closes: u64,
@@ -184,7 +185,6 @@ impl DramSimulator {
             read_bits: 0,
             write_bits: 0,
             makespan_ns: 0.0,
-            reorder_window: 8,
             closes: 0,
             close_end_ns: 0.0,
             exact_grain: exact_grain(&[
@@ -209,42 +209,6 @@ impl DramSimulator {
         self.next_id += 1;
         self.queue.push_back((id, request));
         id
-    }
-
-    /// Serves every queued request, returning completions in service
-    /// order.
-    ///
-    /// Time advances through a `pim-engine` event queue: each request
-    /// is an arrival event at its issue time, and the controller
-    /// drains everything that has arrived whenever an arrival fires —
-    /// so requests become visible to the FR-FCFS pick in issue-time
-    /// order, exactly as they would streaming out of the chip
-    /// simulator.
-    pub fn run_to_completion(&mut self) -> Vec<CompletedRequest> {
-        if self.queue.is_empty() {
-            return Vec::new();
-        }
-        let mut engine: Engine<ControllerEvent> = Engine::new(0);
-        let pending: Vec<(RequestId, Request)> = self.queue.drain(..).collect();
-        let placeholder = DramSimulator::new(self.cfg.clone());
-        let controller = ControllerComponent {
-            sim: std::mem::replace(self, placeholder),
-            done: Vec::with_capacity(pending.len()),
-            latch: DrainLatch::default(),
-        };
-        let id = engine.add_component(controller);
-        for (request_id, request) in pending {
-            engine.schedule(
-                SimTime::from_ns(request.issue_ns.max(0.0)),
-                id,
-                ControllerEvent::Arrive(request_id, request),
-            );
-        }
-        engine.run_until_idle();
-        let controller: ControllerComponent =
-            engine.extract(id).expect("controller survives the run");
-        *self = controller.sim;
-        controller.done
     }
 
     /// Serves one request immediately, bypassing the queue and the
@@ -279,7 +243,7 @@ impl DramSimulator {
         }
     }
 
-    /// FR-FCFS-lite: among the oldest `reorder_window` requests whose
+    /// FR-FCFS-lite: among the oldest [`REORDER_WINDOW`] requests whose
     /// issue time has been reached, prefer a row-buffer hit; fall back
     /// to the globally oldest request.
     fn pick_next(&self) -> usize {
@@ -293,11 +257,11 @@ impl DramSimulator {
         let horizon = self
             .queue
             .iter()
-            .take(self.reorder_window)
+            .take(REORDER_WINDOW)
             .map(|(_, r)| r.issue_ns)
             .fold(f64::INFINITY, f64::min)
             .max(self.makespan_ns);
-        let window = self.queue.len().min(self.reorder_window);
+        let window = self.queue.len().min(REORDER_WINDOW);
         for (i, (_, req)) in self.queue.iter().take(window).enumerate() {
             if req.issue_ns <= horizon {
                 let (bank, row) = self.cfg.map_address(req.addr);
@@ -609,68 +573,6 @@ fn exact_span(lo: f64, hi: f64, grain: i32) -> bool {
     exp == hi.to_bits() >> 52 && exp != 0 && exp as i32 - 1075 <= grain
 }
 
-/// Coalesces same-instant arrivals into a single drain event, so
-/// every request that lands at one timestamp is visible to the
-/// FR-FCFS pick before any of them is served. Shared by the
-/// controller's own event loop and the chip simulator's closed-loop
-/// FR-FCFS front end — the batching granularity is defined here, once.
-#[derive(Debug, Clone, Default)]
-pub struct DrainLatch(bool);
-
-impl DrainLatch {
-    /// Marks an arrival; returns `true` when the caller must schedule
-    /// a drain at the current instant (the first arrival of a batch).
-    pub fn arm(&mut self) -> bool {
-        !std::mem::replace(&mut self.0, true)
-    }
-
-    /// Clears the latch when the drain fires.
-    pub fn release(&mut self) {
-        self.0 = false;
-    }
-}
-
-/// Events driving a [`DramSimulator`] on a `pim-engine` queue.
-#[derive(Debug, Clone)]
-enum ControllerEvent {
-    /// A request becomes eligible at its issue time.
-    Arrive(RequestId, Request),
-    /// Serve everything that has arrived (scheduled once per arrival
-    /// timestamp so same-time requests batch before the FR-FCFS pick).
-    Drain,
-}
-
-struct ControllerComponent {
-    sim: DramSimulator,
-    done: Vec<CompletedRequest>,
-    latch: DrainLatch,
-}
-
-impl Component<ControllerEvent> for ControllerComponent {
-    fn on_event(
-        &mut self,
-        event: Event<ControllerEvent>,
-        ctx: &mut EngineCtx<'_, ControllerEvent>,
-    ) {
-        match event.payload {
-            ControllerEvent::Arrive(id, request) => {
-                self.sim.queue.push_back((id, request));
-                if self.latch.arm() {
-                    ctx.schedule(ctx.now(), event.target, ControllerEvent::Drain);
-                }
-            }
-            ControllerEvent::Drain => {
-                self.latch.release();
-                self.done.extend(self.sim.service_pending());
-            }
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,7 +585,7 @@ mod tests {
     fn single_read_latency_is_reasonable() {
         let mut s = sim();
         s.enqueue(Request::new(0, 0, RequestKind::Read, 32));
-        let done = s.run_to_completion();
+        let done = s.service_pending();
         let lat = done[0].latency_ns();
         // tRCD + tCL + burst = (15 + 12 + 4) * 1.25 = 38.75 ns.
         assert!((lat - 38.75).abs() < 1e-6, "latency {lat}");
@@ -695,7 +597,7 @@ mod tests {
         for i in 0..256u64 {
             seq.enqueue(Request::new(0, i * 32, RequestKind::Read, 32));
         }
-        let seq_end = seq.run_to_completion().last().unwrap().finish_ns;
+        let seq_end = seq.service_pending().last().unwrap().finish_ns;
 
         let mut rng_state = 12345u64;
         let mut random = sim();
@@ -707,7 +609,7 @@ mod tests {
             let addr = (rng_state % (64 * 1024 * 1024)) & !31;
             random.enqueue(Request::new(0, addr, RequestKind::Read, 32));
         }
-        let rnd_end = random.run_to_completion().last().unwrap().finish_ns;
+        let rnd_end = random.service_pending().last().unwrap().finish_ns;
         assert!(
             rnd_end > 1.5 * seq_end,
             "random ({rnd_end}) should be much slower than sequential ({seq_end})"
@@ -719,7 +621,7 @@ mod tests {
         let mut s = sim();
         let bytes = 1 << 20; // 1 MiB
         s.enqueue(Request::new(0, 0, RequestKind::Read, bytes));
-        let done = s.run_to_completion();
+        let done = s.service_pending();
         let gbps = bytes as f64 / done[0].finish_ns;
         let peak = s.config().peak_bandwidth_gbps();
         assert!(gbps > 0.8 * peak, "bulk stream {gbps} GB/s vs peak {peak}");
@@ -733,7 +635,7 @@ mod tests {
         for i in 0..10u64 {
             s.enqueue(Request::at_ns(i as f64 * refi_ns, i * 32, RequestKind::Read, 32));
         }
-        s.run_to_completion();
+        s.service_pending();
         assert!(s.refreshes >= 9, "refreshes {}", s.refreshes);
     }
 
@@ -742,7 +644,7 @@ mod tests {
         let mut s = sim();
         s.enqueue(Request::new(0, 0, RequestKind::Write, 64));
         s.enqueue(Request::new(0, 4096, RequestKind::Read, 64));
-        s.run_to_completion();
+        s.service_pending();
         assert_eq!(s.write_bits, 64 * 8);
         assert_eq!(s.read_bits, 64 * 8);
     }
@@ -751,10 +653,10 @@ mod tests {
     fn energy_grows_with_traffic() {
         let mut small = sim();
         small.enqueue(Request::new(0, 0, RequestKind::Read, 1024));
-        small.run_to_completion();
+        small.service_pending();
         let mut big = sim();
         big.enqueue(Request::new(0, 0, RequestKind::Read, 1024 * 1024));
-        big.run_to_completion();
+        big.service_pending();
         assert!(big.energy().total_nj() > 10.0 * small.energy().total_nj());
     }
 
@@ -801,7 +703,7 @@ mod tests {
         let mut s = sim();
         let ids: Vec<_> =
             (0..50u64).map(|i| s.enqueue(Request::new(i, i * 64, RequestKind::Read, 64))).collect();
-        let done = s.run_to_completion();
+        let done = s.service_pending();
         assert_eq!(done.len(), 50);
         let mut seen: Vec<_> = done.iter().map(|c| c.id).collect();
         seen.sort();

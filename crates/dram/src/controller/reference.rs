@@ -17,11 +17,11 @@ impl DramSimulator {
         let horizon = self
             .queue
             .iter()
-            .take(self.reorder_window)
+            .take(REORDER_WINDOW)
             .map(|(_, r)| r.issue_ns)
             .fold(f64::INFINITY, f64::min)
             .max(self.makespan_ns);
-        let window = self.queue.len().min(self.reorder_window);
+        let window = self.queue.len().min(REORDER_WINDOW);
         for (i, (_, req)) in self.queue.iter().take(window).enumerate() {
             if req.issue_ns <= horizon {
                 let (bank, row) = self.cfg.map_address(req.addr);

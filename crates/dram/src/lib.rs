@@ -15,9 +15,22 @@
 //! * a FR-FCFS-lite controller queue with bank-level parallelism,
 //! * energy accounting (activate, read, write, IO, background).
 //!
-//! It consumes the same kind of trace DRAMsim3 does: a sequence of
-//! `(issue cycle, address, read/write, burst bytes)` requests, and
-//! reports per-request completion plus aggregate bandwidth/energy.
+//! Where the paper writes a trace and replays it through DRAMsim3 in a
+//! second pass, the chip simulator feeds this model in line, as its
+//! events fire. A request is what a DRAMsim3 trace line holds (issue
+//! time, address, read/write, bytes). Three front ends serve them:
+//!
+//! * [`DramSimulator::enqueue`] + [`DramSimulator::service_pending`]
+//!   (or [`DramSimulator::service_pending_with`]) serve everything
+//!   queued so far in FR-FCFS order;
+//! * [`DramSimulator::service_one`] serves one request at once, in
+//!   arrival order;
+//! * [`MultiChannelDram::service`] and
+//!   [`MultiChannelDram::service_batch`] do the same across
+//!   address-interleaved channels.
+//!
+//! Each reports per-request completion; the controller keeps the
+//! aggregate bandwidth and energy counters.
 //!
 //! # Example
 //!
@@ -26,7 +39,7 @@
 //!
 //! let mut sim = DramSimulator::new(DramConfig::lpddr3_1600());
 //! let id = sim.enqueue(Request::new(0, 0x1000, RequestKind::Read, 64));
-//! let results = sim.run_to_completion();
+//! let results = sim.service_pending();
 //! assert_eq!(results.len(), 1);
 //! assert_eq!(results[0].id, id);
 //! assert!(results[0].finish_ns > 0.0);
@@ -41,14 +54,12 @@ pub mod config;
 pub mod controller;
 pub mod energy;
 pub mod request;
-pub mod trace;
 
 mod error;
 
 pub use channel::{ChannelAccess, MultiChannelDram};
 pub use config::DramConfig;
-pub use controller::{ChannelStats, CompletedRequest, DrainLatch, DramSimulator};
+pub use controller::{ChannelStats, CompletedRequest, DramSimulator};
 pub use energy::DramEnergy;
 pub use error::DramError;
 pub use request::{Request, RequestId, RequestKind};
-pub use trace::{ParseTraceError, Trace, TraceStats};

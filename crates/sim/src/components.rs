@@ -9,12 +9,10 @@
 //! mode's in-line LPDDR3 energy model is not a component: it never
 //! shapes timing, so the memory channel feeds it directly.
 
-use crate::report::CoreActivity;
+use crate::report::{CoreActivity, TraceStats};
 use fxhash::FxHashMap;
 use pim_arch::{ChipSpec, InterconnectSpec};
-use pim_dram::{
-    DrainLatch, DramConfig, DramSimulator, MultiChannelDram, Request, RequestKind, TraceStats,
-};
+use pim_dram::{DramConfig, DramSimulator, MultiChannelDram, Request, RequestKind};
 use pim_engine::{Component, ComponentId, EngineCtx, Event, SimTime};
 use pim_isa::{Instruction, Tag};
 use std::any::Any;
@@ -680,6 +678,25 @@ pub(crate) struct ClosedLoopDram {
     fr_fcfs: bool,
     pending: Vec<PendingAccess>,
     latch: DrainLatch,
+}
+
+/// Coalesces same-instant arrivals into a single drain event, so
+/// every access that lands at one timestamp is visible to the FR-FCFS
+/// pick before any of them is served.
+#[derive(Default)]
+pub(crate) struct DrainLatch(bool);
+
+impl DrainLatch {
+    /// Marks an arrival; returns `true` when the caller must schedule
+    /// a drain at the current instant (the first arrival of a batch).
+    fn arm(&mut self) -> bool {
+        !std::mem::replace(&mut self.0, true)
+    }
+
+    /// Clears the latch when the drain fires.
+    fn release(&mut self) {
+        self.0 = false;
+    }
 }
 
 /// One latched closed-loop access awaiting the FR-FCFS drain.

@@ -47,7 +47,9 @@ mod error;
 mod stage;
 
 pub use error::SimError;
-pub use report::{ChipSimSummary, EngineMode, LinkStats, PartitionSimReport, SimReport};
+pub use report::{
+    ChipSimSummary, EngineMode, LinkStats, PartitionSimReport, SimReport, TraceStats,
+};
 pub use serve::{
     percentile, percentiles, BatchPolicy, RequestRecord, RequestTrace, ServingConfig,
     ServingReport, TrafficSpec, ADMISSION_LATENCY_NS,

@@ -1,7 +1,7 @@
 //! Simulation reports.
 
 use pim_arch::PowerBreakdown;
-use pim_dram::{ChannelStats, DramEnergy, TraceStats};
+use pim_dram::{ChannelStats, DramEnergy};
 use pim_isa::InstructionStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -108,6 +108,25 @@ pub struct LinkStats {
     pub busy_ns: f64,
     /// Time transfers queued behind the busy link, ns.
     pub wait_ns: f64,
+}
+
+/// Byte totals of the DRAM request stream a run's memory channels
+/// issued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct TraceStats {
+    /// Number of requests.
+    pub requests: usize,
+    /// Total bytes read.
+    pub read_bytes: usize,
+    /// Total bytes written.
+    pub write_bytes: usize,
+}
+
+impl TraceStats {
+    /// Total bytes moved.
+    pub fn total_bytes(&self) -> usize {
+        self.read_bytes + self.write_bytes
+    }
 }
 
 /// Per-chip execution summary of a multi-chip system run.

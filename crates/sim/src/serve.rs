@@ -5,7 +5,7 @@
 //! fixed round count decided up front. Online inference serving is the
 //! opposite shape: requests arrive on their own clock (a Poisson or
 //! bursty MMPP process, or a replayed trace), queue in a
-//! [`RequestBuffer`] under a [`BatchPolicy`], and each admitted batch
+//! `RequestBuffer` under a [`BatchPolicy`], and each admitted batch
 //! becomes one pipeline round appended to the live
 //! [`crate::SystemSimulator`] round machinery. The per-request
 //! timeline (arrival → round start → round finish) folds into a
@@ -296,7 +296,7 @@ pub fn percentiles(sample: &mut [f64], qs: &[f64]) -> Vec<f64> {
 }
 
 /// The admission latency of the request buffer, in nanoseconds: a cut
-/// at instant `t` delivers its [`ChipEvent::AppendRound`]s at
+/// at instant `t` delivers its `ChipEvent::AppendRound`s at
 /// `t + ADMISSION_LATENCY_NS`. The value is an exact binary fraction
 /// (2⁻¹², ~0.24 ps) so the addition is lossless against every
 /// realistic simulated timestamp, and it is far below any physical

@@ -100,15 +100,6 @@ impl ChipSimulator {
         self
     }
 
-    /// Pre-sizes the event queue for a known workload (a hint only;
-    /// see [`SystemSimulator::with_event_capacity`]). Without it,
-    /// [`Self::run`] and [`Self::run_batches`] derive a pre-size from
-    /// the programs' peak concurrent cores.
-    pub fn with_event_capacity(mut self, events: usize) -> Self {
-        self.system = self.system.with_event_capacity(events);
-        self
-    }
-
     /// Runs on the engine's retired binary-heap event queue (the
     /// determinism suites' oracle; see
     /// [`SystemSimulator::with_reference_queue`]).

@@ -1,13 +1,13 @@
 //! The multi-chip system simulator.
 //!
 //! A system is several chips instantiated as component sets on **one**
-//! discrete-event engine, joined by an [`InterconnectComponent`] that
+//! discrete-event engine, joined by an `InterconnectComponent` that
 //! carries inter-chip hand-offs hop-by-hop over the topology's links —
 //! with per-link serialization and queueing, so concurrent transfers
 //! contend instead of seeing a flat latency.
 //!
-//! Each chip is driven by a [`ChipSequencer`]: a ready-set dispatcher
-//! over the chip's stage dependency graph ([`crate::stage::StageGraph`]).
+//! Each chip is driven by a `ChipSequencer`: a ready-set dispatcher
+//! over the chip's stage dependency graph (`StageGraph`).
 //! Every `(batch, partition)` stage spawns its partition program's
 //! cores when its graph dependencies are satisfied and its resource
 //! claims (crossbar groups, memory channel) are free. In the default
@@ -42,7 +42,7 @@ use crate::components::{
 };
 use crate::error::SimError;
 use crate::report::{
-    ChipSimSummary, CoreActivity, EngineMode, LinkStats, PartitionSimReport, SimReport,
+    ChipSimSummary, CoreActivity, EngineMode, LinkStats, PartitionSimReport, SimReport, TraceStats,
 };
 use crate::serve::{
     percentiles, RequestBuffer, RequestRecord, RequestSource, ServingConfig, ServingReport,
@@ -50,7 +50,7 @@ use crate::serve::{
 };
 use crate::stage::StageGraph;
 use pim_arch::{ChipSpec, EnergyModel, Link, PowerBreakdown, ScheduleMode, TimingMode, Topology};
-use pim_dram::{DramConfig, DramEnergy, DramSimulator, TraceStats};
+use pim_dram::{DramConfig, DramEnergy, DramSimulator};
 use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, SimTime};
 use pim_isa::{ChipProgram, CoreId, Instruction, InstructionStats};
 use std::any::Any;
@@ -144,9 +144,6 @@ pub struct SystemSimulator {
     dram_channels: Option<usize>,
     interleave_bytes: usize,
     dram_reorder: bool,
-    /// Explicit event-queue pre-size hint; `None` derives one from the
-    /// workload.
-    event_capacity: Option<usize>,
     #[cfg(feature = "reference-queue")]
     reference_queue: bool,
 }
@@ -165,7 +162,6 @@ impl SystemSimulator {
             dram_channels: None,
             interleave_bytes: DEFAULT_INTERLEAVE_BYTES,
             dram_reorder: false,
-            event_capacity: None,
             #[cfg(feature = "reference-queue")]
             reference_queue: false,
         }
@@ -233,14 +229,6 @@ impl SystemSimulator {
     /// is the documented closed-loop behaviour.
     pub fn with_dram_reorder(mut self, enabled: bool) -> Self {
         self.dram_reorder = enabled;
-        self
-    }
-
-    /// Pre-sizes the event queue for a known workload. A hint only —
-    /// the queue grows past it transparently; the default derives a
-    /// size from the loads at `run` time.
-    pub fn with_event_capacity(mut self, events: usize) -> Self {
-        self.event_capacity = Some(events);
         self
     }
 
@@ -396,9 +384,8 @@ impl SystemSimulator {
         }
     }
 
-    /// The event-queue pre-size for a whole-system engine: the
-    /// explicit [`with_event_capacity`](Self::with_event_capacity)
-    /// hint, or a derivation from *peak pending* events — each live
+    /// The event-queue pre-size for a whole-system engine, derived
+    /// from *peak pending* events — each live
     /// component (a core of an in-flight stage, the shared
     /// channel/bus/rendezvous/DRAM per chip, the interconnect) keeps
     /// only a bounded handful of events in flight, so peak occupancy
@@ -407,10 +394,8 @@ impl SystemSimulator {
     /// frontend's own peak (zero for fixed-round runs). A hint only;
     /// the queue grows past it transparently.
     fn event_capacity_for(&self, loads: &[ChipLoad<'_>], frontend: usize) -> usize {
-        self.event_capacity.unwrap_or_else(|| {
-            let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
-            ((stage_cores + 8 * loads.len()) * 8 + frontend).clamp(256, 1 << 16)
-        })
+        let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
+        ((stage_cores + 8 * loads.len()) * 8 + frontend).clamp(256, 1 << 16)
     }
 
     /// Registers chip `c`'s shared components in the canonical order —

@@ -46,24 +46,29 @@ fn every_request_is_serviced_exactly_once() {
         for channels in CHANNEL_COUNTS {
             let mut mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, 4096).unwrap();
             let mut expected_pieces = 0usize;
+            let mut stripes = 0usize;
             for req in &stream {
                 // A block covers ceil span over interleave-aligned
-                // stripes; count what enqueue must split it into.
+                // stripes; count what the router must split it into.
                 let il = mem.interleave_bytes() as u64;
                 let first = req.addr / il;
                 let last = (req.addr + req.bytes as u64 - 1) / il;
                 expected_pieces += (last - first + 1) as usize;
-                mem.enqueue(*req);
+                let access = mem.service(*req);
+                stripes += access.stripes;
+                assert!(access.finish_ns >= access.start_ns);
+                assert!(access.start_ns >= req.issue_ns);
             }
-            let done = mem.run_to_completion();
-            assert_eq!(done.len(), expected_pieces, "each stripe serviced exactly once");
-            let total: usize = done.iter().map(|c| c.bytes).sum();
+            let stats = mem.channel_stats();
+            let served: u64 = stats.iter().map(|s| s.requests).sum();
+            assert_eq!(stripes, expected_pieces, "each stripe serviced exactly once");
+            assert_eq!(served as usize, expected_pieces, "each stripe serviced exactly once");
+            let total: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
             let issued: usize = stream.iter().map(|r| r.bytes).sum();
-            assert_eq!(total, issued, "no stripe lost or duplicated ({channels} channels)");
-            for c in &done {
-                assert!(c.finish_ns >= c.start_ns);
-                assert!(c.start_ns >= c.issue_ns);
-            }
+            assert_eq!(
+                total as usize, issued,
+                "no stripe lost or duplicated ({channels} channels)"
+            );
         }
     }
 }
@@ -141,9 +146,8 @@ fn channel_counts_conserve_total_bytes() {
         for channels in CHANNEL_COUNTS {
             let mut mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, 4096).unwrap();
             for req in &stream {
-                mem.enqueue(*req);
+                mem.service(*req);
             }
-            mem.run_to_completion();
             let stats = mem.channel_stats();
             let total: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
             assert_eq!(total, issued, "{channels} channels must move every byte exactly once");

@@ -347,13 +347,15 @@ fn planned_fan_out_round_trips_through_the_simulator() {
     let schedule = plan_system(&net, &compiled, &chip, &target, batch, 4).expect("plans");
     let samples: usize = schedule.chips.iter().map(|c| c.samples).sum();
     assert!(samples >= batch, "every sample lands on some chip");
-    let run = || {
+    let run = |timing: TimingMode| {
         let loads = system_loads(&schedule);
         let report = pim_sim::SystemSimulator::new(chip.clone(), schedule.topology.clone())
-            .with_timing_mode(TimingMode::from_env())
+            .with_timing_mode(timing)
             .run(&loads, 2, schedule.samples_per_round)
             .expect("simulates");
         serde_json::to_string(&report).expect("serializes")
     };
-    assert_eq!(run(), run(), "planned fan-out must simulate deterministically");
+    for timing in TimingMode::ALL {
+        assert_eq!(run(timing), run(timing), "planned fan-out must simulate deterministically");
+    }
 }

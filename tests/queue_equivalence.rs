@@ -8,8 +8,8 @@
 //! strongest statement that the calendar queue preserves exact
 //! `(time, seq)` dispatch order, across:
 //!
-//! * both timing modes (`analytic`, `closed-loop`) × both CI
-//!   topologies (`single`, `ring:2`) — the four env matrix legs,
+//! * both timing modes (`analytic`, `closed-loop`) × both base
+//!   topologies (`single`, `ring:2`),
 //! * the interleaved schedule mode (multi-stage in flight, mid-run
 //!   `add_component` core spawns with same-instant follow-up events),
 //!   on one chip and on ring:4 / fc:4 hand-off chains,
@@ -160,23 +160,25 @@ fn dram_reorder_reports_are_byte_identical() {
 }
 
 #[test]
-fn env_selected_leg_is_byte_identical() {
-    // Whatever PIM_TIMING_MODE / PIM_TOPOLOGY the CI matrix selects,
-    // the two queues agree on it.
-    let timing = TimingMode::from_env();
-    let topology = Topology::from_env();
+fn every_timing_topology_leg_is_byte_identical() {
+    // Independent chips (no hand-offs) through the system driver, in
+    // both timing modes on one chip and on a 2-chip ring.
     let compiled = compiled_programs(2);
-    let loads: Vec<ChipLoad<'_>> =
-        (0..topology.chips()).map(|_| ChipLoad::new(compiled.programs())).collect();
-    let run = |reference: bool| {
-        let report = SystemSimulator::new(ChipSpec::chip_s(), topology.clone())
-            .with_timing_mode(timing)
-            .with_reference_queue(reference)
-            .run(&loads, 2, 2)
-            .expect("simulates");
-        serde_json::to_string(&report).expect("serializes")
-    };
-    assert_eq!(run(false), run(true), "calendar vs reference queue ({timing}, {topology})");
+    for timing in TimingMode::ALL {
+        for topology in [Topology::single(), Topology::ring(2)] {
+            let loads: Vec<ChipLoad<'_>> =
+                (0..topology.chips()).map(|_| ChipLoad::new(compiled.programs())).collect();
+            let run = |reference: bool| {
+                let report = SystemSimulator::new(ChipSpec::chip_s(), topology.clone())
+                    .with_timing_mode(timing)
+                    .with_reference_queue(reference)
+                    .run(&loads, 2, 2)
+                    .expect("simulates");
+                serde_json::to_string(&report).expect("serializes")
+            };
+            assert_eq!(run(false), run(true), "calendar vs reference queue ({timing}, {topology})");
+        }
+    }
 }
 
 fn mvm_program(cores: usize, waves: usize) -> ChipProgram {

@@ -4,7 +4,7 @@
 //! byte-identical to the `ChipSimulator` golden fixtures, multi-chip
 //! runs are deterministic per seed, link traffic conserves bytes, and
 //! a 2-chip layer pipeline actually beats one chip on a batched
-//! workload.
+//! workload. Every multi-chip check runs in both timing modes.
 
 use compass::{
     plan_system, CompileOptions, CompiledModel, Compiler, GaParams, Strategy, SystemSchedule,
@@ -87,28 +87,30 @@ fn link_traffic_conserves_bytes() {
     let batch = 2;
     let rounds = 3;
     let compiled = compile(&net, &chip, batch, 7);
-    let (schedule, report) = simulate_system(
-        &net,
-        &compiled,
-        &chip,
-        Topology::ring(2),
-        SystemStrategy::LayerPipeline,
-        batch,
-        rounds,
-        TimingMode::from_env(),
-    );
-    assert!(schedule.handoff_bytes_per_round() > 0, "a 2-chip pipeline must ship activations");
-    let links = report.links.as_ref().expect("multi-chip reports carry link stats");
-    let carried: u64 = links.iter().map(|l| l.bytes).sum();
-    assert_eq!(
-        carried,
-        (schedule.handoff_bytes_per_round() * rounds) as u64,
-        "every hand-off byte crosses a link exactly once"
-    );
-    for link in links {
-        assert!(link.busy_ns >= 0.0);
-        assert!(link.wait_ns >= 0.0);
-        assert_eq!(link.bytes > 0, link.transfers > 0);
+    for timing in TimingMode::ALL {
+        let (schedule, report) = simulate_system(
+            &net,
+            &compiled,
+            &chip,
+            Topology::ring(2),
+            SystemStrategy::LayerPipeline,
+            batch,
+            rounds,
+            timing,
+        );
+        assert!(schedule.handoff_bytes_per_round() > 0, "a 2-chip pipeline must ship activations");
+        let links = report.links.as_ref().expect("multi-chip reports carry link stats");
+        let carried: u64 = links.iter().map(|l| l.bytes).sum();
+        assert_eq!(
+            carried,
+            (schedule.handoff_bytes_per_round() * rounds) as u64,
+            "{timing}: every hand-off byte crosses a link exactly once"
+        );
+        for link in links {
+            assert!(link.busy_ns >= 0.0);
+            assert!(link.wait_ns >= 0.0);
+            assert_eq!(link.bytes > 0, link.transfers > 0);
+        }
     }
 }
 
@@ -118,7 +120,7 @@ fn multi_chip_reports_are_deterministic_per_seed() {
     let net = zoo::squeezenet();
     let batch = 4;
     let compiled = compile(&net, &chip, batch, 42);
-    let run = |strategy: SystemStrategy| {
+    let run = |strategy: SystemStrategy, timing: TimingMode| {
         let (_, report) = simulate_system(
             &net,
             &compiled,
@@ -127,39 +129,47 @@ fn multi_chip_reports_are_deterministic_per_seed() {
             strategy,
             batch,
             2,
-            TimingMode::from_env(),
+            timing,
         );
         serde_json::to_string(&report).expect("serializes")
     };
-    for strategy in SystemStrategy::ALL {
-        assert_eq!(run(strategy), run(strategy), "{strategy} reports must be byte-identical");
+    for timing in TimingMode::ALL {
+        for strategy in SystemStrategy::ALL {
+            assert_eq!(
+                run(strategy, timing),
+                run(strategy, timing),
+                "{strategy} reports must be byte-identical ({timing})"
+            );
+        }
     }
 }
 
 #[test]
-fn env_selected_topology_simulates_deterministically() {
-    // The CI matrix retargets the whole harness through PIM_TOPOLOGY;
-    // whatever topology the leg selects must produce bit-stable
-    // reports (and golden-identical ones on the single-chip leg).
-    let topology = Topology::from_env();
+fn every_timing_topology_leg_simulates_deterministically() {
+    // Both timing modes on one chip and on a 2-chip ring must produce
+    // bit-stable reports.
     let chip = ChipSpec::chip_s();
     let net = zoo::tiny_cnn();
     let batch = 2;
     let compiled = compile(&net, &chip, batch, 9);
-    let run = || {
-        let (_, report) = simulate_system(
-            &net,
-            &compiled,
-            &chip,
-            topology.clone(),
-            SystemStrategy::BatchShard,
-            batch,
-            2,
-            TimingMode::from_env(),
-        );
-        serde_json::to_string(&report).expect("serializes")
-    };
-    assert_eq!(run(), run(), "topology {topology} must simulate deterministically");
+    for timing in TimingMode::ALL {
+        for topology in [Topology::single(), Topology::ring(2)] {
+            let run = || {
+                let (_, report) = simulate_system(
+                    &net,
+                    &compiled,
+                    &chip,
+                    topology.clone(),
+                    SystemStrategy::BatchShard,
+                    batch,
+                    2,
+                    timing,
+                );
+                serde_json::to_string(&report).expect("serializes")
+            };
+            assert_eq!(run(), run(), "{timing}, {topology} must simulate deterministically");
+        }
+    }
 }
 
 #[test]
@@ -168,38 +178,39 @@ fn two_chip_pipeline_beats_one_chip_on_batched_workload() {
     let net = zoo::resnet18();
     let batch = 4;
     let rounds = 4;
-    let timing = TimingMode::from_env();
     let compiled = compile(&net, &chip, batch, 3);
-    let (_, single) = simulate_system(
-        &net,
-        &compiled,
-        &chip,
-        Topology::single(),
-        SystemStrategy::LayerPipeline,
-        batch,
-        rounds,
-        timing,
-    );
-    let (_, pipelined) = simulate_system(
-        &net,
-        &compiled,
-        &chip,
-        Topology::ring(2),
-        SystemStrategy::LayerPipeline,
-        batch,
-        rounds,
-        timing,
-    );
-    assert!(
-        pipelined.makespan_ns < single.makespan_ns,
-        "2-chip pipeline ({} ns) must beat 1 chip ({} ns) over {rounds} rounds",
-        pipelined.makespan_ns,
-        single.makespan_ns
-    );
-    assert_eq!(pipelined.batch, single.batch, "same samples either way");
-    let chips = pipelined.chips.as_ref().expect("multi-chip summary present");
-    assert_eq!(chips.len(), 2);
-    assert!(chips[1].handoff_wait_ns > 0.0, "the downstream chip pays the pipeline fill");
+    for timing in TimingMode::ALL {
+        let (_, single) = simulate_system(
+            &net,
+            &compiled,
+            &chip,
+            Topology::single(),
+            SystemStrategy::LayerPipeline,
+            batch,
+            rounds,
+            timing,
+        );
+        let (_, pipelined) = simulate_system(
+            &net,
+            &compiled,
+            &chip,
+            Topology::ring(2),
+            SystemStrategy::LayerPipeline,
+            batch,
+            rounds,
+            timing,
+        );
+        assert!(
+            pipelined.makespan_ns < single.makespan_ns,
+            "{timing}: 2-chip pipeline ({} ns) must beat 1 chip ({} ns) over {rounds} rounds",
+            pipelined.makespan_ns,
+            single.makespan_ns
+        );
+        assert_eq!(pipelined.batch, single.batch, "same samples either way");
+        let chips = pipelined.chips.as_ref().expect("multi-chip summary present");
+        assert_eq!(chips.len(), 2);
+        assert!(chips[1].handoff_wait_ns > 0.0, "the downstream chip pays the pipeline fill");
+    }
 }
 
 #[test]
@@ -207,9 +218,8 @@ fn batch_shard_scales_throughput_with_chips() {
     let chip = ChipSpec::chip_s();
     let net = zoo::resnet18();
     let batch = 8;
-    let timing = TimingMode::from_env();
     let compiled = compile(&net, &chip, batch, 5);
-    let throughput = |topology: Topology| {
+    let throughput = |topology: Topology, timing: TimingMode| {
         let (_, report) = simulate_system(
             &net,
             &compiled,
@@ -222,12 +232,14 @@ fn batch_shard_scales_throughput_with_chips() {
         );
         report.throughput_ips()
     };
-    let one = throughput(Topology::single());
-    let four = throughput(Topology::fully_connected(4));
-    assert!(
-        four > 1.5 * one,
-        "4-way batch sharding ({four:.1} inf/s) must clearly beat one chip ({one:.1} inf/s)"
-    );
+    for timing in TimingMode::ALL {
+        let one = throughput(Topology::single(), timing);
+        let four = throughput(Topology::fully_connected(4), timing);
+        assert!(
+            four > 1.5 * one,
+            "{timing}: 4-way batch sharding ({four:.1} inf/s) must clearly beat one chip ({one:.1} inf/s)"
+        );
+    }
 }
 
 #[test]
@@ -237,25 +249,27 @@ fn chip_summaries_are_consistent_with_partitions() {
     let batch = 2;
     let rounds = 2;
     let compiled = compile(&net, &chip, batch, 1);
-    let (schedule, report) = simulate_system(
-        &net,
-        &compiled,
-        &chip,
-        Topology::ring(4),
-        SystemStrategy::LayerPipeline,
-        batch,
-        rounds,
-        TimingMode::from_env(),
-    );
-    let chips = report.chips.as_ref().expect("multi-chip summary present");
-    assert_eq!(chips.len(), 4);
-    let stages: usize = chips.iter().map(|c| c.partitions).sum();
-    assert_eq!(stages, report.partitions.len());
-    for (summary, plan) in chips.iter().zip(&schedule.chips) {
-        let (from, to) = plan.partition_range;
-        assert_eq!(summary.partitions, (to - from) * rounds);
-        assert!(summary.end_ns <= report.makespan_ns + 1e-9);
+    for timing in TimingMode::ALL {
+        let (schedule, report) = simulate_system(
+            &net,
+            &compiled,
+            &chip,
+            Topology::ring(4),
+            SystemStrategy::LayerPipeline,
+            batch,
+            rounds,
+            timing,
+        );
+        let chips = report.chips.as_ref().expect("multi-chip summary present");
+        assert_eq!(chips.len(), 4);
+        let stages: usize = chips.iter().map(|c| c.partitions).sum();
+        assert_eq!(stages, report.partitions.len());
+        for (summary, plan) in chips.iter().zip(&schedule.chips) {
+            let (from, to) = plan.partition_range;
+            assert_eq!(summary.partitions, (to - from) * rounds);
+            assert!(summary.end_ns <= report.makespan_ns + 1e-9);
+        }
+        // Partition stage count: every assigned partition ran every round.
+        assert_eq!(report.partitions.len(), compiled.partitions().len() * rounds);
     }
-    // Partition stage count: every assigned partition ran every round.
-    assert_eq!(report.partitions.len(), compiled.partitions().len() * rounds);
 }
