@@ -73,7 +73,6 @@ fn params_for(pop: usize, gens: usize) -> GaParams {
         n_sel,
         n_mut: pop - n_sel,
         early_stop_patience: 0,
-        crossover_rate: 0.0,
     }
 }
 

@@ -135,9 +135,6 @@ pub struct Estimator<'c> {
     /// Intra-chip stage dispatch the estimate models (barrier is the
     /// paper's serial batch cycle).
     schedule: ScheduleMode,
-    /// Explicit closed-loop channel-count override (mirrors the
-    /// simulator's `with_dram_channels`).
-    dram_channels: Option<usize>,
     /// Effective memory-channel streaming bandwidth for the selected
     /// timing mode, bytes/ns.
     mem_bandwidth_gbps: f64,
@@ -233,7 +230,6 @@ impl<'c> Estimator<'c> {
             energy: EnergyModel::new(chip),
             mode: TimingMode::Analytic,
             schedule: ScheduleMode::Barrier,
-            dram_channels: None,
             mem_bandwidth_gbps: chip.memory.bandwidth_gbps,
             mem_access_ns: chip.memory.access_latency_ns,
             system: None,
@@ -269,43 +265,28 @@ impl<'c> Estimator<'c> {
     /// first-access latency + aggregate bandwidth). `ClosedLoop`
     /// derives the terms from the LPDDR3 controller configuration the
     /// closed-loop simulator runs — per-channel peak bandwidth scaled
-    /// by channel count and stream efficiency, and a
+    /// by stream efficiency and by the channel count
+    /// [`DramConfig::channels_for_bandwidth`] derives from the chip's
+    /// aggregate bandwidth (the simulator's default count), and a
     /// tRCD + tCL + tCCD first-access latency — so GA fitness ranks
     /// candidates by the machine the closed-loop simulator will
     /// actually time.
     pub fn with_timing_mode(mut self, mode: TimingMode) -> Self {
         self.mode = mode;
-        self.refresh_memory_terms();
-        self
-    }
-
-    /// Overrides the closed-loop channel count (mirror of the
-    /// simulator's `with_dram_channels`, clamped to at least one).
-    /// Without it, the count derives from the chip's aggregate
-    /// bandwidth via [`DramConfig::channels_for_bandwidth`] — the same
-    /// helper the simulator uses.
-    pub fn with_dram_channels(mut self, channels: usize) -> Self {
-        self.dram_channels = Some(channels.max(1));
-        self.refresh_memory_terms();
-        self
-    }
-
-    fn refresh_memory_terms(&mut self) {
-        match self.mode {
+        match mode {
             TimingMode::Analytic => {
                 self.mem_bandwidth_gbps = self.chip.memory.bandwidth_gbps;
                 self.mem_access_ns = self.chip.memory.access_latency_ns;
             }
             TimingMode::ClosedLoop => {
                 let cfg = DramConfig::lpddr3_1600();
-                let channels = self
-                    .dram_channels
-                    .unwrap_or_else(|| cfg.channels_for_bandwidth(self.chip.memory.bandwidth_gbps));
+                let channels = cfg.channels_for_bandwidth(self.chip.memory.bandwidth_gbps);
                 self.mem_bandwidth_gbps =
                     channels as f64 * cfg.peak_bandwidth_gbps() * CLOSED_LOOP_STREAM_EFFICIENCY;
                 self.mem_access_ns = (cfg.t_rcd + cfg.t_cl + cfg.t_ccd) as f64 * cfg.cycle_ns();
             }
         }
+        self
     }
 
     /// The timing mode the memory terms are derived from.
@@ -713,16 +694,5 @@ mod tests {
             .with_timing_mode(TimingMode::Analytic)
             .estimate_group(&plans, 4);
         assert_eq!(analytic.batch_latency_ns, back.batch_latency_ns);
-        // An explicit channel override widens the memory terms, like
-        // the simulator's with_dram_channels.
-        let narrow = Estimator::new(&chip)
-            .with_timing_mode(TimingMode::ClosedLoop)
-            .with_dram_channels(1)
-            .estimate_group(&plans, 4);
-        let wide = Estimator::new(&chip)
-            .with_timing_mode(TimingMode::ClosedLoop)
-            .with_dram_channels(4)
-            .estimate_group(&plans, 4);
-        assert!(wide.batch_latency_ns < narrow.batch_latency_ns);
     }
 }

@@ -69,77 +69,6 @@ pub enum FitnessKind {
     Edp,
 }
 
-/// An SLO-aware serving objective: score candidates by their
-/// *estimated p99 latency under open-loop traffic*, not by bare
-/// makespan — turning the GA into a serving tuner.
-///
-/// The tail model is the standard heavy-traffic waiting-time estimate
-/// for a single-server queue: with offered batch utilization
-/// `ρ = λ · T / batch_size` (arrival rate λ, service time `T` = the
-/// candidate's batch latency), the p99 of sojourn time is
-/// approximately `T · (1 + ρ/(2(1−ρ)) · ln 100)`. The estimate blows
-/// up at `ρ → 1`; past `ρ = 0.99` it continues with a steep linear
-/// extension so overloaded candidates stay strictly ordered (more
-/// overload → strictly worse) instead of comparing as infinities.
-///
-/// The factor multiplies every partition's fitness, so `PGF` becomes
-/// the p99 estimate while the relative steering between partitions —
-/// which the mutation operators rely on — is preserved. Faster
-/// candidates win twice under load: smaller `T` *and* smaller `ρ`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServingSlo {
-    /// Mean request arrival rate, requests per second.
-    pub arrival_rate_per_s: f64,
-    /// Requests served per round (the serving frontend's batch size).
-    pub batch_size: usize,
-}
-
-impl ServingSlo {
-    /// Utilization past which the closed-form tail estimate hands over
-    /// to the linear overload extension.
-    const KNEE_RHO: f64 = 0.99;
-
-    /// An objective for `arrival_rate_per_s` requests per second
-    /// served `batch_size` at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive or non-finite rate, or a zero batch.
-    pub fn new(arrival_rate_per_s: f64, batch_size: usize) -> Self {
-        assert!(
-            arrival_rate_per_s.is_finite() && arrival_rate_per_s > 0.0,
-            "arrival rate must be positive and finite"
-        );
-        assert!(batch_size >= 1, "batches hold at least one request");
-        Self { arrival_rate_per_s, batch_size }
-    }
-
-    /// The offered utilization of a candidate whose batch takes
-    /// `service_ns` to serve.
-    pub fn utilization(&self, service_ns: f64) -> f64 {
-        let rate_per_ns = self.arrival_rate_per_s * 1e-9 / self.batch_size as f64;
-        rate_per_ns * service_ns.max(0.0)
-    }
-
-    /// The multiplicative p99 penalty on a candidate's latency:
-    /// `p99 ≈ factor · service_ns`. Continuous and strictly
-    /// increasing in `service_ns`, ≥ 1, finite everywhere.
-    pub fn p99_factor(&self, service_ns: f64) -> f64 {
-        let ln100 = 100.0f64.ln();
-        let knee = 1.0 + Self::KNEE_RHO / (2.0 * (1.0 - Self::KNEE_RHO)) * ln100;
-        let rho = self.utilization(service_ns);
-        if rho < Self::KNEE_RHO {
-            1.0 + rho / (2.0 * (1.0 - rho)) * ln100
-        } else {
-            // Past the knee the closed form diverges; a steep linear
-            // ramp keeps overloaded candidates finite, continuous at
-            // the knee, and strictly ordered by how overloaded they
-            // are.
-            knee * (1.0 + (rho - Self::KNEE_RHO) * 100.0)
-        }
-    }
-}
-
 /// A fully evaluated partition group: its estimate and the fitness
 /// values the GA consumes.
 #[derive(Debug, Clone)]
@@ -179,9 +108,6 @@ pub struct FitnessContext<'a> {
     /// Interconnect terms derived from `system` once (route walks are
     /// not free; candidates are scored thousands of times).
     system_scaling: Option<SystemScaling>,
-    /// SLO-aware serving objective: score p99-under-load instead of
-    /// bare latency.
-    serving_slo: Option<ServingSlo>,
     cache: RefCell<FxHashMap<Arc<[usize]>, Arc<EvaluatedGroup>>>,
     segments: RefCell<FxHashMap<(usize, usize), SegmentEval>>,
     /// The plan and greedy buffers every segment miss reuses.
@@ -213,7 +139,6 @@ impl<'a> FitnessContext<'a> {
             schedule_mode: ScheduleMode::Barrier,
             system: None,
             system_scaling: None,
-            serving_slo: None,
             cache: RefCell::default(),
             segments: RefCell::default(),
             miss: RefCell::default(),
@@ -308,18 +233,6 @@ impl<'a> FitnessContext<'a> {
         self
     }
 
-    /// Scores candidates by estimated p99 latency under the given
-    /// open-loop traffic ([`ServingSlo`]) instead of bare latency —
-    /// the GA optimizes the tail, not the makespan. Clears the memo
-    /// caches (cached scores are objective-specific).
-    pub fn with_serving_slo(mut self, slo: Option<ServingSlo>) -> Self {
-        if slo != self.serving_slo {
-            self.clear_caches();
-        }
-        self.serving_slo = slo;
-        self
-    }
-
     /// The timing mode candidates are scored under.
     pub fn timing_mode(&self) -> TimingMode {
         self.timing_mode
@@ -404,19 +317,11 @@ impl<'a> FitnessContext<'a> {
         // while the relative steering between partitions is preserved.
         let serial_ns: f64 = estimate.partitions.iter().map(|p| p.latency_ns).sum();
         let occupancy = if serial_ns > 0.0 { estimate.batch_latency_ns / serial_ns } else { 1.0 };
-        // Under a serving SLO, inflate every partition's share by the
-        // candidate's p99-under-load factor: PGF becomes the tail
-        // estimate while relative steering between partitions — which
-        // mutation targeting relies on — is unchanged.
-        let slo_factor = match self.serving_slo {
-            Some(slo) => slo.p99_factor(estimate.batch_latency_ns),
-            None => 1.0,
-        };
         let partition_fitness: Vec<f64> = estimate
             .partitions
             .iter()
             .map(|p| {
-                let latency_ns = p.latency_ns * occupancy * slo_factor;
+                let latency_ns = p.latency_ns * occupancy;
                 match self.kind {
                     FitnessKind::Latency => latency_ns,
                     // µs × µJ keeps EDP fitness numerically tame.
@@ -757,68 +662,6 @@ mod tests {
         );
         // PGF still equals the group's estimated batch latency.
         assert!((interleaved.pgf - interleaved.estimate.batch_latency_ns).abs() < 1e-6);
-    }
-
-    #[test]
-    fn slo_p99_factor_is_monotone_and_continuous_at_the_knee() {
-        let slo = ServingSlo::new(1e6, 4);
-        // Strictly increasing in service time.
-        let mut prev = 0.0;
-        for service_ns in [0.0, 100.0, 1_000.0, 3_000.0, 3_960.0, 4_100.0, 10_000.0] {
-            let f = slo.p99_factor(service_ns);
-            assert!(f.is_finite() && f >= 1.0, "factor {f} at {service_ns} ns");
-            assert!(f > prev || service_ns == 0.0, "factor must grow with load");
-            prev = f;
-        }
-        // No cliff at the saturation knee: the two branches agree
-        // where they meet (ρ = 0.99 at service = 3_960 ns here).
-        let knee_service = ServingSlo::KNEE_RHO / (1e6 * 1e-9 / 4.0);
-        let below = slo.p99_factor(knee_service * (1.0 - 1e-9));
-        let above = slo.p99_factor(knee_service * (1.0 + 1e-9));
-        assert!((below - above).abs() / below < 1e-3, "knee jump: {below} vs {above}");
-        // An idle system adds no queueing.
-        assert_eq!(slo.p99_factor(0.0), 1.0);
-        // Larger batches drain the same arrival rate with less
-        // per-request pressure.
-        assert!(ServingSlo::new(1e6, 8).utilization(1_000.0) < slo.utilization(1_000.0));
-    }
-
-    #[test]
-    fn serving_slo_penalizes_load_and_clears_cache() {
-        let f = fixture();
-        let mut rng = StdRng::seed_from_u64(23);
-        let group = PartitionGroup::random(&mut rng, &f.validity);
-        let ctx =
-            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, FitnessKind::Latency);
-        let plain = ctx.evaluate(&group);
-        assert_eq!(ctx.cache_len(), 1);
-        let ctx = ctx.with_serving_slo(Some(ServingSlo::new(50.0, 4)));
-        assert_eq!(ctx.cache_len(), 0, "objective switch must invalidate memoized scores");
-        assert_eq!(ctx.segment_cache_len(), 0);
-        let light = ctx.evaluate(&group);
-        assert!(light.pgf > plain.pgf, "any queueing inflates the tail estimate");
-        // A hotter arrival stream scores strictly worse.
-        let ctx = ctx.with_serving_slo(Some(ServingSlo::new(5_000.0, 4)));
-        assert_eq!(ctx.cache_len(), 0);
-        let heavy = ctx.evaluate(&group);
-        assert!(
-            heavy.pgf > light.pgf,
-            "100x the traffic must fatten the tail: {} vs {}",
-            heavy.pgf,
-            light.pgf
-        );
-        // The factor is uniform across partitions: PGF stays the sum
-        // and relative steering is untouched.
-        let sum: f64 = heavy.partition_fitness.iter().sum();
-        assert!((sum - heavy.pgf).abs() < 1e-6);
-        let ratio = heavy.partition_fitness[0] / plain.partition_fitness[0];
-        for (h, p) in heavy.partition_fitness.iter().zip(&plain.partition_fitness) {
-            assert!((h / p - ratio).abs() < 1e-9, "uniform inflation per partition");
-        }
-        // Dropping the SLO restores the bare-latency objective.
-        let ctx = ctx.with_serving_slo(None);
-        assert_eq!(ctx.cache_len(), 0);
-        assert_eq!(ctx.evaluate(&group).pgf, plain.pgf);
     }
 
     #[test]

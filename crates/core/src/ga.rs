@@ -8,9 +8,9 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// GA hyper-parameters. Defaults follow the paper (§IV-A3): population
-/// 100 for 30 generations, 20 selected, 80 mutated, with early
-/// stopping.
+/// GA hyper-parameters of the paper's mutation-only Algorithm 1.
+/// Defaults follow the paper (§IV-A3): population 100 for 30
+/// generations, 20 selected, 80 mutated, with early stopping.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GaParams {
     /// Population size `N`.
@@ -24,42 +24,17 @@ pub struct GaParams {
     /// Stop after this many generations without best-fitness
     /// improvement (0 disables early stopping).
     pub early_stop_patience: usize,
-    /// Probability of producing an offspring by one-point crossover
-    /// of two survivors instead of mutation. `0.0` (the default)
-    /// reproduces the paper's Algorithm 1 exactly; nonzero rates are
-    /// an extension.
-    pub crossover_rate: f64,
 }
 
 impl GaParams {
     /// The paper's configuration.
     pub fn paper() -> Self {
-        Self {
-            population: 100,
-            generations: 30,
-            n_sel: 20,
-            n_mut: 80,
-            early_stop_patience: 8,
-            crossover_rate: 0.0,
-        }
+        Self { population: 100, generations: 30, n_sel: 20, n_mut: 80, early_stop_patience: 8 }
     }
 
     /// A reduced configuration for fast tests and examples.
     pub fn fast() -> Self {
-        Self {
-            population: 24,
-            generations: 10,
-            n_sel: 6,
-            n_mut: 18,
-            early_stop_patience: 4,
-            crossover_rate: 0.0,
-        }
-    }
-
-    /// Enables the crossover extension at `rate` (0.0..=1.0).
-    pub fn with_crossover(mut self, rate: f64) -> Self {
-        self.crossover_rate = rate.clamp(0.0, 1.0);
-        self
+        Self { population: 24, generations: 10, n_sel: 6, n_mut: 18, early_stop_patience: 4 }
     }
 }
 
@@ -217,15 +192,6 @@ fn generate_children<R: Rng + ?Sized>(
     let mut children = Vec::with_capacity(params.n_mut);
     while children.len() < params.n_mut {
         let parent = survivors.choose(rng).expect("survivor population is non-empty");
-        if params.crossover_rate > 0.0 && rng.gen_bool(params.crossover_rate) {
-            let other = survivors.choose(rng).expect("non-empty");
-            if let Some(child) =
-                mutation::crossover(&parent.group, &other.group, rng, ctx.validity())
-            {
-                children.push(child);
-                continue;
-            }
-        }
         let scores = partition_scores(parent, mean_m);
         let kind = *MutationKind::ALL.choose(rng).expect("non-empty");
         let kind_idx = MutationKind::ALL.iter().position(|&k| k == kind).unwrap();
@@ -345,17 +311,6 @@ mod tests {
         let last = *norm.last().unwrap();
         assert!((last - 1.0).abs() < 1e-9);
         assert!(norm.iter().all(|&v| v >= 1.0 - 1e-9));
-    }
-
-    #[test]
-    fn crossover_extension_still_converges() {
-        let params = GaParams::fast().with_crossover(0.3);
-        let (best, trace) = run_ga(8, params);
-        assert!(best.pgf > 0.0);
-        let bests: Vec<f64> = trace.generations.iter().map(|g| g.best_pgf).collect();
-        for pair in bests.windows(2) {
-            assert!(pair[1] <= pair[0] + 1e-9);
-        }
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub use compiler::{CompileOptions, CompiledModel, Compiler, FitnessKind, Strateg
 pub use decompose::{decompose, PartitionUnit, UnitSequence};
 pub use error::CompileError;
 pub use estimate::{GroupEstimate, PartitionEstimate};
-pub use fitness::ServingSlo;
 pub use ga::{GaParams, GaTrace, GenerationRecord};
 pub use partition::{Partition, PartitionGroup};
 pub use plan::{GroupPlan, PartitionPlan};

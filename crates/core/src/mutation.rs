@@ -48,14 +48,12 @@ pub fn merge(
         let sb = scores[b] + scores[b + 1];
         sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
     });
-    for k in order {
-        let mut new_cuts = cuts.to_vec();
-        new_cuts.remove(k);
-        if let Some(merged) = PartitionGroup::from_cuts(new_cuts, validity) {
-            return Some(merged);
-        }
-    }
-    None
+    // Every other span is unchanged, so only the merged one can be
+    // invalid.
+    let merged = order
+        .into_iter()
+        .find(|&k| validity.is_valid(group.partition(k).start, group.partition(k + 1).end))?;
+    Some(group.without_cut(merged))
 }
 
 /// Splits partition `k` at a uniformly random interior point. Any
@@ -100,32 +98,22 @@ pub fn move_unit<R: Rng + ?Sized>(
     if k < cuts.len() {
         candidates.push(k);
     }
-    // Try both shift directions per candidate in random order.
-    let mut attempts: Vec<(usize, isize)> =
-        candidates.iter().flat_map(|&c| [(c, 1isize), (c, -1isize)]).collect();
+    // Try both shift directions per candidate in random order. Cuts
+    // lie in `(0, M)`, so neither shift underflows.
+    let mut attempts: Vec<(usize, usize)> =
+        candidates.iter().flat_map(|&c| [(c, cuts[c] + 1), (c, cuts[c] - 1)]).collect();
     for i in (1..attempts.len()).rev() {
         let j = rng.gen_range(0..=i);
         attempts.swap(i, j);
     }
-    for (c, delta) in attempts {
-        let new_cut = cuts[c] as isize + delta;
-        if new_cut <= 0 || new_cut as usize >= group.unit_count() {
-            continue;
-        }
-        let mut new_cuts = cuts.to_vec();
-        new_cuts[c] = new_cut as usize;
-        // Shifting may collide with a neighboring cut; skip those.
-        if c > 0 && new_cuts[c] <= new_cuts[c - 1] {
-            continue;
-        }
-        if c + 1 < new_cuts.len() && new_cuts[c] >= new_cuts[c + 1] {
-            continue;
-        }
-        if let Some(moved) = PartitionGroup::from_cuts(new_cuts, validity) {
-            return Some(moved);
-        }
-    }
-    None
+    // Only the two spans either side of the moved cut change. An
+    // empty span is invalid, so this also rejects a shift onto a
+    // neighboring cut or the group's ends.
+    let (c, to) = attempts.into_iter().find(|&(c, to)| {
+        let (start, end) = (group.partition(c).start, group.partition(c + 1).end);
+        validity.is_valid(start, to) && validity.is_valid(to, end)
+    })?;
+    Some(group.with_cut_at(c, to))
 }
 
 /// Keeps the best-fitness partition (index `best`) fixed and
@@ -164,35 +152,6 @@ pub fn fixed_random<R: Rng + ?Sized>(
         }
     }
     PartitionGroup::from_cuts(cuts, validity)
-}
-
-/// One-point crossover (extension beyond the paper's Algorithm 1):
-/// the child takes `a`'s cuts before a random point and `b`'s cuts
-/// after it. If the bridging span is too large, a repair cut at the
-/// crossover point is inserted — the repaired child is always valid
-/// because every resulting span is a subset of a valid parent span.
-pub fn crossover<R: Rng + ?Sized>(
-    a: &PartitionGroup,
-    b: &PartitionGroup,
-    rng: &mut R,
-    validity: &ValidityMap,
-) -> Option<PartitionGroup> {
-    let m = a.unit_count();
-    if m < 2 || b.unit_count() != m {
-        return None;
-    }
-    let point = rng.gen_range(1..m);
-    let head: Vec<usize> = a.cuts().iter().copied().filter(|&c| c < point).collect();
-    let tail: Vec<usize> = b.cuts().iter().copied().filter(|&c| c > point).collect();
-    let mut joined = head.clone();
-    joined.extend(&tail);
-    if let Some(child) = PartitionGroup::from_cuts(joined, validity) {
-        return Some(child);
-    }
-    let mut repaired = head;
-    repaired.push(point);
-    repaired.extend(&tail);
-    PartitionGroup::from_cuts(repaired, validity)
 }
 
 /// Applies `kind` to `group`, mutating the worst-scoring partition
@@ -323,39 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn crossover_produces_valid_children() {
-        let (validity, a) = setup();
-        let mut rng = StdRng::seed_from_u64(7);
-        let b = PartitionGroup::random(&mut rng, &validity);
-        let mut produced = 0;
-        for _ in 0..50 {
-            if let Some(child) = crossover(&a, &b, &mut rng, &validity) {
-                assert_eq!(child.unit_count(), a.unit_count());
-                assert!(PartitionGroup::from_cuts(child.cuts().to_vec(), &validity).is_some());
-                produced += 1;
-            }
-        }
-        assert!(produced >= 45, "repair makes crossover nearly always succeed: {produced}");
-    }
-
-    #[test]
-    fn crossover_mixes_parent_cuts() {
-        let (validity, a) = setup();
-        let mut rng = StdRng::seed_from_u64(8);
-        let b = PartitionGroup::random(&mut rng, &validity);
-        // Some child should differ from both parents.
-        let mut differs = false;
-        for _ in 0..20 {
-            if let Some(child) = crossover(&a, &b, &mut rng, &validity) {
-                if child != a && child != b {
-                    differs = true;
-                }
-            }
-        }
-        assert!(differs, "crossover should create novel children");
-    }
-
-    #[test]
     fn mutations_always_yield_valid_groups_proptest_style() {
         let (validity, mut group) = setup();
         let mut rng = StdRng::seed_from_u64(6);
@@ -371,5 +297,61 @@ mod tests {
                 group = child;
             }
         }
+    }
+
+    #[test]
+    fn span_checks_pick_the_child_full_revalidation_picks() {
+        // Reference: the searches `merge` and `move_unit` ran before
+        // they checked only the spans an edit changes — edit a clone
+        // of the cuts, then revalidate the whole group.
+        let (validity, _) = setup();
+        let mut rng = StdRng::seed_from_u64(9);
+        let (mut merged, mut moved) = (0, 0);
+        for _ in 0..400 {
+            let group = PartitionGroup::random(&mut rng, &validity);
+            let cuts = group.cuts();
+            let scores: Vec<f64> =
+                (0..group.partition_count()).map(|_| rng.gen_range(0..1000u32) as f64).collect();
+            let mut order: Vec<usize> = (0..cuts.len()).collect();
+            order.sort_by(|&a, &b| {
+                let sa = scores[a] + scores[a + 1];
+                let sb = scores[b] + scores[b + 1];
+                sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let want = order.into_iter().find_map(|k| {
+                let mut new_cuts = cuts.to_vec();
+                new_cuts.remove(k);
+                PartitionGroup::from_cuts(new_cuts, &validity)
+            });
+            let got = merge(&group, &scores, &validity);
+            assert_eq!(got, want, "merge of {group}");
+            merged += usize::from(got.is_some());
+
+            let k = rng.gen_range(0..group.partition_count());
+            let seed = rng.gen_range(0..u64::MAX);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            let mut attempts: Vec<(usize, isize)> = [k.checked_sub(1), Some(k)]
+                .into_iter()
+                .flatten()
+                .filter(|&c| c < cuts.len())
+                .flat_map(|c| [(c, 1isize), (c, -1isize)])
+                .collect();
+            for i in (1..attempts.len()).rev() {
+                let j = reference_rng.gen_range(0..=i);
+                attempts.swap(i, j);
+            }
+            let want = attempts.into_iter().find_map(|(c, delta)| {
+                let mut new_cuts = cuts.to_vec();
+                new_cuts[c] = (cuts[c] as isize + delta) as usize;
+                let sorted = new_cuts.windows(2).all(|w| w[0] < w[1]);
+                sorted.then(|| PartitionGroup::from_cuts(new_cuts, &validity)).flatten()
+            });
+            let got = move_unit(&group, k, &mut StdRng::seed_from_u64(seed), &validity);
+            assert_eq!(got, want, "move of partition {k} in {group}");
+            moved += usize::from(got.is_some());
+        }
+        // Both outcomes of both searches occur.
+        assert!((1..400).contains(&merged), "{merged} of 400 merges succeeded");
+        assert!((1..400).contains(&moved), "{moved} of 400 moves succeeded");
     }
 }

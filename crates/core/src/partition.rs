@@ -137,6 +137,24 @@ impl PartitionGroup {
         &self.cuts
     }
 
+    /// This group with cut `k` removed, merging partitions `k` and
+    /// `k + 1`. The caller has checked that the merged span is valid;
+    /// every other span is unchanged.
+    pub(crate) fn without_cut(&self, k: usize) -> Self {
+        let mut cuts = self.cuts.clone();
+        cuts.remove(k);
+        Self { cuts, len: self.len }
+    }
+
+    /// This group with cut `c` moved to `to`. The caller has checked
+    /// that `to` lies strictly inside partitions `c` and `c + 1`
+    /// together and that both resulting spans are valid.
+    pub(crate) fn with_cut_at(&self, c: usize, to: usize) -> Self {
+        let mut cuts = self.cuts.clone();
+        cuts[c] = to;
+        Self { cuts, len: self.len }
+    }
+
     /// Which partition contains unit `i`.
     pub fn partition_of_unit(&self, i: usize) -> usize {
         self.cuts.partition_point(|&c| c <= i)

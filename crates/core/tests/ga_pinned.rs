@@ -12,11 +12,10 @@
 //! estimate reads: the interleaved schedule, ring:2 pipeline and
 //! batch-shard targets, closed-loop timing, and EDP fitness.
 //!
-//! The reproducibility check reruns the fast GA for several seeds
-//! under both the makespan and the `ServingSlo` tail objective and
+//! The reproducibility check reruns the fast GA for several seeds and
 //! compares the two runs byte for byte.
 
-use compass::fitness::{FitnessContext, FitnessKind, ServingSlo};
+use compass::fitness::{FitnessContext, FitnessKind};
 use compass::ga::{self, GaParams};
 use compass::{decompose, ScheduleMode, SystemStrategy, SystemTarget, TimingMode, ValidityMap};
 use pim_arch::{ChipSpec, Topology};
@@ -204,22 +203,19 @@ fn serial_evaluation_is_reproducible() {
     let net = zoo::resnet18();
     let seq = decompose(&net, &chip);
     let validity = ValidityMap::build(&seq, &chip);
-    let run = |seed: u64, slo: Option<ServingSlo>| {
-        let ctx = FitnessContext::new(&net, &seq, &validity, &chip, 8, FitnessKind::Latency)
-            .with_serving_slo(slo);
+    let run = |seed: u64| {
+        let ctx = FitnessContext::new(&net, &seq, &validity, &chip, 8, FitnessKind::Latency);
         let mut rng = StdRng::seed_from_u64(seed);
         let (best, trace) = ga::run(&ctx, &GaParams::fast(), &mut rng);
         let trace_json = serde_json::to_string(&trace).expect("trace serializes");
         (best.group.cuts().to_vec(), best.pgf.to_bits(), trace_json, ctx.cache_len())
     };
     for seed in [11, 12, 13] {
-        for slo in [None, Some(ServingSlo::new(2_000.0, 8))] {
-            let a = run(seed, slo);
-            let b = run(seed, slo);
-            assert_eq!(a.0, b.0, "seed {seed}, {slo:?}: best chromosome diverged");
-            assert_eq!(a.1, b.1, "seed {seed}, {slo:?}: best fitness bits diverged");
-            assert_eq!(a.2, b.2, "seed {seed}, {slo:?}: fitness trace diverged");
-            assert_eq!(a.3, b.3, "seed {seed}, {slo:?}: memo contents diverged");
-        }
+        let a = run(seed);
+        let b = run(seed);
+        assert_eq!(a.0, b.0, "seed {seed}: best chromosome diverged");
+        assert_eq!(a.1, b.1, "seed {seed}: best fitness bits diverged");
+        assert_eq!(a.2, b.2, "seed {seed}: fitness trace diverged");
+        assert_eq!(a.3, b.3, "seed {seed}: memo contents diverged");
     }
 }

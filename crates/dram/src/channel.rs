@@ -6,12 +6,10 @@
 //! Channels are fully independent (own banks, bus, refresh), and
 //! requests route by address interleave at a configurable granularity.
 //!
-//! Two front ends share the routing policy, both used by the chip
-//! simulator's closed-loop timing mode: the immediate path
-//! ([`MultiChannelDram::service`]), where each block access is served
-//! as its event arrives and the aggregated completion time feeds back
-//! into the chip's critical path, and the FR-FCFS batch path
-//! ([`MultiChannelDram::service_batch`]).
+//! The chip simulator's closed-loop timing mode drives one front end,
+//! [`MultiChannelDram::service`]: each block access is served as its
+//! event arrives, and the aggregated completion time feeds back into
+//! the chip's critical path.
 
 use crate::config::DramConfig;
 use crate::controller::{ChannelStats, DramSimulator};
@@ -101,65 +99,6 @@ impl MultiChannelDram {
             start_ns = finish_ns; // zero-byte access: an empty window
         }
         ChannelAccess { start_ns, finish_ns, stripes: count }
-    }
-
-    /// Serves a batch of in-flight block requests with FR-FCFS
-    /// reordering: every stripe of every request is enqueued first,
-    /// then each channel drains its queue through the controller's
-    /// row-hit-preferring pick ([`DramSimulator::service_pending`]), so
-    /// stripes of *different* requests may overtake each other when
-    /// that keeps a row buffer open. Returns one [`ChannelAccess`] per
-    /// input request, in input order.
-    ///
-    /// With a single request this degenerates to [`Self::service`]
-    /// modulo the intra-request pick order; the chip simulator exposes
-    /// it behind an off-by-default flag because it relaxes the
-    /// arrival-order service guarantee the closed-loop mode documents.
-    pub fn service_batch(&mut self, requests: &[Request]) -> Vec<ChannelAccess> {
-        // Per channel, the id of its first stripe and every stripe's
-        // parent request: a channel hands out consecutive ids, so a
-        // completion's parent sits at `id - first`.
-        let mut owners: Vec<(u64, Vec<usize>)> = vec![(0, Vec::new()); self.channels.len()];
-        for (parent, request) in requests.iter().enumerate() {
-            for (channel, piece) in
-                Self::stripes(self.channels.len(), self.interleave_bytes, *request)
-            {
-                let id = self.channels[channel].enqueue(piece);
-                let (first, parents) = &mut owners[channel];
-                if parents.is_empty() {
-                    *first = id.0;
-                }
-                parents.push(parent);
-            }
-        }
-        let mut accesses: Vec<ChannelAccess> = requests
-            .iter()
-            .map(|r| ChannelAccess {
-                start_ns: f64::INFINITY,
-                finish_ns: r.issue_ns.max(0.0),
-                stripes: 0,
-            })
-            .collect();
-        for (channel, (first, parents)) in self.channels.iter_mut().zip(&owners) {
-            for done in channel.service_pending() {
-                let parent = done
-                    .id
-                    .0
-                    .checked_sub(*first)
-                    .and_then(|i| parents.get(i as usize))
-                    .expect("every completion belongs to a batched request");
-                let acc = &mut accesses[*parent];
-                acc.start_ns = acc.start_ns.min(done.start_ns);
-                acc.finish_ns = acc.finish_ns.max(done.finish_ns);
-                acc.stripes += 1;
-            }
-        }
-        for acc in &mut accesses {
-            if !acc.start_ns.is_finite() {
-                acc.start_ns = acc.finish_ns; // zero-byte access
-            }
-        }
-        accesses
     }
 
     /// Switches every channel of a fresh instance to the reference
@@ -304,34 +243,6 @@ mod tests {
         assert_eq!(stats.len(), 2);
         let total: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
         assert_eq!(total, 64 * 1024);
-    }
-
-    #[test]
-    fn service_batch_serves_every_request_exactly_once() {
-        let requests: Vec<Request> = (0..6)
-            .map(|i| Request::new(0, i as u64 * (1 << 16), RequestKind::Read, 16 * 1024))
-            .collect();
-        let mut mem = mem(2);
-        let accesses = mem.service_batch(&requests);
-        assert_eq!(accesses.len(), requests.len());
-        for acc in &accesses {
-            assert_eq!(acc.stripes, 4, "16 KiB over 4 KiB stripes");
-            assert!(acc.finish_ns > acc.start_ns);
-        }
-        let total: u64 = mem.channel_stats().iter().map(ChannelStats::total_bytes).sum();
-        assert_eq!(total, 6 * 16 * 1024, "byte conservation across the batch");
-    }
-
-    #[test]
-    fn service_batch_is_deterministic() {
-        let requests: Vec<Request> = (0..8)
-            .map(|i| Request::new(0, (i as u64 * 977) << 10, RequestKind::Read, 8 * 1024))
-            .collect();
-        let run = || {
-            let mut mem = mem(2);
-            mem.service_batch(&requests)
-        };
-        assert_eq!(run(), run(), "same batch, same windows, every run");
     }
 
     /// The division-per-stripe split the incremental

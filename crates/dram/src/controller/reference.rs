@@ -253,9 +253,9 @@ mod tests {
         format!("{a:?}") == format!("{b:?}")
     }
 
-    /// One seeded stream through `MultiChannelDram` (`service` and
-    /// FR-FCFS `service_batch`) and one through a single controller
-    /// (`service_one` and `service_pending`), each on both paths.
+    /// One seeded stream through `MultiChannelDram::service` and one
+    /// through a single controller (`service_one` and
+    /// `service_pending`), each on both paths.
     fn differential(seed: u64, ops: usize) {
         let mut rng = Rng(seed);
         let cfg = config(&mut rng);
@@ -268,16 +268,9 @@ mod tests {
         // cost time on the multi-channel path.
         let mut stream = Stream::new(Rng(rng.next()), &cfg, 256 * interleave);
         for op in 0..ops {
-            if stream.rng.below(3) == 0 {
-                let n = 1 + stream.rng.below(6) as usize;
-                let batch: Vec<Request> = (0..n).map(|_| stream.request()).collect();
-                let (a, b) = (fast.service_batch(&batch), slow.service_batch(&batch));
-                assert!(same(&a, &b), "seed {seed} op {op}: batch {batch:?}\n{a:?}\n{b:?}");
-            } else {
-                let request = stream.request();
-                let (a, b) = (fast.service(request), slow.service(request));
-                assert!(same(&a, &b), "seed {seed} op {op}: {request:?}\n{a:?}\n{b:?}");
-            }
+            let request = stream.request();
+            let (a, b) = (fast.service(request), slow.service(request));
+            assert!(same(&a, &b), "seed {seed} op {op}: {request:?}\n{a:?}\n{b:?}");
         }
         assert!(same(&fast.channel_stats(), &slow.channel_stats()), "seed {seed}: stats");
         assert!(same(&fast.energy(), &slow.energy()), "seed {seed}: energy");

@@ -25,9 +25,8 @@
 //!   queued so far in FR-FCFS order;
 //! * [`DramSimulator::service_one`] serves one request at once, in
 //!   arrival order;
-//! * [`MultiChannelDram::service`] and
-//!   [`MultiChannelDram::service_batch`] do the same across
-//!   address-interleaved channels.
+//! * [`MultiChannelDram::service`] serves one block request at once,
+//!   striped across address-interleaved channels.
 //!
 //! Each reports per-request completion; the controller keeps the
 //! aggregate bandwidth and energy counters.

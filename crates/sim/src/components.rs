@@ -128,9 +128,6 @@ pub(crate) enum ChipEvent {
         /// The stage's tag-space bucket (its graph node id).
         stage: u64,
     },
-    /// The closed-loop controllers' FR-FCFS drain: serves every access
-    /// latched at the current instant together.
-    DramDrain,
     /// Closed-loop timing: one blocking block access reaches the
     /// multi-channel controllers. The requesting core's `MemDone` is
     /// scheduled at the access's completion time, so the DRAM model
@@ -665,74 +662,16 @@ impl Component<ChipEvent> for Rendezvous {
 /// `MemDone` fires at the slowest stripe's completion. Bank conflicts,
 /// row hits/misses, refresh, and channel interleaving therefore shape
 /// the chip's critical path directly.
-///
-/// With `fr_fcfs` enabled, same-instant accesses from independent
-/// cores are latched and drained together, and their chunks are served
-/// through the controllers' row-hit-preferring FR-FCFS pick
-/// ([`MultiChannelDram::service_batch`]) instead of strictly at
-/// arrival order. Off by default: arrival-order service is the
-/// documented (and golden-pinned) closed-loop behaviour.
 pub(crate) struct ClosedLoopDram {
     pub(crate) mem: MultiChannelDram,
     pub(crate) requests: usize,
-    fr_fcfs: bool,
-    pending: Vec<PendingAccess>,
-    latch: DrainLatch,
-}
-
-/// Coalesces same-instant arrivals into a single drain event, so
-/// every access that lands at one timestamp is visible to the FR-FCFS
-/// pick before any of them is served.
-#[derive(Default)]
-pub(crate) struct DrainLatch(bool);
-
-impl DrainLatch {
-    /// Marks an arrival; returns `true` when the caller must schedule
-    /// a drain at the current instant (the first arrival of a batch).
-    fn arm(&mut self) -> bool {
-        !std::mem::replace(&mut self.0, true)
-    }
-
-    /// Clears the latch when the drain fires.
-    fn release(&mut self) {
-        self.0 = false;
-    }
-}
-
-/// One latched closed-loop access awaiting the FR-FCFS drain.
-struct PendingAccess {
-    core: ComponentId,
-    addr: u64,
-    kind: RequestKind,
-    bytes: usize,
-    chunk: usize,
 }
 
 impl ClosedLoopDram {
-    pub(crate) fn new(channels: usize, interleave_bytes: usize, fr_fcfs: bool) -> Self {
+    pub(crate) fn new(channels: usize, interleave_bytes: usize) -> Self {
         let mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, interleave_bytes)
             .expect("simulator builder guarantees at least one channel");
-        Self { mem, requests: 0, fr_fcfs, pending: Vec::new(), latch: DrainLatch::default() }
-    }
-
-    /// Completes one access: schedules the requesting core's `MemDone`
-    /// at the slowest chunk's completion.
-    fn complete(
-        core: ComponentId,
-        now: f64,
-        start_ns: f64,
-        finish_ns: f64,
-        ctx: &mut EngineCtx<'_, ChipEvent>,
-    ) {
-        let start_ns = if start_ns.is_finite() { start_ns } else { now };
-        ctx.schedule(
-            SimTime::from_ns(finish_ns),
-            core,
-            ChipEvent::MemDone {
-                wait_ns: (start_ns - now).max(0.0),
-                busy_ns: finish_ns - start_ns.max(now),
-            },
-        );
+        Self { mem, requests: 0 }
     }
 }
 
@@ -740,17 +679,6 @@ impl Component<ChipEvent> for ClosedLoopDram {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         match event.payload {
             ChipEvent::DramAccess { core, addr, kind, bytes, chunk } => {
-                let access = PendingAccess { core, addr, kind, bytes, chunk: chunk as usize };
-                if self.fr_fcfs {
-                    // Batch same-instant arrivals behind the latch so
-                    // independent cores' chunks reach the FR-FCFS pick
-                    // together.
-                    self.pending.push(access);
-                    if self.latch.arm() {
-                        ctx.schedule(event.time, event.target, ChipEvent::DramDrain);
-                    }
-                    return;
-                }
                 let now = event.time.as_ns();
                 // Serve the block in the same row-friendly chunks the
                 // analytic-mode refinement streams, so both modes see
@@ -758,36 +686,21 @@ impl Component<ChipEvent> for ClosedLoopDram {
                 // when its slowest chunk's data lands.
                 let mut start_ns = f64::INFINITY;
                 let mut finish_ns = now;
-                for request in chunks(now, access.addr, access.kind, access.bytes, access.chunk) {
+                for request in chunks(now, addr, kind, bytes, chunk as usize) {
                     let served = self.mem.service(request);
                     start_ns = start_ns.min(served.start_ns);
                     finish_ns = finish_ns.max(served.finish_ns);
                     self.requests += 1;
                 }
-                Self::complete(core, now, start_ns, finish_ns, ctx);
-            }
-            ChipEvent::DramDrain => {
-                self.latch.release();
-                let now = event.time.as_ns();
-                let batch = std::mem::take(&mut self.pending);
-                let mut requests = Vec::new();
-                let mut spans = Vec::with_capacity(batch.len());
-                for &PendingAccess { addr, kind, bytes, chunk, .. } in &batch {
-                    let from = requests.len();
-                    requests.extend(chunks(now, addr, kind, bytes, chunk));
-                    spans.push((from, requests.len()));
-                }
-                self.requests += requests.len();
-                let served = self.mem.service_batch(&requests);
-                for (access, &(from, to)) in batch.iter().zip(&spans) {
-                    let mut start_ns = f64::INFINITY;
-                    let mut finish_ns = now;
-                    for chunk in &served[from..to] {
-                        start_ns = start_ns.min(chunk.start_ns);
-                        finish_ns = finish_ns.max(chunk.finish_ns);
-                    }
-                    Self::complete(access.core, now, start_ns, finish_ns, ctx);
-                }
+                let start_ns = if start_ns.is_finite() { start_ns } else { now };
+                ctx.schedule(
+                    SimTime::from_ns(finish_ns),
+                    core,
+                    ChipEvent::MemDone {
+                        wait_ns: (start_ns - now).max(0.0),
+                        busy_ns: finish_ns - start_ns.max(now),
+                    },
+                );
             }
             ChipEvent::Barrier => {}
             other => unreachable!("closed-loop dram received {other:?}"),

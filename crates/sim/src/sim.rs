@@ -92,14 +92,6 @@ impl ChipSimulator {
         self
     }
 
-    /// Allows the closed-loop controllers to reorder same-instant
-    /// in-flight accesses from independent cores FR-FCFS style (off by
-    /// default; see [`SystemSimulator::with_dram_reorder`]).
-    pub fn with_dram_reorder(mut self, enabled: bool) -> Self {
-        self.system = self.system.with_dram_reorder(enabled);
-        self
-    }
-
     /// Runs on the engine's retired binary-heap event queue (the
     /// determinism suites' oracle; see
     /// [`SystemSimulator::with_reference_queue`]).
@@ -325,37 +317,6 @@ mod tests {
         let one = run(1);
         let four = run(4);
         assert!(four < one, "4 channels ({four} ns) must beat 1 channel ({one} ns)");
-    }
-
-    #[test]
-    fn fr_fcfs_reorder_is_deterministic_and_conserves_bytes() {
-        // Same-instant accesses from independent cores may reorder
-        // under the flag, but the outcome is bit-stable run to run and
-        // no byte is lost.
-        use pim_isa::Instruction as I;
-        let chip = ChipSpec::chip_s();
-        let mut program = ChipProgram::new(chip.cores);
-        for c in 0..8 {
-            program.core_mut(CoreId(c)).push(I::LoadData { bytes: 96 * 1024 });
-            program.core_mut(CoreId(c)).push(I::StoreData { bytes: 32 * 1024 });
-        }
-        let run = |reorder: bool| {
-            ChipSimulator::new(chip.clone())
-                .with_timing_mode(TimingMode::ClosedLoop)
-                .with_dram_channels(2)
-                .with_dram_reorder(reorder)
-                .run(std::slice::from_ref(&program), 1)
-                .unwrap()
-        };
-        let a = run(true);
-        let b = run(true);
-        assert_eq!(a, b, "FR-FCFS reordering must stay deterministic");
-        let total: u64 = a.dram_channels.as_ref().unwrap().iter().map(|c| c.total_bytes()).sum();
-        assert_eq!(total as usize, 8 * (96 + 32) * 1024, "every byte served exactly once");
-        // The default path still serves at arrival order and may
-        // differ in timing, but moves the same traffic.
-        let fifo = run(false);
-        assert_eq!(fifo.dram_trace, a.dram_trace);
     }
 
     #[test]

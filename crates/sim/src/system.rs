@@ -143,7 +143,6 @@ pub struct SystemSimulator {
     schedule: ScheduleMode,
     dram_channels: Option<usize>,
     interleave_bytes: usize,
-    dram_reorder: bool,
     #[cfg(feature = "reference-queue")]
     reference_queue: bool,
 }
@@ -161,7 +160,6 @@ impl SystemSimulator {
             schedule: ScheduleMode::Barrier,
             dram_channels: None,
             interleave_bytes: DEFAULT_INTERLEAVE_BYTES,
-            dram_reorder: false,
             #[cfg(feature = "reference-queue")]
             reference_queue: false,
         }
@@ -220,15 +218,6 @@ impl SystemSimulator {
     /// Sets the closed-loop address-interleave granularity in bytes.
     pub fn with_dram_interleave(mut self, bytes: usize) -> Self {
         self.interleave_bytes = bytes.max(1);
-        self
-    }
-
-    /// Allows the closed-loop controllers to reorder same-instant
-    /// in-flight accesses from independent cores FR-FCFS style
-    /// (row-buffer hits first). Off by default: arrival-order service
-    /// is the documented closed-loop behaviour.
-    pub fn with_dram_reorder(mut self, enabled: bool) -> Self {
-        self.dram_reorder = enabled;
         self
     }
 
@@ -409,13 +398,9 @@ impl SystemSimulator {
                 DramPort::Inline(Box::new(DramSimulator::new(DramConfig::lpddr3_1600())))
             }
             TimingMode::Analytic => DramPort::Off,
-            TimingMode::ClosedLoop => {
-                DramPort::ClosedLoop(engine.add_component(ClosedLoopDram::new(
-                    self.dram_channel_count_for(chip),
-                    self.interleave_bytes,
-                    self.dram_reorder,
-                )))
-            }
+            TimingMode::ClosedLoop => DramPort::ClosedLoop(engine.add_component(
+                ClosedLoopDram::new(self.dram_channel_count_for(chip), self.interleave_bytes),
+            )),
         };
         let rendezvous = engine.add_component(Rendezvous::default());
         let channel = engine.add_component(MemChannel::new(chip, dram));

@@ -165,41 +165,6 @@ fn channel_counts_conserve_total_bytes() {
 }
 
 #[test]
-fn fr_fcfs_batches_conserve_bytes_and_stay_deterministic() {
-    // The reorder path (`service_batch`) may overtake arrival order
-    // for row hits, but it must still serve every stripe exactly
-    // once, never before its issue time, and bit-identically run to
-    // run.
-    let mut rng = StdRng::seed_from_u64(0xFCF5);
-    for _ in 0..CASES {
-        let stream = random_stream(&mut rng);
-        // Same-instant batch: strip the issue stagger, as the chip
-        // simulator's drain latch does.
-        let batch: Vec<Request> =
-            stream.iter().map(|r| Request::at_ns(0.0, r.addr, r.kind, r.bytes)).collect();
-        for channels in CHANNEL_COUNTS {
-            let run = || {
-                let mut mem =
-                    MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, 4096).unwrap();
-                let accesses = mem.service_batch(&batch);
-                (accesses, mem.channel_stats())
-            };
-            let (accesses, stats) = run();
-            assert_eq!(run(), (accesses.clone(), stats.clone()), "reorder must be deterministic");
-            assert_eq!(accesses.len(), batch.len());
-            for (req, access) in batch.iter().zip(&accesses) {
-                assert!(access.start_ns >= req.issue_ns, "no service before issue");
-                assert!(access.finish_ns >= access.start_ns);
-                assert!(access.stripes > 0 || req.bytes == 0);
-            }
-            let issued: u64 = batch.iter().map(|r| r.bytes as u64).sum();
-            let served: u64 = stats.iter().map(ChannelStats::total_bytes).sum();
-            assert_eq!(served, issued, "reorder must conserve bytes ({channels} channels)");
-        }
-    }
-}
-
-#[test]
 fn zero_channels_is_a_typed_error() {
     assert_eq!(
         MultiChannelDram::new(DramConfig::lpddr3_1600(), 0, 4096).unwrap_err(),

@@ -13,7 +13,6 @@
 //! * the interleaved schedule mode (multi-stage in flight, mid-run
 //!   `add_component` core spawns with same-instant follow-up events),
 //!   on one chip and on ring:4 / fc:4 hand-off chains,
-//! * FR-FCFS DRAM reordering (same-instant service-order sensitivity),
 //! * open-loop serving: traffic model × batching policy × topology ×
 //!   seed, plus a drop/backpressure regime.
 
@@ -138,25 +137,6 @@ fn multi_chip_interleaved_reports_are_byte_identical() {
             assert_eq!(a, b, "calendar vs reference queue ({topology}, {timing}, interleaved)");
         }
     }
-}
-
-#[test]
-fn dram_reorder_reports_are_byte_identical() {
-    // FR-FCFS reordering groups same-instant accesses: the service
-    // order depends directly on the queue's same-instant FIFO
-    // guarantee.
-    let run = |reference: bool| {
-        let compiled = compiled_programs(4);
-        let report = ChipSimulator::new(ChipSpec::chip_s())
-            .with_timing_mode(TimingMode::ClosedLoop)
-            .with_dram_channels(2)
-            .with_dram_reorder(true)
-            .with_reference_queue(reference)
-            .run(compiled.programs(), 4)
-            .expect("simulates");
-        serde_json::to_string(&report).expect("serializes")
-    };
-    assert_eq!(run(false), run(true), "calendar vs reference queue (FR-FCFS)");
 }
 
 #[test]

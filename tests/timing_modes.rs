@@ -133,8 +133,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Two partitions on disjoint core halves whose cores all hit the
 /// memory channel at the same instants: interleaving overlaps the
-/// partitions, and FR-FCFS reordering sees several same-instant
-/// accesses that conflict on a bank. Transfer sizes mix the per-burst
+/// partitions, and the closed-loop controllers see several
+/// same-instant accesses that conflict on a bank. Transfer sizes mix the per-burst
 /// path (at most 64 bursts), the bulk-stream path, and sizes that are
 /// not a multiple of a burst or of an interleave stripe.
 fn contended_programs(cores: usize) -> Vec<ChipProgram> {
@@ -146,7 +146,7 @@ fn contended_programs(cores: usize) -> Vec<ChipProgram> {
                 let stream = program.core_mut(CoreId(c));
                 // Same-instant sub-row accesses to the weight and the
                 // activation regions, which share bank 0 on different
-                // rows: the FR-FCFS pick has row hits to prefer.
+                // rows.
                 stream.push(if c % 2 == 0 {
                     I::LoadWeight { bytes: 1_024 + 32 * c }
                 } else {
@@ -166,36 +166,29 @@ fn contended_programs(cores: usize) -> Vec<ChipProgram> {
 /// FNV-1a hashes of the serialized closed-loop reports, in the
 /// nesting order of [`closed_loop_report_bytes_are_pinned`]'s loops:
 /// channels 1, 2, 3, then interleave 4096, 3000 B, then barrier,
-/// interleaved, then FIFO, FR-FCFS — one row per channel count and
-/// interleave.
+/// interleaved — one row per channel count, both interleaves.
 #[rustfmt::skip]
-const CLOSED_LOOP_PINS: [u64; 48] = [
+const CLOSED_LOOP_PINS: [u64; 24] = [
     // resnet18-S, greedy, batch 2. Its partitions fill the chip, so
-    // neither the schedule nor FR-FCFS moves a byte.
-    16348956794870517939, 16348956794870517939, 16348956794870517939, 16348956794870517939,
-    16345931226910432810, 16345931226910432810, 16345931226910432810, 16345931226910432810,
-    14585604280828328665, 14585604280828328665, 14585604280828328665, 14585604280828328665,
-    6340814578830215796, 6340814578830215796, 6340814578830215796, 6340814578830215796,
-    3608103041561375026, 3608103041561375026, 3608103041561375026, 3608103041561375026,
-    13150263710056916726, 13150263710056916726, 13150263710056916726, 13150263710056916726,
+    // the schedule moves no byte.
+    16348956794870517939, 16348956794870517939, 16345931226910432810, 16345931226910432810,
+    14585604280828328665, 14585604280828328665, 6340814578830215796, 6340814578830215796,
+    3608103041561375026, 3608103041561375026, 13150263710056916726, 13150263710056916726,
     // contended.
-    6612546605816888500, 11989330436619359879, 2082021020911414970, 3253530892856383130,
-    2174257414173271140, 3989924889411222682, 8596259723845114832, 9401796923988090709,
-    10789978552782041961, 3284873538418893610, 2332539430472548814, 15269123378524671970,
-    330550309573200686, 4397172301858567097, 16536778799696599024, 3472233526282054681,
-    4077143192119509053, 17597011007578089050, 15210601918866470614, 11935838557142435963,
-    7122114713805949633, 3878799397004790151, 16547509168450845501, 8518856221647001184,
+    6612546605816888500, 2082021020911414970, 2174257414173271140, 8596259723845114832,
+    10789978552782041961, 2332539430472548814, 330550309573200686, 16536778799696599024,
+    4077143192119509053, 15210601918866470614, 7122114713805949633, 16547509168450845501,
 ];
 
 #[test]
 fn closed_loop_report_bytes_are_pinned() {
     // The golden fixtures pin analytic reports only. These hashes pin
     // closed-loop report bytes over the DRAM channel count, a
-    // power-of-two and a ragged interleave, both stage schedules and
-    // the FR-FCFS flag, on a compiled workload and on a hand-built
-    // contended one — so a change to the DRAM model or the dispatch
-    // path that claims to keep every byte is checked against the bytes
-    // the previous code wrote.
+    // power-of-two and a ragged interleave and both stage schedules,
+    // on a compiled workload and on a hand-built contended one — so a
+    // change to the DRAM model or the dispatch path that claims to
+    // keep every byte is checked against the bytes the previous code
+    // wrote.
     let chip = ChipSpec::chip_s();
     let compiled = compile(&chip, "resnet18", 2);
     let workloads: [(&str, Vec<ChipProgram>); 2] =
@@ -205,25 +198,22 @@ fn closed_loop_report_bytes_are_pinned() {
         for channels in [1, 2, 3] {
             for interleave in [4096, 3000] {
                 for schedule in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
-                    for reorder in [false, true] {
-                        let report = ChipSimulator::new(chip.clone())
-                            .with_timing_mode(TimingMode::ClosedLoop)
-                            .with_schedule_mode(schedule)
-                            .with_dram_channels(channels)
-                            .with_dram_interleave(interleave)
-                            .with_dram_reorder(reorder)
-                            .run_batches(programs, 3, 2)
-                            .expect("closed loop simulates");
-                        let bytes = serde_json::to_string(&report).expect("report serializes");
-                        let want = CLOSED_LOOP_PINS[checked];
-                        checked += 1;
-                        assert_eq!(
-                            fnv1a(bytes.as_bytes()),
-                            want,
-                            "{name}, {channels} channels, {interleave} B interleave, \
-                             {schedule:?}, reorder {reorder}: closed-loop report bytes moved"
-                        );
-                    }
+                    let report = ChipSimulator::new(chip.clone())
+                        .with_timing_mode(TimingMode::ClosedLoop)
+                        .with_schedule_mode(schedule)
+                        .with_dram_channels(channels)
+                        .with_dram_interleave(interleave)
+                        .run_batches(programs, 3, 2)
+                        .expect("closed loop simulates");
+                    let bytes = serde_json::to_string(&report).expect("report serializes");
+                    let want = CLOSED_LOOP_PINS[checked];
+                    checked += 1;
+                    assert_eq!(
+                        fnv1a(bytes.as_bytes()),
+                        want,
+                        "{name}, {channels} channels, {interleave} B interleave, \
+                         {schedule:?}: closed-loop report bytes moved"
+                    );
                 }
             }
         }
