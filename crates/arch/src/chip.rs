@@ -76,12 +76,6 @@ impl CoreSpec {
     pub fn vfu_throughput_per_ns(&self) -> f64 {
         self.vfu_count as f64 * self.vfu_lanes as f64 * self.clock_ghz
     }
-
-    /// Static power per core in milliwatts (VFU + local memory +
-    /// control).
-    pub fn static_power_mw(&self) -> f64 {
-        self.vfu_power_mw + self.local_memory_power_mw + self.control_power_mw
-    }
 }
 
 impl Default for CoreSpec {
@@ -226,8 +220,9 @@ impl ChipSpec {
     /// # Errors
     ///
     /// Returns [`InvalidConfigError`] when a structural parameter is
-    /// zero or the crossbar geometry cannot hold a single weight at the
-    /// configured precision.
+    /// zero, the crossbar geometry cannot hold a single weight at the
+    /// configured precision, a clock or bandwidth is not finite and
+    /// positive, or a latency is not finite and non-negative.
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         if self.cores == 0 {
             return Err(InvalidConfigError::new("chip must have at least one core"));
@@ -241,8 +236,31 @@ impl ChipSpec {
         if self.crossbar.cols < self.precision.bits() {
             return Err(InvalidConfigError::new("crossbar has fewer columns than bits per weight"));
         }
-        if self.core.clock_ghz <= 0.0 {
-            return Err(InvalidConfigError::new("core clock must be positive"));
+        if self.core.vfu_count == 0 || self.core.vfu_lanes == 0 {
+            return Err(InvalidConfigError::new("core must have at least one VFU lane"));
+        }
+        let positive = [
+            ("core clock", self.core.clock_ghz),
+            ("memory bandwidth", self.memory.bandwidth_gbps),
+            ("interconnect bandwidth", self.interconnect.bandwidth_gbps),
+        ];
+        for (what, value) in positive {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(InvalidConfigError::new(format!("{what} must be finite and positive")));
+            }
+        }
+        let non_negative = [
+            ("memory access latency", self.memory.access_latency_ns),
+            ("interconnect arbitration time", self.interconnect.arbitration_ns),
+            ("crossbar MVM latency", self.crossbar.mvm_latency_ns),
+            ("crossbar row-write latency", self.crossbar.row_write_latency_ns),
+        ];
+        for (what, value) in non_negative {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(InvalidConfigError::new(format!(
+                    "{what} must be finite and non-negative"
+                )));
+            }
         }
         Ok(())
     }
@@ -265,11 +283,6 @@ impl ChipSpec {
     /// Weights storable on the whole chip at the configured precision.
     pub fn weight_capacity(&self) -> usize {
         self.total_crossbars() * self.crossbar.weight_capacity(self.precision)
-    }
-
-    /// Weights storable in one core at the configured precision.
-    pub fn core_weight_capacity(&self) -> usize {
-        self.crossbars_per_core * self.crossbar.weight_capacity(self.precision)
     }
 }
 
@@ -310,7 +323,6 @@ mod tests {
         let s = ChipSpec::chip_s();
         // 144 crossbars x 256 rows x 64 cols of 4-bit weights.
         assert_eq!(s.weight_capacity(), 144 * 256 * 64);
-        assert_eq!(s.core_weight_capacity(), 9 * 256 * 64);
     }
 
     #[test]
@@ -333,12 +345,6 @@ mod tests {
         let mut chip = ChipSpec::chip_s();
         chip.core.clock_ghz = 0.0;
         assert!(chip.validate().is_err());
-    }
-
-    #[test]
-    fn core_static_power_sums_components() {
-        let core = CoreSpec::paper();
-        assert!((core.static_power_mw() - 48.8).abs() < 1e-12);
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl CrossbarSpec {
     pub fn full_write_latency_ns(&self) -> f64 {
         self.rows as f64 * self.row_write_latency_ns
     }
-
-    /// Energy to write `bits` cells, in picojoules.
-    pub fn write_energy_pj(&self, bits: usize) -> f64 {
-        bits as f64 * self.cell_write_energy_pj
-    }
 }
 
 impl Default for CrossbarSpec {

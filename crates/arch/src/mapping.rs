@@ -46,12 +46,6 @@ pub fn crossbars_for_matrix(
     MatrixFootprint { row_tiles: rows.div_ceil(xbar.rows), col_tiles: cols.div_ceil(weight_cols) }
 }
 
-/// Number of weight bits physically occupied by a `rows × cols` matrix
-/// at `precision` (cells used, not padded tiles).
-pub fn matrix_weight_bits(rows: usize, cols: usize, precision: WeightPrecision) -> usize {
-    rows * cols * precision.bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,10 +88,5 @@ mod tests {
         assert_eq!((fp8.row_tiles, fp8.col_tiles), (1, 2));
         let fp1 = crossbars_for_matrix(256, 256, &xbar(), WeightPrecision::Int1);
         assert_eq!(fp1.crossbars(), 1);
-    }
-
-    #[test]
-    fn weight_bits() {
-        assert_eq!(matrix_weight_bits(10, 10, WeightPrecision::Int4), 400);
     }
 }

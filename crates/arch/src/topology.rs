@@ -10,7 +10,6 @@
 //! Presets cover the single-chip machine of the paper, a
 //! bidirectional ring, and a fully connected mesh.
 
-use crate::chip::ChipSpec;
 use crate::error::InvalidConfigError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -80,16 +79,12 @@ pub struct Topology {
     pub chips: usize,
     /// Directed links between chips.
     pub links: Vec<Link>,
-    /// Per-slot chip overrides for heterogeneous systems, as
-    /// `(slot, spec)` pairs; slots without an entry run the system's
-    /// base chip. Empty (the presets) means a homogeneous system.
-    pub overrides: Vec<(usize, ChipSpec)>,
 }
 
 impl Topology {
     /// The paper's machine: one chip, no interconnect.
     pub fn single() -> Self {
-        Self { name: "single".to_string(), chips: 1, links: Vec::new(), overrides: Vec::new() }
+        Self { name: "single".to_string(), chips: 1, links: Vec::new() }
     }
 
     /// A bidirectional ring of `chips` chips with [`LinkSpec::board`]
@@ -109,7 +104,7 @@ impl Topology {
         if chips == 2 {
             links.truncate(2);
         }
-        Self { name: format!("ring:{chips}"), chips, links, overrides: Vec::new() }
+        Self { name: format!("ring:{chips}"), chips, links }
     }
 
     /// A fully connected mesh: one dedicated directed link per ordered
@@ -127,26 +122,7 @@ impl Topology {
                 }
             }
         }
-        Self { name: format!("fc:{chips}"), chips, links, overrides: Vec::new() }
-    }
-
-    /// Replaces slot `slot`'s chip with `spec` (heterogeneous system);
-    /// a later override of the same slot wins. Validation rejects
-    /// out-of-range slots and invalid specs.
-    pub fn with_chip_override(mut self, slot: usize, spec: ChipSpec) -> Self {
-        self.overrides.retain(|(s, _)| *s != slot);
-        self.overrides.push((slot, spec));
-        self
-    }
-
-    /// The override installed for `slot`, if any.
-    pub fn chip_override(&self, slot: usize) -> Option<&ChipSpec> {
-        self.overrides.iter().find(|(s, _)| *s == slot).map(|(_, spec)| spec)
-    }
-
-    /// `true` when any slot carries a chip override.
-    pub fn is_heterogeneous(&self) -> bool {
-        !self.overrides.is_empty()
+        Self { name: format!("fc:{chips}"), chips, links }
     }
 
     /// Number of chips.
@@ -169,8 +145,9 @@ impl Topology {
     /// # Errors
     ///
     /// Returns [`InvalidConfigError`] when the system has zero chips, a
-    /// link endpoint is out of range or degenerate, a link has
-    /// non-positive bandwidth or negative latency, or (for multi-chip
+    /// link endpoint is out of range or degenerate, a link's bandwidth
+    /// is not finite and positive or its latency is not finite and
+    /// non-negative, or (for multi-chip
     /// systems) some ordered chip pair has no route.
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         if self.chips == 0 {
@@ -183,20 +160,14 @@ impl Topology {
             if link.src == link.dst {
                 return Err(InvalidConfigError::new("link must join two distinct chips"));
             }
-            if link.spec.bandwidth_gbps <= 0.0 {
-                return Err(InvalidConfigError::new("link bandwidth must be positive"));
+            if !(link.spec.bandwidth_gbps.is_finite() && link.spec.bandwidth_gbps > 0.0) {
+                return Err(InvalidConfigError::new("link bandwidth must be finite and positive"));
             }
             if link.spec.latency_ns < 0.0 || !link.spec.latency_ns.is_finite() {
                 return Err(InvalidConfigError::new(
                     "link latency must be finite and non-negative",
                 ));
             }
-        }
-        for (slot, spec) in &self.overrides {
-            if *slot >= self.chips {
-                return Err(InvalidConfigError::new("chip override slot out of range"));
-            }
-            spec.validate()?;
         }
         for src in 0..self.chips {
             for dst in 0..self.chips {
@@ -344,12 +315,8 @@ mod tests {
         topo.links[0].dst = 7;
         assert!(topo.validate().is_err());
 
-        let disconnected = Topology {
-            name: "broken".to_string(),
-            chips: 3,
-            links: Topology::ring(2).links,
-            overrides: Vec::new(),
-        };
+        let disconnected =
+            Topology { name: "broken".to_string(), chips: 3, links: Topology::ring(2).links };
         assert!(disconnected.validate().is_err(), "chip 2 is unreachable");
 
         let mut bad_bw = Topology::ring(2);
@@ -368,28 +335,9 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let topo = Topology::ring(3).with_chip_override(1, ChipSpec::chip_l());
+        let topo = Topology::ring(3);
         let json = serde_json::to_string(&topo).unwrap();
         let back: Topology = serde_json::from_str(&json).unwrap();
         assert_eq!(topo, back);
-    }
-
-    #[test]
-    fn chip_overrides_install_and_validate() {
-        let topo = Topology::ring(2)
-            .with_chip_override(1, ChipSpec::chip_m())
-            .with_chip_override(1, ChipSpec::chip_l());
-        assert!(topo.is_heterogeneous());
-        assert!(topo.chip_override(0).is_none());
-        assert_eq!(topo.chip_override(1).unwrap().name, "L", "later override wins");
-        assert_eq!(topo.overrides.len(), 1, "same slot replaced, not stacked");
-        topo.validate().unwrap();
-        // Out-of-range slots and invalid specs are rejected.
-        let out_of_range = Topology::ring(2).with_chip_override(5, ChipSpec::chip_s());
-        assert!(out_of_range.validate().is_err());
-        let mut broken = ChipSpec::chip_s();
-        broken.cores = 0;
-        assert!(Topology::ring(2).with_chip_override(0, broken).validate().is_err());
-        assert!(!Topology::ring(2).is_heterogeneous());
     }
 }

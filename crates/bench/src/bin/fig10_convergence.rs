@@ -22,7 +22,7 @@ fn main() {
 
     println!("generation | best PGF (norm.) | mean PGF (norm.) | partition-count histogram");
     let final_best = trace.generations.last().unwrap().best_pgf;
-    for g in &trace.generations {
+    for (g, best) in trace.generations.iter().zip(trace.normalized_best()) {
         let mean: f64 =
             g.individuals.iter().map(|i| i.pgf).sum::<f64>() / g.individuals.len() as f64;
         // Histogram over the paper's three bands: <=8, 9-10, 11+.
@@ -37,7 +37,7 @@ fn main() {
         println!(
             "{:>10} | {:>16.4} | {:>16.4} | <=8: {:<3} 9-10: {:<3} 11+: {:<3}",
             g.generation,
-            g.best_pgf / final_best,
+            best,
             mean / final_best,
             low,
             mid,

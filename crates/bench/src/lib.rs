@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use compass::scheduler::CHUNKS_PER_SAMPLE;
 use compass::{
     plan_system, CompileOptions, CompiledModel, Compiler, GaParams, Strategy, SystemSchedule,
     SystemStrategy, SystemTarget,
@@ -269,7 +270,7 @@ pub fn run_system_config(
     let compiled = Compiler::new(chip.clone())
         .compile(&net, &options)
         .unwrap_or_else(|e| panic!("{label} ({strategy}): {e}"));
-    let schedule = plan_system(&net, &compiled, &chip, &target, batch, options.chunks_per_sample)
+    let schedule = plan_system(&net, &compiled, &chip, &target, batch, CHUNKS_PER_SAMPLE)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let loads = system_loads(&schedule);
     let report = SystemSimulator::new(chip, topology.clone())

@@ -10,7 +10,7 @@ use crate::ga::{self, GaParams, GaTrace};
 use crate::partition::PartitionGroup;
 use crate::plan::{GroupPlan, PartitionPlan};
 use crate::replication::optimize_group;
-use crate::scheduler::{schedule_group, SchedulerOptions};
+use crate::scheduler::{schedule_group, SchedulerOptions, CHUNKS_PER_SAMPLE};
 use crate::system::SystemTarget;
 use crate::validity::ValidityMap;
 use pim_arch::{ChipSpec, ScheduleMode, TimingMode};
@@ -45,6 +45,9 @@ impl fmt::Display for Strategy {
 
 /// Compilation options (builder style).
 ///
+/// The generated programs stream each sample through a partition in
+/// [`CHUNKS_PER_SAMPLE`] pipeline chunks.
+///
 /// # Example
 ///
 /// ```
@@ -69,8 +72,6 @@ pub struct CompileOptions {
     pub ga: GaParams,
     /// RNG seed for reproducible compilations.
     pub seed: u64,
-    /// Pipeline chunks per sample in the generated programs.
-    pub chunks_per_sample: usize,
     /// Memory timing model the GA fitness and the final estimate are
     /// computed under ([`TimingMode::Analytic`] reproduces the paper).
     pub timing_mode: TimingMode,
@@ -95,7 +96,6 @@ impl CompileOptions {
             fitness: FitnessKind::Latency,
             ga: GaParams::paper(),
             seed: 0,
-            chunks_per_sample: 4,
             timing_mode: TimingMode::Analytic,
             schedule_mode: ScheduleMode::Barrier,
             system: None,
@@ -132,12 +132,6 @@ impl CompileOptions {
         self
     }
 
-    /// Sets pipeline chunking granularity.
-    pub fn with_chunks_per_sample(mut self, chunks: usize) -> Self {
-        self.chunks_per_sample = chunks;
-        self
-    }
-
     /// Sets the memory timing model the GA tunes against (pair with
     /// the simulator's matching mode).
     pub fn with_timing_mode(mut self, mode: TimingMode) -> Self {
@@ -162,9 +156,6 @@ impl CompileOptions {
     fn validate(&self) -> Result<(), CompileError> {
         if self.batch_size == 0 {
             return Err(CompileError::InvalidOptions("batch size must be >= 1".into()));
-        }
-        if self.chunks_per_sample == 0 {
-            return Err(CompileError::InvalidOptions("chunks per sample must be >= 1".into()));
         }
         Ok(())
     }
@@ -314,7 +305,7 @@ impl Compiler {
         let estimate = estimator.estimate_group(&plans, options.batch_size);
         let scheduler_options = SchedulerOptions {
             batch: options.batch_size,
-            chunks_per_sample: options.chunks_per_sample,
+            chunks_per_sample: CHUNKS_PER_SAMPLE,
             schedule: options.schedule_mode,
         };
         let programs = schedule_group(network, plans.plans(), &self.chip, &scheduler_options);

@@ -124,11 +124,6 @@ impl UnitSequence {
             .collect()
     }
 
-    /// Total crossbars of units in `span` (replication 1).
-    pub fn span_crossbars(&self, span: std::ops::Range<usize>) -> usize {
-        self.units[span].iter().map(|u| u.crossbars).sum()
-    }
-
     /// Total weight bits of units in `span` (replication 1).
     pub fn span_weight_bits(&self, span: std::ops::Range<usize>) -> usize {
         self.units[span].iter().map(|u| u.weight_bits).sum()

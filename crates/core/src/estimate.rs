@@ -131,7 +131,6 @@ impl fmt::Display for GroupEstimate {
 pub struct Estimator<'c> {
     chip: &'c ChipSpec,
     energy: EnergyModel,
-    mode: TimingMode,
     /// Intra-chip stage dispatch the estimate models (barrier is the
     /// paper's serial batch cycle).
     schedule: ScheduleMode,
@@ -228,7 +227,6 @@ impl<'c> Estimator<'c> {
         Self {
             chip,
             energy: EnergyModel::new(chip),
-            mode: TimingMode::Analytic,
             schedule: ScheduleMode::Barrier,
             mem_bandwidth_gbps: chip.memory.bandwidth_gbps,
             mem_access_ns: chip.memory.access_latency_ns,
@@ -272,7 +270,6 @@ impl<'c> Estimator<'c> {
     /// candidates by the machine the closed-loop simulator will
     /// actually time.
     pub fn with_timing_mode(mut self, mode: TimingMode) -> Self {
-        self.mode = mode;
         match mode {
             TimingMode::Analytic => {
                 self.mem_bandwidth_gbps = self.chip.memory.bandwidth_gbps;
@@ -289,11 +286,6 @@ impl<'c> Estimator<'c> {
         self
     }
 
-    /// The timing mode the memory terms are derived from.
-    pub fn timing_mode(&self) -> TimingMode {
-        self.mode
-    }
-
     /// Scores groups for the given intra-chip stage dispatch policy.
     ///
     /// Under [`ScheduleMode::Interleaved`] the batch cycle is paced by
@@ -306,11 +298,6 @@ impl<'c> Estimator<'c> {
     pub fn with_schedule_mode(mut self, schedule: ScheduleMode) -> Self {
         self.schedule = schedule;
         self
-    }
-
-    /// The stage dispatch policy group estimates are computed under.
-    pub fn schedule_mode(&self) -> ScheduleMode {
-        self.schedule
     }
 
     /// Estimates one partition at batch size `batch`.

@@ -233,11 +233,6 @@ impl<'a> FitnessContext<'a> {
         self
     }
 
-    /// The timing mode candidates are scored under.
-    pub fn timing_mode(&self) -> TimingMode {
-        self.timing_mode
-    }
-
     /// The validity map (used by mutation operators).
     pub fn validity(&self) -> &ValidityMap {
         self.validity

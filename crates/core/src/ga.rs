@@ -189,13 +189,15 @@ fn generate_children<R: Rng + ?Sized>(
     mean_m: &[f64],
     trace: &mut GaTrace,
 ) -> Vec<PartitionGroup> {
+    // Each survivor parents several children: score it once. Drawing
+    // from a slice of the same length keeps the RNG stream unchanged.
+    let parents: Vec<_> = survivors.iter().map(|s| (s, partition_scores(s, mean_m))).collect();
     let mut children = Vec::with_capacity(params.n_mut);
     while children.len() < params.n_mut {
-        let parent = survivors.choose(rng).expect("survivor population is non-empty");
-        let scores = partition_scores(parent, mean_m);
+        let (parent, scores) = parents.choose(rng).expect("survivor population is non-empty");
         let kind = *MutationKind::ALL.choose(rng).expect("non-empty");
         let kind_idx = MutationKind::ALL.iter().position(|&k| k == kind).unwrap();
-        match mutation::apply(kind, &parent.group, &scores, rng, ctx.validity()) {
+        match mutation::apply(kind, &parent.group, scores, rng, ctx.validity()) {
             Some(child) => {
                 trace.mutation_successes[kind_idx] += 1;
                 children.push(child);

@@ -74,8 +74,7 @@ pub use partition::{Partition, PartitionGroup};
 pub use plan::{GroupPlan, PartitionPlan};
 pub use report::CompileReport;
 pub use system::{
-    estimate_system_makespan, fan_out_allocation, plan_system, SystemChipPlan, SystemSchedule,
-    SystemStrategy, SystemTarget,
+    fan_out_allocation, plan_system, SystemChipPlan, SystemSchedule, SystemStrategy, SystemTarget,
 };
 pub use tuner::{tune_batch, TuneObjective, TuneResult};
 pub use validity::ValidityMap;

@@ -150,11 +150,6 @@ impl PartitionPlan {
         self.slices.iter().map(NodeSlice::waves_per_sample).max().unwrap_or(0)
     }
 
-    /// Sum of per-stage waves (pipeline fill time for one sample).
-    pub fn total_waves(&self) -> usize {
-        self.slices.iter().map(NodeSlice::waves_per_sample).sum()
-    }
-
     /// Crossbar activations per sample (replication-invariant).
     pub fn activations_per_sample(&self) -> usize {
         self.slices.iter().map(|s| s.activations_per_sample).sum()

@@ -17,6 +17,9 @@ use pim_model::{LayerKind, Network, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Pipeline chunks per sample the compiler schedules with.
+pub const CHUNKS_PER_SAMPLE: usize = 4;
+
 /// Scheduling knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulerOptions {
@@ -37,7 +40,7 @@ pub struct SchedulerOptions {
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
-        Self { batch: 1, chunks_per_sample: 4, schedule: ScheduleMode::Barrier }
+        Self { batch: 1, chunks_per_sample: CHUNKS_PER_SAMPLE, schedule: ScheduleMode::Barrier }
     }
 }
 

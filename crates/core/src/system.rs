@@ -28,14 +28,13 @@
 
 use crate::compiler::CompiledModel;
 use crate::error::CompileError;
-use crate::estimate::{GroupEstimate, PartitionEstimate};
+use crate::estimate::PartitionEstimate;
 use crate::scheduler::{schedule_group, SchedulerOptions};
 use pim_arch::{ChipSpec, ScheduleMode, Topology};
 use pim_isa::ChipProgram;
 use pim_model::Network;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// How a model is spread across the chips of a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -65,19 +64,6 @@ impl fmt::Display for SystemStrategy {
             SystemStrategy::LayerPipeline => write!(f, "layer-pipeline"),
             SystemStrategy::BatchShard => write!(f, "batch-shard"),
             SystemStrategy::FanOut => write!(f, "fan-out"),
-        }
-    }
-}
-
-impl FromStr for SystemStrategy {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, Self::Err> {
-        match raw.to_ascii_lowercase().as_str() {
-            "layer-pipeline" | "layer_pipeline" | "pipeline" => Ok(SystemStrategy::LayerPipeline),
-            "batch-shard" | "batch_shard" | "shard" => Ok(SystemStrategy::BatchShard),
-            "fan-out" | "fan_out" | "fanout" => Ok(SystemStrategy::FanOut),
-            other => Err(format!("unknown system strategy {other:?}")),
         }
     }
 }
@@ -417,131 +403,6 @@ pub fn fan_out_allocation(
     (cuts, replicas)
 }
 
-/// Predicts the simulated makespan of `schedule` over `rounds`
-/// pipeline rounds under `mode`, from the compiled model's
-/// **single-chip** [`GroupEstimate`] (per-partition replace / fill /
-/// interval terms, re-costed at each chip's batch shard).
-///
-/// The model: each chip's round latency is the sum of its stage
-/// latencies at its shard; the pipeline fill is the longest chain
-/// through the hand-off DAG (chip latency plus link serialization +
-/// propagation per hop); after the fill, rounds drain at the system's
-/// steady-state interval — the slowest chip's round in barrier mode,
-/// and under interleaving the busiest crossbar group's occupancy
-/// (stages sharing a core serialize, so a chip whose stages all
-/// conflict paces like barrier mode while disjoint stages overlap
-/// down to the slowest single stage).
-///
-/// It is an analytic bound, not the simulator: contention on shared
-/// crossbar groups, the memory channel, and links is only loosely
-/// modelled, so expect agreement within a small factor, not ns-exact.
-///
-/// # Panics
-///
-/// Panics on a schedule whose hand-offs form a cycle or cross an
-/// unroutable chip pair — the simulator rejects both up front, so an
-/// estimate for such a schedule would be meaningless.
-pub fn estimate_system_makespan(
-    schedule: &SystemSchedule,
-    estimate: &GroupEstimate,
-    rounds: usize,
-    mode: ScheduleMode,
-) -> f64 {
-    let rounds = rounds.max(1);
-    // Per-chip round latency and worst single stage at the chip's
-    // shard size.
-    let stage_ns = |p: usize, samples: usize| {
-        let part = &estimate.partitions[p];
-        part.replace_ns + part.fill_ns + (samples.max(1) as f64 - 1.0) * part.interval_ns
-    };
-    let chip_round_ns: Vec<f64> = schedule
-        .chips
-        .iter()
-        .map(|c| (c.partition_range.0..c.partition_range.1).map(|p| stage_ns(p, c.samples)).sum())
-        .collect();
-    // Interleaved steady-state interval per chip: stages sharing a
-    // crossbar group (core) serialize, so the chip is paced by its
-    // busiest core's total occupancy — at least the slowest single
-    // stage (disjoint stages), at most the full round (every stage
-    // conflicting, e.g. compiled models that all pack onto core 0).
-    let chip_interleaved_ns: Vec<f64> = schedule
-        .chips
-        .iter()
-        .map(|c| {
-            let (from, _) = c.partition_range;
-            let mut core_occupancy_ns: Vec<f64> = Vec::new();
-            let mut max_stage = 0.0f64;
-            for (i, program) in c.programs.iter().enumerate() {
-                let lat = stage_ns(from + i, c.samples);
-                max_stage = max_stage.max(lat);
-                for core in 0..program.cores() {
-                    if !program.core(pim_isa::CoreId(core)).instructions().is_empty() {
-                        if core_occupancy_ns.len() <= core {
-                            core_occupancy_ns.resize(core + 1, 0.0);
-                        }
-                        core_occupancy_ns[core] += lat;
-                    }
-                }
-            }
-            core_occupancy_ns.iter().copied().fold(max_stage, f64::max)
-        })
-        .collect();
-    // Link time per hand-off over the topology's actual route. An
-    // unroutable hand-off must fail loudly, not price as free.
-    let link_ns = |src: usize, dst: usize, bytes: usize| -> f64 {
-        let topology = &schedule.topology;
-        let hops = topology
-            .route(src, dst)
-            .unwrap_or_else(|| panic!("hand-off {src} -> {dst} has no route on {topology}"));
-        hops.iter()
-            .map(|&h| {
-                let spec = topology.links()[h].spec;
-                spec.serialization_ns(bytes) + spec.latency_ns
-            })
-            .sum()
-    };
-    // Pipeline fill: longest chain through the hand-off DAG. The
-    // function accepts caller-built schedules the simulator never
-    // validated, so guard the recursion with an on-stack marker
-    // instead of trusting the graph to be acyclic.
-    fn chain(
-        c: usize,
-        schedule: &SystemSchedule,
-        chip_round_ns: &[f64],
-        link_ns: &dyn Fn(usize, usize, usize) -> f64,
-        memo: &mut [Option<f64>],
-        on_stack: &mut [bool],
-    ) -> f64 {
-        if let Some(hit) = memo[c] {
-            return hit;
-        }
-        assert!(!on_stack[c], "hand-off cycle through chip {c}");
-        on_stack[c] = true;
-        let tail = schedule.chips[c]
-            .handoffs
-            .iter()
-            .map(|&(dst, bytes)| {
-                link_ns(c, dst, bytes)
-                    + chain(dst, schedule, chip_round_ns, link_ns, memo, on_stack)
-            })
-            .fold(0.0f64, f64::max);
-        on_stack[c] = false;
-        let total = chip_round_ns[c] + tail;
-        memo[c] = Some(total);
-        total
-    }
-    let mut memo = vec![None; schedule.chips.len()];
-    let mut on_stack = vec![false; schedule.chips.len()];
-    let fill = (0..schedule.chips.len())
-        .map(|c| chain(c, schedule, &chip_round_ns, &link_ns, &mut memo, &mut on_stack))
-        .fold(0.0f64, f64::max);
-    let interval = match mode {
-        ScheduleMode::Barrier => chip_round_ns.iter().copied().fold(0.0, f64::max),
-        ScheduleMode::Interleaved => chip_interleaved_ns.iter().copied().fold(0.0, f64::max),
-    };
-    fill + (rounds as f64 - 1.0) * interval
-}
-
 /// Cuts `weights` into `segments` contiguous runs with balanced sums:
 /// segment `k` ends at the first prefix reaching `k+1` shares of the
 /// total, while always leaving at least one element for each remaining
@@ -737,21 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_system_makespan_tracks_rounds_and_mode() {
-        let (net, chip, model) = compiled(4);
-        let target = SystemTarget::new(Topology::ring(2), SystemStrategy::LayerPipeline);
-        let schedule = plan_system(&net, &model, &chip, &target, 4, 2).unwrap();
-        let est = model.estimate();
-        let one = estimate_system_makespan(&schedule, est, 1, ScheduleMode::Barrier);
-        let four = estimate_system_makespan(&schedule, est, 4, ScheduleMode::Barrier);
-        assert!(one > 0.0);
-        assert!(four > one, "more rounds cost more");
-        // The steady-state interval is the slowest chip's round.
-        let interleaved = estimate_system_makespan(&schedule, est, 4, ScheduleMode::Interleaved);
-        assert!(interleaved <= four + 1e-9, "interleaving never predicts slower");
-    }
-
-    #[test]
     fn rejects_degenerate_inputs() {
         let (net, chip, model) = compiled(2);
         let target = SystemTarget::new(Topology::ring(2), SystemStrategy::LayerPipeline);
@@ -760,7 +606,7 @@ mod tests {
             Err(CompileError::InvalidOptions(_))
         ));
         let broken = SystemTarget::new(
-            Topology { name: "broken".into(), chips: 0, links: Vec::new(), overrides: Vec::new() },
+            Topology { name: "broken".into(), chips: 0, links: Vec::new() },
             SystemStrategy::BatchShard,
         );
         assert!(matches!(
@@ -782,13 +628,5 @@ mod tests {
         for pair in many.windows(2) {
             assert!(pair[1] > pair[0]);
         }
-    }
-
-    #[test]
-    fn strategy_parsing_round_trips() {
-        for s in SystemStrategy::ALL {
-            assert_eq!(s.to_string().parse::<SystemStrategy>().unwrap(), s);
-        }
-        assert!("tensor-parallel".parse::<SystemStrategy>().is_err());
     }
 }

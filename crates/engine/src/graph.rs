@@ -291,11 +291,6 @@ impl TaskGraph {
     pub fn completed(&self) -> usize {
         self.completed
     }
-
-    /// `true` when `node` has completed.
-    pub fn is_complete(&self, node: usize) -> bool {
-        self.nodes[node].completed
-    }
 }
 
 /// `true` when every claim in `claims` can be acquired now.

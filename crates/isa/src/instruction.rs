@@ -164,17 +164,6 @@ impl Instruction {
             _ => 0,
         }
     }
-
-    /// `true` if this instruction reads or writes global memory.
-    pub const fn touches_dram(&self) -> bool {
-        self.dram_bytes() > 0
-            || matches!(
-                self,
-                Instruction::LoadWeight { .. }
-                    | Instruction::LoadData { .. }
-                    | Instruction::StoreData { .. }
-            )
-    }
 }
 
 impl fmt::Display for Instruction {
@@ -218,8 +207,6 @@ mod tests {
         assert_eq!(Instruction::LoadWeight { bytes: 128 }.dram_bytes(), 128);
         assert_eq!(Instruction::StoreData { bytes: 64 }.dram_bytes(), 64);
         assert_eq!(Instruction::Mvmul { waves: 9, activations: 9, node: 0 }.dram_bytes(), 0);
-        assert!(Instruction::LoadData { bytes: 1 }.touches_dram());
-        assert!(!Instruction::VectorOp { op: VectorOpKind::Relu, elements: 4 }.touches_dram());
     }
 
     #[test]

@@ -31,9 +31,7 @@
 pub mod instruction;
 pub mod program;
 pub mod stats;
-pub mod text;
 
 pub use instruction::{CoreId, Instruction, Tag, VectorOpKind};
 pub use program::{ChipProgram, CoreProgram};
 pub use stats::InstructionStats;
-pub use text::{assemble, parse, ParseAsmError};

@@ -167,35 +167,6 @@ impl Network {
         self.nodes.iter().filter(|n| self.consumers(n.id).is_empty())
     }
 
-    /// For a weighted node, walks *forward* through weight-free
-    /// consumers, returning every weight-free node that is reachable
-    /// from `id` without crossing another weighted node. This is the
-    /// "trailing non-crossbar layers" set that COMPASS places in the
-    /// same partition as their producer (paper §III-B2).
-    ///
-    /// Multi-input nodes (Add/Concat) are included; their *other*
-    /// operands are not traversed backwards here (dependence across
-    /// partitions is handled by the compiler's entry/exit marking).
-    pub fn trailing_nonweighted(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = self.consumers(id).to_vec();
-        let mut seen = vec![false; self.nodes.len()];
-        while let Some(next) = stack.pop() {
-            if seen[next.index()] {
-                continue;
-            }
-            seen[next.index()] = true;
-            let node = self.node(next);
-            if node.kind.is_weighted() {
-                continue;
-            }
-            out.push(next);
-            stack.extend_from_slice(self.consumers(next));
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// The nearest weighted *ancestors* of `id`: walks backwards
     /// through weight-free producers until weighted (or input) nodes
     /// are reached. Used for inter-partition dependence checks.
@@ -397,16 +368,6 @@ mod tests {
         // gap is an output node.
         let outs: Vec<_> = net.output_nodes().map(|n| n.id).collect();
         assert_eq!(outs, vec![NodeId(5)]);
-    }
-
-    #[test]
-    fn trailing_nonweighted_stops_at_weighted() {
-        let net = tiny();
-        // From c1: relu, then add (weight-free), then gap. c2 is weighted -> excluded.
-        let trailing = net.trailing_nonweighted(NodeId(1));
-        assert_eq!(trailing, vec![NodeId(2), NodeId(4), NodeId(5)]);
-        // From c2: add, gap.
-        assert_eq!(net.trailing_nonweighted(NodeId(3)), vec![NodeId(4), NodeId(5)]);
     }
 
     #[test]

@@ -162,17 +162,6 @@ impl LayerKind {
             LayerKind::Softmax => "softmax",
         }
     }
-
-    /// Number of inputs this layer requires: `0` for [`LayerKind::Input`],
-    /// `2` for [`LayerKind::Add`], "2 or more" for [`LayerKind::Concat`]
-    /// (reported as 2 here, validated separately), otherwise `1`.
-    pub const fn min_arity(&self) -> usize {
-        match self {
-            LayerKind::Input { .. } => 0,
-            LayerKind::Add | LayerKind::Concat => 2,
-            _ => 1,
-        }
-    }
 }
 
 impl fmt::Display for LayerKind {
@@ -233,14 +222,6 @@ mod tests {
     fn mac_counts() {
         let out = TensorShape::new(128, 56, 56);
         assert_eq!(CONV.macs_per_sample(out), 64 * 9 * 128 * 56 * 56);
-    }
-
-    #[test]
-    fn arity() {
-        assert_eq!(LayerKind::Add.min_arity(), 2);
-        assert_eq!(LayerKind::Concat.min_arity(), 2);
-        assert_eq!(LayerKind::ReLU.min_arity(), 1);
-        assert_eq!(LayerKind::Input { shape: TensorShape::features(1) }.min_arity(), 0);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl TensorShape {
         self.height * self.width
     }
 
-    /// Returns `true` for 1-D feature shapes (`H == W == 1`).
-    pub const fn is_flat(&self) -> bool {
-        self.height == 1 && self.width == 1
-    }
-
     /// Size of the activation tensor in bytes at the given activation
     /// bit precision, rounded up to whole bytes.
     pub const fn bytes(&self, activation_bits: usize) -> usize {
@@ -85,8 +80,6 @@ mod tests {
         let s = TensorShape::new(64, 56, 56);
         assert_eq!(s.elements(), 64 * 56 * 56);
         assert_eq!(s.spatial(), 56 * 56);
-        assert!(!s.is_flat());
-        assert!(TensorShape::features(1000).is_flat());
     }
 
     #[test]

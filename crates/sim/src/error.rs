@@ -40,6 +40,13 @@ pub enum SimError {
         /// round).
         stages: usize,
     },
+    /// The chip spec fails [`pim_arch::ChipSpec::validate`] (a zero
+    /// count, or a rate, latency or bandwidth that is negative, zero
+    /// where it must be positive, or not finite).
+    InvalidChip(
+        /// Human-readable reason.
+        String,
+    ),
     /// The system description does not fit the topology (wrong chip
     /// count, broken link graph, or a hand-off to a chip that cannot
     /// be reached).
@@ -74,6 +81,7 @@ impl fmt::Display for SimError {
                  at most {} fit the rendezvous tag space",
                 crate::system::MAX_INTERLEAVED_STAGES
             ),
+            SimError::InvalidChip(reason) => write!(f, "invalid chip spec: {reason}"),
             SimError::InvalidTopology(reason) => {
                 write!(f, "invalid system topology: {reason}")
             }

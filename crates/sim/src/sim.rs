@@ -101,19 +101,13 @@ impl ChipSimulator {
         self
     }
 
-    /// The closed-loop channel count in effect: explicit, or derived
-    /// from the chip's aggregate bandwidth over one LPDDR3 channel's
-    /// peak (the presets' 6.4 GB/s maps to one channel).
-    pub fn dram_channel_count(&self) -> usize {
-        self.system.dram_channel_count()
-    }
-
     /// Runs one batch cycle: every partition program in order with
     /// barriers in between.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Deadlock`] for malformed schedules and
+    /// Returns [`SimError::InvalidChip`] for a chip spec that fails
+    /// validation, [`SimError::Deadlock`] for malformed schedules and
     /// [`SimError::CoreCountMismatch`] when a program does not match
     /// the chip.
     pub fn run(&self, programs: &[ChipProgram], batch: usize) -> Result<SimReport, SimError> {

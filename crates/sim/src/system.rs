@@ -21,8 +21,7 @@
 //! A chip may ship hand-offs to *several* downstream peers (fan-out)
 //! and gate on hand-offs from several upstream producers (fan-in);
 //! each batch's first stage carries one external dependency per
-//! producer. Topology slots may override the system's base
-//! [`ChipSpec`] for heterogeneous systems.
+//! producer.
 //!
 //! The single-chip [`crate::ChipSimulator`] is a thin wrapper over
 //! this machinery with a [`Topology::single`] system; its analytic
@@ -105,10 +104,8 @@ impl<'a> ChipLoad<'a> {
 /// Event-driven simulator for a multi-chip system on the shared
 /// [`pim_engine`] discrete-event core.
 ///
-/// Chips default to one shared [`ChipSpec`]; topology slots may carry
-/// per-chip overrides ([`Topology::with_chip_override`]) for
-/// heterogeneous systems. The topology contributes the interconnect
-/// graph. See the module docs for the execution model.
+/// Every chip runs the same [`ChipSpec`]; the topology contributes the
+/// interconnect graph. See the module docs for the execution model.
 ///
 /// # Example
 ///
@@ -148,9 +145,9 @@ pub struct SystemSimulator {
 }
 
 impl SystemSimulator {
-    /// Creates a system of `chip`s joined by `topology` (slots without
-    /// an override run `chip`), in analytic timing mode, barrier
-    /// scheduling, with the in-line DRAM model enabled.
+    /// Creates a system of `chip`s joined by `topology`, in analytic
+    /// timing mode, barrier scheduling, with the in-line DRAM model
+    /// enabled.
     pub fn new(chip: ChipSpec, topology: Topology) -> Self {
         Self {
             chip,
@@ -173,11 +170,6 @@ impl SystemSimulator {
     pub fn with_reference_queue(mut self, enabled: bool) -> Self {
         self.reference_queue = enabled;
         self
-    }
-
-    /// The system topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Enables or disables the per-chip in-line `pim-dram` model
@@ -203,11 +195,6 @@ impl SystemSimulator {
         self
     }
 
-    /// The intra-chip stage dispatch policy in effect.
-    pub fn schedule_mode(&self) -> ScheduleMode {
-        self.schedule
-    }
-
     /// Sets the closed-loop DRAM channel count per chip (clamped to at
     /// least one).
     pub fn with_dram_channels(mut self, channels: usize) -> Self {
@@ -221,26 +208,8 @@ impl SystemSimulator {
         self
     }
 
-    /// The spec chip `c` runs: its slot override, or the system's base
-    /// chip.
-    fn chip_for(&self, c: usize) -> &ChipSpec {
-        self.topology.chip_override(c).unwrap_or(&self.chip)
-    }
-
-    /// The closed-loop channel count in effect for the base chip:
-    /// explicit, or derived from the chip's aggregate bandwidth over
-    /// one LPDDR3 channel's peak.
-    pub fn dram_channel_count(&self) -> usize {
-        self.dram_channel_count_for(&self.chip)
-    }
-
-    fn dram_channel_count_for(&self, chip: &ChipSpec) -> usize {
-        self.dram_channels.unwrap_or_else(|| {
-            DramConfig::lpddr3_1600().channels_for_bandwidth(chip.memory.bandwidth_gbps)
-        })
-    }
-
     fn validate(&self, loads: &[ChipLoad<'_>]) -> Result<(), SimError> {
+        self.chip.validate().map_err(|e| SimError::InvalidChip(e.to_string()))?;
         self.topology.validate().map_err(|e| SimError::InvalidTopology(e.to_string()))?;
         if loads.len() != self.topology.chips() {
             return Err(SimError::InvalidTopology(format!(
@@ -269,12 +238,11 @@ impl SystemSimulator {
                     )));
                 }
             }
-            let chip = self.chip_for(c);
             for program in load.programs {
-                if program.cores() > chip.cores {
+                if program.cores() > self.chip.cores {
                     return Err(SimError::CoreCountMismatch {
                         program_cores: program.cores(),
-                        chip_cores: chip.cores,
+                        chip_cores: self.chip.cores,
                     });
                 }
                 let mut tags = (0..program.cores())
@@ -335,9 +303,10 @@ impl SystemSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidTopology`] for workloads that do not
-    /// fit the topology, [`SimError::CoreCountMismatch`] when a
-    /// program does not match its slot's chip,
+    /// Returns [`SimError::InvalidChip`] for a chip spec that fails
+    /// validation, [`SimError::InvalidTopology`] for workloads that do
+    /// not fit the topology, [`SimError::CoreCountMismatch`] when a
+    /// program does not match the chip,
     /// [`SimError::TagOutOfRange`] for a SEND/RECV tag of 2^48 or
     /// more, [`SimError::TooManyStages`] for an interleaved run with
     /// more than 65,536 (2^16) rounds × partitions on a chip, and
@@ -387,20 +356,25 @@ impl SystemSimulator {
         ((stage_cores + 8 * loads.len()) * 8 + frontend).clamp(256, 1 << 16)
     }
 
-    /// Registers chip `c`'s shared components in the canonical order —
+    /// Registers one chip's shared components in the canonical order —
     /// `[closed-loop dram?, rendezvous, channel, bus]` — and returns
     /// their addresses. The analytic mode's in-line DRAM model lives
     /// inside the channel.
-    fn register_chip(&self, engine: &mut Engine<ChipEvent>, c: usize) -> ChipParts {
-        let chip = self.chip_for(c);
+    fn register_chip(&self, engine: &mut Engine<ChipEvent>) -> ChipParts {
+        let chip = &self.chip;
         let dram = match self.mode {
             TimingMode::Analytic if self.replay_dram => {
                 DramPort::Inline(Box::new(DramSimulator::new(DramConfig::lpddr3_1600())))
             }
             TimingMode::Analytic => DramPort::Off,
-            TimingMode::ClosedLoop => DramPort::ClosedLoop(engine.add_component(
-                ClosedLoopDram::new(self.dram_channel_count_for(chip), self.interleave_bytes),
-            )),
+            TimingMode::ClosedLoop => {
+                let channels = self.dram_channels.unwrap_or_else(|| {
+                    DramConfig::lpddr3_1600().channels_for_bandwidth(chip.memory.bandwidth_gbps)
+                });
+                DramPort::ClosedLoop(
+                    engine.add_component(ClosedLoopDram::new(channels, self.interleave_bytes)),
+                )
+            }
         };
         let rendezvous = engine.add_component(Rendezvous::default());
         let channel = engine.add_component(MemChannel::new(chip, dram));
@@ -443,7 +417,7 @@ impl SystemSimulator {
         ChipSequencer {
             chip_index: c,
             streams,
-            timing: CoreTiming::of(self.chip_for(c)),
+            timing: CoreTiming::of(&self.chip),
             channel: parts.channel,
             bus: parts.bus,
             rendezvous: parts.rendezvous,
@@ -559,8 +533,7 @@ impl SystemSimulator {
             Workload::Serving { arrivals, .. } => arrivals.len().min(ARRIVAL_CHUNK) + 2 * chips,
         };
         engine.reserve_events(self.event_capacity_for(loads, frontend));
-        let parts: Vec<ChipParts> =
-            (0..chips).map(|c| self.register_chip(&mut engine, c)).collect();
+        let parts: Vec<ChipParts> = (0..chips).map(|_| self.register_chip(&mut engine)).collect();
 
         // The interconnect is registered before the sequencers, so the
         // sequencer addresses it must deliver to are the next `chips`
@@ -730,8 +703,7 @@ impl SystemSimulator {
         if outcomes.iter().any(|o| !o.sequencer.graph.all_complete()) {
             return Err(deadlock_of(&outcomes));
         }
-        let energy_models: Vec<EnergyModel> =
-            (0..chips).map(|c| EnergyModel::new(self.chip_for(c))).collect();
+        let energy_model = EnergyModel::new(&self.chip);
         let mut partitions = Vec::new();
         let mut makespan_ns = 0.0f64;
         let mut energy = PowerBreakdown::new();
@@ -741,7 +713,6 @@ impl SystemSimulator {
             // Interleaving may finish stages out of round-major order;
             // reports stay in (round, partition) order either way.
             seq.records.sort_by_key(|r| (r.round, r.partition));
-            let energy_model = &energy_models[c];
             // A partition's instruction stats and dynamic energy are the
             // same in every round: derive them once per partition.
             let costs: Vec<(InstructionStats, PowerBreakdown)> = load
@@ -793,8 +764,10 @@ impl SystemSimulator {
                 handoff_wait_ns: seq.handoff_wait_ns,
             });
         }
+        // Summed chip by chip: multiplying by the chip count rounds
+        // differently and would move report bytes.
         energy.static_nj =
-            energy_models.iter().map(|m| m.static_energy_nj(makespan_ns)).sum::<f64>();
+            (0..chips).map(|_| energy_model.static_energy_nj(makespan_ns)).sum::<f64>();
 
         let mut dram_energy: Option<DramEnergy> = None;
         let mut dram_trace = TraceStats::default();
@@ -1729,28 +1702,6 @@ mod tests {
             interleaved.makespan_ns,
             barrier.makespan_ns
         );
-    }
-
-    #[test]
-    fn heterogeneous_slot_override_shapes_timing_and_validation() {
-        // Slot 1 runs a Chip-L (36 cores): a 36-core program fits there
-        // but not on the base Chip-S.
-        let chip_s = ChipSpec::chip_s();
-        let chip_l = ChipSpec::chip_l();
-        let small = mvm_program(chip_s.cores, 100);
-        let big = mvm_program(chip_l.cores, 100);
-        let loads = [
-            ChipLoad::new(std::slice::from_ref(&small)),
-            ChipLoad::new(std::slice::from_ref(&big)),
-        ];
-        let homogeneous =
-            SystemSimulator::new(chip_s.clone(), Topology::ring(2)).run(&loads, 1, 2).unwrap_err();
-        assert!(matches!(homogeneous, SimError::CoreCountMismatch { .. }));
-        let report = SystemSimulator::new(chip_s, Topology::ring(2).with_chip_override(1, chip_l))
-            .run(&loads, 1, 2)
-            .expect("the override slot accepts the larger program");
-        assert_eq!(report.chips.as_ref().unwrap().len(), 2);
-        assert!(report.makespan_ns > 0.0);
     }
 
     #[test]

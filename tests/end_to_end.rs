@@ -1,10 +1,10 @@
 //! Cross-crate integration: model zoo -> COMPASS compiler -> ISA
 //! programs -> chip simulator -> DRAM replay.
 
-use compass::{CompileOptions, Compiler, GaParams, Strategy};
-use pim_arch::{ChipClass, ChipSpec};
+use compass::{CompileError, CompileOptions, Compiler, GaParams, Strategy};
+use pim_arch::{ChipClass, ChipSpec, Topology};
 use pim_model::zoo;
-use pim_sim::ChipSimulator;
+use pim_sim::{ChipLoad, ChipSimulator, SimError, SystemSimulator};
 
 fn options(strategy: Strategy, batch: usize) -> CompileOptions {
     CompileOptions::new()
@@ -152,4 +152,46 @@ fn custom_chip_configurations_work_end_to_end() {
         .expect("compiles on custom chip");
     let report = ChipSimulator::new(chip).run(compiled.programs(), 4).expect("simulates");
     assert!(report.throughput_ips() > 0.0);
+}
+
+#[test]
+fn malformed_chips_and_links_are_typed_errors() {
+    let base = ChipSpec::chip_s();
+    let net = zoo::tiny_cnn();
+    let compiled =
+        Compiler::new(base.clone()).compile(&net, &options(Strategy::Greedy, 2)).expect("compiles");
+    type Breaker = fn(&mut ChipSpec);
+    let cases: [(&str, Breaker); 14] = [
+        ("memory bandwidth 0", |c| c.memory.bandwidth_gbps = 0.0),
+        ("memory bandwidth NaN", |c| c.memory.bandwidth_gbps = f64::NAN),
+        ("interconnect bandwidth inf", |c| c.interconnect.bandwidth_gbps = f64::INFINITY),
+        ("clock 0", |c| c.core.clock_ghz = 0.0),
+        ("clock NaN", |c| c.core.clock_ghz = f64::NAN),
+        ("no crossbars", |c| c.crossbars_per_core = 0),
+        ("no VFUs", |c| c.core.vfu_count = 0),
+        ("no VFU lanes", |c| c.core.vfu_lanes = 0),
+        ("negative memory latency", |c| c.memory.access_latency_ns = -1.0),
+        ("NaN arbitration", |c| c.interconnect.arbitration_ns = f64::NAN),
+        ("negative MVM latency", |c| c.crossbar.mvm_latency_ns = -1.0),
+        ("NaN MVM latency", |c| c.crossbar.mvm_latency_ns = f64::NAN),
+        ("negative row-write latency", |c| c.crossbar.row_write_latency_ns = -1.0),
+        ("infinite row-write latency", |c| c.crossbar.row_write_latency_ns = f64::INFINITY),
+    ];
+    for (what, break_chip) in cases {
+        let mut chip = base.clone();
+        break_chip(&mut chip);
+        let sim = ChipSimulator::new(chip.clone()).run(compiled.programs(), 2);
+        assert!(matches!(sim, Err(SimError::InvalidChip(_))), "{what}: simulator gave {sim:?}");
+        let compile = Compiler::new(chip).compile(&net, &options(Strategy::Greedy, 2));
+        assert!(
+            matches!(compile, Err(CompileError::InvalidChip(_))),
+            "{what}: compiler gave {:?}",
+            compile.err()
+        );
+    }
+    let mut topology = Topology::ring(2);
+    topology.links[0].spec.bandwidth_gbps = f64::NAN;
+    let loads = [ChipLoad::new(compiled.programs()), ChipLoad::new(compiled.programs())];
+    let sim = SystemSimulator::new(base, topology).run(&loads, 1, 2);
+    assert!(matches!(sim, Err(SimError::InvalidTopology(_))), "NaN link bandwidth: {sim:?}");
 }

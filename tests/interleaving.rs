@@ -8,13 +8,12 @@
 //! (single-partition chips, zero-round runs, claim conflicts) behave,
 //! interleaved schedules are deterministic per seed, and a fan-out
 //! system (one producer feeding two consumers) simulates
-//! deterministically with the analytic system estimate within a
-//! bounded factor of the simulated cycles.
+//! deterministically.
 
 use compass::scheduler::{schedule_group, SchedulerOptions};
 use compass::{
-    estimate_system_makespan, plan_system, CompileOptions, CompiledModel, Compiler, GaParams,
-    Strategy, SystemChipPlan, SystemSchedule, SystemStrategy, SystemTarget,
+    plan_system, CompileOptions, CompiledModel, Compiler, GaParams, Strategy, SystemChipPlan,
+    SystemSchedule, SystemStrategy, SystemTarget,
 };
 use compass_bench::system_loads;
 use pim_arch::{ChipSpec, ScheduleMode, TimingMode, Topology};
@@ -297,7 +296,7 @@ fn fan_out_schedule(
 }
 
 #[test]
-fn fan_out_simulates_deterministically_and_matches_the_estimate() {
+fn fan_out_simulates_deterministically() {
     let chip = ChipSpec::chip_s();
     let net = zoo::resnet18();
     let batch = 4;
@@ -322,16 +321,6 @@ fn fan_out_simulates_deterministically_and_matches_the_estimate() {
         assert!(chips.iter().all(|c| c.rounds == rounds));
         assert!(chips[1].handoff_wait_ns > 0.0);
         assert!(chips[2].handoff_wait_ns > 0.0);
-        // The analytic system estimate lands within a bounded factor
-        // of the simulated cycles (it is a model, not the simulator).
-        let predicted =
-            estimate_system_makespan(&schedule, compiled.estimate(), rounds, schedule_mode);
-        let ratio = report.makespan_ns / predicted;
-        assert!(
-            (0.2..5.0).contains(&ratio),
-            "{schedule_mode}: simulated {} vs predicted {predicted} (ratio {ratio})",
-            report.makespan_ns
-        );
     }
 }
 

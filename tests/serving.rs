@@ -201,6 +201,42 @@ fn serving_rejects_nonsense_configs() {
 }
 
 #[test]
+fn malformed_request_traces_are_typed_errors() {
+    use pim_sim::SimError;
+    let unparsable = [
+        ("truncated", r#"{"arrivals_ns": [1.0, 2.0"#),
+        ("arrivals not a list", r#"{"arrivals_ns": 5.0}"#),
+        ("arrival not a number", r#"{"arrivals_ns": ["1.0"]}"#),
+        ("top level not an object", "[1.0, 2.0]"),
+        ("missing field", "{}"),
+        ("trailing input", r#"{"arrivals_ns": [1.0]} {"#),
+        ("bad escape", r#"{"arrivals_ns": [1.0], "note": "\q"}"#),
+    ];
+    for (what, json) in unparsable {
+        assert!(serde_json::from_str::<RequestTrace>(json).is_err(), "{what} parsed: {json}");
+    }
+    let chip = ChipSpec::chip_s();
+    let stage = mvm_program(chip.cores, 10);
+    let loads = [
+        ChipLoad::new(std::slice::from_ref(&stage)).with_handoff(1, 4096),
+        ChipLoad::new(std::slice::from_ref(&stage)),
+    ];
+    let sim = SystemSimulator::new(chip, Topology::ring(2));
+    let out_of_range = [
+        ("overflowing arrival", r#"{"arrivals_ns": [1e999]}"#),
+        ("negative arrival", r#"{"arrivals_ns": [-1.0]}"#),
+    ];
+    for (what, json) in out_of_range {
+        let trace: RequestTrace = serde_json::from_str(json).expect("parses as numbers");
+        let config = ServingConfig::new(TrafficSpec::Trace(trace));
+        assert!(
+            matches!(sim.run_serving(&loads, &config), Err(SimError::InvalidServing(_))),
+            "{what} was served"
+        );
+    }
+}
+
+#[test]
 fn empty_traffic_serves_nothing_gracefully() {
     let config = ServingConfig::new(poisson(0.0, 3, 100));
     let report = ring2_run(&config, 10);
