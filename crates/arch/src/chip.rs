@@ -222,7 +222,8 @@ impl ChipSpec {
     /// Returns [`InvalidConfigError`] when a structural parameter is
     /// zero, the crossbar geometry cannot hold a single weight at the
     /// configured precision, a clock or bandwidth is not finite and
-    /// positive, or a latency is not finite and non-negative.
+    /// positive, or a latency, energy or power is not finite and
+    /// non-negative.
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         if self.cores == 0 {
             return Err(InvalidConfigError::new("chip must have at least one core"));
@@ -254,6 +255,14 @@ impl ChipSpec {
             ("interconnect arbitration time", self.interconnect.arbitration_ns),
             ("crossbar MVM latency", self.crossbar.mvm_latency_ns),
             ("crossbar row-write latency", self.crossbar.row_write_latency_ns),
+            ("chip power", self.chip_power_w),
+            ("VFU power", self.core.vfu_power_mw),
+            ("local memory power", self.core.local_memory_power_mw),
+            ("control unit power", self.core.control_power_mw),
+            ("crossbar MVM energy", self.crossbar.mvm_energy_pj),
+            ("crossbar cell-write energy", self.crossbar.cell_write_energy_pj),
+            ("memory energy per bit", self.memory.energy_pj_per_bit),
+            ("interconnect energy per byte", self.interconnect.energy_pj_per_byte),
         ];
         for (what, value) in non_negative {
             if !(value.is_finite() && value >= 0.0) {
@@ -345,6 +354,30 @@ mod tests {
         let mut chip = ChipSpec::chip_s();
         chip.core.clock_ghz = 0.0;
         assert!(chip.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_or_negative_energy_and_power() {
+        let fields: [fn(&mut ChipSpec) -> &mut f64; 8] = [
+            |c| &mut c.chip_power_w,
+            |c| &mut c.core.vfu_power_mw,
+            |c| &mut c.core.local_memory_power_mw,
+            |c| &mut c.core.control_power_mw,
+            |c| &mut c.crossbar.mvm_energy_pj,
+            |c| &mut c.crossbar.cell_write_energy_pj,
+            |c| &mut c.memory.energy_pj_per_bit,
+            |c| &mut c.interconnect.energy_pj_per_byte,
+        ];
+        for (i, field) in fields.iter().enumerate() {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut chip = ChipSpec::chip_s();
+                *field(&mut chip) = bad;
+                assert!(chip.validate().is_err(), "field {i} = {bad}");
+            }
+            let mut chip = ChipSpec::chip_s();
+            *field(&mut chip) = 0.0;
+            chip.validate().unwrap_or_else(|e| panic!("field {i} = 0: {e}"));
+        }
     }
 
     #[test]

@@ -146,9 +146,9 @@ impl Topology {
     ///
     /// Returns [`InvalidConfigError`] when the system has zero chips, a
     /// link endpoint is out of range or degenerate, a link's bandwidth
-    /// is not finite and positive or its latency is not finite and
-    /// non-negative, or (for multi-chip
-    /// systems) some ordered chip pair has no route.
+    /// is not finite and positive or its latency or energy is not
+    /// finite and non-negative, or (for multi-chip systems) some
+    /// ordered chip pair has no route.
     pub fn validate(&self) -> Result<(), InvalidConfigError> {
         if self.chips == 0 {
             return Err(InvalidConfigError::new("topology must have at least one chip"));
@@ -166,6 +166,11 @@ impl Topology {
             if link.spec.latency_ns < 0.0 || !link.spec.latency_ns.is_finite() {
                 return Err(InvalidConfigError::new(
                     "link latency must be finite and non-negative",
+                ));
+            }
+            if link.spec.energy_pj_per_byte < 0.0 || !link.spec.energy_pj_per_byte.is_finite() {
+                return Err(InvalidConfigError::new(
+                    "link energy per byte must be finite and non-negative",
                 ));
             }
         }

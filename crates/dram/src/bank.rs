@@ -126,16 +126,6 @@ impl Bank {
             self.refresh_until(end_ns);
         }
     }
-
-    /// [`Self::classify`] as the bank would answer once caught up to
-    /// `closes` all-bank closes: a lagging bank is closed.
-    pub(crate) fn classify_after(&self, closes: u64, row: u64) -> AccessClass {
-        if self.closes_seen == closes {
-            self.classify(row)
-        } else {
-            AccessClass::RowClosed
-        }
-    }
 }
 
 #[cfg(test)]

@@ -70,11 +70,6 @@ impl MultiChannelDram {
         })
     }
 
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.channels.len()
-    }
-
     /// The interleave granularity in bytes.
     pub fn interleave_bytes(&self) -> usize {
         self.interleave_bytes
@@ -90,7 +85,7 @@ impl MultiChannelDram {
         let mut finish_ns = request.issue_ns.max(0.0);
         let mut count = 0usize;
         for (channel, piece) in Self::stripes(self.channels.len(), self.interleave_bytes, request) {
-            let done = self.channels[channel].service_one(piece);
+            let done = self.channels[channel].service(piece);
             start_ns = start_ns.min(done.start_ns);
             finish_ns = finish_ns.max(done.finish_ns);
             count += 1;

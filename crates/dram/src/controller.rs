@@ -3,22 +3,15 @@
 use crate::bank::{AccessClass, Bank};
 use crate::config::{DramConfig, DramTiming};
 use crate::energy::DramEnergy;
-use crate::request::{Request, RequestId, RequestKind};
+use crate::request::{Request, RequestKind};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 #[cfg(test)]
 mod reference;
 
-/// How many of the oldest queued requests the FR-FCFS pick looks at
-/// for a row-buffer hit.
-const REORDER_WINDOW: usize = 8;
-
 /// Completion record for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompletedRequest {
-    /// The id returned by [`DramSimulator::enqueue`].
-    pub id: RequestId,
     /// When the request became eligible.
     pub issue_ns: f64,
     /// When its first burst started service.
@@ -29,13 +22,6 @@ pub struct CompletedRequest {
     pub kind: RequestKind,
     /// Total bytes transferred.
     pub bytes: usize,
-}
-
-impl CompletedRequest {
-    /// Queueing + service latency.
-    pub fn latency_ns(&self) -> f64 {
-        self.finish_ns - self.issue_ns
-    }
 }
 
 /// Aggregate counters of one controller (one channel), as reported in
@@ -84,13 +70,12 @@ impl ChannelStats {
 
 /// A cycle-approximate LPDDR3 memory controller.
 ///
-/// Requests are served in a FR-FCFS-lite order: among eligible
-/// requests the controller prefers row-buffer hits within a small
-/// reorder window, otherwise oldest-first. Block requests are split
-/// into bursts; banks pipeline while the shared data bus serializes —
-/// so bulk sequential traffic approaches peak bandwidth while random
-/// traffic pays activate/precharge latency, the two behaviours the
-/// COMPASS weight-replacement schedule is sensitive to.
+/// Requests are served in call order ([`DramSimulator::service`]).
+/// Block requests are split into bursts; banks pipeline while the
+/// shared data bus serializes — so bulk sequential traffic approaches
+/// peak bandwidth while random traffic pays activate/precharge
+/// latency, the two behaviours the COMPASS weight-replacement schedule
+/// is sensitive to.
 ///
 /// The cycle-scaled timing constants ([`DramTiming`]) are computed
 /// once, when the controller is built: the per-burst path reads them
@@ -115,9 +100,8 @@ impl ChannelStats {
 ///   bank. The controller counts these closes and keeps the latest
 ///   close end instead of walking the banks; a bank catches up when
 ///   it is next touched (its row closes, its ready time becomes
-///   `max(ready, latest end)`), and the FR-FCFS pick treats a bank
-///   that has not caught up as closed. Ends act only through `max`, so
-///   this is exact. Missed refreshes are still counted one by one.
+///   `max(ready, latest end)`). Ends act only through `max`, so this
+///   is exact. Missed refreshes are still counted one by one.
 ///
 /// # Example
 ///
@@ -126,9 +110,8 @@ impl ChannelStats {
 ///
 /// let mut sim = DramSimulator::new(DramConfig::lpddr3_1600());
 /// // Stream 64 KiB of weights.
-/// sim.enqueue(Request::new(0, 0, RequestKind::Read, 64 * 1024));
-/// let done = sim.service_pending();
-/// let gbps = 64.0 * 1024.0 / done[0].finish_ns; // bytes per ns
+/// let done = sim.service(Request::new(0, 0, RequestKind::Read, 64 * 1024));
+/// let gbps = 64.0 * 1024.0 / done.finish_ns; // bytes per ns
 /// assert!(gbps > 4.0, "sequential stream should be near peak, got {gbps}");
 /// ```
 #[derive(Debug, Clone)]
@@ -137,8 +120,6 @@ pub struct DramSimulator {
     /// `cfg`'s timing in ns, computed once at construction.
     timing: DramTiming,
     banks: Vec<Bank>,
-    queue: VecDeque<(RequestId, Request)>,
-    next_id: u64,
     bus_free_ns: f64,
     next_refresh_ns: f64,
     refreshes: u64,
@@ -174,8 +155,6 @@ impl DramSimulator {
             cfg,
             timing,
             banks,
-            queue: VecDeque::new(),
-            next_id: 0,
             bus_free_ns: 0.0,
             refreshes: 0,
             activates: 0,
@@ -198,86 +177,13 @@ impl DramSimulator {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
-    /// Adds a request to the queue, returning its id.
-    pub fn enqueue(&mut self, request: Request) -> RequestId {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        self.queue.push_back((id, request));
-        id
-    }
-
-    /// Serves one request immediately, bypassing the queue and the
-    /// FR-FCFS reorder window. The closed-loop front end uses this:
-    /// requests arrive one engine event at a time (cores block on
-    /// completion), so arrival order *is* service order and the
-    /// completion's `finish_ns` feeds straight back into the chip's
-    /// critical path.
-    pub fn service_one(&mut self, request: Request) -> CompletedRequest {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        self.serve(id, request)
-    }
-
-    /// Serves everything currently queued, FR-FCFS order, returning
-    /// the completions. Used by event-driven front ends that feed
-    /// requests in as simulation time advances.
-    pub fn service_pending(&mut self) -> Vec<CompletedRequest> {
-        let mut done = Vec::with_capacity(self.queue.len());
-        self.service_pending_with(|completed| done.push(completed));
-        done
-    }
-
-    /// Serves everything currently queued, FR-FCFS order, handing each
-    /// completion to `sink` instead of collecting them — a front end
-    /// that only refines energy passes `|_| {}` and allocates nothing.
-    pub fn service_pending_with(&mut self, mut sink: impl FnMut(CompletedRequest)) {
-        while !self.queue.is_empty() {
-            let idx = self.pick_next();
-            let (id, req) = self.queue.remove(idx).expect("index in range");
-            sink(self.serve(id, req));
-        }
-    }
-
-    /// FR-FCFS-lite: among the oldest [`REORDER_WINDOW`] requests whose
-    /// issue time has been reached, prefer a row-buffer hit; fall back
-    /// to the globally oldest request.
-    fn pick_next(&self) -> usize {
+    /// Serves one request, in call order, and returns its completion.
+    /// The request waits for its issue time, its banks and the data
+    /// bus; nothing is queued or reordered.
+    pub fn service(&mut self, req: Request) -> CompletedRequest {
         #[cfg(test)]
         if self.reference {
-            return self.pick_next_reference();
-        }
-        if self.queue.len() == 1 {
-            return 0;
-        }
-        let horizon = self
-            .queue
-            .iter()
-            .take(REORDER_WINDOW)
-            .map(|(_, r)| r.issue_ns)
-            .fold(f64::INFINITY, f64::min)
-            .max(self.makespan_ns);
-        let window = self.queue.len().min(REORDER_WINDOW);
-        for (i, (_, req)) in self.queue.iter().take(window).enumerate() {
-            if req.issue_ns <= horizon {
-                let (bank, row) = self.cfg.map_address(req.addr);
-                if self.banks[bank].classify_after(self.closes, row) == AccessClass::RowHit {
-                    return i;
-                }
-            }
-        }
-        // Oldest eligible request (queue is FIFO by construction).
-        0
-    }
-
-    fn serve(&mut self, id: RequestId, req: Request) -> CompletedRequest {
-        #[cfg(test)]
-        if self.reference {
-            return self.serve_reference(id, req);
+            return self.serve_reference(req);
         }
         let burst_time = self.timing.ccd_ns;
         let is_write = req.kind == RequestKind::Write;
@@ -286,7 +192,7 @@ impl DramSimulator {
         let mut finish_ns = t;
         let bursts = req.bytes.div_ceil(self.cfg.burst_bytes).max(1);
         if bursts > 64 {
-            return self.serve_bulk(id, req, bursts);
+            return self.serve_bulk(req, bursts);
         }
         let mut b = 0;
         while b < bursts {
@@ -337,7 +243,6 @@ impl DramSimulator {
         self.data_busy_ns += bursts as f64 * burst_time;
         self.makespan_ns = self.makespan_ns.max(finish_ns);
         CompletedRequest {
-            id,
             issue_ns: req.issue_ns,
             start_ns: if start_ns.is_finite() { start_ns } else { req.issue_ns },
             finish_ns,
@@ -410,7 +315,7 @@ impl DramSimulator {
     /// constraint once the first access has opened its row. Activate
     /// counts and refresh stalls are applied analytically, so energy
     /// and bandwidth match the per-burst path closely.
-    fn serve_bulk(&mut self, id: RequestId, req: Request, bursts: usize) -> CompletedRequest {
+    fn serve_bulk(&mut self, req: Request, bursts: usize) -> CompletedRequest {
         let burst_time = self.timing.ccd_ns;
         let is_write = req.kind == RequestKind::Write;
         let t = req.issue_ns.max(0.0);
@@ -455,7 +360,6 @@ impl DramSimulator {
         self.data_busy_ns += stream_time;
         self.makespan_ns = self.makespan_ns.max(finish);
         CompletedRequest {
-            id,
             issue_ns: req.issue_ns,
             start_ns: service_start,
             finish_ns: finish,
@@ -503,16 +407,6 @@ impl DramSimulator {
             self.write_bits,
             self.makespan_ns,
         )
-    }
-
-    /// Row-buffer activate count (misses + conflicts).
-    pub fn activates(&self) -> u64 {
-        self.activates
-    }
-
-    /// Row-buffer hit count.
-    pub fn row_hits(&self) -> u64 {
-        self.row_hits
     }
 
     /// Aggregate counters for this controller.
@@ -584,9 +478,8 @@ mod tests {
     #[test]
     fn single_read_latency_is_reasonable() {
         let mut s = sim();
-        s.enqueue(Request::new(0, 0, RequestKind::Read, 32));
-        let done = s.service_pending();
-        let lat = done[0].latency_ns();
+        let done = s.service(Request::new(0, 0, RequestKind::Read, 32));
+        let lat = done.finish_ns - done.issue_ns;
         // tRCD + tCL + burst = (15 + 12 + 4) * 1.25 = 38.75 ns.
         assert!((lat - 38.75).abs() < 1e-6, "latency {lat}");
     }
@@ -595,9 +488,9 @@ mod tests {
     fn sequential_stream_beats_random() {
         let mut seq = sim();
         for i in 0..256u64 {
-            seq.enqueue(Request::new(0, i * 32, RequestKind::Read, 32));
+            seq.service(Request::new(0, i * 32, RequestKind::Read, 32));
         }
-        let seq_end = seq.service_pending().last().unwrap().finish_ns;
+        let seq_end = seq.makespan_ns();
 
         let mut rng_state = 12345u64;
         let mut random = sim();
@@ -607,9 +500,9 @@ mod tests {
             rng_state ^= rng_state >> 7;
             rng_state ^= rng_state << 17;
             let addr = (rng_state % (64 * 1024 * 1024)) & !31;
-            random.enqueue(Request::new(0, addr, RequestKind::Read, 32));
+            random.service(Request::new(0, addr, RequestKind::Read, 32));
         }
-        let rnd_end = random.service_pending().last().unwrap().finish_ns;
+        let rnd_end = random.makespan_ns();
         assert!(
             rnd_end > 1.5 * seq_end,
             "random ({rnd_end}) should be much slower than sequential ({seq_end})"
@@ -620,10 +513,9 @@ mod tests {
     fn bulk_read_approaches_peak_bandwidth() {
         let mut s = sim();
         let bytes = 1 << 20; // 1 MiB
-        s.enqueue(Request::new(0, 0, RequestKind::Read, bytes));
-        let done = s.service_pending();
-        let gbps = bytes as f64 / done[0].finish_ns;
-        let peak = s.config().peak_bandwidth_gbps();
+        let done = s.service(Request::new(0, 0, RequestKind::Read, bytes));
+        let gbps = bytes as f64 / done.finish_ns;
+        let peak = s.cfg.peak_bandwidth_gbps();
         assert!(gbps > 0.8 * peak, "bulk stream {gbps} GB/s vs peak {peak}");
     }
 
@@ -631,20 +523,18 @@ mod tests {
     fn refresh_fires_on_long_runs() {
         let mut s = sim();
         // Spread requests over > tREFI.
-        let refi_ns = s.config().t_refi as f64 * s.config().cycle_ns();
+        let refi_ns = s.timing.refi_ns;
         for i in 0..10u64 {
-            s.enqueue(Request::at_ns(i as f64 * refi_ns, i * 32, RequestKind::Read, 32));
+            s.service(Request::at_ns(i as f64 * refi_ns, i * 32, RequestKind::Read, 32));
         }
-        s.service_pending();
         assert!(s.refreshes >= 9, "refreshes {}", s.refreshes);
     }
 
     #[test]
     fn writes_are_tracked_separately() {
         let mut s = sim();
-        s.enqueue(Request::new(0, 0, RequestKind::Write, 64));
-        s.enqueue(Request::new(0, 4096, RequestKind::Read, 64));
-        s.service_pending();
+        s.service(Request::new(0, 0, RequestKind::Write, 64));
+        s.service(Request::new(0, 4096, RequestKind::Read, 64));
         assert_eq!(s.write_bits, 64 * 8);
         assert_eq!(s.read_bits, 64 * 8);
     }
@@ -652,11 +542,9 @@ mod tests {
     #[test]
     fn energy_grows_with_traffic() {
         let mut small = sim();
-        small.enqueue(Request::new(0, 0, RequestKind::Read, 1024));
-        small.service_pending();
+        small.service(Request::new(0, 0, RequestKind::Read, 1024));
         let mut big = sim();
-        big.enqueue(Request::new(0, 0, RequestKind::Read, 1024 * 1024));
-        big.service_pending();
+        big.service(Request::new(0, 0, RequestKind::Read, 1024 * 1024));
         assert!(big.energy().total_nj() > 10.0 * small.energy().total_nj());
     }
 
@@ -699,18 +587,21 @@ mod tests {
     }
 
     #[test]
-    fn completions_cover_all_requests() {
+    fn completions_are_ordered_and_stats_count_every_request() {
         let mut s = sim();
-        let ids: Vec<_> =
-            (0..50u64).map(|i| s.enqueue(Request::new(i, i * 64, RequestKind::Read, 64))).collect();
-        let done = s.service_pending();
-        assert_eq!(done.len(), 50);
-        let mut seen: Vec<_> = done.iter().map(|c| c.id).collect();
-        seen.sort();
-        assert_eq!(seen, ids);
-        for c in &done {
-            assert!(c.finish_ns >= c.start_ns);
-            assert!(c.start_ns >= c.issue_ns);
+        let mut bytes = 0;
+        for i in 0..50u64 {
+            // Sub-burst, multi-burst and bulk sizes, some issued
+            // before the bus frees up.
+            let size = [64, 3_000, 70_000][i as usize % 3];
+            let kind = if i % 4 == 0 { RequestKind::Write } else { RequestKind::Read };
+            let c = s.service(Request::new(i * 100, i * 4_096, kind, size));
+            assert!(c.issue_ns <= c.start_ns && c.start_ns <= c.finish_ns, "request {i}: {c:?}");
+            assert_eq!((c.kind, c.bytes), (kind, size));
+            bytes += size as u64;
         }
+        let stats = s.stats();
+        assert_eq!(stats.requests, 50);
+        assert_eq!(stats.total_bytes(), bytes);
     }
 }

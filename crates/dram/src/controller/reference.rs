@@ -13,27 +13,7 @@ impl DramSimulator {
         self.reference = true;
     }
 
-    pub(super) fn pick_next_reference(&self) -> usize {
-        let horizon = self
-            .queue
-            .iter()
-            .take(REORDER_WINDOW)
-            .map(|(_, r)| r.issue_ns)
-            .fold(f64::INFINITY, f64::min)
-            .max(self.makespan_ns);
-        let window = self.queue.len().min(REORDER_WINDOW);
-        for (i, (_, req)) in self.queue.iter().take(window).enumerate() {
-            if req.issue_ns <= horizon {
-                let (bank, row) = self.cfg.map_address(req.addr);
-                if self.banks[bank].classify(row) == AccessClass::RowHit {
-                    return i;
-                }
-            }
-        }
-        0
-    }
-
-    pub(super) fn serve_reference(&mut self, id: RequestId, req: Request) -> CompletedRequest {
+    pub(super) fn serve_reference(&mut self, req: Request) -> CompletedRequest {
         let burst_time = self.timing.ccd_ns;
         let is_write = req.kind == RequestKind::Write;
         let mut t = req.issue_ns.max(0.0);
@@ -41,7 +21,7 @@ impl DramSimulator {
         let mut finish_ns = t;
         let bursts = req.bytes.div_ceil(self.cfg.burst_bytes).max(1);
         if bursts > 64 {
-            return self.serve_bulk_reference(id, req, bursts);
+            return self.serve_bulk_reference(req, bursts);
         }
         for b in 0..bursts {
             let addr = req.addr + (b * self.cfg.burst_bytes) as u64;
@@ -70,7 +50,6 @@ impl DramSimulator {
         self.data_busy_ns += bursts as f64 * burst_time;
         self.makespan_ns = self.makespan_ns.max(finish_ns);
         CompletedRequest {
-            id,
             issue_ns: req.issue_ns,
             start_ns: if start_ns.is_finite() { start_ns } else { req.issue_ns },
             finish_ns,
@@ -79,12 +58,7 @@ impl DramSimulator {
         }
     }
 
-    fn serve_bulk_reference(
-        &mut self,
-        id: RequestId,
-        req: Request,
-        bursts: usize,
-    ) -> CompletedRequest {
+    fn serve_bulk_reference(&mut self, req: Request, bursts: usize) -> CompletedRequest {
         let burst_time = self.timing.ccd_ns;
         let is_write = req.kind == RequestKind::Write;
         let t = req.issue_ns.max(0.0);
@@ -125,7 +99,6 @@ impl DramSimulator {
         self.data_busy_ns += stream_time;
         self.makespan_ns = self.makespan_ns.max(finish);
         CompletedRequest {
-            id,
             issue_ns: req.issue_ns,
             start_ns: service_start,
             finish_ns: finish,
@@ -254,8 +227,7 @@ mod tests {
     }
 
     /// One seeded stream through `MultiChannelDram::service` and one
-    /// through a single controller (`service_one` and
-    /// `service_pending`), each on both paths.
+    /// through a single controller's `service`, each on both paths.
     fn differential(seed: u64, ops: usize) {
         let mut rng = Rng(seed);
         let cfg = config(&mut rng);
@@ -280,19 +252,9 @@ mod tests {
         slow.use_reference();
         let mut stream = Stream::new(Rng(rng.next()), &cfg, 1 << 20);
         for op in 0..ops {
-            if stream.rng.below(2) == 0 {
-                for _ in 0..1 + stream.rng.below(8) {
-                    let request = stream.request();
-                    fast.enqueue(request);
-                    slow.enqueue(request);
-                }
-                let (a, b) = (fast.service_pending(), slow.service_pending());
-                assert!(same(&a, &b), "seed {seed} op {op}: pending\n{a:?}\n{b:?}");
-            } else {
-                let request = stream.request();
-                let (a, b) = (fast.service_one(request), slow.service_one(request));
-                assert!(same(&a, &b), "seed {seed} op {op}: {request:?}\n{a:?}\n{b:?}");
-            }
+            let request = stream.request();
+            let (a, b) = (fast.service(request), slow.service(request));
+            assert!(same(&a, &b), "seed {seed} op {op}: {request:?}\n{a:?}\n{b:?}");
         }
         assert!(same(&fast.stats(), &slow.stats()), "seed {seed}: stats");
         assert!(same(&fast.energy(), &slow.energy()), "seed {seed}: energy");

@@ -12,24 +12,27 @@
 //!   pays activate/precharge,
 //! * JEDEC-style timing constraints (tRCD, tRP, tCL/tCWL, tRAS, tWR,
 //!   tCCD, tRFC with periodic refresh),
-//! * a FR-FCFS-lite controller queue with bank-level parallelism,
+//! * bank-level parallelism behind one shared data bus,
 //! * energy accounting (activate, read, write, IO, background).
 //!
 //! Where the paper writes a trace and replays it through DRAMsim3 in a
 //! second pass, the chip simulator feeds this model in line, as its
 //! events fire. A request is what a DRAMsim3 trace line holds (issue
-//! time, address, read/write, bytes). Three front ends serve them:
+//! time, address, read/write, bytes). Two front ends serve them, one
+//! request at a time, in call order:
 //!
-//! * [`DramSimulator::enqueue`] + [`DramSimulator::service_pending`]
-//!   (or [`DramSimulator::service_pending_with`]) serve everything
-//!   queued so far in FR-FCFS order;
-//! * [`DramSimulator::service_one`] serves one request at once, in
-//!   arrival order;
-//! * [`MultiChannelDram::service`] serves one block request at once,
-//!   striped across address-interleaved channels.
+//! * [`DramSimulator::service`] serves a request on one controller;
+//! * [`MultiChannelDram::service`] stripes a block request across
+//!   address-interleaved channels and serves each stripe there.
 //!
-//! Each reports per-request completion; the controller keeps the
-//! aggregate bandwidth and energy counters.
+//! There is no reorder queue, because the simulator's traffic gives a
+//! row-hit-first pick nothing to reorder. Requests arrive as their
+//! events fire, so call order is issue order. The in-line energy model
+//! serves one transfer at a time as contiguous chunks: every chunk but
+//! the last is a bulk stream that closes every bank, and bump-allocated
+//! addresses keep the later chunks off any row an earlier request
+//! opened. Each call returns the request's completion; the controller
+//! keeps the aggregate bandwidth and energy counters.
 //!
 //! # Example
 //!
@@ -37,11 +40,10 @@
 //! use pim_dram::{DramConfig, DramSimulator, Request, RequestKind};
 //!
 //! let mut sim = DramSimulator::new(DramConfig::lpddr3_1600());
-//! let id = sim.enqueue(Request::new(0, 0x1000, RequestKind::Read, 64));
-//! let results = sim.service_pending();
-//! assert_eq!(results.len(), 1);
-//! assert_eq!(results[0].id, id);
-//! assert!(results[0].finish_ns > 0.0);
+//! let done = sim.service(Request::new(0, 0x1000, RequestKind::Read, 64));
+//! assert!(done.start_ns >= done.issue_ns);
+//! assert!(done.finish_ns > done.start_ns);
+//! assert_eq!(sim.stats().requests, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,4 +63,4 @@ pub use config::DramConfig;
 pub use controller::{ChannelStats, CompletedRequest, DramSimulator};
 pub use energy::DramEnergy;
 pub use error::DramError;
-pub use request::{Request, RequestId, RequestKind};
+pub use request::{Request, RequestKind};

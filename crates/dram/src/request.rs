@@ -1,17 +1,6 @@
 //! Memory requests.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Identifier assigned to each enqueued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct RequestId(pub u64);
-
-impl fmt::Display for RequestId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req{}", self.0)
-    }
-}
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -22,16 +11,8 @@ pub enum RequestKind {
     Write,
 }
 
-impl fmt::Display for RequestKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RequestKind::Read => write!(f, "R"),
-            RequestKind::Write => write!(f, "W"),
-        }
-    }
-}
-
-/// One trace entry: a block transfer issued at a given time.
+/// One block transfer issued at a given time: what a DRAMsim3 trace
+/// line holds.
 ///
 /// Transfers larger than one burst are split into sequential bursts by
 /// the controller.
@@ -59,12 +40,6 @@ impl Request {
     }
 }
 
-impl fmt::Display for Request {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} 0x{:x} {}B @{:.1}ns", self.kind, self.addr, self.bytes, self.issue_ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,11 +50,5 @@ mod tests {
         assert_eq!(r.issue_ns, 10.0);
         let w = Request::at_ns(2.5, 0x80, RequestKind::Write, 32);
         assert_eq!(w.issue_ns, 2.5);
-    }
-
-    #[test]
-    fn display() {
-        let r = Request::new(0, 0x100, RequestKind::Read, 64);
-        assert_eq!(r.to_string(), "R 0x100 64B @0.0ns");
     }
 }

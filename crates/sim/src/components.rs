@@ -507,27 +507,13 @@ impl Component<ChipEvent> for MemChannel {
                 self.free_ns = start + stream_ns;
 
                 // Feed the transfer to the in-line DRAM model in
-                // row-friendly chunks, all issued at the grant time, and
-                // serve them at once. This is exactly the request stream
-                // and service order of the model run as its own engine
-                // component that drains each instant's arrivals:
-                // - a channel's grant times strictly increase for
-                //   non-zero transfers: `free_ns` only rises, and a
-                //   `Barrier` resets it to a time after every earlier
-                //   grant (it fires once the previous stage's cores have
-                //   all received their `MemDone`s, each later than its
-                //   grant). So each instant's drain serves exactly one
-                //   transfer's chunks, in grant order;
-                // - the DRAM model reads the chunks' issue times, never
-                //   engine time;
-                // - dropping the model's own events renumbers sequence
-                //   ids but keeps the `(time, seq)` order of every
-                //   remaining event.
+                // row-friendly chunks, all issued at the grant time. The
+                // model reads issue times, never engine time, so serving
+                // them here needs no event of its own.
                 if let Some(dram) = inline {
                     for request in chunks(start, base, kind, bytes, chunk) {
-                        dram.enqueue(request);
+                        dram.service(request);
                     }
-                    dram.service_pending_with(|_| {});
                 }
 
                 ctx.schedule(
@@ -656,6 +642,11 @@ impl Component<ChipEvent> for Rendezvous {
     }
 }
 
+/// The closed-loop address-interleave granularity: two LPDDR3 rows per
+/// stripe keeps sequential streams row-friendly while still spreading
+/// blocks across channels.
+const DEFAULT_INTERLEAVE_BYTES: usize = 4096;
+
 /// The closed-loop multi-channel DRAM: every `DramAccess` is striped
 /// across the in-line LPDDR3 controllers as its event arrives (cores
 /// block, so arrival order is service order), and the requesting core's
@@ -668,9 +659,10 @@ pub(crate) struct ClosedLoopDram {
 }
 
 impl ClosedLoopDram {
-    pub(crate) fn new(channels: usize, interleave_bytes: usize) -> Self {
-        let mem = MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, interleave_bytes)
-            .expect("simulator builder guarantees at least one channel");
+    pub(crate) fn new(channels: usize) -> Self {
+        let mem =
+            MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, DEFAULT_INTERLEAVE_BYTES)
+                .expect("simulator builder guarantees at least one channel");
         Self { mem, requests: 0 }
     }
 }

@@ -86,12 +86,6 @@ impl ChipSimulator {
         self
     }
 
-    /// Sets the closed-loop address-interleave granularity in bytes.
-    pub fn with_dram_interleave(mut self, bytes: usize) -> Self {
-        self.system = self.system.with_dram_interleave(bytes);
-        self
-    }
-
     /// Runs on the engine's retired binary-heap event queue (the
     /// determinism suites' oracle; see
     /// [`SystemSimulator::with_reference_queue`]).

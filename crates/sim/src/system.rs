@@ -55,11 +55,6 @@ use pim_isa::{ChipProgram, CoreId, Instruction, InstructionStats};
 use std::any::Any;
 use std::rc::Rc;
 
-/// Default closed-loop address-interleave granularity: two LPDDR3 rows
-/// per stripe keeps sequential streams row-friendly while still
-/// spreading blocks across channels.
-pub(crate) const DEFAULT_INTERLEAVE_BYTES: usize = 4096;
-
 /// Stages (rounds × partitions) one chip can run under the interleaved
 /// schedule: overlapping stages tell their rendezvous tags apart by a
 /// 16-bit stage id above [`MAX_PROGRAM_TAG`].
@@ -139,7 +134,6 @@ pub struct SystemSimulator {
     mode: TimingMode,
     schedule: ScheduleMode,
     dram_channels: Option<usize>,
-    interleave_bytes: usize,
     #[cfg(feature = "reference-queue")]
     reference_queue: bool,
 }
@@ -156,7 +150,6 @@ impl SystemSimulator {
             mode: TimingMode::Analytic,
             schedule: ScheduleMode::Barrier,
             dram_channels: None,
-            interleave_bytes: DEFAULT_INTERLEAVE_BYTES,
             #[cfg(feature = "reference-queue")]
             reference_queue: false,
         }
@@ -199,12 +192,6 @@ impl SystemSimulator {
     /// least one).
     pub fn with_dram_channels(mut self, channels: usize) -> Self {
         self.dram_channels = Some(channels.max(1));
-        self
-    }
-
-    /// Sets the closed-loop address-interleave granularity in bytes.
-    pub fn with_dram_interleave(mut self, bytes: usize) -> Self {
-        self.interleave_bytes = bytes.max(1);
         self
     }
 
@@ -371,9 +358,7 @@ impl SystemSimulator {
                 let channels = self.dram_channels.unwrap_or_else(|| {
                     DramConfig::lpddr3_1600().channels_for_bandwidth(chip.memory.bandwidth_gbps)
                 });
-                DramPort::ClosedLoop(
-                    engine.add_component(ClosedLoopDram::new(channels, self.interleave_bytes)),
-                )
+                DramPort::ClosedLoop(engine.add_component(ClosedLoopDram::new(channels)))
             }
         };
         let rendezvous = engine.add_component(Rendezvous::default());

@@ -2,7 +2,7 @@
 //! programs -> chip simulator -> DRAM replay.
 
 use compass::{CompileError, CompileOptions, Compiler, GaParams, Strategy};
-use pim_arch::{ChipClass, ChipSpec, Topology};
+use pim_arch::{ChipClass, ChipSpec, LinkSpec, Topology};
 use pim_model::zoo;
 use pim_sim::{ChipLoad, ChipSimulator, SimError, SystemSimulator};
 
@@ -161,7 +161,7 @@ fn malformed_chips_and_links_are_typed_errors() {
     let compiled =
         Compiler::new(base.clone()).compile(&net, &options(Strategy::Greedy, 2)).expect("compiles");
     type Breaker = fn(&mut ChipSpec);
-    let cases: [(&str, Breaker); 14] = [
+    let cases: [(&str, Breaker); 17] = [
         ("memory bandwidth 0", |c| c.memory.bandwidth_gbps = 0.0),
         ("memory bandwidth NaN", |c| c.memory.bandwidth_gbps = f64::NAN),
         ("interconnect bandwidth inf", |c| c.interconnect.bandwidth_gbps = f64::INFINITY),
@@ -176,6 +176,9 @@ fn malformed_chips_and_links_are_typed_errors() {
         ("NaN MVM latency", |c| c.crossbar.mvm_latency_ns = f64::NAN),
         ("negative row-write latency", |c| c.crossbar.row_write_latency_ns = -1.0),
         ("infinite row-write latency", |c| c.crossbar.row_write_latency_ns = f64::INFINITY),
+        ("NaN chip power", |c| c.chip_power_w = f64::NAN),
+        ("infinite MVM energy", |c| c.crossbar.mvm_energy_pj = f64::INFINITY),
+        ("negative DRAM energy", |c| c.memory.energy_pj_per_bit = -1.0),
     ];
     for (what, break_chip) in cases {
         let mut chip = base.clone();
@@ -189,9 +192,14 @@ fn malformed_chips_and_links_are_typed_errors() {
             compile.err()
         );
     }
-    let mut topology = Topology::ring(2);
-    topology.links[0].spec.bandwidth_gbps = f64::NAN;
     let loads = [ChipLoad::new(compiled.programs()), ChipLoad::new(compiled.programs())];
-    let sim = SystemSimulator::new(base, topology).run(&loads, 1, 2);
-    assert!(matches!(sim, Err(SimError::InvalidTopology(_))), "NaN link bandwidth: {sim:?}");
+    let links: [fn(&mut LinkSpec); 2] =
+        [|l| l.bandwidth_gbps = f64::NAN, |l| l.energy_pj_per_byte = -1.0];
+    for break_link in links {
+        let mut topology = Topology::ring(2);
+        break_link(&mut topology.links[0].spec);
+        let spec = topology.links[0].spec;
+        let sim = SystemSimulator::new(base.clone(), topology).run(&loads, 1, 2);
+        assert!(matches!(sim, Err(SimError::InvalidTopology(_))), "{spec:?}: {sim:?}");
+    }
 }
