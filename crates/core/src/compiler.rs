@@ -157,6 +157,12 @@ impl CompileOptions {
         if self.batch_size == 0 {
             return Err(CompileError::InvalidOptions("batch size must be >= 1".into()));
         }
+        // The baselines ignore the GA parameters.
+        if self.strategy == Strategy::Compass && (self.ga.population == 0 || self.ga.n_sel == 0) {
+            return Err(CompileError::InvalidOptions(
+                "GA population and n_sel must be >= 1".into(),
+            ));
+        }
         Ok(())
     }
 }
@@ -398,6 +404,17 @@ mod tests {
         let err =
             compiler.compile(&zoo::tiny_cnn(), &fast_options().with_batch_size(0)).unwrap_err();
         assert!(matches!(err, CompileError::InvalidOptions(_)));
+        // A GA that keeps no individuals cannot run; the baselines
+        // never read the GA parameters, so they still compile.
+        let no_population = GaParams { population: 0, ..GaParams::fast() };
+        let no_selection = GaParams { n_sel: 0, ..GaParams::fast() };
+        for ga in [no_population, no_selection] {
+            let options = fast_options().with_ga(ga);
+            let err = compiler.compile(&zoo::tiny_cnn(), &options).unwrap_err();
+            assert!(matches!(err, CompileError::InvalidOptions(_)), "{ga:?}");
+            let greedy = options.with_strategy(Strategy::Greedy);
+            assert!(compiler.compile(&zoo::tiny_cnn(), &greedy).is_ok(), "{ga:?}");
+        }
     }
 
     #[test]

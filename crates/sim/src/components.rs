@@ -86,7 +86,9 @@ pub(crate) enum ChipEvent {
         core: ComponentId,
         /// Payload size.
         bytes: usize,
-        /// Rendezvous tag.
+        /// The sender's stage (graph node id).
+        stage: u32,
+        /// The program's rendezvous tag.
         tag: Tag,
     },
     /// Bus grant: the sender may proceed at the event time (buffered
@@ -97,7 +99,9 @@ pub(crate) enum ChipEvent {
     },
     /// The bus announces a tag's delivery time to the rendezvous.
     Deliver {
-        /// Rendezvous tag.
+        /// The sender's stage (graph node id).
+        stage: u32,
+        /// The program's rendezvous tag.
         tag: Tag,
         /// When the transfer's data lands, ns.
         at_ns: f64,
@@ -106,7 +110,9 @@ pub(crate) enum ChipEvent {
     AwaitTag {
         /// Receiving core (reply address).
         core: ComponentId,
-        /// Rendezvous tag.
+        /// The receiver's stage (graph node id).
+        stage: u32,
+        /// The program's rendezvous tag.
         tag: Tag,
         /// The receiver's clock when it blocked, ns.
         since_ns: f64,
@@ -116,17 +122,17 @@ pub(crate) enum ChipEvent {
         /// Stall spent waiting for the matching send, ns.
         wait_ns: f64,
     },
-    /// Partition barrier: shared resources reset their availability
-    /// to the barrier time (matching the full-chip drain between
-    /// partitions).
+    /// Partition barrier: the memory channel and the bus reset their
+    /// availability to the barrier time (matching the full-chip drain
+    /// between partitions).
     Barrier,
-    /// An interleaved stage drained: the rendezvous drops the stage's
-    /// tag bucket (its receivers have all completed), keeping the
-    /// delivered map bounded by the stages in flight instead of
-    /// growing for the whole run.
+    /// A stage drained (in either schedule mode): the rendezvous drops
+    /// the stage's deliveries (its receivers have all completed),
+    /// keeping the delivered map bounded by the stages in flight
+    /// instead of growing for the whole run.
     RetireStage {
-        /// The stage's tag-space bucket (its graph node id).
-        stage: u64,
+        /// The stage's graph node id.
+        stage: u32,
     },
     /// Closed-loop timing: one blocking block access reaches the
     /// multi-channel controllers. The requesting core's `MemDone` is
@@ -193,10 +199,6 @@ impl CoreTiming {
     }
 }
 
-/// Program tags must stay below the stage-offset bits the cores add on
-/// the wire (bits 48 and up carry the stage id under interleaving).
-pub(crate) const MAX_PROGRAM_TAG: u64 = 1 << 48;
-
 /// One core stepping through its instruction stream.
 pub(crate) struct CoreComponent {
     /// The partition's stream for this core, shared with every other
@@ -218,13 +220,9 @@ pub(crate) struct CoreComponent {
     /// the stream is exhausted.
     monitor: ComponentId,
     core_index: usize,
-    /// The `(batch, partition)` stage node this core executes.
-    stage: usize,
-    /// Added to every SEND/RECV tag on the wire, isolating the
-    /// rendezvous tag space of stages that overlap under interleaving
-    /// (zero in barrier mode, where the per-stage barrier clears the
-    /// rendezvous anyway).
-    tag_offset: u64,
+    /// The `(batch, partition)` stage node this core executes; its
+    /// SEND/RECVs match only within it.
+    stage: u32,
 }
 
 impl CoreComponent {
@@ -238,8 +236,7 @@ impl CoreComponent {
         rendezvous: ComponentId,
         monitor: ComponentId,
         core_index: usize,
-        stage: usize,
-        tag_offset: u64,
+        stage: u32,
     ) -> Self {
         Self {
             program,
@@ -256,17 +253,7 @@ impl CoreComponent {
             monitor,
             core_index,
             stage,
-            tag_offset,
         }
-    }
-
-    /// The on-the-wire tag: the program's tag shifted into this
-    /// stage's private tag space. `SystemSimulator::validate` rejects
-    /// program tags that reach the stage-offset bits before a run
-    /// starts, so tags of overlapping stages never alias.
-    fn wire_tag(&self, tag: Tag) -> Tag {
-        debug_assert!(tag.0 < MAX_PROGRAM_TAG, "program tag {tag} reaches the stage-offset bits");
-        Tag(tag.0 + self.tag_offset)
     }
 
     /// Issues the instruction at `pc`: local ops schedule the next
@@ -336,18 +323,20 @@ impl CoreComponent {
                 ctx.schedule(now.advance(dur), me, ChipEvent::Step);
             }
             Instruction::Send { bytes, tag, .. } => {
-                let tag = self.wire_tag(tag);
-                ctx.schedule(now, self.bus, ChipEvent::BusRequest { core: me, bytes, tag });
+                let stage = self.stage;
+                ctx.schedule(now, self.bus, ChipEvent::BusRequest { core: me, bytes, stage, tag });
             }
             Instruction::Recv { tag, .. } => {
-                // Diagnostics keep the program's tag; the wire carries
-                // the stage-offset one.
                 self.blocked = Some(tag);
-                let tag = self.wire_tag(tag);
                 ctx.schedule(
                     now,
                     self.rendezvous,
-                    ChipEvent::AwaitTag { core: me, tag, since_ns: self.clock_ns },
+                    ChipEvent::AwaitTag {
+                        core: me,
+                        stage: self.stage,
+                        tag,
+                        since_ns: self.clock_ns,
+                    },
                 );
             }
         }
@@ -383,7 +372,7 @@ impl Component<ChipEvent> for CoreComponent {
                 event.time,
                 self.monitor,
                 ChipEvent::CoreDone {
-                    stage: self.stage,
+                    stage: self.stage as usize,
                     core_index: self.core_index,
                     accounting: Box::new((self.activity, self.replace_done_ns)),
                 },
@@ -550,7 +539,7 @@ impl Component<ChipEvent> for BusComponent {
             ChipEvent::Barrier => {
                 self.free_ns = event.time.as_ns();
             }
-            ChipEvent::BusRequest { core, bytes, tag } => {
+            ChipEvent::BusRequest { core, bytes, stage, tag } => {
                 let now = event.time.as_ns();
                 let start = now.max(self.free_ns);
                 let granted = start + self.spec.arbitration_ns;
@@ -558,7 +547,8 @@ impl Component<ChipEvent> for BusComponent {
                 self.free_ns = done;
                 // Delivery is announced immediately; the data lands at
                 // `done`.
-                ctx.schedule(event.time, self.rendezvous, ChipEvent::Deliver { tag, at_ns: done });
+                let deliver = ChipEvent::Deliver { stage, tag, at_ns: done };
+                ctx.schedule(event.time, self.rendezvous, deliver);
                 // Buffered send: the sender only pays arbitration.
                 ctx.schedule(
                     SimTime::from_ns(granted),
@@ -575,28 +565,22 @@ impl Component<ChipEvent> for BusComponent {
     }
 }
 
-/// SEND/RECV tag matching. A tag may have several blocked receivers
+/// SEND/RECV matching by `(stage, tag)`: a RECV matches only a SEND of
+/// its own stage, so stages that overlap under interleaving may reuse
+/// the same program tags. A tag may have several blocked receivers
 /// (e.g. a broadcast-style schedule); all of them wake on delivery, in
-/// the order they blocked. Deliveries are bucketed by the tag's
-/// stage-offset bits so an interleaved stage's whole tag space can be
-/// retired in O(1) when the stage drains (barrier mode clears
-/// everything at each stage boundary instead). The maps hash with Fx,
-/// not SipHash: tags are small integers, and colliding tags could only
-/// slow a run, never change its result.
+/// the order they blocked. Deliveries are grouped by stage, so a
+/// drained stage's whole tag space is retired in O(1). The maps hash
+/// with Fx, not SipHash: stages and tags are small integers, and
+/// colliding keys could only slow a run, never change its result.
 #[derive(Default)]
 pub(crate) struct Rendezvous {
-    /// `delivered[stage bucket][tag]` — delivery instant, ns.
-    pub(crate) delivered: FxHashMap<u64, FxHashMap<Tag, f64>>,
-    /// Blocked receivers `(tag, core, since_ns)`, in the order they
-    /// blocked. At most one entry per live core, so a scan beats a map
-    /// of per-tag lists.
-    waiting: Vec<(Tag, ComponentId, f64)>,
-}
-
-/// The stage bucket a wire tag belongs to (the high offset bits the
-/// cores stamp in interleaved mode; bucket 0 in barrier mode).
-fn tag_bucket(tag: Tag) -> u64 {
-    tag.0 >> 48
+    /// `delivered[stage][tag]` — delivery instant, ns.
+    pub(crate) delivered: FxHashMap<u32, FxHashMap<Tag, f64>>,
+    /// Blocked receivers `(stage, tag, core, since_ns)`, in the order
+    /// they blocked. At most one entry per live core, so a scan beats
+    /// a map of per-tag lists.
+    waiting: Vec<(u32, Tag, ComponentId, f64)>,
 }
 
 /// Resumes a receiver that blocked at `since_ns` on a transfer whose
@@ -610,27 +594,27 @@ fn recv_done(core: ComponentId, since_ns: f64, at_ns: f64, ctx: &mut EngineCtx<'
 impl Component<ChipEvent> for Rendezvous {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         match event.payload {
-            ChipEvent::Barrier => {
-                self.delivered.clear();
-                debug_assert!(self.waiting.is_empty(), "barrier with blocked receivers");
-            }
             ChipEvent::RetireStage { stage } => {
                 self.delivered.remove(&stage);
+                debug_assert!(
+                    self.waiting.iter().all(|&(waiting_in, ..)| waiting_in != stage),
+                    "stage {stage} retired with blocked receivers"
+                );
             }
-            ChipEvent::Deliver { tag, at_ns } => {
-                self.delivered.entry(tag_bucket(tag)).or_default().insert(tag, at_ns);
-                self.waiting.retain(|&(waiting_on, core, since_ns)| {
-                    let wake = waiting_on == tag;
+            ChipEvent::Deliver { stage, tag, at_ns } => {
+                self.delivered.entry(stage).or_default().insert(tag, at_ns);
+                self.waiting.retain(|&(waiting_in, waiting_on, core, since_ns)| {
+                    let wake = waiting_in == stage && waiting_on == tag;
                     if wake {
                         recv_done(core, since_ns, at_ns, ctx);
                     }
                     !wake
                 });
             }
-            ChipEvent::AwaitTag { core, tag, since_ns } => {
-                match self.delivered.get(&tag_bucket(tag)).and_then(|b| b.get(&tag)) {
+            ChipEvent::AwaitTag { core, stage, tag, since_ns } => {
+                match self.delivered.get(&stage).and_then(|tags| tags.get(&tag)) {
                     Some(&at_ns) => recv_done(core, since_ns, at_ns, ctx),
-                    None => self.waiting.push((tag, core, since_ns)),
+                    None => self.waiting.push((stage, tag, core, since_ns)),
                 }
             }
             other => unreachable!("rendezvous received {other:?}"),
@@ -694,7 +678,6 @@ impl Component<ChipEvent> for ClosedLoopDram {
                     },
                 );
             }
-            ChipEvent::Barrier => {}
             other => unreachable!("closed-loop dram received {other:?}"),
         }
     }
@@ -746,24 +729,28 @@ mod tests {
         SimTime::from_ns(ns)
     }
 
-    fn await_tag(core: usize, tag: u64, since_ns: f64) -> ChipEvent {
-        ChipEvent::AwaitTag { core: ComponentId(core), tag: Tag(tag), since_ns }
+    fn await_tag(core: usize, stage: u32, tag: u64, since_ns: f64) -> ChipEvent {
+        ChipEvent::AwaitTag { core: ComponentId(core), stage, tag: Tag(tag), since_ns }
+    }
+
+    fn deliver(stage: u32, tag: u64, at_ns: f64) -> ChipEvent {
+        ChipEvent::Deliver { stage, tag: Tag(tag), at_ns }
     }
 
     #[test]
     fn rendezvous_wakes_receivers_in_blocking_order_and_serves_late_ones() {
         let (mut engine, log) = tiny_engine(5);
         // Receivers 3, 1 and 2 block on tag 7, receiver 4 on tag 8.
-        engine.schedule(at(1.0), RENDEZVOUS, await_tag(3, 7, 1.0));
-        engine.schedule(at(2.0), RENDEZVOUS, await_tag(1, 7, 2.0));
-        engine.schedule(at(2.0), RENDEZVOUS, await_tag(4, 8, 2.0));
-        engine.schedule(at(3.0), RENDEZVOUS, await_tag(2, 7, 3.0));
-        engine.schedule(at(5.0), RENDEZVOUS, ChipEvent::Deliver { tag: Tag(7), at_ns: 9.0 });
+        engine.schedule(at(1.0), RENDEZVOUS, await_tag(3, 0, 7, 1.0));
+        engine.schedule(at(2.0), RENDEZVOUS, await_tag(1, 0, 7, 2.0));
+        engine.schedule(at(2.0), RENDEZVOUS, await_tag(4, 0, 8, 2.0));
+        engine.schedule(at(3.0), RENDEZVOUS, await_tag(2, 0, 7, 3.0));
+        engine.schedule(at(5.0), RENDEZVOUS, deliver(0, 7, 9.0));
         // After the delivery: one receiver before the data lands, one
         // after.
-        engine.schedule(at(6.0), RENDEZVOUS, await_tag(5, 7, 6.0));
-        engine.schedule(at(12.0), RENDEZVOUS, await_tag(5, 7, 12.0));
-        engine.schedule(at(20.0), RENDEZVOUS, ChipEvent::Deliver { tag: Tag(8), at_ns: 21.0 });
+        engine.schedule(at(6.0), RENDEZVOUS, await_tag(5, 0, 7, 6.0));
+        engine.schedule(at(12.0), RENDEZVOUS, await_tag(5, 0, 7, 12.0));
+        engine.schedule(at(20.0), RENDEZVOUS, deliver(0, 8, 21.0));
         engine.run_until_idle();
         // Every receiver resumes at max(since, at) and waits
         // max(at - since, 0), whether it blocked before the Deliver or
@@ -783,26 +770,35 @@ mod tests {
     }
 
     #[test]
-    fn barrier_clears_and_retire_drops_only_its_own_bucket() {
+    fn overlapping_stages_match_only_their_own_sends() {
+        // Stages 1 and 2 are in flight at once and both RECV on program
+        // tag 7: each receiver wakes on its own stage's Deliver only.
+        let (mut engine, log) = tiny_engine(3);
+        engine.schedule(at(1.0), RENDEZVOUS, await_tag(1, 1, 7, 1.0));
+        engine.schedule(at(1.0), RENDEZVOUS, await_tag(2, 2, 7, 1.0));
+        engine.schedule(at(2.0), RENDEZVOUS, deliver(2, 7, 5.0));
+        engine.schedule(at(3.0), RENDEZVOUS, deliver(1, 7, 8.0));
+        // A late receiver of stage 2 sees stage 2's delivery, not the
+        // later one of stage 1.
+        engine.schedule(at(4.0), RENDEZVOUS, await_tag(3, 2, 7, 4.0));
+        engine.run_until_idle();
+        let woken = log.borrow().clone();
+        assert_eq!(woken, [(2, 5.0, 4.0), (3, 5.0, 1.0), (1, 8.0, 7.0)]);
+    }
+
+    #[test]
+    fn retire_drops_only_its_own_stage() {
         let (mut engine, _) = tiny_engine(0);
-        for stage in [1u64, 2] {
+        for stage in [1u32, 2] {
             for tag in [7u64, 9] {
-                let tag = Tag((stage << 48) + tag);
-                engine.schedule(at(1.0), RENDEZVOUS, ChipEvent::Deliver { tag, at_ns: 4.0 });
+                engine.schedule(at(1.0), RENDEZVOUS, deliver(stage, tag, 4.0));
             }
         }
         engine.schedule(at(2.0), RENDEZVOUS, ChipEvent::RetireStage { stage: 1 });
         engine.run_until_idle();
         let rendezvous: Rendezvous = engine.extract(RENDEZVOUS).expect("rendezvous");
-        let buckets: Vec<(u64, usize)> =
+        let stages: Vec<(u32, usize)> =
             rendezvous.delivered.iter().map(|(&stage, tags)| (stage, tags.len())).collect();
-        assert_eq!(buckets, [(2, 2)], "only stage 1's bucket is retired");
-
-        let (mut engine, _) = tiny_engine(0);
-        engine.schedule(at(1.0), RENDEZVOUS, ChipEvent::Deliver { tag: Tag(7), at_ns: 4.0 });
-        engine.schedule(at(2.0), RENDEZVOUS, ChipEvent::Barrier);
-        engine.run_until_idle();
-        let rendezvous: Rendezvous = engine.extract(RENDEZVOUS).expect("rendezvous");
-        assert!(rendezvous.delivered.is_empty(), "a barrier forgets every delivery");
+        assert_eq!(stages, [(2, 2)], "only stage 1's deliveries are retired");
     }
 }

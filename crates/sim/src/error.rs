@@ -22,24 +22,6 @@ pub enum SimError {
         /// Cores on the chip.
         chip_cores: usize,
     },
-    /// A SEND/RECV tag reaches the bits the simulator stamps with the
-    /// stage id on the wire (tags must be below 2^48).
-    TagOutOfRange {
-        /// The offending program tag.
-        tag: Tag,
-    },
-    /// An interleaved run would start more stages on one chip than the
-    /// rendezvous tag space can tell apart (each overlapping stage gets
-    /// its own 16-bit stage id on the wire): a fixed-round run asked
-    /// for them up front, or a serving run admitted one round too
-    /// many.
-    TooManyStages {
-        /// The chip.
-        chip: usize,
-        /// Its rounds × partitions (for serving, counting the refused
-        /// round).
-        stages: usize,
-    },
     /// The chip spec fails [`pim_arch::ChipSpec::validate`] (a zero
     /// count, or a rate, latency or bandwidth that is negative, zero
     /// where it must be positive, or not finite).
@@ -55,8 +37,10 @@ pub enum SimError {
         String,
     ),
     /// The serving configuration cannot drive the system (unsorted or
-    /// negative trace arrivals, no chip with work, zero-capacity
-    /// buffer).
+    /// negative trace arrivals, a synthetic traffic model with a
+    /// negative or NaN rate, a zero-capacity buffer, a batch deadline
+    /// or SLO that is not a finite non-negative time, no chip with
+    /// work).
     InvalidServing(
         /// Human-readable reason.
         String,
@@ -72,15 +56,6 @@ impl fmt::Display for SimError {
             SimError::CoreCountMismatch { program_cores, chip_cores } => {
                 write!(f, "program targets {program_cores} cores but chip has {chip_cores}")
             }
-            SimError::TagOutOfRange { tag } => {
-                write!(f, "program tag {tag} is out of range (tags must be below 2^48)")
-            }
-            SimError::TooManyStages { chip, stages } => write!(
-                f,
-                "chip {chip} would run {stages} interleaved stages (rounds x partitions); \
-                 at most {} fit the rendezvous tag space",
-                crate::system::MAX_INTERLEAVED_STAGES
-            ),
             SimError::InvalidChip(reason) => write!(f, "invalid chip spec: {reason}"),
             SimError::InvalidTopology(reason) => {
                 write!(f, "invalid system topology: {reason}")

@@ -42,6 +42,11 @@ impl RequestTrace {
     /// Deterministic: same `(model, seed, requests)` → the same trace,
     /// bit for bit. A model that runs dry (zero rates) yields a
     /// shorter — possibly empty — trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a model [`ArrivalGen::new`] rejects;
+    /// [`TrafficSpec::arrivals`] returns a typed error instead.
     pub fn synthesize(model: TrafficModel, seed: u64, requests: usize) -> Self {
         let mut arrivals = ArrivalGen::new(model, seed);
         let mut arrivals_ns = Vec::new();
@@ -74,11 +79,33 @@ impl TrafficSpec {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidServing`] when a replayed trace is unsorted
-    /// or carries a negative/non-finite arrival.
+    /// [`SimError::InvalidServing`] when a synthetic model has a
+    /// negative or NaN rate or an MMPP dwell mean that is not finite
+    /// and positive, or when a replayed trace is unsorted or carries a
+    /// negative/non-finite arrival.
     pub fn arrivals(&self) -> Result<Vec<f64>, SimError> {
         match self {
             TrafficSpec::Synthetic { model, seed, requests } => {
+                let (rates, dwell_means) = match *model {
+                    TrafficModel::Poisson { rate_per_s } => ([rate_per_s, 0.0], None),
+                    TrafficModel::Mmpp {
+                        calm_rate_per_s,
+                        burst_rate_per_s,
+                        mean_calm_s,
+                        mean_burst_s,
+                    } => ([calm_rate_per_s, burst_rate_per_s], Some([mean_calm_s, mean_burst_s])),
+                };
+                if let Some(rate) = rates.into_iter().find(|rate| rate.is_nan() || *rate < 0.0) {
+                    return Err(SimError::InvalidServing(format!(
+                        "traffic rate {rate}/s is not a non-negative number"
+                    )));
+                }
+                let mut means = dwell_means.into_iter().flatten();
+                if let Some(mean) = means.find(|mean| !(mean.is_finite() && *mean > 0.0)) {
+                    return Err(SimError::InvalidServing(format!(
+                        "MMPP dwell mean {mean} s is not finite and positive"
+                    )));
+                }
                 Ok(RequestTrace::synthesize(*model, *seed, *requests).arrivals_ns)
             }
             TrafficSpec::Trace(trace) => {

@@ -18,6 +18,11 @@
 //! partition 0 the moment its crossbars free up while batch `b` still
 //! drains downstream partitions.
 //!
+//! A chip's SEND/RECVs meet in its rendezvous, matched by `(stage,
+//! tag)`: a RECV completes only on a SEND of its own stage, so stages
+//! that overlap under interleaving may reuse the same program tags, and
+//! every drained stage retires its deliveries in either mode.
+//!
 //! A chip may ship hand-offs to *several* downstream peers (fan-out)
 //! and gate on hand-offs from several upstream producers (fan-in);
 //! each batch's first stage carries one external dependency per
@@ -37,7 +42,7 @@
 
 use crate::components::{
     BusComponent, ChipEvent, ClosedLoopDram, CoreComponent, CoreTiming, DramPort, MemChannel,
-    Rendezvous, MAX_PROGRAM_TAG,
+    Rendezvous,
 };
 use crate::error::SimError;
 use crate::report::{
@@ -54,11 +59,6 @@ use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, SimTime};
 use pim_isa::{ChipProgram, CoreId, Instruction, InstructionStats};
 use std::any::Any;
 use std::rc::Rc;
-
-/// Stages (rounds × partitions) one chip can run under the interleaved
-/// schedule: overlapping stages tell their rendezvous tags apart by a
-/// 16-bit stage id above [`MAX_PROGRAM_TAG`].
-pub(crate) const MAX_INTERLEAVED_STAGES: usize = 1 << 16;
 
 /// One per-round boundary transfer a chip ships downstream after its
 /// last partition drains.
@@ -232,15 +232,6 @@ impl SystemSimulator {
                         chip_cores: self.chip.cores,
                     });
                 }
-                let mut tags = (0..program.cores())
-                    .flat_map(|core| program.core(CoreId(core)).instructions())
-                    .filter_map(|instruction| match *instruction {
-                        Instruction::Send { tag, .. } | Instruction::Recv { tag, .. } => Some(tag),
-                        _ => None,
-                    });
-                if let Some(tag) = tags.find(|tag| tag.0 >= MAX_PROGRAM_TAG) {
-                    return Err(SimError::TagOutOfRange { tag });
-                }
             }
         }
         // A cyclic hand-off chain starves at round 0: every chip on
@@ -293,11 +284,8 @@ impl SystemSimulator {
     /// Returns [`SimError::InvalidChip`] for a chip spec that fails
     /// validation, [`SimError::InvalidTopology`] for workloads that do
     /// not fit the topology, [`SimError::CoreCountMismatch`] when a
-    /// program does not match the chip,
-    /// [`SimError::TagOutOfRange`] for a SEND/RECV tag of 2^48 or
-    /// more, [`SimError::TooManyStages`] for an interleaved run with
-    /// more than 65,536 (2^16) rounds × partitions on a chip, and
-    /// [`SimError::Deadlock`] for malformed schedules.
+    /// program does not match the chip, and [`SimError::Deadlock`] for
+    /// malformed schedules.
     pub fn run(
         &self,
         loads: &[ChipLoad<'_>],
@@ -306,14 +294,6 @@ impl SystemSimulator {
     ) -> Result<SimReport, SimError> {
         self.validate(loads)?;
         let rounds = rounds.max(1);
-        if self.schedule == ScheduleMode::Interleaved {
-            for (chip, load) in loads.iter().enumerate() {
-                let stages = rounds.saturating_mul(load.programs.len());
-                if stages > MAX_INTERLEAVED_STAGES {
-                    return Err(SimError::TooManyStages { chip, stages });
-                }
-            }
-        }
         let (outcomes, links, _) = self.execute(loads, Workload::Rounds(rounds));
         self.fold_report(loads, rounds, samples_per_round, outcomes, links)
     }
@@ -412,7 +392,6 @@ impl SystemSimulator {
             rounds,
             schedule: self.schedule,
             notify: None,
-            refused_stages: None,
             graph,
             running: (0..nodes).map(|_| None).collect(),
             next_head: 0,
@@ -439,15 +418,10 @@ impl SystemSimulator {
     /// # Errors
     ///
     /// Everything [`SystemSimulator::run`] returns, plus
-    /// [`SimError::InvalidServing`] for malformed traces, a zero
-    /// queue capacity or in-flight limit, or a system with no active
-    /// chip to serve on. Serving appends rounds live, so the stage
-    /// count is unknown up front: an interleaved serving run whose
-    /// next admitted round would take a chip past 65,536 (2^16)
-    /// rounds × partitions stops admitting work to that chip there,
-    /// runs out what was already admitted, and returns
-    /// [`SimError::TooManyStages`] with the stage count that round
-    /// would have reached.
+    /// [`SimError::InvalidServing`] for malformed traces or synthetic
+    /// traffic models, a zero queue capacity, in-flight limit or batch
+    /// size, a batch deadline or latency SLO that is not a finite
+    /// non-negative time, or a system with no active chip to serve on.
     pub fn run_serving(
         &self,
         loads: &[ChipLoad<'_>],
@@ -470,7 +444,19 @@ impl SystemSimulator {
                     "batches must hold at least one request".into(),
                 ))
             }
+            crate::BatchPolicy::Deadline { timeout_ns, .. }
+                if !(timeout_ns.is_finite() && timeout_ns >= 0.0) =>
+            {
+                return Err(SimError::InvalidServing(format!(
+                    "batch deadline {timeout_ns} ns is not a finite non-negative time"
+                )))
+            }
             _ => {}
+        }
+        if let Some(slo) = serving.slo_ns.filter(|slo| !(slo.is_finite() && *slo >= 0.0)) {
+            return Err(SimError::InvalidServing(format!(
+                "latency SLO {slo} ns is not a finite non-negative time"
+            )));
         }
         let arrivals = serving.traffic.arrivals()?;
         if loads.iter().all(|l| l.programs.is_empty()) {
@@ -480,12 +466,6 @@ impl SystemSimulator {
         }
         let workload = Workload::Serving { config: serving, arrivals };
         let (outcomes, links, buffer) = self.execute(loads, workload);
-        let refused = outcomes.iter().enumerate().find_map(|(chip, outcome)| {
-            outcome.sequencer.refused_stages.map(|stages| SimError::TooManyStages { chip, stages })
-        });
-        if let Some(error) = refused {
-            return Err(error);
-        }
         let buffer = buffer.expect("serving runs register a request buffer");
         self.fold_serving_report(loads, serving, buffer, outcomes, links)
     }
@@ -758,14 +738,12 @@ impl SystemSimulator {
         let mut dram_trace = TraceStats::default();
         let mut dram_channels: Option<Vec<pim_dram::ChannelStats>> = None;
         for outcome in &outcomes {
-            if self.schedule == ScheduleMode::Interleaved {
-                // Every drained stage retires its rendezvous tag
-                // bucket, so nothing may survive a completed run.
-                debug_assert!(
-                    outcome.rendezvous.delivered.is_empty(),
-                    "interleaved stages must retire their rendezvous tag buckets"
-                );
-            }
+            // Every drained stage retires its rendezvous deliveries, so
+            // nothing may survive a completed run.
+            debug_assert!(
+                outcome.rendezvous.delivered.is_empty(),
+                "drained stages must retire their rendezvous deliveries"
+            );
             if self.replay_dram || self.mode == TimingMode::ClosedLoop {
                 dram_trace.requests += outcome.channel.stats.requests;
                 dram_trace.read_bytes += outcome.channel.stats.read_bytes;
@@ -884,10 +862,6 @@ pub(crate) struct ChipSequencer {
     /// [`ChipEvent::RoundDone`] each time a round fully drains.
     /// `None` for fixed-round (closed-loop) runs.
     notify: Option<ComponentId>,
-    /// Interleaved serving only: the stage count of the first round
-    /// this chip refused to append because it would exceed
-    /// [`MAX_INTERLEAVED_STAGES`].
-    refused_stages: Option<usize>,
     /// The stage dependency graph driving dispatch.
     pub(crate) graph: StageGraph,
     /// In-flight stages, indexed by graph node.
@@ -955,8 +929,8 @@ impl ChipSequencer {
         }
     }
 
-    /// Spawns stage `node`'s cores. In barrier mode the shared
-    /// resources are barrier-reset first, exactly as the single-chip
+    /// Spawns stage `node`'s cores. In barrier mode the memory channel
+    /// and the bus are barrier-reset first, exactly as the single-chip
     /// simulator's partition loop did: barriers first, then cores in
     /// index order, all at the current instant.
     fn start_stage(&mut self, node: usize, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
@@ -970,29 +944,13 @@ impl ChipSequencer {
             }
         }
         if self.schedule == ScheduleMode::Barrier {
-            for shared in [self.channel, self.bus, self.rendezvous] {
+            for shared in [self.channel, self.bus] {
                 ctx.schedule(now, shared, ChipEvent::Barrier);
             }
         }
-        // Overlapping stages get disjoint rendezvous tag spaces; the
-        // barrier chain never overlaps, and its per-stage rendezvous
-        // reset expects the program's raw tags. The stage id must fit
-        // the 16 offset bits — overflow would silently alias two
-        // stages' tag spaces, so fail loudly instead. Fixed-round runs
-        // reject such a load up front and serving refuses the round
-        // that would pass the limit (`SimError::TooManyStages`), so
-        // this never fires.
-        let tag_offset = match self.schedule {
-            ScheduleMode::Barrier => 0,
-            ScheduleMode::Interleaved => {
-                assert!(
-                    node < MAX_INTERLEAVED_STAGES,
-                    "interleaved runs support at most 65536 stages (rounds x partitions); \
-                     stage {node} would alias another stage's rendezvous tag space"
-                );
-                (node as u64) << 48
-            }
-        };
+        // The rendezvous matches SEND/RECV by (stage, tag); a chip's
+        // stage graph holds far fewer than 2^32 nodes.
+        let stage = u32::try_from(node).expect("stage graph node ids fit in u32");
         let streams = &self.streams[partition];
         let cores: Vec<ComponentId> = streams
             .iter()
@@ -1007,8 +965,7 @@ impl ChipSequencer {
                     self.rendezvous,
                     me,
                     c,
-                    node,
-                    tag_offset,
+                    stage,
                 ));
                 ctx.schedule(now, id, ChipEvent::Step);
                 id
@@ -1067,13 +1024,10 @@ impl ChipSequencer {
                 ctx.schedule(now, buffer, ChipEvent::RoundDone { chip: self.chip_index });
             }
         }
-        if self.schedule == ScheduleMode::Interleaved {
-            // The stage's receivers have all completed; drop its
-            // rendezvous tag bucket so the delivered map stays bounded
-            // by the stages in flight (barrier mode clears at each
-            // stage's Barrier instead).
-            ctx.schedule(ctx.now(), self.rendezvous, ChipEvent::RetireStage { stage: node as u64 });
-        }
+        // The stage's receivers have all completed; drop its rendezvous
+        // deliveries so the delivered map stays bounded by the stages in
+        // flight. `start_stage` checked that the node id fits in u32.
+        ctx.schedule(ctx.now(), self.rendezvous, ChipEvent::RetireStage { stage: node as u32 });
         self.graph.complete(node);
         self.refresh_upstream_wait(ctx.now().as_ns());
     }
@@ -1114,13 +1068,6 @@ impl Component<ChipEvent> for ChipSequencer {
                 // round existed (a fast upstream may run ahead of
                 // admission).
                 assert!(!self.streams.is_empty(), "idle chips receive no rounds");
-                if self.schedule == ScheduleMode::Interleaved {
-                    let stages = (self.rounds + 1).saturating_mul(self.graph.partitions());
-                    if stages > MAX_INTERLEAVED_STAGES {
-                        self.refused_stages = Some(stages);
-                        return;
-                    }
-                }
                 let b = self.rounds;
                 self.rounds += 1;
                 self.graph.append_round();
@@ -1370,61 +1317,34 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_stage_limit_is_a_typed_error() {
-        // Rounds x partitions above 2^16 on any chip is refused before
-        // the engine starts; the barrier chain has no such limit.
-        let chip = ChipSpec::chip_s();
-        let one = mvm_program(chip.cores, 1);
-        let two = [one.clone(), one.clone()];
-        let interleaved = SystemSimulator::new(chip.clone(), Topology::ring(2))
-            .with_schedule_mode(ScheduleMode::Interleaved);
-        let loads = [ChipLoad::new(std::slice::from_ref(&one)), ChipLoad::new(&two)];
-        let rounds = MAX_INTERLEAVED_STAGES / 2 + 1;
-        let err = interleaved.run(&loads, rounds, 1).unwrap_err();
-        assert_eq!(err, SimError::TooManyStages { chip: 1, stages: 2 * rounds });
-        assert!(err.to_string().contains("65536"), "{err}");
-        let single = SystemSimulator::new(chip.clone(), Topology::single())
-            .with_schedule_mode(ScheduleMode::Interleaved);
-        let loads = [ChipLoad::new(std::slice::from_ref(&one))];
-        let err = single.run(&loads, MAX_INTERLEAVED_STAGES + 1, 1).unwrap_err();
-        assert_eq!(err, SimError::TooManyStages { chip: 0, stages: MAX_INTERLEAVED_STAGES + 1 });
-        assert!(single.run(&loads, 3, 1).is_ok());
-    }
-
-    #[test]
-    fn interleaved_serving_past_the_stage_limit_is_a_typed_error() {
-        // 256 zero-core partitions: round 256 fills the 2^16 stage ids
-        // exactly, and the round after it is refused. Barrier serving
-        // has no limit and serves every request.
+    fn interleaved_runs_have_no_stage_limit() {
+        // 257 rounds of 256 zero-core partitions: 65,792 stages on one
+        // chip, more than 2^16. Fixed-round and serving runs both
+        // record every round.
         let chip = ChipSpec::chip_s();
         let partitions = 256;
+        let rounds = 257;
         let programs = vec![ChipProgram::new(0); partitions];
         let loads = [ChipLoad::new(&programs)];
-        let serving = |requests| {
-            crate::ServingConfig::new(crate::TrafficSpec::Synthetic {
-                model: crate::TrafficModel::Poisson { rate_per_s: 1e6 },
-                seed: 3,
-                requests,
-            })
-        };
-        let rounds = MAX_INTERLEAVED_STAGES / partitions;
-        let sim = |schedule| {
-            SystemSimulator::new(chip.clone(), Topology::single()).with_schedule_mode(schedule)
-        };
-        let full = sim(ScheduleMode::Interleaved).run_serving(&loads, &serving(rounds)).unwrap();
-        assert_eq!(full.serving.as_ref().map(|s| s.rounds), Some(rounds));
-        let err =
-            sim(ScheduleMode::Interleaved).run_serving(&loads, &serving(rounds + 1)).unwrap_err();
-        assert_eq!(err, SimError::TooManyStages { chip: 0, stages: (rounds + 1) * partitions });
-        let barrier = sim(ScheduleMode::Barrier).run_serving(&loads, &serving(rounds + 1)).unwrap();
-        assert_eq!(barrier.serving.as_ref().map(|s| s.requests), Some(rounds + 1));
+        let sim = SystemSimulator::new(chip, Topology::single())
+            .with_schedule_mode(ScheduleMode::Interleaved);
+        let fixed = sim.run(&loads, rounds, 1).unwrap();
+        assert_eq!(fixed.partitions.len(), rounds * partitions);
+        let serving = crate::ServingConfig::new(crate::TrafficSpec::Synthetic {
+            model: crate::TrafficModel::Poisson { rate_per_s: 1e6 },
+            seed: 3,
+            requests: rounds,
+        });
+        let served = sim.run_serving(&loads, &serving).unwrap();
+        assert_eq!(served.serving.as_ref().map(|s| (s.rounds, s.requests)), Some((rounds, rounds)));
+        assert_eq!(served.partitions.len(), rounds * partitions);
     }
 
     #[test]
-    fn rejects_tags_that_reach_the_stage_offset_bits() {
-        // A pair on the widest tag runs; one tag wider is refused
-        // before the run starts, under either schedule and for serving
-        // too, instead of panicking mid-run.
+    fn every_program_tag_matches_like_a_small_one() {
+        // A tag is matched as the program wrote it: a pair on the
+        // widest tag reports exactly what the same pair on a small tag
+        // does, under either schedule and in serving.
         let chip = ChipSpec::chip_s();
         let pair = |tag: u64| {
             let mut program = ChipProgram::new(chip.cores);
@@ -1432,7 +1352,7 @@ mod tests {
             program.core_mut(CoreId(1)).push(I::Recv { from: CoreId(0), bytes: 64, tag: Tag(tag) });
             program
         };
-        let (widest, wide) = (pair(MAX_PROGRAM_TAG - 1), pair(MAX_PROGRAM_TAG));
+        let (widest, small) = (pair(u64::MAX), pair(7));
         let serving = crate::ServingConfig::new(crate::TrafficSpec::Synthetic {
             model: crate::TrafficModel::Poisson { rate_per_s: 1e4 },
             seed: 1,
@@ -1441,12 +1361,15 @@ mod tests {
         for schedule in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
             let sim =
                 SystemSimulator::new(chip.clone(), Topology::single()).with_schedule_mode(schedule);
-            let loads = [ChipLoad::new(std::slice::from_ref(&widest))];
-            assert!(sim.run(&loads, 2, 1).is_ok(), "{schedule:?}");
-            let loads = [ChipLoad::new(std::slice::from_ref(&wide))];
-            let want = SimError::TagOutOfRange { tag: Tag(MAX_PROGRAM_TAG) };
-            assert_eq!(sim.run(&loads, 2, 1).unwrap_err(), want, "{schedule:?}");
-            assert_eq!(sim.run_serving(&loads, &serving).unwrap_err(), want, "{schedule:?}");
+            let bytes = |program: &ChipProgram, serve: bool| {
+                let loads = [ChipLoad::new(std::slice::from_ref(program))];
+                let report =
+                    if serve { sim.run_serving(&loads, &serving) } else { sim.run(&loads, 2, 1) };
+                serde_json::to_string(&report.expect("the pair runs")).unwrap()
+            };
+            for serve in [false, true] {
+                assert_eq!(bytes(&widest, serve), bytes(&small, serve), "{schedule:?} {serve}");
+            }
         }
     }
 

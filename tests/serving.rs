@@ -192,6 +192,46 @@ fn serving_rejects_nonsense_configs() {
     assert!(matches!(sim.run_serving(&loads, &zero_inflight), Err(SimError::InvalidServing(_))));
     let zero_batch = ServingConfig::new(traffic.clone()).with_policy(BatchPolicy::MaxSize(0));
     assert!(matches!(sim.run_serving(&loads, &zero_batch), Err(SimError::InvalidServing(_))));
+    // Times, rates and dwell means out of their domain are refused up
+    // front instead of panicking mid-run or being silently misread.
+    let deadline = |timeout_ns| {
+        ServingConfig::new(traffic.clone())
+            .with_policy(BatchPolicy::Deadline { max_size: 4, timeout_ns })
+    };
+    let slo = |slo_ns| ServingConfig::new(traffic.clone()).with_slo_ns(slo_ns);
+    let mmpp = |calm_rate_per_s, mean_calm_s| {
+        ServingConfig::new(TrafficSpec::Synthetic {
+            model: TrafficModel::Mmpp {
+                calm_rate_per_s,
+                burst_rate_per_s: 1e6,
+                mean_calm_s,
+                mean_burst_s: 1e-4,
+            },
+            seed: 1,
+            requests: 4,
+        })
+    };
+    let out_of_domain = [
+        ("infinite deadline", deadline(f64::INFINITY)),
+        ("NaN deadline", deadline(f64::NAN)),
+        ("negative deadline", deadline(-1.0)),
+        ("NaN SLO", slo(f64::NAN)),
+        ("infinite SLO", slo(f64::INFINITY)),
+        ("negative SLO", slo(-1.0)),
+        ("negative Poisson rate", ServingConfig::new(poisson(-1.0, 1, 4))),
+        ("NaN Poisson rate", ServingConfig::new(poisson(f64::NAN, 1, 4))),
+        ("negative MMPP rate", mmpp(-1.0, 1e-3)),
+        ("NaN MMPP rate", mmpp(f64::NAN, 1e-3)),
+        ("zero MMPP dwell mean", mmpp(1e5, 0.0)),
+        ("infinite MMPP dwell mean", mmpp(1e5, f64::INFINITY)),
+        ("NaN MMPP dwell mean", mmpp(1e5, f64::NAN)),
+    ];
+    for (what, config) in out_of_domain {
+        assert!(
+            matches!(sim.run_serving(&loads, &config), Err(SimError::InvalidServing(_))),
+            "{what} was not refused"
+        );
+    }
     // An all-idle system has nothing to serve on.
     let idle = [ChipLoad::new(&[]), ChipLoad::new(&[])];
     assert!(matches!(
