@@ -10,7 +10,11 @@
 //!   both the calendar queue and the retired binary-heap reference.
 //!   Their in-process ratio is the *queue speedup* — the machine-
 //!   independent number the CI gate pins (`--min-speedup`, and the
-//!   `hotpath:gate:queue-speedup` trajectory record).
+//!   `hotpath:gate:queue-speedup` trajectory record). The gated hold
+//!   is deep (8,192 events, on the calendar's bucket ladder); a second,
+//!   ungated run at a depth of 16 (`hotpath:abs:queue:depth16:*`)
+//!   covers the shallow pending sets the simulators actually keep,
+//!   which the calendar holds in its small sorted tier.
 //! * **engine dispatch** — the same churn through full
 //!   [`pim_engine::Engine`] component dispatch (batched same-instant
 //!   delivery, no per-event component take/put), on both queues.
@@ -37,9 +41,14 @@ use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, EventQueue, S
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// In-flight events held by the churn benchmarks (a realistic
-/// simulator working set: cores + channels + rendezvous wakeups).
+/// In-flight events held by the gated churn benchmarks: a deep hold
+/// that keeps the calendar queue on its bucket ladder. The simulators
+/// hold far fewer — measured pending depths are 16 for `simulate` at
+/// peak, and 260 (mean) and 546 (peak) for `serve`.
 const HOLD: usize = 8192;
+/// The depth of the ungated shallow churn record: `simulate`'s peak
+/// pending set, which the queue keeps in its small sorted tier.
+const SHALLOW_HOLD: usize = 16;
 
 /// A deterministic reschedule delay drawn from the *measured* delay
 /// histogram of the real simulators (instrumented `EventQueue::push`
@@ -66,14 +75,14 @@ fn churn_delay(rng: &mut SimRng) -> f64 {
 
 /// Raw queue events/sec over `total` pop/push cycles of the hold
 /// model: each handled event reschedules one successor at
-/// `now + churn_delay`, so the queue holds [`HOLD`] events throughout.
+/// `now + churn_delay`, so the queue holds `hold` events throughout.
 /// Both queue kinds run the byte-identical schedule.
-fn queue_events_per_sec(reference: bool, total: u64) -> f64 {
+fn queue_events_per_sec(reference: bool, hold: usize, total: u64) -> f64 {
     let mut queue: EventQueue<u32> =
-        if reference { EventQueue::reference() } else { EventQueue::with_capacity(HOLD) };
+        if reference { EventQueue::reference() } else { EventQueue::new() };
     let mut rng = SimRng::seed_from_u64(0xC0FFEE);
     let target = ComponentId(0);
-    for i in 0..HOLD {
+    for i in 0..hold {
         queue.push(SimTime::from_ns((i % 97) as f64), target, 0);
     }
     let mut processed = 0u64;
@@ -128,7 +137,6 @@ fn engine_events_per_sec(reference: bool, total: u64) -> f64 {
     if reference {
         engine.use_reference_queue();
     }
-    engine.reserve_events(HOLD);
     let peers: Vec<ComponentId> = (0..RELAYS).map(ComponentId).collect();
     for _ in 0..RELAYS {
         engine.add_component(Relay { peers: peers.clone() });
@@ -183,7 +191,8 @@ fn main() -> ExitCode {
         .unwrap_or(0.0);
     let (queue_events, engine_events) =
         if quick { (600_000u64, 300_000u64) } else { (2_000_000, 1_000_000) };
-    let queue = paired(|reference| queue_events_per_sec(reference, queue_events));
+    let queue = paired(|reference| queue_events_per_sec(reference, HOLD, queue_events));
+    let shallow = paired(|reference| queue_events_per_sec(reference, SHALLOW_HOLD, queue_events));
     let engine = paired(|reference| engine_events_per_sec(reference, engine_events));
 
     let meps = |v: f64| format!("{:.2}", v / 1e6);
@@ -196,6 +205,12 @@ fn main() -> ExitCode {
                 meps(queue.calendar),
                 meps(queue.reference),
                 format!("{:.2}x", queue.speedup),
+            ],
+            vec![
+                format!("queue churn, depth {SHALLOW_HOLD}"),
+                meps(shallow.calendar),
+                meps(shallow.reference),
+                format!("{:.2}x", shallow.speedup),
             ],
             vec![
                 "engine dispatch".into(),
@@ -213,6 +228,7 @@ fn main() -> ExitCode {
             throughput_ips,
             host_parallelism: None,
         };
+        let shallow_name = |queue: &str| format!("hotpath:abs:queue:depth{SHALLOW_HOLD}:{queue}");
         compass_bench::append_records(
             &path,
             vec![
@@ -221,6 +237,8 @@ fn main() -> ExitCode {
                 // `hotpath:abs:` prefix).
                 record("hotpath:abs:queue:calendar", 1e9 / queue.calendar, queue.calendar),
                 record("hotpath:abs:queue:reference", 1e9 / queue.reference, queue.reference),
+                record(&shallow_name("calendar"), 1e9 / shallow.calendar, shallow.calendar),
+                record(&shallow_name("reference"), 1e9 / shallow.reference, shallow.reference),
                 record("hotpath:abs:engine:calendar", 1e9 / engine.calendar, engine.calendar),
                 record("hotpath:abs:engine:reference", 1e9 / engine.reference, engine.reference),
                 // Same-process ratios: machine-independent, gated on

@@ -233,14 +233,6 @@ impl<E: 'static> Engine<E> {
         self.lane_on = false;
     }
 
-    /// Pre-sizes the event queue for roughly `events` pending events —
-    /// a hint, not a limit. Simulators that know their workload size
-    /// call this once before scheduling to avoid growth reallocations
-    /// on the hot path.
-    pub fn reserve_events(&mut self, events: usize) {
-        self.queue.reserve(events);
-    }
-
     /// Registers a component, returning its address.
     pub fn add_component<C: Component<E>>(&mut self, component: C) -> ComponentId {
         let id = ComponentId(self.components.len());
@@ -403,6 +395,7 @@ impl<E: 'static> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::SMALL_MAX;
 
     /// Two components ping-ponging a token a fixed number of times.
     struct Player {
@@ -549,7 +542,6 @@ mod tests {
         }
         let mut engine = Engine::new(0);
         let id = engine.add_component(Sink { seen: Vec::new() });
-        engine.reserve_events(16);
         engine.schedule(SimTime::from_ns(1.0), id, 0);
         engine.schedule(SimTime::from_ns(1.0), id, 1);
         engine.schedule(SimTime::from_ns(2.0), id, 2);
@@ -687,7 +679,10 @@ mod tests {
 
     #[test]
     fn same_instant_lane_matches_the_reference_heap() {
-        fn run(seed: u64, reference: bool) -> (u64, Vec<(u64, u64, usize)>) {
+        /// Runs the zoo from `chains` initial events over 6 peers;
+        /// returns the event count, the dispatch log and the deepest
+        /// pending set seen between instants.
+        fn run(seed: u64, chains: usize, reference: bool) -> (u64, Vec<(u64, u64, usize)>, usize) {
             let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
             let mut engine = Engine::new(seed);
             if reference {
@@ -697,25 +692,43 @@ mod tests {
             for _ in 0..peers {
                 engine.add_component(Zoo { log: log.clone(), peers });
             }
-            for i in 0..peers {
+            for i in 0..chains {
                 let at = SimTime::from_ns((i % 3) as f64 * 4.0);
-                engine.schedule(at, ComponentId(i), 60);
+                engine.schedule(at, ComponentId(i % peers), 60);
             }
-            let n = engine.run_until_idle();
+            let mut depth = engine.pending();
+            let mut n = 0;
+            loop {
+                let step = engine.step();
+                if step == 0 {
+                    break;
+                }
+                n += step;
+                depth = depth.max(engine.pending());
+            }
             assert_eq!(engine.pending(), 0);
             drop(engine);
             let log = std::rc::Rc::try_unwrap(log).expect("engine dropped").into_inner();
-            (n, log)
+            (n, log, depth)
         }
-        for seed in 0..64 {
-            let (n, lane) = run(seed, false);
-            let heap = run(seed, true);
-            assert_eq!((n, &lane), (heap.0, &heap.1), "seed {seed}");
-            assert!(n > 100, "seed {seed}: only {n} events");
-            for pair in lane.windows(2) {
-                let key = |e: &(u64, u64, usize)| (f64::from_bits(e.0), e.1);
-                assert!(key(&pair[0]) < key(&pair[1]), "seed {seed}: {pair:?}");
+        // Between instants, one chain's pending set stays within the
+        // queue's small tier, six chains peak on either side of it,
+        // and 72 chains start on the ladder and drain back into the
+        // small tier as they end.
+        for (chains, seeds, small_peaks) in [(1, 64, 64..=64), (6, 64, 1..=63), (72, 16, 0..=0)] {
+            let mut small = 0;
+            for seed in 0..seeds {
+                let (n, lane, depth) = run(seed, chains, false);
+                let heap = run(seed, chains, true);
+                assert_eq!((n, &lane), (heap.0, &heap.1), "seed {seed}, {chains} chains");
+                assert!(n > 100, "seed {seed}: only {n} events");
+                for pair in lane.windows(2) {
+                    let key = |e: &(u64, u64, usize)| (f64::from_bits(e.0), e.1);
+                    assert!(key(&pair[0]) < key(&pair[1]), "seed {seed}: {pair:?}");
+                }
+                small += usize::from(depth <= SMALL_MAX);
             }
+            assert!(small_peaks.contains(&small), "{chains} chains: {small} small peaks");
         }
     }
 }

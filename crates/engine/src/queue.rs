@@ -1,33 +1,55 @@
-//! The event queue: a two-tier calendar queue with stable,
-//! deterministic ordering.
+//! The event queue: a small sorted tier in front of a two-rung
+//! calendar ladder, with stable, deterministic ordering.
 //!
 //! The seed implementation was a `BinaryHeap` popping one event at a
 //! time — `O(log n)` sift per operation and a fresh comparison chain
 //! for every pop, even though discrete-event simulations overwhelmingly
 //! schedule into the *near* future and fire whole bursts at the same
-//! instant (barriers, same-cycle wakeups). The queue is now split into
-//! two tiers:
+//! instant (barriers, same-cycle wakeups). The queue now keeps its
+//! pending events in one of two tiers, chosen by its own length:
 //!
-//! * a **near-future ring** of FIFO buckets, each covering
-//!   [`BUCKET_NS`] of simulated time over a [`BUCKETS`]-wide window
-//!   starting at the current drain position — pushes are `O(1)` Vec
-//!   appends, and a bucket is sorted once by `(time, seq)` when the
-//!   drain reaches it;
-//! * a **far-future heap** for events beyond the ring's horizon —
-//!   events migrate into the ring (at most once each) as the window
-//!   advances over their bucket.
+//! * the **small tier** — one `Vec` sorted descending by the packed
+//!   `(time bits, seq)` key, so a pop takes the earliest event off the
+//!   back in O(1) and a push is a binary search plus a short shift
+//!   (near-future events land next to the pop end). The simulators'
+//!   pending sets are mostly tiny: `simulate` averages 2.9 events and
+//!   peaks at 16, so it never leaves this tier;
+//! * the **ladder**, for deep pending sets (`serve` averages 260
+//!   events and peaks at 546; `engine_hotpath` holds 8,192):
+//!   - a **near-future ring** of FIFO buckets, each covering
+//!     [`BUCKET_NS`] of simulated time over a [`BUCKETS`]-wide window
+//!     starting at the current drain position — pushes are `O(1)` Vec
+//!     appends, and a bucket is sorted once by `(time, seq)` when the
+//!     drain reaches it;
+//!   - a **coarse rung** of [`COARSE`] buckets, each one whole fine
+//!     window wide, spilled into the ring in O(1) per event as the
+//!     window reaches it;
+//!   - a **far-future heap** for events beyond the rung's horizon.
+//!
+//! The queue starts in the small tier and climbs onto the ladder when
+//! a push would take it past [`SMALL_MAX`] events, anchoring the
+//! ladder's window at the last popped instant: the engine never
+//! schedules before its clock, so no later push lands below the drain
+//! position. A pop that leaves at most [`SMALL_RETURN`] events brings
+//! the queue back down. The gap between the two is the hysteresis
+//! that keeps a pending set hovering near the threshold from paying
+//! for a move on every operation. There is no setting: the length
+//! alone decides.
 //!
 //! Dispatch order is *exactly* the `(time, seq)` order of the old
-//! heap: bucketing is monotone in time, each bucket is drained in
-//! sorted order, and far events always live in later buckets than
-//! anything in the ring. The retired heap survives as
-//! [`reference::ReferenceQueue`] (compiled for tests and under the
-//! `reference-queue` feature) so equivalence suites can run the same
-//! simulation on both queues and byte-compare the reports.
+//! heap in both tiers: the small tier is kept sorted, bucketing is
+//! monotone in time, each bucket is drained in sorted order, and far
+//! events always live in later buckets than anything in the ring. The
+//! retired heap survives as [`reference::ReferenceQueue`] (compiled
+//! for tests and under the `reference-queue` feature) so equivalence
+//! suites can run the same simulation on both queues and byte-compare
+//! the reports.
 //!
-//! Storage is recycled: bucket `Vec`s keep their capacity and
-//! circulate through the drain position, the active bucket is sorted
-//! *descending* so the earliest event pops off the back in O(1), and
+//! Storage is recycled and grows on demand: nothing is pre-sized, the
+//! ladder's bucket table is allocated the first time the queue climbs
+//! onto it, bucket `Vec`s keep their capacity and circulate through
+//! the drain position, the active bucket is sorted *descending* so the
+//! earliest event pops off the back in O(1), and
 //! [`EventQueue::pop_at`] hands the engine the rest of a same-instant
 //! burst — barrier resets, same-cycle wakeups — one O(1) pop at a
 //! time with no intermediate buffer.
@@ -75,6 +97,22 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// Most events the small tier holds; one more push moves the queue to
+/// the ladder. Measured pending depths: `simulate` (closed-loop DRAM,
+/// interleaved vgg16-S) averages 2.9 events and peaks at 16, so its
+/// whole run stays in the small tier; `serve` (open-loop ring:2
+/// resnet18-S) averages 260 and peaks at 546, mostly pre-scheduled
+/// arrivals, and the 8,192-event hold of `engine_hotpath` is deeper
+/// still — those belong on the ladder. At 64 events a sorted insert
+/// shifts at most a few KiB, and near-future pushes, the common case,
+/// land next to the pop end and shift little.
+pub(crate) const SMALL_MAX: usize = 64;
+/// A pop that leaves at most this many events on the ladder moves them
+/// back to the small tier. The gap to [`SMALL_MAX`] is the hysteresis:
+/// every round trip moves at most `SMALL_MAX + 1` events and takes at
+/// least `SMALL_MAX - SMALL_RETURN` queue operations.
+const SMALL_RETURN: usize = SMALL_MAX / 4;
+
 /// Number of near-future fine buckets (power of two: bucket index
 /// maps to a ring slot by masking).
 const BUCKETS: usize = 1024;
@@ -94,6 +132,20 @@ const BUCKET_NS: f64 = 8.0;
 const COARSE: usize = 512;
 const CMASK: u64 = (COARSE - 1) as u64;
 const CWORDS: usize = COARSE / 64;
+
+/// The dispatch key packed into one integer: times are finite and
+/// non-negative, so the IEEE bit pattern orders exactly like the value
+/// and one u128 compare replaces the chained f64/seq comparison.
+#[inline]
+fn key<E>(e: &Event<E>) -> u128 {
+    ((e.time.as_ns().to_bits() as u128) << 64) | e.seq as u128
+}
+
+/// Sorts `events` descending by `(time, seq)`, so the earliest pops
+/// off the back.
+fn sort_descending<E>(events: &mut [Event<E>]) {
+    events.sort_unstable_by_key(|e| Reverse(key(e)));
+}
 
 /// Next set bit in a power-of-two ring bitmap of `N` slots, starting
 /// at absolute index `from`. All set bits must correspond to indices
@@ -123,8 +175,150 @@ fn next_occupied<const N: usize>(occ: &[u64], from: u64) -> Option<u64> {
     None
 }
 
-/// The two-rung ladder queue proper. See the module docs for the
-/// design; the tiers, nearest first:
+/// Moves every event of the bucket vectors whose bit is set in `occ`
+/// into `out`, clearing the bits; the vectors keep their capacity.
+fn drain_occupied<E>(buckets: &mut [Vec<Event<E>>], occ: &mut [u64], out: &mut Vec<Event<E>>) {
+    for (w, word) in occ.iter_mut().enumerate() {
+        while *word != 0 {
+            let s = w * 64 + word.trailing_zeros() as usize;
+            *word &= *word - 1;
+            out.append(&mut buckets[s]);
+        }
+    }
+}
+
+/// The event queue proper: the small tier, or the ladder when the
+/// pending set outgrows it (see the module docs). The queue's own
+/// length picks the tier; nothing else does.
+struct CalendarQueue<E> {
+    /// The small tier: every pending event while `on_ladder` is
+    /// `false`, sorted **descending** by `(time, seq)` so the earliest
+    /// pops off the back in O(1); empty while `on_ladder` is `true`.
+    small: Vec<Event<E>>,
+    ladder: Ladder<E>,
+    on_ladder: bool,
+    /// The time of the last popped event: the floor the ladder's
+    /// window anchors at when the queue moves onto it, so the pushes
+    /// that follow (never earlier than the clock) stay inside it.
+    last_popped: SimTime,
+}
+
+impl<E> CalendarQueue<E> {
+    fn new() -> Self {
+        Self {
+            small: Vec::new(),
+            ladder: Ladder::new(),
+            on_ladder: false,
+            last_popped: SimTime::ZERO,
+        }
+    }
+
+    fn len(&self) -> usize {
+        if self.on_ladder {
+            self.ladder.len
+        } else {
+            self.small.len()
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, event: Event<E>) {
+        if self.on_ladder {
+            self.ladder.push(event);
+        } else if self.small.len() < SMALL_MAX {
+            // Every pending event has a smaller sequence id, so the
+            // event pops after all entries with `time <= event.time`.
+            let at = self.small.partition_point(|e| e.time > event.time);
+            self.small.insert(at, event);
+        } else {
+            self.climb();
+            self.ladder.push(event);
+        }
+    }
+
+    /// Moves the small tier onto the ladder, its window anchored at
+    /// the last popped instant (or the earliest pending event, should
+    /// one lie below it).
+    #[cold]
+    #[inline(never)]
+    fn climb(&mut self) {
+        let floor = match self.small.last() {
+            Some(e) if e.time < self.last_popped => e.time,
+            _ => self.last_popped,
+        };
+        self.ladder.anchor(Ladder::<E>::bucket_of(floor));
+        // Earliest first: each event then follows every equal-time
+        // event already moved, as their sequence ids require.
+        while let Some(event) = self.small.pop() {
+            self.ladder.push(event);
+        }
+        self.on_ladder = true;
+    }
+
+    /// Moves the ladder's events back into the small tier.
+    #[cold]
+    #[inline(never)]
+    fn descend(&mut self) {
+        self.ladder.drain_into(&mut self.small);
+        sort_descending(&mut self.small);
+        self.on_ladder = false;
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Event<E>> {
+        if self.on_ladder {
+            let event = self.ladder.pop();
+            self.leave_ladder_if_low(&event);
+            return event;
+        }
+        let event = self.small.pop();
+        if let Some(e) = &event {
+            self.last_popped = e.time;
+        }
+        event
+    }
+
+    /// Pops the next event only if it fires exactly at `time`.
+    #[inline]
+    fn pop_at(&mut self, time: SimTime) -> Option<Event<E>> {
+        if self.on_ladder {
+            let event = self.ladder.pop_at(time);
+            self.leave_ladder_if_low(&event);
+            return event;
+        }
+        match self.small.last() {
+            Some(e) if e.time == time => {
+                self.last_popped = time;
+                self.small.pop()
+            }
+            _ => None,
+        }
+    }
+
+    /// Moves back to the small tier once a ladder pop leaves at most
+    /// [`SMALL_RETURN`] events. Ladder pops skip the `last_popped`
+    /// store until then.
+    #[inline]
+    fn leave_ladder_if_low(&mut self, popped: &Option<Event<E>>) {
+        if self.ladder.len <= SMALL_RETURN {
+            if let Some(e) = popped {
+                self.last_popped = e.time;
+            }
+            self.descend();
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        if self.on_ladder {
+            self.ladder.peek_time()
+        } else {
+            self.small.last().map(|e| e.time)
+        }
+    }
+}
+
+/// The two-rung ladder for deep pending sets. See the module docs for
+/// the design; the tiers, nearest first:
 ///
 /// 1. `cur` — the fine bucket being drained, sorted descending so the
 ///    earliest event pops off the back in O(1);
@@ -134,7 +328,10 @@ fn next_occupied<const N: usize>(occ: &[u64], from: u64) -> Option<u64> {
 ///    one whole fine window; a coarse bucket spills into the fine ring
 ///    in O(1) per event when the window reaches it;
 /// 4. `far` — a heap for the residue beyond the ladder (~ms away).
-struct CalendarQueue<E> {
+///
+/// Bucket storage is allocated the first time the queue climbs onto
+/// the ladder, and each bucket grows on its first use.
+struct Ladder<E> {
     /// Fine ring: slot `bucket & MASK` holds the pending events of
     /// `bucket`, for buckets in `[base_bucket, base_bucket + BUCKETS)`.
     slots: Vec<Vec<Event<E>>>,
@@ -166,16 +363,16 @@ struct CalendarQueue<E> {
     len: usize,
 }
 
-impl<E> CalendarQueue<E> {
+impl<E> Ladder<E> {
     fn new() -> Self {
         Self {
-            slots: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            slots: Vec::new(),
             occupied: [0; WORDS],
             near_len: 0,
             cur: Vec::new(),
             cur_bucket: 0,
             base_bucket: 0,
-            coarse: (0..COARSE).map(|_| Vec::new()).collect(),
+            coarse: Vec::new(),
             coarse_occupied: [0; CWORDS],
             coarse_len: 0,
             far: BinaryHeap::new(),
@@ -190,29 +387,36 @@ impl<E> CalendarQueue<E> {
         (time.as_ns() / BUCKET_NS) as u64
     }
 
-    /// Pre-sizes storage for roughly `events` pending events.
-    fn reserve(&mut self, events: usize) {
-        let per_bucket = (events / BUCKETS).max(4);
-        for slot in &mut self.slots {
-            if slot.capacity() < per_bucket {
-                slot.reserve(per_bucket - slot.len());
-            }
+    /// Points the drain position of an empty ladder at `bucket`,
+    /// allocating the bucket table on first use.
+    fn anchor(&mut self, bucket: u64) {
+        debug_assert_eq!(self.len, 0, "only an empty ladder re-anchors");
+        if self.slots.is_empty() {
+            self.slots.resize_with(BUCKETS, Vec::new);
+            self.coarse.resize_with(COARSE, Vec::new);
         }
-        self.cur.reserve(per_bucket.max(64));
+        self.base_bucket = (bucket >> LOG2_BUCKETS) << LOG2_BUCKETS;
+        self.cur_bucket = bucket;
     }
 
-    #[inline]
-    fn slot_insert(
-        slots: &mut [Vec<Event<E>>],
-        occupied: &mut [u64; WORDS],
-        near_len: &mut usize,
-        event: Event<E>,
-        bucket: u64,
-    ) {
+    /// Moves every pending event into `out`, in no particular order,
+    /// and leaves the ladder empty with its bucket capacities kept.
+    fn drain_into(&mut self, out: &mut Vec<Event<E>>) {
+        out.append(&mut self.cur);
+        drain_occupied(&mut self.slots, &mut self.occupied, out);
+        drain_occupied(&mut self.coarse, &mut self.coarse_occupied, out);
+        out.extend(self.far.drain().map(|Reverse(Entry(e))| e));
+        self.near_len = 0;
+        self.coarse_len = 0;
+        self.len = 0;
+    }
+
+    #[inline(always)]
+    fn slot_insert(&mut self, event: Event<E>, bucket: u64) {
         let s = (bucket & MASK) as usize;
-        slots[s].push(event);
-        occupied[s / 64] |= 1u64 << (s % 64);
-        *near_len += 1;
+        self.slots[s].push(event);
+        self.occupied[s / 64] |= 1u64 << (s % 64);
+        self.near_len += 1;
     }
 
     /// Cold path: a push below the drain position (the engine never
@@ -222,29 +426,12 @@ impl<E> CalendarQueue<E> {
     #[cold]
     #[inline(never)]
     fn rewind_to(&mut self, bucket: u64) {
-        for e in self.cur.drain(..) {
-            self.far.push(Reverse(Entry(e)));
-        }
-        if self.near_len > 0 {
-            for slot in &mut self.slots {
-                for e in slot.drain(..) {
-                    self.far.push(Reverse(Entry(e)));
-                }
-            }
-            self.occupied = [0; WORDS];
-            self.near_len = 0;
-        }
-        if self.coarse_len > 0 {
-            for slot in &mut self.coarse {
-                for e in slot.drain(..) {
-                    self.far.push(Reverse(Entry(e)));
-                }
-            }
-            self.coarse_occupied = [0; CWORDS];
-            self.coarse_len = 0;
-        }
-        self.base_bucket = (bucket >> LOG2_BUCKETS) << LOG2_BUCKETS;
-        self.cur_bucket = bucket;
+        let len = self.len;
+        let mut spill = Vec::new();
+        self.drain_into(&mut spill);
+        self.anchor(bucket);
+        self.far.extend(spill.into_iter().map(|e| Reverse(Entry(e))));
+        self.len = len;
         // Restore the tier invariant (the far heap never holds a
         // bucket the fine window covers): everything the spill (or an
         // earlier rewind) parked in the heap that the re-anchored
@@ -256,46 +443,43 @@ impl<E> CalendarQueue<E> {
                 break;
             }
             let Reverse(Entry(event)) = self.far.pop().expect("peeked");
-            Self::slot_insert(&mut self.slots, &mut self.occupied, &mut self.near_len, event, b);
+            self.slot_insert(event, b);
         }
     }
 
+    // `push`, `pop`, `pop_at` and `slot_insert` are forced inline: left
+    // as calls, they cost `engine_hotpath`'s 8,192-event hold ~10% of
+    // its calendar throughput on a 2-core Xeon container.
+    #[inline(always)]
     fn push(&mut self, event: Event<E>) {
         let bucket = Self::bucket_of(event.time);
         self.len += 1;
         if bucket < self.cur_bucket {
             self.rewind_to(bucket);
         }
-        let offset = bucket - self.base_bucket;
-        if offset < BUCKETS as u64 {
-            if bucket == self.cur_bucket {
-                let s = (bucket & MASK) as usize;
-                let slot_occupied = self.occupied[s / 64] & (1u64 << (s % 64)) != 0;
-                // The bucket being drained lives in `cur` (kept sorted
-                // descending) unless pre-activation events still sit
-                // in its slot. Every pending entry has a smaller
-                // sequence id, so the event pops after all entries
-                // with `time <= event.time` — and the common case (a
-                // same-instant reschedule, at or below everything
-                // still pending) is an O(1) append at the pop end.
-                if !slot_occupied {
-                    if self.cur.last().map(|e| e.time > event.time).unwrap_or(true) {
-                        self.cur.push(event);
-                    } else {
-                        let at = self.cur.partition_point(|e| e.time > event.time);
-                        self.cur.insert(at, event);
-                    }
-                    return;
+        if bucket == self.cur_bucket {
+            let s = (bucket & MASK) as usize;
+            let slot_occupied = self.occupied[s / 64] & (1u64 << (s % 64)) != 0;
+            // The bucket being drained lives in `cur` (kept sorted
+            // descending) unless pre-activation events still sit in
+            // its slot. Every pending entry has a smaller sequence id,
+            // so the event pops after all entries with
+            // `time <= event.time` — and the common case (a
+            // same-instant reschedule, at or below everything still
+            // pending) is an O(1) append at the pop end.
+            if !slot_occupied {
+                if self.cur.last().map(|e| e.time > event.time).unwrap_or(true) {
+                    self.cur.push(event);
+                } else {
+                    let at = self.cur.partition_point(|e| e.time > event.time);
+                    self.cur.insert(at, event);
                 }
-                debug_assert!(self.cur.is_empty(), "active-bucket events never split cur/slot");
+                return;
             }
-            Self::slot_insert(
-                &mut self.slots,
-                &mut self.occupied,
-                &mut self.near_len,
-                event,
-                bucket,
-            );
+            debug_assert!(self.cur.is_empty(), "active-bucket events never split cur/slot");
+        }
+        if bucket - self.base_bucket < BUCKETS as u64 {
+            self.slot_insert(event, bucket);
             return;
         }
         let coarse = bucket >> LOG2_BUCKETS;
@@ -329,13 +513,7 @@ impl<E> CalendarQueue<E> {
                 self.occupied[s / 64] &= !(1u64 << (s % 64));
                 self.near_len -= self.cur.len();
                 self.cur_bucket = bucket;
-                // Descending sort on a packed (time-bits, seq) key:
-                // times are finite and non-negative, so the IEEE bit
-                // pattern orders exactly like the value and one u128
-                // compare replaces the chained f64/seq comparison.
-                self.cur.sort_unstable_by_key(|e| {
-                    std::cmp::Reverse(((e.time.as_ns().to_bits() as u128) << 64) | e.seq as u128)
-                });
+                sort_descending(&mut self.cur);
                 return true;
             }
             // Fine ring exhausted: refill it from the next coarse
@@ -363,13 +541,7 @@ impl<E> CalendarQueue<E> {
                 self.coarse_len -= spill.len();
                 for event in spill.drain(..) {
                     let bucket = Self::bucket_of(event.time);
-                    Self::slot_insert(
-                        &mut self.slots,
-                        &mut self.occupied,
-                        &mut self.near_len,
-                        event,
-                        bucket,
-                    );
+                    self.slot_insert(event, bucket);
                 }
                 self.coarse[c] = spill;
             }
@@ -379,17 +551,12 @@ impl<E> CalendarQueue<E> {
                 }
                 let Reverse(Entry(event)) = self.far.pop().expect("peeked");
                 let bucket = Self::bucket_of(event.time);
-                Self::slot_insert(
-                    &mut self.slots,
-                    &mut self.occupied,
-                    &mut self.near_len,
-                    event,
-                    bucket,
-                );
+                self.slot_insert(event, bucket);
             }
         }
     }
 
+    #[inline(always)]
     fn pop(&mut self) -> Option<Event<E>> {
         if self.cur.is_empty() && !self.activate_next_bucket() {
             return None;
@@ -409,8 +576,9 @@ impl<E> CalendarQueue<E> {
     /// later ones, and activating a later bucket would send those
     /// pushes down the cold [`Self::rewind_to`] path. Events of the
     /// active bucket live in `cur` or, before it was activated (fresh
-    /// or re-anchored queue), in its ring slot; only an empty `cur`
+    /// or re-anchored ladder), in its ring slot; only an empty `cur`
     /// *and* an empty slot prove that nothing at `time` is pending.
+    #[inline(always)]
     fn pop_at(&mut self, time: SimTime) -> Option<Event<E>> {
         if self.cur.is_empty() {
             let bucket = Self::bucket_of(time);
@@ -488,30 +656,12 @@ impl<E> EventQueue<E> {
         Self { imp: QueueImpl::Calendar(CalendarQueue::new()), next_seq: 0 }
     }
 
-    /// Creates an empty queue pre-sized for roughly `events` pending
-    /// events (a hint: the queue grows past it transparently).
-    pub fn with_capacity(events: usize) -> Self {
-        let mut queue = Self::new();
-        queue.reserve(events);
-        queue
-    }
-
     /// Creates the retired binary-heap queue — the seed
     /// implementation, kept as the ordering oracle for the calendar
     /// queue's determinism suites.
     #[cfg(any(test, feature = "reference-queue"))]
     pub fn reference() -> Self {
         Self { imp: QueueImpl::Reference(reference::ReferenceQueue::new()), next_seq: 0 }
-    }
-
-    /// Pre-sizes internal storage for roughly `events` additional
-    /// pending events.
-    pub fn reserve(&mut self, events: usize) {
-        match &mut self.imp {
-            QueueImpl::Calendar(q) => q.reserve(events),
-            #[cfg(any(test, feature = "reference-queue"))]
-            QueueImpl::Reference(q) => q.reserve(events),
-        }
     }
 
     /// Schedules `payload` for `target` at `time`, returning the
@@ -537,6 +687,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event.
+    #[inline]
     pub fn pop(&mut self) -> Option<Event<E>> {
         match &mut self.imp {
             QueueImpl::Calendar(q) => q.pop(),
@@ -573,7 +724,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.imp {
-            QueueImpl::Calendar(q) => q.len,
+            QueueImpl::Calendar(q) => q.len(),
             #[cfg(any(test, feature = "reference-queue"))]
             QueueImpl::Reference(q) => q.len(),
         }
@@ -612,10 +763,6 @@ pub(crate) mod reference {
             Self { heap: BinaryHeap::new() }
         }
 
-        pub(crate) fn reserve(&mut self, events: usize) {
-            self.heap.reserve(events);
-        }
-
         pub(crate) fn push(&mut self, event: Event<E>) {
             self.heap.push(Reverse(Entry(event)));
         }
@@ -648,51 +795,136 @@ mod tests {
 
     const T: ComponentId = ComponentId(0);
 
+    /// The queue operations the ordering tests drive, so each test runs
+    /// on every implementation: the calendar queue (whose shallow
+    /// pending sets stay in the small tier), a bare ladder, and the
+    /// reference heap.
+    trait TestQueue<E> {
+        fn push(&mut self, time: SimTime, target: ComponentId, payload: E) -> u64;
+        fn pop(&mut self) -> Option<Event<E>>;
+        fn pop_at(&mut self, time: SimTime) -> Option<Event<E>>;
+        fn peek_time(&self) -> Option<SimTime>;
+        fn len(&self) -> usize;
+    }
+
+    impl<E> TestQueue<E> for EventQueue<E> {
+        fn push(&mut self, time: SimTime, target: ComponentId, payload: E) -> u64 {
+            EventQueue::push(self, time, target, payload)
+        }
+        fn pop(&mut self) -> Option<Event<E>> {
+            EventQueue::pop(self)
+        }
+        fn pop_at(&mut self, time: SimTime) -> Option<Event<E>> {
+            EventQueue::pop_at(self, time)
+        }
+        fn peek_time(&self) -> Option<SimTime> {
+            EventQueue::peek_time(self)
+        }
+        fn len(&self) -> usize {
+            EventQueue::len(self)
+        }
+    }
+
+    /// A ladder on its own, anchored at time zero, with schedule-order
+    /// sequence ids: through `EventQueue`, a queue as shallow as these
+    /// tests build would never leave the small tier.
+    struct LadderQueue<E> {
+        ladder: Ladder<E>,
+        next_seq: u64,
+    }
+
+    fn ladder<E>() -> LadderQueue<E> {
+        let mut ladder = Ladder::new();
+        ladder.anchor(0);
+        LadderQueue { ladder, next_seq: 0 }
+    }
+
+    impl<E> TestQueue<E> for LadderQueue<E> {
+        fn push(&mut self, time: SimTime, target: ComponentId, payload: E) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.ladder.push(Event { time, seq, target, payload });
+            seq
+        }
+        fn pop(&mut self) -> Option<Event<E>> {
+            self.ladder.pop()
+        }
+        fn pop_at(&mut self, time: SimTime) -> Option<Event<E>> {
+            self.ladder.pop_at(time)
+        }
+        fn peek_time(&self) -> Option<SimTime> {
+            self.ladder.peek_time()
+        }
+        fn len(&self) -> usize {
+            self.ladder.len
+        }
+    }
+
+    /// Runs a generic check on a fresh calendar queue, a fresh bare
+    /// ladder and a fresh reference heap.
+    macro_rules! on_every_queue {
+        ($check:ident) => {
+            $check(EventQueue::new());
+            $check(ladder());
+            $check(EventQueue::reference());
+        };
+    }
+
+    fn payloads<E>(q: &mut impl TestQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(5.0), T, "c");
-        q.push(SimTime::from_ns(1.0), T, "a");
-        q.push(SimTime::from_ns(3.0), T, "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, ["a", "b", "c"]);
+        fn check(mut q: impl TestQueue<&'static str>) {
+            q.push(SimTime::from_ns(5.0), T, "c");
+            q.push(SimTime::from_ns(1.0), T, "a");
+            q.push(SimTime::from_ns(3.0), T, "b");
+            assert_eq!(payloads(&mut q), ["a", "b", "c"]);
+        }
+        on_every_queue!(check);
     }
 
     #[test]
     fn same_time_pops_in_schedule_order() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.push(SimTime::from_ns(7.0), T, i);
+        fn check(mut q: impl TestQueue<i32>) {
+            for i in 0..100 {
+                q.push(SimTime::from_ns(7.0), T, i);
+            }
+            assert_eq!(payloads(&mut q), (0..100).collect::<Vec<_>>());
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        on_every_queue!(check);
     }
 
     #[test]
     fn sub_bucket_times_stay_ordered() {
-        // Many distinct timestamps inside one 1 ns bucket.
-        let mut q = EventQueue::new();
-        for i in (0..64).rev() {
-            q.push(SimTime::from_ns(i as f64 / 100.0), T, i);
+        // Many distinct timestamps inside one bucket.
+        fn check(mut q: impl TestQueue<i32>) {
+            for i in (0..64).rev() {
+                q.push(SimTime::from_ns(i as f64 / 100.0), T, i);
+            }
+            assert_eq!(payloads(&mut q), (0..64).collect::<Vec<_>>());
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, (0..64).collect::<Vec<_>>());
+        on_every_queue!(check);
     }
 
     #[test]
     fn far_future_events_interleave_with_near_ones() {
         // An event far beyond the ring horizon must still pop before a
         // later near event scheduled after the window advanced.
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(1e6), T, "far");
-        q.push(SimTime::from_ns(2.0), T, "near");
-        assert_eq!(q.pop().unwrap().payload, "near");
-        // The window has advanced to bucket 2; bucket 1e6 still sits
-        // beyond it in the far heap, while this lands in the ring:
-        q.push(SimTime::from_ns(900.0), T, "mid");
-        assert_eq!(q.pop().unwrap().payload, "mid");
-        assert_eq!(q.pop().unwrap().payload, "far");
-        assert!(q.pop().is_none());
+        fn check(mut q: impl TestQueue<&'static str>) {
+            q.push(SimTime::from_ns(1e6), T, "far");
+            q.push(SimTime::from_ns(2.0), T, "near");
+            assert_eq!(q.pop().unwrap().payload, "near");
+            // The window has advanced to bucket 2; bucket 1e6 still
+            // sits beyond it in the far heap, while this lands in the
+            // ring:
+            q.push(SimTime::from_ns(900.0), T, "mid");
+            assert_eq!(q.pop().unwrap().payload, "mid");
+            assert_eq!(q.pop().unwrap().payload, "far");
+            assert!(q.pop().is_none());
+        }
+        on_every_queue!(check);
     }
 
     #[test]
@@ -702,65 +934,72 @@ mod tests {
         // it) goes to the heap. After draining the head the window
         // advances; `far` is then *earlier* than `tail` and must
         // migrate in ahead of it.
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, T, "head");
-        q.push(SimTime::from_ns((BUCKETS as f64) * BUCKET_NS + 500.0), T, "far2");
-        assert_eq!(q.pop().unwrap().payload, "head");
-        q.push(SimTime::from_ns((BUCKETS as f64) * BUCKET_NS + 900.0), T, "tail");
-        assert_eq!(q.pop().unwrap().payload, "far2");
-        assert_eq!(q.pop().unwrap().payload, "tail");
+        fn check(mut q: impl TestQueue<&'static str>) {
+            q.push(SimTime::ZERO, T, "head");
+            q.push(SimTime::from_ns((BUCKETS as f64) * BUCKET_NS + 500.0), T, "far2");
+            assert_eq!(q.pop().unwrap().payload, "head");
+            q.push(SimTime::from_ns((BUCKETS as f64) * BUCKET_NS + 900.0), T, "tail");
+            assert_eq!(q.pop().unwrap().payload, "far2");
+            assert_eq!(q.pop().unwrap().payload, "tail");
+        }
+        on_every_queue!(check);
     }
 
     #[test]
     fn push_into_active_bucket_keeps_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(5.5), T, 0);
-        q.push(SimTime::from_ns(5.7), T, 1);
-        assert_eq!(q.pop().unwrap().payload, 0);
-        // Bucket 5 is active; these same-bucket pushes must insert in
-        // time order ahead of 5.7.
-        q.push(SimTime::from_ns(5.6), T, 2);
-        q.push(SimTime::from_ns(5.6), T, 3);
-        q.push(SimTime::from_ns(5.9), T, 4);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, [2, 3, 1, 4]);
+        fn check(mut q: impl TestQueue<i32>) {
+            q.push(SimTime::from_ns(5.5), T, 0);
+            q.push(SimTime::from_ns(5.7), T, 1);
+            assert_eq!(q.pop().unwrap().payload, 0);
+            // Bucket 0 is active on the ladder; these same-bucket
+            // pushes must insert in time order ahead of 5.7.
+            q.push(SimTime::from_ns(5.6), T, 2);
+            q.push(SimTime::from_ns(5.6), T, 3);
+            q.push(SimTime::from_ns(5.9), T, 4);
+            assert_eq!(payloads(&mut q), [2, 3, 1, 4]);
+        }
+        on_every_queue!(check);
     }
 
     #[test]
     fn coarse_rung_and_far_heap_preserve_order() {
-        // One event per tier (fine ring, coarse rung, far heap), then
+        // One event per rung (fine ring, coarse rung, far heap), then
         // pops interleaved with pushes that land in spilled windows.
-        let mut q = EventQueue::new();
-        let fine = 100.0;
-        let rung = (BUCKETS as f64) * BUCKET_NS * 3.5; // ~28.7 us
-        let heap = (BUCKETS * COARSE) as f64 * BUCKET_NS * 2.0; // ~8.4 ms
-        q.push(SimTime::from_ns(heap), T, "far");
-        q.push(SimTime::from_ns(rung), T, "rung");
-        q.push(SimTime::from_ns(fine), T, "fine");
-        assert_eq!(q.pop().unwrap().payload, "fine");
-        // After draining the fine window, the coarse bucket spills.
-        assert_eq!(q.pop().unwrap().payload, "rung");
-        // New pushes near the far event land in the rung now.
-        q.push(SimTime::from_ns(heap - 1_000.0), T, "late-rung");
-        assert_eq!(q.pop().unwrap().payload, "late-rung");
-        assert_eq!(q.pop().unwrap().payload, "far");
-        assert!(q.pop().is_none());
+        fn check(mut q: impl TestQueue<&'static str>) {
+            let fine = 100.0;
+            let rung = (BUCKETS as f64) * BUCKET_NS * 3.5; // ~28.7 us
+            let heap = (BUCKETS * COARSE) as f64 * BUCKET_NS * 2.0; // ~8.4 ms
+            q.push(SimTime::from_ns(heap), T, "far");
+            q.push(SimTime::from_ns(rung), T, "rung");
+            q.push(SimTime::from_ns(fine), T, "fine");
+            assert_eq!(q.pop().unwrap().payload, "fine");
+            // After draining the fine window, the coarse bucket spills.
+            assert_eq!(q.pop().unwrap().payload, "rung");
+            // New pushes near the far event land in the rung now.
+            q.push(SimTime::from_ns(heap - 1_000.0), T, "late-rung");
+            assert_eq!(q.pop().unwrap().payload, "late-rung");
+            assert_eq!(q.pop().unwrap().payload, "far");
+            assert!(q.pop().is_none());
+        }
+        on_every_queue!(check);
     }
 
     #[test]
     fn same_coarse_bucket_far_and_rung_events_interleave() {
         // A far-heap event and a later rung push that fall in the SAME
         // coarse bucket: the refill must merge both in time order.
-        let mut q = EventQueue::new();
-        let span = (BUCKETS * COARSE) as f64 * BUCKET_NS; // ladder horizon
-        q.push(SimTime::ZERO, T, "now");
-        q.push(SimTime::from_ns(span + 500.0), T, "far-a");
-        assert_eq!(q.pop().unwrap().payload, "now");
-        // Window advanced; this lands in the rung, same coarse bucket,
-        // earlier time than far-a.
-        q.push(SimTime::from_ns(span + 100.0), T, "rung-b");
-        assert_eq!(q.pop().unwrap().payload, "rung-b");
-        assert_eq!(q.pop().unwrap().payload, "far-a");
+        fn check(mut q: impl TestQueue<&'static str>) {
+            let span = (BUCKETS * COARSE) as f64 * BUCKET_NS; // ladder horizon
+            q.push(SimTime::ZERO, T, "now");
+            q.push(SimTime::from_ns(span + 500.0), T, "far-a");
+            assert_eq!(q.pop().unwrap().payload, "now");
+            // Window advanced; this lands in the rung, same coarse
+            // bucket, earlier time than far-a.
+            q.push(SimTime::from_ns(span + 100.0), T, "rung-b");
+            assert_eq!(q.pop().unwrap().payload, "rung-b");
+            assert_eq!(q.pop().unwrap().payload, "far-a");
+        }
+        on_every_queue!(check);
     }
 
     #[test]
@@ -768,45 +1007,31 @@ mod tests {
         // Review repro: a backward push spills the ladder into the far
         // heap and re-anchors; events the new fine window covers must
         // come back out, or later ring pushes would overtake them.
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ns(80.0), T, "a");
-        q.push(SimTime::from_ns(400.0), T, "b");
-        assert_eq!(q.pop().unwrap().payload, "a");
-        // Backward push (public API; the engine never does this).
-        q.push(SimTime::from_ns(8.0), T, "early");
-        assert_eq!(q.pop().unwrap().payload, "early");
-        q.push(SimTime::from_ns(800.0), T, "c");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, ["b", "c"], "far-spilled events must not be overtaken");
+        fn check(mut q: impl TestQueue<&'static str>) {
+            q.push(SimTime::from_ns(80.0), T, "a");
+            q.push(SimTime::from_ns(400.0), T, "b");
+            assert_eq!(q.pop().unwrap().payload, "a");
+            // Backward push (public API; the engine never does this).
+            q.push(SimTime::from_ns(8.0), T, "early");
+            assert_eq!(q.pop().unwrap().payload, "early");
+            q.push(SimTime::from_ns(800.0), T, "c");
+            assert_eq!(payloads(&mut q), ["b", "c"], "far-spilled events must not be overtaken");
+        }
+        on_every_queue!(check);
     }
 
     #[test]
     fn peek_time_sees_all_tiers() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_ns(1e7), T, 0);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1e7)));
-        q.push(SimTime::from_ns(42.0), T, 1);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(42.0)));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(1e7)));
-    }
-
-    #[test]
-    fn with_capacity_behaves_identically() {
-        let mut q = EventQueue::with_capacity(10_000);
-        for i in 0..100 {
-            q.push(SimTime::from_ns((i % 7) as f64), T, i);
+        fn check(mut q: impl TestQueue<i32>) {
+            assert_eq!(q.peek_time(), None);
+            q.push(SimTime::from_ns(1e7), T, 0);
+            assert_eq!(q.peek_time(), Some(SimTime::from_ns(1e7)));
+            q.push(SimTime::from_ns(42.0), T, 1);
+            assert_eq!(q.peek_time(), Some(SimTime::from_ns(42.0)));
+            q.pop();
+            assert_eq!(q.peek_time(), Some(SimTime::from_ns(1e7)));
         }
-        assert_eq!(q.len(), 100);
-        let mut last = (SimTime::ZERO, 0u64);
-        let mut n = 0;
-        while let Some(e) = q.pop() {
-            assert!((e.time, e.seq) >= last);
-            last = (e.time, e.seq);
-            n += 1;
-        }
-        assert_eq!(n, 100);
+        on_every_queue!(check);
     }
 
     #[test]
@@ -814,9 +1039,7 @@ mod tests {
         // No `pop` has activated a bucket yet: events at the asked
         // instant sit in a ring slot, the coarse rung or the far heap,
         // and `pop_at` must still find them (and only them).
-        for reference in [false, true] {
-            let fresh = || if reference { EventQueue::reference() } else { EventQueue::new() };
-            let mut q = fresh();
+        fn check(mut q: impl TestQueue<&'static str>) {
             assert!(q.pop_at(SimTime::ZERO).is_none(), "empty queue");
             q.push(SimTime::from_ns(5.0), T, "a");
             q.push(SimTime::from_ns(5.0), T, "b");
@@ -827,14 +1050,18 @@ mod tests {
             assert!(q.pop_at(SimTime::from_ns(5.0)).is_none(), "instant drained");
             assert_eq!(q.pop_at(SimTime::from_ns(9.0)).unwrap().payload, "c");
             assert!(q.pop_at(SimTime::from_ns(9.0)).is_none());
-            assert!(q.is_empty());
-
-            for far in [20_000.0, 1e7] {
-                let mut q = fresh();
-                q.push(SimTime::from_ns(far), T, "far");
-                assert!(q.pop_at(SimTime::ZERO).is_none());
-                assert_eq!(q.pop_at(SimTime::from_ns(far)).unwrap().payload, "far", "{far}");
-            }
+            assert_eq!(q.len(), 0);
+        }
+        fn check_far(far: f64, mut q: impl TestQueue<&'static str>) {
+            q.push(SimTime::from_ns(far), T, "far");
+            assert!(q.pop_at(SimTime::ZERO).is_none());
+            assert_eq!(q.pop_at(SimTime::from_ns(far)).unwrap().payload, "far", "{far}");
+        }
+        on_every_queue!(check);
+        for far in [20_000.0, 1e7] {
+            check_far(far, EventQueue::new());
+            check_far(far, ladder());
+            check_far(far, EventQueue::reference());
         }
     }
 
@@ -843,19 +1070,169 @@ mod tests {
         // After an instant drains its bucket, the drain position stays
         // put, so pushes into that bucket (the engine's same-instant
         // lane makes them) need no re-anchor, and keep their order.
-        let mut q = EventQueue::new();
+        let mut q = ladder();
         q.push(SimTime::from_ns(2.0), T, 0);
         q.push(SimTime::from_ns(100.0), T, 1);
         assert_eq!(q.pop().unwrap().payload, 0);
         assert!(q.pop_at(SimTime::from_ns(2.0)).is_none());
-        match &q.imp {
-            QueueImpl::Calendar(c) => assert_eq!(c.cur_bucket, 0, "bucket of 100 ns activated"),
-            QueueImpl::Reference(_) => unreachable!("a calendar queue"),
-        }
+        assert_eq!(q.ladder.cur_bucket, 0, "bucket of 100 ns activated");
         q.push(SimTime::from_ns(3.0), T, 2);
         q.push(SimTime::from_ns(9.0), T, 3);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, [2, 3, 1]);
+        assert_eq!(payloads(&mut q), [2, 3, 1]);
+    }
+
+    #[test]
+    fn climbing_anchors_the_ladder_at_the_last_popped_instant() {
+        // Pops advance the clock well past zero, then a burst of pushes
+        // at the clock and later overflows the small tier: the ladder's
+        // drain position is the clock's bucket, and the pushes that
+        // follow, at the clock or later, never rewind it.
+        let mut q = EventQueue::new();
+        let now = SimTime::from_ns(1_000.5);
+        q.push(SimTime::from_ns(10.0), T, 0);
+        q.push(now, T, 1);
+        q.pop();
+        assert_eq!(q.pop().unwrap().seq, 1);
+        for i in 0..=SMALL_MAX {
+            q.push(now.advance(i as f64 * 3.0), T, 2 + i);
+        }
+        let QueueImpl::Calendar(c) = &q.imp else { unreachable!("a calendar queue") };
+        assert!(c.on_ladder && c.small.is_empty());
+        assert_eq!(c.ladder.cur_bucket, Ladder::<usize>::bucket_of(now));
+        q.push(now, T, 999);
+        let QueueImpl::Calendar(c) = &q.imp else { unreachable!("a calendar queue") };
+        assert_eq!(c.ladder.cur_bucket, Ladder::<usize>::bucket_of(now), "no rewind");
+        let order: Vec<_> = payloads(&mut q);
+        assert_eq!(order[..2], [2, 999]);
+        assert_eq!(order.len(), SMALL_MAX + 2);
+    }
+
+    /// One seeded differential run: a schedule of pushes (same-instant
+    /// bursts, sub-ns and near delays, coarse-rung and far-heap jumps),
+    /// pops, whole-instant drains and `pop_at` probes, driven through
+    /// the calendar queue and the reference heap, whose pop streams,
+    /// lengths and head times must agree at every step. `fill_bias`
+    /// pushes the depth up or down in phases that run past both tier
+    /// thresholds; returns how often the depth crossed them as
+    /// `(climbs past SMALL_MAX, descents to SMALL_RETURN)`.
+    fn differential(seed: u64, steps: u32) -> (usize, usize) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut calendar = EventQueue::new();
+        let mut reference = EventQueue::reference();
+        let mut now = 0.0f64;
+        let mut popped = Vec::new();
+        let mut filling = true;
+        let (mut climbs, mut descents) = (0, 0);
+        let (high, low) = (SMALL_MAX + 1 + seed as usize % 24, SMALL_RETURN - seed as usize % 8);
+        for step in 0..steps {
+            let depth = reference.len();
+            if filling && depth >= high {
+                filling = false;
+                climbs += 1;
+            } else if !filling && depth <= low {
+                filling = true;
+                descents += 1;
+            }
+            let roll = rng.next_u64() % 100;
+            let push_share = if filling { 70 } else { 25 };
+            if roll < push_share {
+                let delay = match rng.next_u64() % 8 {
+                    0 | 1 => 0.0,
+                    2 => (rng.next_u64() % 100) as f64 / 1000.0,
+                    3 => (rng.next_u64() % 200) as f64,
+                    4 => (rng.next_u64() % 5_000) as f64,
+                    // Coarse-rung territory (beyond the fine ring).
+                    5 => 10_000.0 + (rng.next_u64() % 4_000_000) as f64,
+                    // Beyond the whole ladder: the far heap.
+                    6 => 5_000_000.0 + (rng.next_u64() % 50_000_000) as f64,
+                    // A same-instant burst.
+                    _ => {
+                        let t = SimTime::from_ns(now);
+                        for _ in 0..rng.next_u64() % 12 {
+                            let a = calendar.push(t, T, step);
+                            assert_eq!(a, reference.push(t, T, step), "sequence ids");
+                        }
+                        0.0
+                    }
+                };
+                let t = SimTime::from_ns(now + delay);
+                let a = calendar.push(t, T, step);
+                assert_eq!(a, reference.push(t, T, step), "sequence ids");
+            } else if roll < 90 {
+                let a = calendar.pop();
+                let b = reference.pop();
+                let key = |e: &Option<Event<u32>>| e.as_ref().map(|e| (e.time, e.seq, e.payload));
+                assert_eq!(key(&a), key(&b), "seed {seed} step {step}: pop");
+                if let Some(e) = a {
+                    now = e.time.as_ns();
+                    popped.push((e.time, e.seq));
+                }
+            } else if roll < 96 {
+                // Drain one whole instant from each queue: a full pop,
+                // then `pop_at` until the instant runs dry.
+                let drain = |q: &mut EventQueue<u32>| {
+                    let mut out: Vec<Event<u32>> = q.pop().into_iter().collect();
+                    if let Some(time) = out.first().map(|e| e.time) {
+                        out.extend(std::iter::from_fn(|| q.pop_at(time)));
+                    }
+                    out
+                };
+                let a = drain(&mut calendar);
+                let b = drain(&mut reference);
+                let keys = |v: &[Event<u32>]| -> Vec<_> {
+                    v.iter().map(|e| (e.time, e.seq, e.payload)).collect()
+                };
+                assert_eq!(keys(&a), keys(&b), "seed {seed} step {step}: instant drain");
+                if let Some(last) = a.last() {
+                    now = last.time.as_ns();
+                }
+                popped.extend(a.iter().map(|e| (e.time, e.seq)));
+            } else {
+                // A lone `pop_at` probe at the clock: it yields only an
+                // event due exactly now.
+                let t = SimTime::from_ns(now);
+                let a = calendar.pop_at(t).map(|e| (e.seq, e.payload));
+                assert_eq!(a, reference.pop_at(t).map(|e| (e.seq, e.payload)), "seed {seed}");
+                if let Some((seq, _)) = a {
+                    popped.push((t, seq));
+                }
+            }
+            assert_eq!(calendar.len(), reference.len(), "seed {seed} step {step}: len");
+            assert_eq!(calendar.peek_time(), reference.peek_time(), "seed {seed} step {step}");
+        }
+        loop {
+            match (calendar.pop(), reference.pop()) {
+                (Some(x), Some(y)) => {
+                    assert_eq!((x.time, x.seq), (y.time, y.seq), "seed {seed}: final drain");
+                    popped.push((x.time, x.seq));
+                }
+                (None, None) => break,
+                _ => panic!("seed {seed}: queues disagree on emptiness"),
+            }
+        }
+        for pair in popped.windows(2) {
+            assert!(pair[0] < pair[1], "seed {seed}: strict (time, seq) order: {pair:?}");
+        }
+        (climbs, descents)
+    }
+
+    #[test]
+    fn tier_crossings_match_the_reference_heap() {
+        for seed in 0..48 {
+            let (climbs, descents) = differential(seed, 6_000);
+            assert!(climbs >= 10 && descents >= 10, "seed {seed}: {climbs} up, {descents} down");
+        }
+    }
+
+    /// The long form of [`tier_crossings_match_the_reference_heap`]:
+    /// `cargo test --release -p pim-engine -- --ignored`.
+    #[test]
+    #[ignore = "long seeded differential; run in release with --ignored"]
+    fn tier_crossings_match_the_reference_heap_long() {
+        for seed in 0..10_000 {
+            let (climbs, descents) = differential(seed, 6_000);
+            assert!(climbs >= 10 && descents >= 10, "seed {seed}: {climbs} up, {descents} down");
+        }
     }
 
     /// Exhaustive cross-check against the retired heap: a seeded

@@ -570,13 +570,17 @@ impl Component<ChipEvent> for BusComponent {
 /// the same program tags. A tag may have several blocked receivers
 /// (e.g. a broadcast-style schedule); all of them wake on delivery, in
 /// the order they blocked. Deliveries are grouped by stage, so a
-/// drained stage's whole tag space is retired in O(1). The maps hash
-/// with Fx, not SipHash: stages and tags are small integers, and
-/// colliding keys could only slow a run, never change its result.
+/// drained stage's whole tag space is retired in O(1), and its cleared
+/// map serves a later stage, so a run allocates and grows only as many
+/// tag maps as it has stages in flight. The maps hash with Fx, not
+/// SipHash: stages and tags are small integers, and colliding keys
+/// could only slow a run, never change its result.
 #[derive(Default)]
 pub(crate) struct Rendezvous {
     /// `delivered[stage][tag]` — delivery instant, ns.
     pub(crate) delivered: FxHashMap<u32, FxHashMap<Tag, f64>>,
+    /// Cleared tag maps of retired stages, capacity kept.
+    spare: Vec<FxHashMap<Tag, f64>>,
     /// Blocked receivers `(stage, tag, core, since_ns)`, in the order
     /// they blocked. At most one entry per live core, so a scan beats
     /// a map of per-tag lists.
@@ -595,14 +599,20 @@ impl Component<ChipEvent> for Rendezvous {
     fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
         match event.payload {
             ChipEvent::RetireStage { stage } => {
-                self.delivered.remove(&stage);
+                if let Some(mut tags) = self.delivered.remove(&stage) {
+                    tags.clear();
+                    self.spare.push(tags);
+                }
                 debug_assert!(
                     self.waiting.iter().all(|&(waiting_in, ..)| waiting_in != stage),
                     "stage {stage} retired with blocked receivers"
                 );
             }
             ChipEvent::Deliver { stage, tag, at_ns } => {
-                self.delivered.entry(stage).or_default().insert(tag, at_ns);
+                let spare = &mut self.spare;
+                let tags =
+                    self.delivered.entry(stage).or_insert_with(|| spare.pop().unwrap_or_default());
+                tags.insert(tag, at_ns);
                 self.waiting.retain(|&(waiting_in, waiting_on, core, since_ns)| {
                     let wake = waiting_in == stage && waiting_on == tag;
                     if wake {
@@ -795,10 +805,14 @@ mod tests {
             }
         }
         engine.schedule(at(2.0), RENDEZVOUS, ChipEvent::RetireStage { stage: 1 });
+        // A later stage's first delivery takes over the retired map.
+        engine.schedule(at(3.0), RENDEZVOUS, deliver(3, 9, 5.0));
         engine.run_until_idle();
         let rendezvous: Rendezvous = engine.extract(RENDEZVOUS).expect("rendezvous");
-        let stages: Vec<(u32, usize)> =
+        let mut stages: Vec<(u32, usize)> =
             rendezvous.delivered.iter().map(|(&stage, tags)| (stage, tags.len())).collect();
-        assert_eq!(stages, [(2, 2)], "only stage 1's deliveries are retired");
+        stages.sort_unstable();
+        assert_eq!(stages, [(2, 2), (3, 1)], "only stage 1's deliveries are retired");
+        assert!(rendezvous.spare.is_empty(), "stage 3 reused stage 1's map");
     }
 }

@@ -298,31 +298,6 @@ impl SystemSimulator {
         self.fold_report(loads, rounds, samples_per_round, outcomes, links)
     }
 
-    /// Peak concurrently-live stage cores of one chip's load under
-    /// the schedule in effect.
-    fn stage_cores_of(&self, load: &ChipLoad<'_>) -> usize {
-        match self.schedule {
-            // Barrier mode runs one stage per chip at a time.
-            ScheduleMode::Barrier => load.programs.iter().map(|p| p.cores()).max().unwrap_or(0),
-            // Interleaving can have every partition in flight.
-            ScheduleMode::Interleaved => load.programs.iter().map(|p| p.cores()).sum(),
-        }
-    }
-
-    /// The event-queue pre-size for a whole-system engine, derived
-    /// from *peak pending* events — each live
-    /// component (a core of an in-flight stage, the shared
-    /// channel/bus/rendezvous/DRAM per chip, the interconnect) keeps
-    /// only a bounded handful of events in flight, so peak occupancy
-    /// scales with concurrent components — not with instructions ×
-    /// rounds, which measures throughput. `frontend` adds the serving
-    /// frontend's own peak (zero for fixed-round runs). A hint only;
-    /// the queue grows past it transparently.
-    fn event_capacity_for(&self, loads: &[ChipLoad<'_>], frontend: usize) -> usize {
-        let stage_cores: usize = loads.iter().map(|l| self.stage_cores_of(l)).sum();
-        ((stage_cores + 8 * loads.len()) * 8 + frontend).clamp(256, 1 << 16)
-    }
-
     /// Registers one chip's shared components in the canonical order —
     /// `[closed-loop dram?, rendezvous, channel, bus]` — and returns
     /// their addresses. The analytic mode's in-line DRAM model lives
@@ -490,14 +465,6 @@ impl SystemSimulator {
         if self.reference_queue {
             engine.use_reference_queue();
         }
-        // The serving frontend's own peak: one pre-scheduled chunk of
-        // arrivals plus the admission fan-out. `arrivals` is the
-        // realized stream, so short traces never over-reserve.
-        let frontend = match &workload {
-            Workload::Rounds(_) => 0,
-            Workload::Serving { arrivals, .. } => arrivals.len().min(ARRIVAL_CHUNK) + 2 * chips,
-        };
-        engine.reserve_events(self.event_capacity_for(loads, frontend));
         let parts: Vec<ChipParts> = (0..chips).map(|_| self.register_chip(&mut engine)).collect();
 
         // The interconnect is registered before the sequencers, so the
