@@ -683,7 +683,7 @@ mod tests {
         };
         let baseline = vec![
             record("hotpath:gate:queue-speedup", 0.25, 4.0),
-            record("hotpath:abs:queue:calendar", 50.0, 2.0e7),
+            record("hotpath:abs:queue:run", 50.0, 2.0e7),
             record("topology:x", 100.0, 1.0),
         ];
         // Speedup within tolerance, abs record missing (machine may
@@ -711,7 +711,7 @@ mod tests {
         assert!(gates_on_throughput("hotpath:gate:queue-speedup"));
         assert!(!gates_on_throughput("ga:abs:pop:100:serial"));
         assert!(is_ungated_abs("ga:abs:pop:100:serial"));
-        assert!(is_ungated_abs("hotpath:abs:queue:calendar"));
+        assert!(is_ungated_abs("hotpath:abs:queue:run"));
         assert!(!is_ungated_abs("topology:x"));
         // Plain serving sweep records gate on makespan, as ever.
         assert!(!gates_on_throughput("serving:mlp-S-ring2-poisson-immediate:greedy"));

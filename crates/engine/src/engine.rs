@@ -123,7 +123,7 @@ impl<E> EngineCtx<'_, E> {
 
     /// Queues an event at or after the clock: one at the current
     /// instant joins the same-instant lane with the next sequence id,
-    /// anything later goes to the calendar.
+    /// anything later goes to the queue.
     #[inline]
     fn push(&mut self, time: SimTime, target: ComponentId, payload: E) {
         match &mut self.lane {
@@ -151,8 +151,8 @@ impl<E> EngineCtx<'_, E> {
 ///
 /// Dispatch drains the queue one *instant* at a time: the instant's
 /// first event comes from a full pop, the rest of the burst from
-/// [`EventQueue::pop_at`] — O(1) pops off the queue's active bucket —
-/// then from a FIFO *same-instant lane* that holds every event
+/// [`EventQueue::pop_at`] — pops off the head of the queue — then
+/// from a FIFO *same-instant lane* that holds every event
 /// scheduled at the current instant, all delivered in sequence order
 /// while the target components stay in their registry slots. No
 /// per-event `Option::take`/put round-trip, no per-event allocation,
@@ -217,7 +217,7 @@ impl<E: 'static> Engine<E> {
         }
     }
 
-    /// Swaps the calendar queue for the retired binary-heap reference
+    /// Swaps the run queue for the retired binary-heap reference
     /// implementation (the seed-era queue, kept as an ordering
     /// oracle), which also takes the same-instant events the lane
     /// would hold. Only meaningful on a fresh engine.
@@ -310,18 +310,18 @@ impl<E: 'static> Engine<E> {
     /// idle.
     ///
     /// The drain is zero-copy: the instant's first event comes from
-    /// `pop`, the rest of the calendar's burst from
-    /// [`EventQueue::pop_at`] (each an O(1) pop off the queue's active
-    /// bucket), then the same-instant lane. A handler that schedules
-    /// at the current instant appends to the lane with the next
-    /// sequence id instead of sorting into the calendar. The order is
-    /// still exactly `(time, seq)`: the calendar's events at the
-    /// instant were all scheduled before the clock reached it, so
-    /// every lane event has a larger sequence id than each of them,
-    /// and handlers run from the lane only add lane events or later
-    /// ones. The target components are dispatched in place — no
-    /// per-event `Option::take`/put round-trip, no intermediate batch
-    /// buffer.
+    /// `pop`, the rest of the queue's burst from
+    /// [`EventQueue::pop_at`] (each a pop off the head of the queue's
+    /// sorted run or its overflow), then the same-instant lane. A
+    /// handler that schedules at the current instant appends to the
+    /// lane with the next sequence id instead of sorting into the
+    /// queue. The order is still exactly `(time, seq)`: the queue's
+    /// events at the instant were all scheduled before the clock
+    /// reached it, so every lane event has a larger sequence id than
+    /// each of them, and handlers run from the lane only add lane
+    /// events or later ones. The target components are dispatched in
+    /// place — no per-event `Option::take`/put round-trip, no
+    /// intermediate batch buffer.
     ///
     /// # Panics
     ///
@@ -395,7 +395,7 @@ impl<E: 'static> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::SMALL_MAX;
+    use crate::queue::RUN_MAX;
 
     /// Two components ping-ponging a token a fixed number of times.
     struct Player {
@@ -607,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_queue_engine_matches_calendar_engine() {
+    fn reference_queue_engine_matches_run_queue_engine() {
         fn run(reference: bool) -> (u64, f64, Vec<(f64, u32)>) {
             let mut engine = Engine::new(9);
             if reference {
@@ -627,7 +627,7 @@ mod tests {
     /// A seeded component zoo for the lane equivalence test: each
     /// event, drawn from the engine RNG, spends its budget on
     /// zero-delay chains, same-instant fan-outs, pushes a few ns ahead
-    /// (into the active 8 ns bucket), later events, or a spawned
+    /// (next to the queue's pop end), later events, or a spawned
     /// component plus a same-instant follow-up to it. Every dispatch
     /// is logged as `(time bits, seq, target)`.
     struct Zoo {
@@ -712,9 +712,9 @@ mod tests {
             (n, log, depth)
         }
         // Between instants, one chain's pending set stays within the
-        // queue's small tier, six chains peak on either side of it,
-        // and 72 chains start on the ladder and drain back into the
-        // small tier as they end.
+        // queue's sorted run, six chains peak on either side of it,
+        // and 72 chains start with the overflow in use and drain back
+        // into the run as they end.
         for (chains, seeds, small_peaks) in [(1, 64, 64..=64), (6, 64, 1..=63), (72, 16, 0..=0)] {
             let mut small = 0;
             for seed in 0..seeds {
@@ -726,7 +726,7 @@ mod tests {
                     let key = |e: &(u64, u64, usize)| (f64::from_bits(e.0), e.1);
                     assert!(key(&pair[0]) < key(&pair[1]), "seed {seed}: {pair:?}");
                 }
-                small += usize::from(depth <= SMALL_MAX);
+                small += usize::from(depth <= RUN_MAX);
             }
             assert!(small_peaks.contains(&small), "{chains} chains: {small} small peaks");
         }

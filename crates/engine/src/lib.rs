@@ -7,10 +7,11 @@
 //!
 //! * [`SimTime`] — a finite, non-negative, totally ordered timestamp
 //!   newtype (no NaN can enter the event queue),
-//! * [`EventQueue`] — a calendar queue ordered by `(time, sequence
-//!   id)`, so same-time events process in schedule order and every
-//!   run is bit-reproducible (the `reference-queue` feature keeps the
-//!   retired binary heap alongside it as a test oracle),
+//! * [`EventQueue`] — a short sorted run with a binary-heap overflow,
+//!   ordered by `(time, sequence id)`, so same-time events process in
+//!   schedule order and every run is bit-reproducible (the
+//!   `reference-queue` feature keeps the retired binary heap alongside
+//!   it as a test oracle),
 //! * [`Engine`] — the clock + queue + a registry of [`Component`]s
 //!   that react to events and schedule new ones, on one thread: every
 //!   simulation, however many chips it models, runs on one engine,

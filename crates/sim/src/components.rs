@@ -24,8 +24,9 @@ pub(crate) enum ChipEvent {
     /// A core executes its next instruction; the event time is the
     /// core's clock.
     Step,
-    /// Starts a chip sequencer's first round (scheduled once per chip
-    /// at simulation start).
+    /// Starts a chip sequencer's first round, or the request buffer's
+    /// arrival stream (scheduled once per component at simulation
+    /// start).
     Kick,
     /// A core's stream is exhausted; the event time is the core's
     /// final clock. Carries the core's accounting so the sequencer
@@ -151,16 +152,11 @@ pub(crate) enum ChipEvent {
         /// same chunking the analytic-mode energy refinement uses).
         chunk: u32,
     },
-    /// The request source's self-tick: one open-loop request arrives
-    /// at the event time (the source forwards it to the buffer and
-    /// schedules its next arrival).
-    Arrival,
     /// One inference request lands in the request buffer; the event
-    /// time is its arrival instant.
-    NewRequest,
-    /// The request source has emitted its last arrival: the buffer may
+    /// time is its arrival instant. The buffer schedules the stream's
+    /// next arrival as it handles this one, and after the last it may
     /// flush partial batches once capacity allows.
-    SourceDrained,
+    NewRequest,
     /// A batch-formation deadline fired. Stale timers (the batch was
     /// already cut) carry an old `generation` and are ignored.
     FlushDeadline {
@@ -178,7 +174,7 @@ pub(crate) enum ChipEvent {
     },
 }
 
-// The event queue moves whole events on every push, bucket sort and pop.
+// The event queue moves whole events on every push, sorted insert and pop.
 const _: () = assert!(std::mem::size_of::<ChipEvent>() <= 32);
 
 /// Per-core timing parameters copied out of the [`ChipSpec`].

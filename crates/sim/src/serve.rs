@@ -16,9 +16,9 @@
 //! seed), never of the simulated system: replaying the same traffic
 //! against two configurations compares them under identical load.
 //!
-//! The frontend is two components on the system's own engine: a
-//! `RequestSource` that pre-schedules the arrival stream a chunk at a
-//! time, and the `RequestBuffer` that batches it and appends the
+//! The frontend is one component on the system's own engine: the
+//! `RequestBuffer`, which schedules each arrival of the stream as it
+//! handles the one before, batches the requests and appends the
 //! admitted rounds to every active chip.
 
 use crate::components::ChipEvent;
@@ -138,7 +138,7 @@ pub enum BatchPolicy {
     /// allows — minimum queueing, maximum rounds.
     Immediate,
     /// Wait for a full batch of this size; partial batches flush only
-    /// when the source runs dry.
+    /// when the arrival stream runs dry.
     MaxSize(
         /// Requests per batch (at least 1).
         usize,
@@ -336,74 +336,24 @@ pub fn percentiles(sample: &mut [f64], qs: &[f64]) -> Vec<f64> {
 /// in its own right, not a cleanup.
 pub const ADMISSION_LATENCY_NS: f64 = 1.0 / 4096.0;
 
-/// The [`RequestSource`] chunk: how many arrivals are pre-scheduled
-/// per self-tick. Large enough that per-request source
-/// overhead vanishes, small enough that the engine queue never holds
-/// more than a bounded slab of far-future arrivals.
-pub(crate) const ARRIVAL_CHUNK: usize = 512;
-
-/// The open-loop request source: pre-schedules its arrival schedule as
-/// [`ChipEvent::NewRequest`]s a chunk at a time (one self-tick per
-/// `chunk` arrivals instead of one per arrival), then a terminal
-/// [`ChipEvent::SourceDrained`] at the last arrival's instant. The
-/// schedule is fixed at construction — arrivals never react to the
-/// system (open loop) — and chunking only batches event scheduling:
-/// every `NewRequest` still fires at its exact arrival instant, in
-/// arrival order.
-pub(crate) struct RequestSource {
-    arrivals_ns: Vec<f64>,
-    next: usize,
-    chunk: usize,
-    buffer: ComponentId,
-}
-
-impl RequestSource {
-    pub(crate) fn new(arrivals_ns: Vec<f64>, buffer: ComponentId, chunk: usize) -> Self {
-        Self { arrivals_ns, next: 0, chunk: chunk.max(1), buffer }
-    }
-
-    /// Schedules the next chunk of arrivals, then either a resume tick
-    /// at the chunk's last instant (every remaining arrival is at or
-    /// past it, so the next chunk schedules forward from there) or —
-    /// once the schedule is exhausted — the drain marker, after the
-    /// final `NewRequest` at the same instant.
-    fn advance(&mut self, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        let end = (self.next + self.chunk).min(self.arrivals_ns.len());
-        for &at in &self.arrivals_ns[self.next..end] {
-            ctx.schedule(SimTime::from_ns(at), self.buffer, ChipEvent::NewRequest);
-        }
-        self.next = end;
-        if end == self.arrivals_ns.len() {
-            let at = self.arrivals_ns.last().map_or(ctx.now(), |&ns| SimTime::from_ns(ns));
-            ctx.schedule(at, self.buffer, ChipEvent::SourceDrained);
-        } else {
-            ctx.schedule(SimTime::from_ns(self.arrivals_ns[end - 1]), me, ChipEvent::Arrival);
-        }
-    }
-}
-
-impl Component<ChipEvent> for RequestSource {
-    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        match event.payload {
-            ChipEvent::Kick | ChipEvent::Arrival => self.advance(event.target, ctx),
-            other => unreachable!("request source received {other:?}"),
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// The request buffer + dispatcher component: queues arrivals under
-/// admission control, cuts batches per the [`BatchPolicy`], and counts
-/// per-chip round completions for the in-flight backpressure limit.
+/// The request buffer + dispatcher component: delivers the arrival
+/// stream to itself one [`ChipEvent::NewRequest`] at a time, queues
+/// arrivals under admission control, cuts batches per the
+/// [`BatchPolicy`], and counts per-chip round completions for the
+/// in-flight backpressure limit. The stream is fixed at construction
+/// (open loop: arrivals never react to the system), and handling one
+/// arrival schedules the next, so one arrival is pending at a time.
 /// Each cut schedules one [`ChipEvent::AppendRound`] per active chip
 /// [`ADMISSION_LATENCY_NS`] after the cut; deadline timers are
 /// [`ChipEvent::FlushDeadline`] self-events. After the run its
 /// admission ledger (`formed`, `admitted`, `dropped`) feeds the report
 /// fold.
 pub(crate) struct RequestBuffer {
+    /// The whole arrival stream, ns, non-decreasing.
+    arrivals_ns: Vec<f64>,
+    /// Arrivals handled so far; the stream has run dry once this
+    /// reaches its length.
+    handled: usize,
     policy: BatchPolicy,
     queue_capacity: usize,
     max_inflight: usize,
@@ -420,8 +370,6 @@ pub(crate) struct RequestBuffer {
     /// A deadline fired while backpressured: cut as soon as a round
     /// slot frees, even below `max_size`.
     deadline_due: bool,
-    /// The source has emitted its last arrival.
-    drained: bool,
     /// Rounds dispatched so far.
     pub(crate) formed: usize,
     /// `(arrival instant, round)` per admitted request, in admission
@@ -432,9 +380,15 @@ pub(crate) struct RequestBuffer {
 }
 
 impl RequestBuffer {
-    pub(crate) fn new(config: &ServingConfig, active: Vec<(usize, ComponentId)>) -> Self {
+    pub(crate) fn new(
+        config: &ServingConfig,
+        arrivals_ns: Vec<f64>,
+        active: Vec<(usize, ComponentId)>,
+    ) -> Self {
         let completed = vec![0; active.len()];
         Self {
+            arrivals_ns,
+            handled: 0,
             policy: config.policy,
             queue_capacity: config.queue_capacity,
             max_inflight: config.max_inflight,
@@ -443,11 +397,22 @@ impl RequestBuffer {
             queue: Vec::new(),
             generation: 0,
             deadline_due: false,
-            drained: false,
             formed: 0,
             admitted: Vec::new(),
             dropped: 0,
         }
+    }
+
+    /// Schedules the first arrival not yet handled, if any is left.
+    fn schedule_next_arrival(&self, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
+        if let Some(&at) = self.arrivals_ns.get(self.handled) {
+            ctx.schedule(SimTime::from_ns(at), me, ChipEvent::NewRequest);
+        }
+    }
+
+    /// Whether every arrival of the stream has been handled.
+    fn drained(&self) -> bool {
+        self.handled == self.arrivals_ns.len()
     }
 
     /// Rounds dispatched but not yet completed by every active chip.
@@ -462,9 +427,9 @@ impl RequestBuffer {
         }
         match self.policy {
             BatchPolicy::Immediate => true,
-            BatchPolicy::MaxSize(n) => self.queue.len() >= n || self.drained,
+            BatchPolicy::MaxSize(n) => self.queue.len() >= n || self.drained(),
             BatchPolicy::Deadline { max_size, .. } => {
-                self.queue.len() >= max_size || self.drained || self.deadline_due
+                self.queue.len() >= max_size || self.drained() || self.deadline_due
             }
         }
     }
@@ -506,17 +471,21 @@ impl Component<ChipEvent> for RequestBuffer {
         let now_ns = event.time.as_ns();
         let me = event.target;
         match event.payload {
+            ChipEvent::Kick => self.schedule_next_arrival(me, ctx),
             ChipEvent::NewRequest => {
+                // Scheduled first, so the next arrival precedes any
+                // deadline timer this arrival arms for the same instant.
+                self.handled += 1;
+                self.schedule_next_arrival(me, ctx);
                 if self.queue.len() >= self.queue_capacity {
                     self.dropped += 1;
-                    return;
-                }
-                self.queue.push(now_ns);
-                if self.queue.len() == 1 {
-                    self.arm_deadline(now_ns, me, ctx);
+                } else {
+                    self.queue.push(now_ns);
+                    if self.queue.len() == 1 {
+                        self.arm_deadline(now_ns, me, ctx);
+                    }
                 }
             }
-            ChipEvent::SourceDrained => self.drained = true,
             ChipEvent::FlushDeadline { generation } => {
                 if generation != self.generation {
                     return;
@@ -617,43 +586,40 @@ mod tests {
     }
 
     #[test]
-    fn arrival_chunk_size_never_changes_the_stream() {
-        // Chunking only batches the source's scheduling work: every
-        // chunk size must deliver the identical (time, event) stream.
-        struct Recorder {
-            seen: Vec<(SimTime, &'static str)>,
-        }
-        impl Component<ChipEvent> for Recorder {
-            fn on_event(&mut self, event: Event<ChipEvent>, _: &mut EngineCtx<'_, ChipEvent>) {
-                let kind = match event.payload {
-                    ChipEvent::NewRequest => "request",
-                    ChipEvent::SourceDrained => "drained",
-                    other => unreachable!("recorder received {other:?}"),
-                };
-                self.seen.push((event.time, kind));
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
+    fn buffer_sees_exactly_the_trace_arrivals_in_order() {
+        // A buffer with no chips to feed never waits on a round, so its
+        // admission ledger is the stream it handled. Returns the ledger
+        // and the instant the run went idle.
+        fn handled(arrivals: &[f64], policy: BatchPolicy) -> (Vec<(f64, usize)>, SimTime) {
+            let trace = TrafficSpec::Trace(RequestTrace { arrivals_ns: arrivals.to_vec() });
+            let config =
+                ServingConfig::new(trace).with_policy(policy).with_max_inflight(arrivals.len() + 1);
+            let mut engine = pim_engine::Engine::new(0);
+            let id = engine.add_component(RequestBuffer::new(&config, arrivals.to_vec(), vec![]));
+            engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
+            engine.run_until_idle();
+            let buffer: RequestBuffer = engine.extract(id).expect("buffer survives the run");
+            assert_eq!(buffer.dropped, 0);
+            (buffer.admitted, engine.now())
         }
         let model = TrafficModel::Poisson { rate_per_s: 2.5e5 };
-        let arrivals = RequestTrace::synthesize(model, 13, 48).arrivals_ns;
-        let stream = |chunk: usize| {
-            let mut engine = pim_engine::Engine::new(0);
-            let sink = engine.add_component(Recorder { seen: Vec::new() });
-            let source = engine.add_component(RequestSource::new(arrivals.clone(), sink, chunk));
-            engine.schedule(SimTime::ZERO, source, ChipEvent::Kick);
-            engine.run_until_idle();
-            engine.extract::<Recorder>(sink).expect("recorder survives the run").seen
-        };
-        let reference = stream(1);
-        let mut expected: Vec<(SimTime, &str)> =
-            arrivals.iter().map(|&ns| (SimTime::from_ns(ns), "request")).collect();
-        expected.push((SimTime::from_ns(arrivals[47]), "drained"));
-        assert_eq!(reference, expected, "one request per arrival, then the drain marker");
-        for chunk in [7usize, 48, 512, 4096] {
-            assert_eq!(stream(chunk), reference, "chunk {chunk} must replay the same stream");
+        let poisson = RequestTrace::synthesize(model, 13, 48).arrivals_ns;
+        let duplicates = vec![0.0, 0.0, 5.0, 5.0, 5.0, 9.5];
+        for arrivals in [duplicates, vec![0.0], vec![3.0], poisson] {
+            let last = SimTime::from_ns(*arrivals.last().expect("non-empty trace"));
+            // One round per arrival, each cut the moment it lands.
+            let (ledger, idle) = handled(&arrivals, BatchPolicy::Immediate);
+            let one_each: Vec<_> = arrivals.iter().enumerate().map(|(r, &a)| (a, r)).collect();
+            assert_eq!(ledger, one_each, "{arrivals:?}");
+            assert_eq!(idle, last);
+            // A batch larger than the trace is cut only once the last
+            // arrival marks the stream drained.
+            let (ledger, idle) = handled(&arrivals, BatchPolicy::MaxSize(arrivals.len() + 1));
+            let one_batch: Vec<_> = arrivals.iter().map(|&a| (a, 0)).collect();
+            assert_eq!(ledger, one_batch, "{arrivals:?}");
+            assert_eq!(idle, last);
         }
+        assert_eq!(handled(&[], BatchPolicy::Immediate), (vec![], SimTime::ZERO), "empty trace");
     }
 
     #[test]

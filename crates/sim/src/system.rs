@@ -35,8 +35,10 @@
 //! Every run — fixed-round ([`SystemSimulator::run`]) or open-loop
 //! serving ([`SystemSimulator::run_serving`]) — goes through one
 //! function that builds the whole system on one single-threaded engine.
-//! Serving adds the [`crate::serve`] request buffer and source to the
-//! same component layout. The engine's retired binary-heap queue
+//! Serving adds the [`crate::serve`] request buffer to the same
+//! component layout: it delivers the arrival stream to itself, one
+//! pending arrival at a time, and appends each admitted batch as a
+//! round on every active chip. The engine's retired binary-heap queue
 //! (`reference-queue` feature) runs the identical simulation as the
 //! byte-identity oracle.
 
@@ -48,10 +50,7 @@ use crate::error::SimError;
 use crate::report::{
     ChipSimSummary, CoreActivity, EngineMode, LinkStats, PartitionSimReport, SimReport, TraceStats,
 };
-use crate::serve::{
-    percentiles, RequestBuffer, RequestRecord, RequestSource, ServingConfig, ServingReport,
-    ARRIVAL_CHUNK,
-};
+use crate::serve::{percentiles, RequestBuffer, RequestRecord, ServingConfig, ServingReport};
 use crate::stage::StageGraph;
 use pim_arch::{ChipSpec, EnergyModel, Link, PowerBreakdown, ScheduleMode, TimingMode, Topology};
 use pim_dram::{DramConfig, DramEnergy, DramSimulator};
@@ -156,7 +155,7 @@ impl SystemSimulator {
     }
 
     /// Runs the simulation on the engine's retired binary-heap event
-    /// queue instead of the calendar queue — the determinism suites'
+    /// queue instead of the run queue — the determinism suites'
     /// oracle. Timing and reports are identical by construction; this
     /// knob exists so tests can *prove* that, byte for byte.
     #[cfg(feature = "reference-queue")]
@@ -377,7 +376,7 @@ impl SystemSimulator {
     }
 
     /// Runs an *open-loop serving* workload: instead of a fixed round
-    /// count, a [`crate::TrafficSpec`]-driven request source feeds a
+    /// count, a [`crate::TrafficSpec`]-driven arrival stream feeds a
     /// [`crate::BatchPolicy`]-governed request buffer, and every
     /// admitted batch appends one pipeline round to the live system.
     /// The returned report carries the usual sections plus
@@ -446,12 +445,11 @@ impl SystemSimulator {
     }
 
     /// The one system run path: every chip, the interconnect and — for
-    /// serving — the request buffer and source on one engine, run to
-    /// idle. Component ids follow one fixed layout: per chip
+    /// serving — the request buffer on one engine, run to idle.
+    /// Component ids follow one fixed layout: per chip
     /// `[closed-loop dram?, rendezvous, channel, bus]`, then the
-    /// interconnect, then one sequencer per chip, then the buffer and
-    /// the source. Returns
-    /// the per-chip outcomes, the link statistics (multi-chip
+    /// interconnect, then one sequencer per chip, then the buffer.
+    /// Returns the per-chip outcomes, the link statistics (multi-chip
     /// topologies only) and, for serving, the request buffer's
     /// admission ledger.
     fn execute(
@@ -491,25 +489,25 @@ impl SystemSimulator {
             let id = engine.add_component(sequencer);
             assert_eq!(id, sequencer_ids[c]);
         }
-        let source_id = match workload {
+        let serving = match workload {
             Workload::Rounds(_) => None,
             Workload::Serving { config, arrivals } => {
                 let active: Vec<(usize, ComponentId)> = (0..chips)
                     .filter(|&c| !loads[c].programs.is_empty())
                     .map(|c| (c, sequencer_ids[c]))
                     .collect();
-                let id = engine.add_component(RequestBuffer::new(config, active));
+                let id = engine.add_component(RequestBuffer::new(config, arrivals, active));
                 assert_eq!(id, buffer_id);
-                Some(engine.add_component(RequestSource::new(arrivals, buffer_id, ARRIVAL_CHUNK)))
+                Some(id)
             }
         };
-        for &id in sequencer_ids.iter().chain(&source_id) {
+        for &id in sequencer_ids.iter().chain(&serving) {
             engine.schedule(SimTime::ZERO, id, ChipEvent::Kick);
         }
         engine.run_until_idle();
 
-        let buffer = source_id.map(|_| {
-            engine.extract::<RequestBuffer>(buffer_id).expect("request buffer survives the run")
+        let buffer = serving.map(|id| {
+            engine.extract::<RequestBuffer>(id).expect("request buffer survives the run")
         });
         let outcomes: Vec<ChipOutcome> = (0..chips)
             .map(|c| self.chip_outcome(&mut engine, &parts[c], sequencer_ids[c]))

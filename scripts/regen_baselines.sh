@@ -31,8 +31,10 @@ cargo run --release -p compass-bench --bin topology_sweep -- --quick --schedule 
 cargo run --release -p compass-bench --bin timing_mode_sweep -- --quick --json "${BASELINE}"
 # Hot-path records: the hotpath:gate:* speedup ratios are gated (they
 # are same-process ratios, stable across machines); the hotpath:abs:*
-# events/sec numbers are trajectory-only.
-cargo run --release -p compass-bench --bin engine_hotpath -- --quick --json "${BASELINE}" --min-speedup 3.0
+# events/sec numbers and the deep-hold ratio are trajectory-only. The
+# 1.3 floor sits under the lowest depth-16 queue speedup of 29
+# measured --quick runs (1.40) on a 2-core container.
+cargo run --release -p compass-bench --bin engine_hotpath -- --quick --json "${BASELINE}" --min-speedup 1.3
 # GA scaling records: ga:abs:* per-generation walls (trajectory-only)
 # and ga:gate:* memo speedup ratios, all stamped with the
 # regenerating host's parallelism so the gate never compares ratios

@@ -1,11 +1,11 @@
-//! Calendar-queue ↔ reference-heap equivalence.
+//! Run-queue ↔ reference-heap equivalence.
 //!
-//! PR 5 replaced the engine's binary-heap event queue with a two-tier
-//! calendar queue. The heap survives as the *reference
-//! implementation* (`pim-engine`'s `reference-queue` feature); this
-//! suite runs whole simulations on both queues and demands
-//! **byte-identical serialized [`pim_sim::SimReport`]s** — the
-//! strongest statement that the calendar queue preserves exact
+//! The engine's event queue is a sorted run with a heap overflow; the
+//! seed-era binary heap survives as the *reference implementation*
+//! (`pim-engine`'s `reference-queue` feature). This suite runs whole
+//! simulations on both queues and demands **byte-identical serialized
+//! [`pim_sim::SimReport`]s** — the strongest statement that the run
+//! queue preserves exact
 //! `(time, seq)` dispatch order, across:
 //!
 //! * both timing modes (`analytic`, `closed-loop`) × both base
@@ -87,14 +87,14 @@ fn system_report(
 fn single_chip_analytic_reports_are_byte_identical() {
     let a = chip_report(TimingMode::Analytic, ScheduleMode::Barrier, false);
     let b = chip_report(TimingMode::Analytic, ScheduleMode::Barrier, true);
-    assert_eq!(a, b, "calendar vs reference queue (analytic, single)");
+    assert_eq!(a, b, "run vs reference queue (analytic, single)");
 }
 
 #[test]
 fn single_chip_closed_loop_reports_are_byte_identical() {
     let a = chip_report(TimingMode::ClosedLoop, ScheduleMode::Barrier, false);
     let b = chip_report(TimingMode::ClosedLoop, ScheduleMode::Barrier, true);
-    assert_eq!(a, b, "calendar vs reference queue (closed-loop, single)");
+    assert_eq!(a, b, "run vs reference queue (closed-loop, single)");
 }
 
 #[test]
@@ -102,7 +102,7 @@ fn ring2_analytic_reports_are_byte_identical() {
     let ring = Topology::ring(2);
     let a = system_report(ring.clone(), TimingMode::Analytic, ScheduleMode::Barrier, false);
     let b = system_report(ring, TimingMode::Analytic, ScheduleMode::Barrier, true);
-    assert_eq!(a, b, "calendar vs reference queue (analytic, ring:2)");
+    assert_eq!(a, b, "run vs reference queue (analytic, ring:2)");
 }
 
 #[test]
@@ -110,7 +110,7 @@ fn ring2_closed_loop_reports_are_byte_identical() {
     let ring = Topology::ring(2);
     let a = system_report(ring.clone(), TimingMode::ClosedLoop, ScheduleMode::Barrier, false);
     let b = system_report(ring, TimingMode::ClosedLoop, ScheduleMode::Barrier, true);
-    assert_eq!(a, b, "calendar vs reference queue (closed-loop, ring:2)");
+    assert_eq!(a, b, "run vs reference queue (closed-loop, ring:2)");
 }
 
 #[test]
@@ -121,7 +121,7 @@ fn interleaved_schedule_reports_are_byte_identical() {
     for timing in [TimingMode::Analytic, TimingMode::ClosedLoop] {
         let a = chip_report(timing, ScheduleMode::Interleaved, false);
         let b = chip_report(timing, ScheduleMode::Interleaved, true);
-        assert_eq!(a, b, "calendar vs reference queue (interleaved, {timing})");
+        assert_eq!(a, b, "run vs reference queue (interleaved, {timing})");
     }
 }
 
@@ -134,7 +134,7 @@ fn multi_chip_interleaved_reports_are_byte_identical() {
             let schedule = ScheduleMode::Interleaved;
             let a = system_report(topology.clone(), timing, schedule, false);
             let b = system_report(topology.clone(), timing, schedule, true);
-            assert_eq!(a, b, "calendar vs reference queue ({topology}, {timing}, interleaved)");
+            assert_eq!(a, b, "run vs reference queue ({topology}, {timing}, interleaved)");
         }
     }
 }
@@ -156,7 +156,7 @@ fn every_timing_topology_leg_is_byte_identical() {
                     .expect("simulates");
                 serde_json::to_string(&report).expect("serializes")
             };
-            assert_eq!(run(false), run(true), "calendar vs reference queue ({timing}, {topology})");
+            assert_eq!(run(false), run(true), "run vs reference queue ({timing}, {topology})");
         }
     }
 }
@@ -232,19 +232,19 @@ fn serving_reports_are_byte_identical_across_the_matrix() {
                 let offered = source.arrivals().expect("valid traffic").len();
                 for policy in policies {
                     let config = ServingConfig::new(source.clone()).with_policy(policy);
-                    let calendar = serving_run(topology.clone(), &config, 40, false);
+                    let ours = serving_run(topology.clone(), &config, 40, false);
                     let reference = serving_run(topology.clone(), &config, 40, true);
                     let label = format!("{topology}, seed {seed}, {policy:?}");
                     // perfbench rejects reports from any other engine.
-                    assert_eq!(calendar.engine, Some(EngineMode::SingleThread), "{label}");
-                    let serving = calendar.serving.as_ref().expect("serving section present");
+                    assert_eq!(ours.engine, Some(EngineMode::SingleThread), "{label}");
+                    let serving = ours.serving.as_ref().expect("serving section present");
                     assert_eq!(serving.requests + serving.dropped, offered, "{label}");
                     assert!(serving.p50_ns <= serving.p99_ns, "{label}: p50 > p99");
                     assert!(serving.p99_ns <= serving.p999_ns, "{label}: p99 > p999");
                     assert_eq!(
-                        serde_json::to_string(&calendar).expect("serializes"),
+                        serde_json::to_string(&ours).expect("serializes"),
                         serde_json::to_string(&reference).expect("serializes"),
-                        "calendar vs reference queue ({label})"
+                        "run vs reference queue ({label})"
                     );
                 }
             }
@@ -260,13 +260,13 @@ fn serving_backpressure_and_drops_are_byte_identical() {
     let arrivals_ns: Vec<f64> = (0..40).map(|i| 25.0 * i as f64).collect();
     let trace = TrafficSpec::Trace(RequestTrace { arrivals_ns });
     let config = ServingConfig::new(trace).with_queue_capacity(3).with_max_inflight(1);
-    let calendar = serving_run(Topology::ring(2), &config, 1_500, false);
+    let ours = serving_run(Topology::ring(2), &config, 1_500, false);
     let reference = serving_run(Topology::ring(2), &config, 1_500, true);
-    let serving = calendar.serving.as_ref().expect("serving section present");
+    let serving = ours.serving.as_ref().expect("serving section present");
     assert!(serving.dropped > 0, "the overload must shed");
     assert_eq!(serving.requests + serving.dropped, 40, "served + dropped = offered");
     assert_eq!(
-        serde_json::to_string(&calendar).expect("serializes"),
+        serde_json::to_string(&ours).expect("serializes"),
         serde_json::to_string(&reference).expect("serializes"),
         "drop accounting must agree byte for byte"
     );
