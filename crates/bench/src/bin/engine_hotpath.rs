@@ -20,7 +20,12 @@
 //!   heap, so deep pending sets never fall off a cliff.
 //! * **engine dispatch** — the same churn through full
 //!   [`pim_engine::Engine`] component dispatch (batched same-instant
-//!   delivery, no per-event component take/put), on both queues.
+//!   delivery, no per-event component take/put), on both queues. The
+//!   gated ratio (`hotpath:gate:engine-speedup`) keeps 16 countdown
+//!   chains in flight, the same depth as the gated queue churn; a
+//!   second run keeps 256 in flight, all but 64 of them in the heap
+//!   overflow, and is recorded ungated
+//!   (`hotpath:abs:engine:chains256:*`).
 //!
 //! Each bench runs nine run-queue/reference pairs back to back; a
 //! speedup is the median of the per-pair ratios and an absolute rate
@@ -44,13 +49,17 @@ use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, EventQueue, S
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// In-flight events held by the gated queue churn: `simulate`'s peak
-/// pending set, which the queue keeps in its sorted run.
+/// In-flight events held by the gated queue churn and chains run by
+/// the gated engine dispatch: `simulate`'s peak pending set, which the
+/// queue keeps in its sorted run.
 const SHALLOW_HOLD: usize = 16;
 /// The depth of the ungated deep churn: far past the run's 64 events
 /// (the simulators peak at 35, in `serve`), so it measures the heap
 /// overflow.
 const DEEP_HOLD: usize = 8192;
+/// Countdown chains in flight in the ungated deep engine dispatch: as
+/// many pending events, four times the run's 64.
+const DEEP_CHAINS: usize = 256;
 /// The least deep-hold speedup `--min-speedup` accepts: at
 /// [`DEEP_HOLD`] the run queue must not be slower than the reference
 /// heap.
@@ -133,11 +142,11 @@ impl Component<u32> for Relay {
     }
 }
 
-/// Full-engine dispatch events/sec: `seeds` countdown chains over 64
-/// relay components.
-fn engine_events_per_sec(reference: bool, total: u64) -> f64 {
+/// Full-engine dispatch events/sec: `chains` countdown chains over 64
+/// relay components, so about `chains` events stay pending.
+fn engine_events_per_sec(reference: bool, chains: usize, total: u64) -> f64 {
     const RELAYS: usize = 64;
-    let seeds = 256u64;
+    let seeds = chains as u64;
     let budget = (total / seeds).max(1) as u32;
     let mut engine: Engine<u32> = Engine::new(7);
     if reference {
@@ -199,7 +208,9 @@ fn main() -> ExitCode {
         if quick { (600_000u64, 300_000u64) } else { (2_000_000, 1_000_000) };
     let queue = paired(|reference| queue_events_per_sec(reference, SHALLOW_HOLD, queue_events));
     let deep = paired(|reference| queue_events_per_sec(reference, DEEP_HOLD, queue_events));
-    let engine = paired(|reference| engine_events_per_sec(reference, engine_events));
+    let engine = paired(|reference| engine_events_per_sec(reference, SHALLOW_HOLD, engine_events));
+    let deep_engine =
+        paired(|reference| engine_events_per_sec(reference, DEEP_CHAINS, engine_events));
 
     let meps = |v: f64| format!("{:.2}", v / 1e6);
     let row = |metric: String, p: &Paired| {
@@ -211,7 +222,8 @@ fn main() -> ExitCode {
         &[
             row(format!("queue churn, depth {SHALLOW_HOLD}"), &queue),
             row(format!("queue churn, depth {DEEP_HOLD}"), &deep),
-            row("engine dispatch".into(), &engine),
+            row(format!("engine dispatch, {SHALLOW_HOLD} chains"), &engine),
+            row(format!("engine dispatch, {DEEP_CHAINS} chains"), &deep_engine),
         ],
     );
 
@@ -223,10 +235,11 @@ fn main() -> ExitCode {
             host_parallelism: None,
         };
         let deep_name = |what: &str| format!("hotpath:abs:queue:depth{DEEP_HOLD}:{what}");
+        let chains_name = |what: &str| format!("hotpath:abs:engine:chains{DEEP_CHAINS}:{what}");
         compass_bench::append_records(
             &path,
             vec![
-                // Absolute wall-clock metrics and the deep-hold ratio:
+                // Absolute wall-clock metrics and the deep ratios:
                 // trajectory visibility only (the gate skips the
                 // `hotpath:abs:` prefix).
                 record("hotpath:abs:queue:run", 1e9 / queue.run, queue.run),
@@ -236,6 +249,13 @@ fn main() -> ExitCode {
                 record(&deep_name("speedup"), 1.0 / deep.speedup, deep.speedup),
                 record("hotpath:abs:engine:run", 1e9 / engine.run, engine.run),
                 record("hotpath:abs:engine:reference", 1e9 / engine.reference, engine.reference),
+                record(&chains_name("run"), 1e9 / deep_engine.run, deep_engine.run),
+                record(
+                    &chains_name("reference"),
+                    1e9 / deep_engine.reference,
+                    deep_engine.reference,
+                ),
+                record(&chains_name("speedup"), 1.0 / deep_engine.speedup, deep_engine.speedup),
                 // Same-process ratios: machine-independent, gated on
                 // throughput like the satellite makespans are on
                 // cycles.

@@ -55,14 +55,12 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod graph;
 mod queue;
 mod rng;
 mod time;
 mod traffic;
 
 pub use engine::{Component, Engine, EngineCtx};
-pub use graph::{ClaimKind, TaskGraph};
 pub use queue::{Event, EventQueue};
 pub use rng::SimRng;
 pub use time::SimTime;

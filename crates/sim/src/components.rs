@@ -32,8 +32,9 @@ pub(crate) enum ChipEvent {
     /// final clock. Carries the core's accounting so the sequencer
     /// never has to reach into a live component.
     CoreDone {
-        /// The `(batch, partition)` stage node the core belongs to
-        /// (several stages may be in flight under interleaving).
+        /// The id `b·P + p` of the `(batch, partition)` stage the core
+        /// belongs to (several stages may be in flight under
+        /// interleaving).
         stage: usize,
         /// Index of the core within its partition program.
         core_index: usize,
@@ -87,7 +88,7 @@ pub(crate) enum ChipEvent {
         core: ComponentId,
         /// Payload size.
         bytes: usize,
-        /// The sender's stage (graph node id).
+        /// The sender's stage id.
         stage: u32,
         /// The program's rendezvous tag.
         tag: Tag,
@@ -100,7 +101,7 @@ pub(crate) enum ChipEvent {
     },
     /// The bus announces a tag's delivery time to the rendezvous.
     Deliver {
-        /// The sender's stage (graph node id).
+        /// The sender's stage id.
         stage: u32,
         /// The program's rendezvous tag.
         tag: Tag,
@@ -111,7 +112,7 @@ pub(crate) enum ChipEvent {
     AwaitTag {
         /// Receiving core (reply address).
         core: ComponentId,
-        /// The receiver's stage (graph node id).
+        /// The receiver's stage id.
         stage: u32,
         /// The program's rendezvous tag.
         tag: Tag,
@@ -132,7 +133,7 @@ pub(crate) enum ChipEvent {
     /// keeping the delivered map bounded by the stages in flight
     /// instead of growing for the whole run.
     RetireStage {
-        /// The stage's graph node id.
+        /// The stage id.
         stage: u32,
     },
     /// Closed-loop timing: one blocking block access reaches the
@@ -164,7 +165,7 @@ pub(crate) enum ChipEvent {
         generation: u64,
     },
     /// The dispatcher admitted one more batch: every active sequencer
-    /// appends one round to its live stage graph.
+    /// appends one round to its stage cursors.
     AppendRound,
     /// A sequencer finished the last partition of a round — service
     /// feedback for the buffer's admission control.
@@ -216,7 +217,7 @@ pub(crate) struct CoreComponent {
     /// the stream is exhausted.
     monitor: ComponentId,
     core_index: usize,
-    /// The `(batch, partition)` stage node this core executes; its
+    /// The id of the `(batch, partition)` stage this core executes; its
     /// SEND/RECVs match only within it.
     stage: u32,
 }

@@ -44,7 +44,6 @@ pub mod system;
 
 mod components;
 mod error;
-mod stage;
 
 pub use error::SimError;
 pub use report::{

@@ -6,17 +6,19 @@
 //! with per-link serialization and queueing, so concurrent transfers
 //! contend instead of seeing a flat latency.
 //!
-//! Each chip is driven by a `ChipSequencer`: a ready-set dispatcher
-//! over the chip's stage dependency graph (`StageGraph`).
-//! Every `(batch, partition)` stage spawns its partition program's
-//! cores when its graph dependencies are satisfied and its resource
-//! claims (crossbar groups, memory channel) are free. In the default
-//! [`ScheduleMode::Barrier`] the graph is a single round-major chain —
-//! the paper's full-chip barrier, byte-identical to the golden
-//! fixtures. Under [`ScheduleMode::Interleaved`] only dataflow and
-//! resource-reuse edges remain, so a chip starts batch `b+1`'s
-//! partition 0 the moment its crossbars free up while batch `b` still
-//! drains downstream partitions.
+//! Each chip is driven by a `ChipSequencer`, which dispatches the
+//! chip's `(batch, partition)` stages from per-partition cursors: every
+//! partition runs its batches in order, so the rounds each partition
+//! has started and finished say which stage may start next. A stage
+//! spawns its partition program's cores once its predecessors have
+//! drained. In the default [`ScheduleMode::Barrier`] the stages form a
+//! single round-major chain — the paper's full-chip barrier,
+//! byte-identical to the golden fixtures. Under
+//! [`ScheduleMode::Interleaved`] only the dataflow and crossbar-reuse
+//! terms remain, plus a rule that two partitions whose programs share a
+//! core never run together, so a chip starts batch `b+1`'s partition 0 the moment
+//! its crossbars free up while batch `b` still drains downstream
+//! partitions.
 //!
 //! A chip's SEND/RECVs meet in its rendezvous, matched by `(stage,
 //! tag)`: a RECV completes only on a SEND of its own stage, so stages
@@ -25,7 +27,7 @@
 //!
 //! A chip may ship hand-offs to *several* downstream peers (fan-out)
 //! and gate on hand-offs from several upstream producers (fan-in);
-//! each batch's first stage carries one external dependency per
+//! each batch's first stage waits for that batch's hand-off from every
 //! producer.
 //!
 //! The single-chip [`crate::ChipSimulator`] is a thin wrapper over
@@ -51,7 +53,6 @@ use crate::report::{
     ChipSimSummary, CoreActivity, EngineMode, LinkStats, PartitionSimReport, SimReport, TraceStats,
 };
 use crate::serve::{percentiles, RequestBuffer, RequestRecord, ServingConfig, ServingReport};
-use crate::stage::StageGraph;
 use pim_arch::{ChipSpec, EnergyModel, Link, PowerBreakdown, ScheduleMode, TimingMode, Topology};
 use pim_dram::{DramConfig, DramEnergy, DramSimulator};
 use pim_engine::{Component, ComponentId, Engine, EngineCtx, Event, SimTime};
@@ -181,7 +182,7 @@ impl SystemSimulator {
     /// [`ScheduleMode::Barrier`] reproduces the paper's full-chip
     /// barriers (and the golden fixtures); [`ScheduleMode::Interleaved`]
     /// lets a batch's head stages overlap the previous batch's drain
-    /// wherever crossbar-group claims permit.
+    /// wherever the running stages' programs share no core.
     pub fn with_schedule_mode(mut self, schedule: ScheduleMode) -> Self {
         self.schedule = schedule;
         self
@@ -321,10 +322,10 @@ impl SystemSimulator {
         ChipParts { channel, bus, rendezvous }
     }
 
-    /// Builds chip `c`'s sequencer over its stage graph and per-source
-    /// hand-off ledger: batch b's head stage carries one external
-    /// dependency per upstream producer, so a fast producer can never
-    /// stand in for a slow one.
+    /// Builds chip `c`'s sequencer over its stage cursors and
+    /// per-source hand-off ledger: batch b's head stage waits for the
+    /// b-th hand-off of every upstream producer, so a fast producer can
+    /// never stand in for a slow one.
     fn sequencer_for(
         &self,
         c: usize,
@@ -340,8 +341,6 @@ impl SystemSimulator {
             .filter(|(_, l)| l.handoffs.iter().any(|h| h.dst == c))
             .map(|(src, _)| (src, 0))
             .collect();
-        let graph = StageGraph::build(load.programs, rounds, self.schedule, upstream.len());
-        let nodes = rounds * load.programs.len();
         // Every stage of a partition runs the same per-core streams:
         // build them once and hand each spawned core a shared handle.
         let streams = load
@@ -362,14 +361,10 @@ impl SystemSimulator {
             rendezvous: parts.rendezvous,
             interconnect,
             handoffs: load.handoffs.clone(),
-            upstream,
-            rounds,
-            schedule: self.schedule,
             notify: None,
-            graph,
-            running: (0..nodes).map(|_| None).collect(),
-            next_head: 0,
-            wait_from: vec![None; rounds],
+            stages: StageCursors::new(load.programs, rounds, self.schedule, upstream),
+            running: load.programs.iter().map(|_| None).collect(),
+            wait_from: None,
             handoff_wait_ns: 0.0,
             records: Vec::new(),
         }
@@ -599,8 +594,10 @@ impl SystemSimulator {
         let sequencer: ChipSequencer =
             engine.extract(sequencer).expect("sequencer survives the run");
         let mut stalled_cores = Vec::new();
-        if !sequencer.graph.all_complete() {
-            for stage in sequencer.running.iter().flatten() {
+        if !sequencer.stages.all_complete() {
+            let mut stalled: Vec<&RunningStage> = sequencer.running.iter().flatten().collect();
+            stalled.sort_by_key(|stage| (stage.round, stage.partition));
+            for stage in stalled {
                 stalled_cores.push(
                     stage
                         .cores
@@ -630,7 +627,7 @@ impl SystemSimulator {
         links: Option<Vec<LinkStats>>,
     ) -> Result<SimReport, SimError> {
         let chips = loads.len();
-        if outcomes.iter().any(|o| !o.sequencer.graph.all_complete()) {
+        if outcomes.iter().any(|o| !o.sequencer.stages.all_complete()) {
             return Err(deadlock_of(&outcomes));
         }
         let energy_model = EnergyModel::new(&self.chip);
@@ -761,7 +758,7 @@ impl SystemSimulator {
 /// starved (their upstream producer is the deadlocked one, possibly
 /// at a lower index) have no active cores and are skipped.
 fn deadlock_of(outcomes: &[ChipOutcome]) -> SimError {
-    for outcome in outcomes.iter().filter(|o| !o.sequencer.graph.all_complete()) {
+    for outcome in outcomes.iter().filter(|o| !o.sequencer.stages.all_complete()) {
         for stage in &outcome.stalled_cores {
             for (i, core) in stage.iter().enumerate() {
                 if !core.finished {
@@ -798,14 +795,14 @@ struct ChipOutcome {
     rendezvous: Rendezvous,
     closed_dram: Option<ClosedLoopDram>,
     /// Cores of stages still in flight when the run stalled, one
-    /// vector per running stage in node order — the deadlock
+    /// vector per running stage in stage-id order — the deadlock
     /// diagnosis walks these.
     stalled_cores: Vec<Vec<CoreComponent>>,
 }
 
-/// Dispatches one chip's `(batch, partition)` stages from the ready
-/// set of its stage graph: barrier-chained by default, dependency- and
-/// claim-driven under interleaving. See the module docs.
+/// Dispatches one chip's `(batch, partition)` stages from its
+/// [`StageCursors`]: barrier-chained by default, dataflow- and
+/// core-driven under interleaving. See the module docs.
 pub(crate) struct ChipSequencer {
     chip_index: usize,
     /// Per partition, the per-core instruction streams every stage of
@@ -818,36 +815,28 @@ pub(crate) struct ChipSequencer {
     interconnect: ComponentId,
     /// Per-round boundary transfers, one per downstream consumer.
     handoffs: Vec<Handoff>,
-    /// Per-upstream-producer hand-off ledger: `(source chip,
-    /// hand-offs received from it)`.
-    upstream: Vec<(usize, usize)>,
-    rounds: usize,
-    schedule: ScheduleMode,
     /// Serving mode: the request buffer to notify with
     /// [`ChipEvent::RoundDone`] each time a round fully drains.
     /// `None` for fixed-round (closed-loop) runs.
     notify: Option<ComponentId>,
-    /// The stage dependency graph driving dispatch.
-    pub(crate) graph: StageGraph,
-    /// In-flight stages, indexed by graph node.
-    pub(crate) running: Vec<Option<RunningStage>>,
-    /// The first round whose head stage has not started. Heads start
-    /// in round order (each depends, directly or through its round's
-    /// chain, on the previous head), so this is the only round that
-    /// can be blocked on upstream hand-offs.
-    next_head: usize,
-    /// Per-round timestamp at which the round's head stage became
-    /// blocked purely on upstream hand-offs.
-    wait_from: Vec<Option<f64>>,
+    /// Which stages may start.
+    stages: StageCursors,
+    /// The in-flight stage of each partition: a partition runs its
+    /// rounds in order, so at most one at a time.
+    running: Vec<Option<RunningStage>>,
+    /// When the next round's head stage began waiting purely on
+    /// upstream hand-offs. Heads start in round order, so only that one
+    /// head can be waiting.
+    wait_from: Option<f64>,
     pub(crate) handoff_wait_ns: f64,
     pub(crate) records: Vec<StageRecord>,
 }
 
 /// One in-flight stage: its spawned cores and running accounting.
-pub(crate) struct RunningStage {
+struct RunningStage {
     round: usize,
     partition: usize,
-    pub(crate) cores: Vec<ComponentId>,
+    cores: Vec<ComponentId>,
     done: usize,
     start_ns: f64,
     end_ns: f64,
@@ -865,57 +854,206 @@ pub(crate) struct StageRecord {
     pub(crate) activity: Vec<CoreActivity>,
 }
 
+/// Which of a chip's `(round, partition)` stages may start.
+///
+/// Partition `p` runs its rounds in order, so the grid needs only the
+/// rounds each partition has started and finished, the round count,
+/// the upstream hand-off ledger and, under interleaving, which
+/// partitions share a core. Stage `(b, p)`, id `b·P + p`, may start when
+/// `b` is partition `p`'s next round and
+///
+/// * partition `p` has finished round `b − 1` (its crossbars are free);
+/// * for `p > 0`, partition `p − 1` has finished round `b` (it produced
+///   the stage's input activations);
+/// * for `p = 0`, every upstream producer has delivered more than `b`
+///   hand-offs, and under the barrier schedule the last partition has
+///   finished round `b − 1`;
+/// * under interleaving, no partition whose program shares a core with
+///   instructions with program `p` is running.
+///
+/// The barrier schedule is thus one round-major chain; interleaving
+/// lets two stages overlap exactly when their cores are disjoint.
+struct StageCursors {
+    mode: ScheduleMode,
+    rounds: usize,
+    /// Per partition, the rounds started; `finished` lags it by the
+    /// partition's running stage, if any.
+    started: Vec<usize>,
+    finished: Vec<usize>,
+    /// Per partition, the other partitions whose programs have
+    /// instructions on one of its cores: under interleaving it may not
+    /// run alongside any of them (empty under the barrier schedule,
+    /// which the chain alone orders).
+    conflicts: Vec<Vec<usize>>,
+    /// Per upstream producer: `(source chip, hand-offs received)`.
+    upstream: Vec<(usize, usize)>,
+}
+
+impl StageCursors {
+    fn new(
+        programs: &[ChipProgram],
+        rounds: usize,
+        mode: ScheduleMode,
+        upstream: Vec<(usize, usize)>,
+    ) -> Self {
+        let cores = programs.iter().map(ChipProgram::cores).max().unwrap_or(0);
+        let busy: Vec<Vec<bool>> = programs
+            .iter()
+            .map(|program| {
+                (0..cores)
+                    .map(|c| {
+                        c < program.cores() && !program.core(CoreId(c)).instructions().is_empty()
+                    })
+                    .collect()
+            })
+            .collect();
+        let parts = programs.len();
+        let conflicts = (0..parts)
+            .map(|p| match mode {
+                ScheduleMode::Barrier => Vec::new(),
+                ScheduleMode::Interleaved => (0..parts)
+                    .filter(|&q| q != p && (0..cores).any(|c| busy[p][c] && busy[q][c]))
+                    .collect(),
+            })
+            .collect();
+        Self {
+            mode,
+            rounds,
+            started: vec![0; parts],
+            finished: vec![0; parts],
+            conflicts,
+            upstream,
+        }
+    }
+
+    fn partitions(&self) -> usize {
+        self.started.len()
+    }
+
+    /// Records one hand-off from chip `src` and returns the round it
+    /// feeds. It may land before that round is appended.
+    fn hand_off(&mut self, src: usize) -> usize {
+        let entry = self
+            .upstream
+            .iter_mut()
+            .find(|(s, _)| *s == src)
+            .expect("hand-off arrives only from declared producers");
+        entry.1 += 1;
+        entry.1 - 1
+    }
+
+    /// `true` once every upstream producer has delivered round
+    /// `round`'s hand-off.
+    fn handed_off(&self, round: usize) -> bool {
+        self.upstream.iter().all(|&(_, received)| received > round)
+    }
+
+    /// `true` when partition `p`'s next round exists and its
+    /// predecessors have drained: everything but hand-offs and cores.
+    fn precedence_met(&self, p: usize) -> bool {
+        let b = self.started[p];
+        b < self.rounds
+            && self.finished[p] == b
+            && match p {
+                0 => {
+                    self.mode == ScheduleMode::Interleaved
+                        || self.finished[self.partitions() - 1] >= b
+                }
+                _ => self.finished[p - 1] > b,
+            }
+    }
+
+    /// Starts every stage that may start now and returns their ids in
+    /// ascending order. Stages start in that order, so two stages
+    /// racing for a core resolve to the lower id.
+    fn take_ready(&mut self) -> Vec<usize> {
+        let parts = self.partitions();
+        let mut ready: Vec<usize> = (0..parts)
+            .filter(|&p| self.precedence_met(p) && (p > 0 || self.handed_off(self.started[0])))
+            .map(|p| self.started[p] * parts + p)
+            .collect();
+        ready.sort_unstable();
+        let Self { started, finished, conflicts, .. } = self;
+        ready.retain(|&stage| {
+            let p = stage % parts;
+            if conflicts[p].iter().any(|&q| started[q] > finished[q]) {
+                return false;
+            }
+            started[p] += 1;
+            true
+        });
+        ready
+    }
+
+    /// Marks the running stage `stage` finished.
+    fn finish(&mut self, stage: usize) {
+        let p = stage % self.partitions();
+        self.finished[p] += 1;
+    }
+
+    /// `true` when the next round's head stage has met its precedence
+    /// terms and waits only on upstream hand-offs, whatever its cores
+    /// are doing.
+    fn head_waits_on_handoffs(&self) -> bool {
+        !self.started.is_empty() && self.precedence_met(0) && !self.handed_off(self.started[0])
+    }
+
+    /// `true` once every stage has finished (trivially true for an idle
+    /// chip).
+    fn all_complete(&self) -> bool {
+        self.finished.iter().all(|&f| f == self.rounds)
+    }
+}
+
 impl ChipSequencer {
     /// Starts every ready stage, looping because zero-core stages
     /// complete at their start instant and may unlock successors.
     fn dispatch(&mut self, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
         loop {
-            let ready = self.graph.take_ready();
+            let ready = self.stages.take_ready();
             if ready.is_empty() {
                 break;
             }
-            for node in ready {
-                self.start_stage(node, me, ctx);
+            for stage in ready {
+                self.start_stage(stage, me, ctx);
             }
         }
     }
 
-    /// Stamps the moment the next round's head stage becomes blocked
-    /// purely on upstream hand-offs (graph deps done, externals not).
-    /// Only the first unstarted head can be: every later head still
-    /// waits on it through the graph.
+    /// Opens the hand-off wait window when the next round's head stage
+    /// becomes blocked purely on upstream hand-offs.
     fn refresh_upstream_wait(&mut self, now_ns: f64) {
-        let b = self.next_head;
-        if self.upstream.is_empty() || self.streams.is_empty() || b >= self.rounds {
-            return;
-        }
-        if self.wait_from[b].is_none() && self.graph.blocked_on_external(self.graph.node(b, 0)) {
-            self.wait_from[b] = Some(now_ns);
+        if self.wait_from.is_none() && self.stages.head_waits_on_handoffs() {
+            self.wait_from = Some(now_ns);
         }
     }
 
-    /// Spawns stage `node`'s cores. In barrier mode the memory channel
+    /// Closes the hand-off wait window, if open, at `now_ns`.
+    fn close_upstream_wait(&mut self, now_ns: f64) {
+        if let Some(since) = self.wait_from.take() {
+            self.handoff_wait_ns += (now_ns - since).max(0.0);
+        }
+    }
+
+    /// Spawns stage `stage`'s cores. In barrier mode the memory channel
     /// and the bus are barrier-reset first, exactly as the single-chip
     /// simulator's partition loop did: barriers first, then cores in
     /// index order, all at the current instant.
-    fn start_stage(&mut self, node: usize, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        let (round, partition) = self.graph.coords(node);
+    fn start_stage(&mut self, stage: usize, me: ComponentId, ctx: &mut EngineCtx<'_, ChipEvent>) {
+        let partitions = self.streams.len();
+        let (round, partition) = (stage / partitions, stage % partitions);
         let now = ctx.now();
         if partition == 0 {
-            debug_assert_eq!(round, self.next_head, "round heads start in order");
-            self.next_head = round + 1;
-            if let Some(since) = self.wait_from[round].take() {
-                self.handoff_wait_ns += (now.as_ns() - since).max(0.0);
-            }
+            self.close_upstream_wait(now.as_ns());
         }
-        if self.schedule == ScheduleMode::Barrier {
+        if self.stages.mode == ScheduleMode::Barrier {
             for shared in [self.channel, self.bus] {
                 ctx.schedule(now, shared, ChipEvent::Barrier);
             }
         }
-        // The rendezvous matches SEND/RECV by (stage, tag); a chip's
-        // stage graph holds far fewer than 2^32 nodes.
-        let stage = u32::try_from(node).expect("stage graph node ids fit in u32");
+        // The rendezvous matches SEND/RECV by (stage, tag); a chip runs
+        // far fewer than 2^32 stages.
+        let rendezvous_stage = u32::try_from(stage).expect("stage ids fit in u32");
         let streams = &self.streams[partition];
         let cores: Vec<ComponentId> = streams
             .iter()
@@ -930,14 +1068,14 @@ impl ChipSequencer {
                     self.rendezvous,
                     me,
                     c,
-                    stage,
+                    rendezvous_stage,
                 ));
                 ctx.schedule(now, id, ChipEvent::Step);
                 id
             })
             .collect();
         let empty = cores.is_empty();
-        self.running[node] = Some(RunningStage {
+        self.running[partition] = Some(RunningStage {
             round,
             partition,
             activity: vec![CoreActivity::default(); streams.len()],
@@ -951,16 +1089,17 @@ impl ChipSequencer {
         // stage at its start instant (the CoreDone arm would otherwise
         // never fire and the stage would hang).
         if empty {
-            self.finish_stage(node, ctx);
+            self.finish_stage(stage, ctx);
         }
     }
 
     /// Folds a drained stage into the records, ships the chip's
     /// hand-offs when the stage closes a round, and releases the
-    /// stage's graph node (the caller's dispatch loop picks up
-    /// whatever that unblocks).
-    fn finish_stage(&mut self, node: usize, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        let stage = self.running[node].take().expect("finished stage was running");
+    /// stage (the caller's dispatch loop picks up whatever that
+    /// unblocks).
+    fn finish_stage(&mut self, stage_id: usize, ctx: &mut EngineCtx<'_, ChipEvent>) {
+        let partitions = self.streams.len();
+        let stage = self.running[stage_id % partitions].take().expect("finished stage was running");
         self.records.push(StageRecord {
             round: stage.round,
             partition: stage.partition,
@@ -969,7 +1108,7 @@ impl ChipSequencer {
             replace_ns: stage.replace_max_ns - stage.start_ns,
             activity: stage.activity,
         });
-        if stage.partition + 1 == self.graph.partitions() {
+        if stage.partition + 1 == partitions {
             // Round complete: ship the boundary activations to every
             // downstream consumer.
             let now = ctx.now();
@@ -991,9 +1130,9 @@ impl ChipSequencer {
         }
         // The stage's receivers have all completed; drop its rendezvous
         // deliveries so the delivered map stays bounded by the stages in
-        // flight. `start_stage` checked that the node id fits in u32.
-        ctx.schedule(ctx.now(), self.rendezvous, ChipEvent::RetireStage { stage: node as u32 });
-        self.graph.complete(node);
+        // flight. `start_stage` checked that the stage id fits in u32.
+        ctx.schedule(ctx.now(), self.rendezvous, ChipEvent::RetireStage { stage: stage_id as u32 });
+        self.stages.finish(stage_id);
         self.refresh_upstream_wait(ctx.now().as_ns());
     }
 }
@@ -1006,51 +1145,31 @@ impl Component<ChipEvent> for ChipSequencer {
                 self.refresh_upstream_wait(event.time.as_ns());
             }
             ChipEvent::HandoffIn { src } => {
-                let entry = self
-                    .upstream
-                    .iter_mut()
-                    .find(|(s, _)| *s == src)
-                    .expect("hand-off arrives only from declared producers");
-                entry.1 += 1;
-                let batch = entry.1 - 1;
-                if batch < self.rounds && !self.streams.is_empty() {
-                    let node = self.graph.node(batch, 0);
-                    self.graph.satisfy_external(node);
-                    if !self.graph.blocked_on_external(node) {
-                        // The last missing input just landed: close the
-                        // round's upstream-wait window.
-                        if let Some(since) = self.wait_from[batch].take() {
-                            self.handoff_wait_ns += (event.time.as_ns() - since).max(0.0);
-                        }
+                let round = self.stages.hand_off(src);
+                if round < self.stages.rounds && !self.streams.is_empty() {
+                    // The window is open only while the head waits on
+                    // hand-offs alone: if this was its last missing
+                    // input, close it.
+                    if self.wait_from.is_some() && !self.stages.head_waits_on_handoffs() {
+                        self.close_upstream_wait(event.time.as_ns());
                     }
                     self.dispatch(event.target, ctx);
                 }
             }
             ChipEvent::AppendRound => {
                 // Serving mode only: the request buffer admitted one
-                // more batch. Grow the live stage graph by a round and
-                // credit any hand-offs that were banked before the
-                // round existed (a fast upstream may run ahead of
-                // admission).
+                // more batch. Hand-offs that landed before the round
+                // existed already sit in the ledger.
                 assert!(!self.streams.is_empty(), "idle chips receive no rounds");
-                let b = self.rounds;
-                self.rounds += 1;
-                self.graph.append_round();
-                for _ in 0..self.graph.partitions() {
-                    self.running.push(None);
-                }
-                self.wait_from.push(None);
-                let node = self.graph.node(b, 0);
-                let banked = self.upstream.iter().filter(|&&(_, received)| received > b).count();
-                for _ in 0..banked {
-                    self.graph.satisfy_external(node);
-                }
+                self.stages.rounds += 1;
                 self.dispatch(event.target, ctx);
                 self.refresh_upstream_wait(event.time.as_ns());
             }
             ChipEvent::CoreDone { stage, core_index, accounting } => {
                 let (activity, replace_done_ns) = *accounting;
-                let running = self.running[stage].as_mut().expect("core reports a live stage");
+                let running = self.running[stage % self.streams.len()]
+                    .as_mut()
+                    .expect("core reports a live stage");
                 running.activity[core_index] = activity;
                 running.end_ns = running.end_ns.max(event.time.as_ns());
                 running.replace_max_ns = running.replace_max_ns.max(replace_done_ns);
@@ -1149,6 +1268,7 @@ impl Component<ChipEvent> for InterconnectComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_engine::SimRng;
     use pim_isa::{Instruction as I, Tag};
 
     fn mvm_program(cores: usize, waves: usize) -> ChipProgram {
@@ -1555,9 +1675,9 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_claims_serialize_interleaved_stages() {
-        // Both partitions use core 0: the exclusive crossbar-group
-        // claim forces the barrier order and the barrier makespan.
+    fn shared_cores_serialize_interleaved_stages() {
+        // Both partitions use core 0, so they never run together: the
+        // barrier order and the barrier makespan.
         let chip = ChipSpec::chip_s();
         let programs = [mvm_on_cores(0, 4, chip.cores, 200), mvm_on_cores(0, 8, chip.cores, 200)];
         let rounds = 3;
@@ -1571,7 +1691,7 @@ mod tests {
         let interleaved = run(ScheduleMode::Interleaved);
         assert!(
             (interleaved.makespan_ns - barrier.makespan_ns).abs() < 1e-9,
-            "claim conflicts must serialize: {} vs {}",
+            "shared cores must serialize: {} vs {}",
             interleaved.makespan_ns,
             barrier.makespan_ns
         );
@@ -1591,5 +1711,328 @@ mod tests {
         ];
         let ring = SystemSimulator::new(chip, Topology::ring(2)).run(&loads, 1, 1).unwrap();
         assert_eq!(ring.engine, Some(EngineMode::SingleThread));
+    }
+
+    /// The stage grid as an explicit dependency graph — the barrier
+    /// chain, or the interleaved dataflow and crossbar-reuse edges plus
+    /// exclusive core claims — scanned in full, every stage in id
+    /// order, on every call: the reference [`StageCursors`] must match.
+    struct FullScan {
+        mode: ScheduleMode,
+        parts: usize,
+        rounds: usize,
+        started: Vec<bool>,
+        finished: Vec<bool>,
+        claims: Vec<Vec<usize>>,
+        held: Vec<bool>,
+        received: Vec<usize>,
+    }
+
+    impl FullScan {
+        fn new(programs: &[ChipProgram], mode: ScheduleMode, producers: usize) -> Self {
+            let claims = programs
+                .iter()
+                .map(|program| {
+                    (0..program.cores())
+                        .filter(|&c| !program.core(CoreId(c)).instructions().is_empty())
+                        .filter(|_| mode == ScheduleMode::Interleaved)
+                        .collect()
+                })
+                .collect();
+            let cores = programs.iter().map(ChipProgram::cores).max().unwrap_or(0);
+            Self {
+                mode,
+                parts: programs.len(),
+                rounds: 0,
+                started: Vec::new(),
+                finished: Vec::new(),
+                claims,
+                held: vec![false; cores],
+                received: vec![0; producers],
+            }
+        }
+
+        fn append_round(&mut self) {
+            self.rounds += 1;
+            self.started.resize(self.rounds * self.parts, false);
+            self.finished.resize(self.rounds * self.parts, false);
+        }
+
+        fn deps_done(&self, id: usize) -> bool {
+            let (b, p) = (id / self.parts, id % self.parts);
+            let (chain, reuse) = match self.mode {
+                ScheduleMode::Barrier => (id > 0, false),
+                ScheduleMode::Interleaved => (p > 0, b > 0),
+            };
+            (!chain || self.finished[id - 1]) && (!reuse || self.finished[id - self.parts])
+        }
+
+        fn handed_off(&self, id: usize) -> bool {
+            !id.is_multiple_of(self.parts) || self.received.iter().all(|&r| r > id / self.parts)
+        }
+
+        fn take_ready(&mut self) -> Vec<usize> {
+            let mut ready = Vec::new();
+            for id in 0..self.rounds * self.parts {
+                let claims = &self.claims[id % self.parts];
+                if self.started[id]
+                    || !self.deps_done(id)
+                    || !self.handed_off(id)
+                    || claims.iter().any(|&c| self.held[c])
+                {
+                    continue;
+                }
+                for &c in claims {
+                    self.held[c] = true;
+                }
+                self.started[id] = true;
+                ready.push(id);
+            }
+            ready
+        }
+
+        fn finish(&mut self, id: usize) {
+            self.finished[id] = true;
+            for &c in &self.claims[id % self.parts] {
+                self.held[c] = false;
+            }
+        }
+
+        /// The first unstarted head: edges met, hand-offs missing?
+        fn head_waits_on_handoffs(&self) -> bool {
+            (0..self.rounds * self.parts)
+                .step_by(self.parts.max(1))
+                .find(|&id| !self.started[id])
+                .is_some_and(|id| self.deps_done(id) && !self.handed_off(id))
+        }
+    }
+
+    /// [`StageCursors`] and [`FullScan`] driven in lockstep; every
+    /// answer is checked against the other side's.
+    struct Pair {
+        cursors: StageCursors,
+        scan: FullScan,
+        running: Vec<usize>,
+        label: String,
+    }
+
+    impl Pair {
+        fn new(
+            programs: &[ChipProgram],
+            rounds: usize,
+            mode: ScheduleMode,
+            producers: usize,
+            label: String,
+        ) -> Self {
+            let upstream = (0..producers).map(|src| (src, 0)).collect();
+            let mut pair = Self {
+                cursors: StageCursors::new(programs, 0, mode, upstream),
+                scan: FullScan::new(programs, mode, producers),
+                running: Vec::new(),
+                label,
+            };
+            for _ in 0..rounds {
+                pair.append_round();
+            }
+            pair
+        }
+
+        fn append_round(&mut self) {
+            self.cursors.rounds += 1;
+            self.scan.append_round();
+        }
+
+        fn hand_off(&mut self, src: usize) {
+            assert_eq!(self.cursors.hand_off(src), self.scan.received[src], "{}", self.label);
+            self.scan.received[src] += 1;
+        }
+
+        fn take_ready(&mut self) -> Vec<usize> {
+            let ready = self.cursors.take_ready();
+            assert_eq!(ready, self.scan.take_ready(), "{}: started stages diverged", self.label);
+            self.running.extend(&ready);
+            ready
+        }
+
+        fn finish(&mut self, stage: usize) {
+            let at = self.running.iter().position(|&s| s == stage).expect("stage is running");
+            self.running.swap_remove(at);
+            self.cursors.finish(stage);
+            self.scan.finish(stage);
+        }
+
+        fn head_waits(&self) -> bool {
+            let waits = self.cursors.head_waits_on_handoffs();
+            assert_eq!(waits, self.scan.head_waits_on_handoffs(), "{}: head wait", self.label);
+            waits
+        }
+    }
+
+    fn pair(programs: &[ChipProgram], rounds: usize, mode: ScheduleMode, producers: usize) -> Pair {
+        Pair::new(programs, rounds, mode, producers, format!("{mode} x {rounds}"))
+    }
+
+    /// One seeded random sequence: core sets (some empty, some
+    /// overlapping), schedule mode, 0–3 producers whose hand-offs may
+    /// land before their round exists, rounds appended live, and
+    /// completions in random order. Returns how many dispatches started
+    /// more than one stage.
+    fn cursors_match_the_full_scan(seed: u64) -> usize {
+        const MAX_ROUNDS: usize = 8;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let cores = 1 + rng.next_below(6) as usize;
+        let programs: Vec<ChipProgram> = (0..rng.next_below(5))
+            .map(|_| {
+                let mut program = ChipProgram::new(cores);
+                for c in (0..cores).filter(|_| rng.next_below(3) == 0) {
+                    program.core_mut(CoreId(c)).push(I::Mvmul {
+                        waves: 1,
+                        activations: 1,
+                        node: 0,
+                    });
+                }
+                program
+            })
+            .collect();
+        let mode = [ScheduleMode::Barrier, ScheduleMode::Interleaved][rng.next_below(2) as usize];
+        let producers = rng.next_below(4) as usize;
+        let rounds = rng.next_below(3) as usize;
+        let mut pair = Pair::new(&programs, rounds, mode, producers, format!("seed {seed}"));
+        let mut overlaps = 0;
+        for _ in 0..200 {
+            match rng.next_below(5) {
+                0 if pair.scan.rounds < MAX_ROUNDS => pair.append_round(),
+                1 if producers > 0 => {
+                    let src = rng.next_below(producers as u64) as usize;
+                    if pair.scan.received[src] < MAX_ROUNDS {
+                        pair.hand_off(src);
+                    }
+                }
+                2 if !pair.running.is_empty() => {
+                    let stage = pair.running[rng.next_below(pair.running.len() as u64) as usize];
+                    pair.finish(stage);
+                }
+                _ => overlaps += usize::from(pair.take_ready().len() > 1),
+            }
+            pair.head_waits();
+        }
+        // Drain: every hand-off lands, every stage runs to completion.
+        for src in 0..producers {
+            while pair.scan.received[src] < pair.scan.rounds {
+                pair.hand_off(src);
+            }
+        }
+        while !pair.take_ready().is_empty() || !pair.running.is_empty() {
+            while let Some(&stage) = pair.running.last() {
+                pair.finish(stage);
+            }
+        }
+        assert!(pair.cursors.all_complete(), "seed {seed}: the cursors must drain");
+        assert!(pair.scan.finished.iter().all(|&f| f), "seed {seed}: the scan must drain");
+        overlaps
+    }
+
+    #[test]
+    fn stage_cursors_match_the_full_scan() {
+        let overlaps: usize = (0..300).map(cursors_match_the_full_scan).sum();
+        assert!(overlaps > 100, "only {overlaps} dispatches overlapped stages");
+    }
+
+    #[test]
+    #[ignore = "long form of stage_cursors_match_the_full_scan; CI's differential job runs it"]
+    fn stage_cursors_match_the_full_scan_long() {
+        for seed in 0..10_000 {
+            cursors_match_the_full_scan(seed);
+        }
+    }
+
+    #[test]
+    fn barrier_cursors_form_a_single_chain() {
+        let programs = [mvm_on_cores(0, 2, 4, 1), mvm_on_cores(2, 4, 4, 1)];
+        let mut g = pair(&programs, 2, ScheduleMode::Barrier, 0);
+        for expect in 0..4 {
+            assert_eq!(g.take_ready(), vec![expect], "strict round-major order");
+            g.finish(expect);
+        }
+        assert!(g.cursors.all_complete());
+    }
+
+    #[test]
+    fn interleaving_overlaps_disjoint_core_stages() {
+        // Partition 0 on cores 0-1, partition 1 on cores 2-3: batch 1's
+        // partition 0 may start while batch 0's partition 1 runs.
+        let programs = [mvm_on_cores(0, 2, 4, 1), mvm_on_cores(2, 4, 4, 1)];
+        let mut g = pair(&programs, 2, ScheduleMode::Interleaved, 0);
+        assert_eq!(g.take_ready(), vec![0]);
+        g.finish(0);
+        assert_eq!(g.take_ready(), vec![1, 2], "fill hidden behind the drain");
+    }
+
+    #[test]
+    fn shared_cores_serialize_under_interleaving() {
+        // Both partitions use core 0, so they never run together:
+        // barrier-like order.
+        let programs = [mvm_on_cores(0, 2, 4, 1), mvm_on_cores(0, 4, 4, 1)];
+        let mut g = pair(&programs, 2, ScheduleMode::Interleaved, 0);
+        for expect in 0..4 {
+            assert_eq!(g.take_ready(), vec![expect], "shared cores serialize");
+            g.finish(expect);
+        }
+    }
+
+    #[test]
+    fn hand_offs_gate_each_batch_head() {
+        let programs = [mvm_on_cores(0, 2, 4, 1)];
+        let mut g = pair(&programs, 2, ScheduleMode::Barrier, 1);
+        assert!(g.take_ready().is_empty());
+        assert!(g.head_waits());
+        g.hand_off(0);
+        assert!(!g.head_waits());
+        assert_eq!(g.take_ready(), vec![0]);
+        g.finish(0);
+        assert!(g.take_ready().is_empty(), "batch 1 waits for its own hand-off");
+        assert!(g.head_waits());
+        g.hand_off(0);
+        assert_eq!(g.take_ready(), vec![1]);
+    }
+
+    #[test]
+    fn appended_rounds_chain_behind_running_work() {
+        let programs = [mvm_on_cores(0, 2, 4, 1), mvm_on_cores(2, 4, 4, 1)];
+        // Start with a single round and begin executing it.
+        let mut g = pair(&programs, 1, ScheduleMode::Barrier, 0);
+        assert_eq!(g.take_ready(), vec![0]);
+        g.finish(0);
+        assert_eq!(g.take_ready(), vec![1]);
+        // Round 1 arrives while (0, 1) is still in flight: its head must
+        // wait for the running stage, not start alongside it.
+        g.append_round();
+        assert!(g.take_ready().is_empty(), "chained behind the live stage");
+        g.finish(1);
+        assert_eq!(g.take_ready(), vec![2]);
+        g.finish(2);
+        assert_eq!(g.take_ready(), vec![3]);
+        g.finish(3);
+        assert!(g.cursors.all_complete());
+    }
+
+    #[test]
+    fn appended_interleaved_rounds_keep_core_holds_and_hand_offs() {
+        let programs = [mvm_on_cores(0, 2, 4, 1), mvm_on_cores(2, 4, 4, 1)];
+        let mut g = pair(&programs, 1, ScheduleMode::Interleaved, 1);
+        g.hand_off(0);
+        assert_eq!(g.take_ready(), vec![0]);
+        g.finish(0);
+        assert_eq!(g.take_ready(), vec![1]);
+        g.append_round();
+        // The new head is gated on its hand-off even though its cores
+        // are free; once it lands the head overlaps the draining tail.
+        assert!(g.head_waits());
+        assert!(g.take_ready().is_empty());
+        g.hand_off(0);
+        assert_eq!(g.take_ready(), vec![2], "fill overlaps the drain");
+        g.finish(1);
+        g.finish(2);
+        assert_eq!(g.take_ready(), vec![3]);
     }
 }

@@ -31,7 +31,7 @@ cargo run --release -p compass-bench --bin topology_sweep -- --quick --schedule 
 cargo run --release -p compass-bench --bin timing_mode_sweep -- --quick --json "${BASELINE}"
 # Hot-path records: the hotpath:gate:* speedup ratios are gated (they
 # are same-process ratios, stable across machines); the hotpath:abs:*
-# events/sec numbers and the deep-hold ratio are trajectory-only. The
+# events/sec numbers and the deep ratios are trajectory-only. The
 # 1.3 floor sits under the lowest depth-16 queue speedup of 29
 # measured --quick runs (1.40) on a 2-core container.
 cargo run --release -p compass-bench --bin engine_hotpath -- --quick --json "${BASELINE}" --min-speedup 1.3
