@@ -4,14 +4,20 @@
 //!
 //! For each population (100 / 1000, plus 4000 in full mode) the same
 //! seeded run — ResNet18 / Chip-S at batch 8, fixed generation count,
-//! early stopping disabled — is measured twice:
+//! early stopping disabled — is measured on two axes:
 //!
 //! * **serial** — the fitness memo on (the default).
 //! * **serial-nomemo** — memoization off: every chromosome
 //!   re-evaluates all its segments. The serial-nomemo / serial wall
 //!   ratio is the *memo speedup*.
 //!
-//! Both runs must produce the byte-identical best chromosome and
+//! The axes run in nine back-to-back pairs, alternating which runs
+//! first; the memo speedup is the median of the per-pair ratios and a
+//! wall the median of its axis's runs. Both runs of a pair see the same
+//! host state, so a slow spell moves their ratio far less than it moves
+//! a best-of over separate blocks of runs.
+//!
+//! Every run must produce the byte-identical best chromosome and
 //! fitness bits for the shared seed — the bin asserts this before
 //! recording anything, so a trajectory point can never come from a
 //! run that changed results.
@@ -76,106 +82,101 @@ fn params_for(pop: usize, gens: usize) -> GaParams {
     }
 }
 
-struct Measurement {
-    /// Best wall time across runs, ns (the least-disturbed run).
+/// One seeded GA run on a fresh (cold-memo) context.
+struct Run {
     wall_ns: f64,
-    /// Wall per generation (initial-population evaluation amortized).
-    ns_per_gen: f64,
-    /// Nominal chromosome evaluations per second (memo hits count:
-    /// the GA consumed that many fitness values either way).
-    evals_per_sec: f64,
-    /// Best chromosome, for the memo on/off byte-identity check.
-    best_cuts: Vec<usize>,
-    /// Best fitness bits, same purpose.
-    best_pgf_bits: u64,
+    /// Best chromosome and fitness bits, for the byte-identity check.
+    best: (Vec<usize>, u64),
 }
 
-/// Runs the seeded GA `runs` times on a fresh (cold-memo) context per
-/// run and keeps the fastest wall. Results must agree across runs —
-/// a run that isn't reproducible has no business in the trajectory.
-fn measure(f: &Fixture, pop: usize, gens: usize, runs: usize, memo: bool) -> Measurement {
+fn run_once(f: &Fixture, params: &GaParams, memo: bool) -> Run {
+    let ctx = FitnessContext::new(&f.net, &f.seq, &f.validity, &f.chip, 8, FitnessKind::Latency)
+        .with_memo(memo);
+    let mut rng = StdRng::seed_from_u64(2025);
+    let start = Instant::now();
+    let (winner, _trace) = ga::run(&ctx, params, &mut rng);
+    let wall_ns = start.elapsed().as_secs_f64() * 1e9;
+    Run { wall_ns, best: (winner.group.cuts().to_vec(), winner.pgf.to_bits()) }
+}
+
+/// Memo-on/memo-off measurement pairs per population; odd, so a
+/// median is one measured value.
+const PAIRS: usize = 9;
+
+/// Medians over [`PAIRS`] back-to-back memo-on/memo-off runs.
+struct Paired {
+    /// Median wall of each axis, ns: memo on, memo off.
+    memo_ns: f64,
+    bare_ns: f64,
+    /// The median per-pair memo-off / memo-on wall ratio.
+    memo_speedup: f64,
+}
+
+/// Measures the pairs at population `pop`, alternating which axis runs
+/// first. Every run, on either axis, must find the same winner — a run
+/// that isn't reproducible, or a memo that changes results, has no
+/// business in the trajectory.
+fn paired(f: &Fixture, pop: usize, gens: usize) -> Paired {
     let params = params_for(pop, gens);
-    let mut wall_ns = f64::MAX;
+    let (mut memo, mut bare, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     let mut best: Option<(Vec<usize>, u64)> = None;
-    for _ in 0..runs {
-        let ctx =
-            FitnessContext::new(&f.net, &f.seq, &f.validity, &f.chip, 8, FitnessKind::Latency)
-                .with_memo(memo);
-        let mut rng = StdRng::seed_from_u64(2025);
-        let start = Instant::now();
-        let (winner, _trace) = ga::run(&ctx, &params, &mut rng);
-        let elapsed_ns = start.elapsed().as_secs_f64() * 1e9;
-        wall_ns = wall_ns.min(elapsed_ns);
-        let cuts = winner.group.cuts().to_vec();
-        let bits = winner.pgf.to_bits();
-        match &best {
-            None => best = Some((cuts, bits)),
-            Some((prev_cuts, prev_bits)) => {
-                assert_eq!(prev_cuts, &cuts, "{}: rerun diverged", label(memo));
-                assert_eq!(*prev_bits, bits, "{}: rerun fitness diverged", label(memo));
-            }
+    for pair in 0..PAIRS {
+        let bare_first = pair % 2 == 1;
+        let first = run_once(f, &params, !bare_first);
+        let second = run_once(f, &params, bare_first);
+        let (on, off) = if bare_first { (second, first) } else { (first, second) };
+        for (axis, run) in [(true, &on), (false, &off)] {
+            let want = best.get_or_insert_with(|| run.best.clone());
+            assert_eq!(&run.best, want, "pop {pop}, {}: best chromosome diverged", label(axis));
         }
+        memo.push(on.wall_ns);
+        bare.push(off.wall_ns);
+        ratios.push(off.wall_ns / on.wall_ns);
     }
-    let (best_cuts, best_pgf_bits) = best.expect("at least one run");
-    let nominal_evals = (params.population + gens * params.n_mut) as f64;
-    Measurement {
-        wall_ns,
-        ns_per_gen: wall_ns / gens as f64,
-        evals_per_sec: nominal_evals / (wall_ns / 1e9),
-        best_cuts,
-        best_pgf_bits,
-    }
+    Paired { memo_ns: median(memo), bare_ns: median(bare), memo_speedup: median(ratios) }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn main() {
     let quick = has_flag("--quick");
     let json = arg_value("--json");
     let pops: &[usize] = if quick { &[100, 1000] } else { &[100, 1000, 4000] };
-    // Always at least best-of-2: the fastest wall discards the run
-    // that paid one-time process warm-up (page faults, allocator
-    // growth) — with a single run the first-measured axis absorbs all
-    // of it and every ratio against that axis is inflated.
-    let (gens, runs) = if quick { (2usize, 2usize) } else { (4, 2) };
+    let gens = if quick { 2usize } else { 4 };
 
     let f = fixture();
-    // Touch every code path once before any clock starts, for the
-    // same reason.
-    measure(&f, 50, 1, 1, true);
+    // Touch every code path once before any clock starts: the first
+    // run pays one-time process warm-up (page faults, allocator
+    // growth) that would otherwise inflate the first pair's ratio.
+    run_once(&f, &params_for(50, 1), true);
     let mut records: Vec<BenchRecord> = Vec::new();
 
     for &pop in pops {
-        let memoized = measure(&f, pop, gens, runs, true);
-        let bare = measure(&f, pop, gens, runs, false);
-        let measured = [(true, &memoized), (false, &bare)];
-
-        // Byte-identity before anything is recorded: the memo may only
-        // change wall clock.
-        assert_eq!(
-            memoized.best_cuts, bare.best_cuts,
-            "pop {pop}: best chromosome diverged with the memo off"
-        );
-        assert_eq!(
-            memoized.best_pgf_bits, bare.best_pgf_bits,
-            "pop {pop}: best fitness diverged with the memo off"
-        );
-
-        let memo_speedup = bare.wall_ns / memoized.wall_ns;
+        let p = paired(&f, pop, gens);
+        let n_mut = params_for(pop, gens).n_mut;
+        // Nominal chromosome evaluations per second (memo hits count:
+        // the GA consumed that many fitness values either way).
+        let nominal_evals = (pop + gens * n_mut) as f64;
+        let axes = [(true, p.memo_ns), (false, p.bare_ns)];
         print_table(
-            &format!("GA scaling, population {pop} ({gens} generations, best of {runs})"),
+            &format!("GA scaling, population {pop} ({gens} generations, median of {PAIRS} pairs)"),
             &["axis", "ms/generation", "evals/s", "vs serial"],
-            &measured
+            &axes
                 .iter()
-                .map(|(memo, m)| {
+                .map(|&(memo, wall_ns)| {
                     vec![
-                        label(*memo).into(),
-                        format!("{:.1}", m.ns_per_gen / 1e6),
-                        format!("{:.0}", m.evals_per_sec),
-                        format!("{:.2}x", memoized.wall_ns / m.wall_ns),
+                        label(memo).into(),
+                        format!("{:.1}", wall_ns / gens as f64 / 1e6),
+                        format!("{:.0}", nominal_evals / (wall_ns / 1e9)),
+                        format!("{:.2}x", p.memo_ns / wall_ns),
                     ]
                 })
                 .collect::<Vec<_>>(),
         );
-        println!("memo speedup at population {pop}: {memo_speedup:.2}x");
+        println!("memo speedup at population {pop}: {:.2}x", p.memo_speedup);
 
         let record = |name: String, makespan_ns: f64, throughput_ips: f64| {
             BenchRecord { name, makespan_ns, throughput_ips, host_parallelism: None }
@@ -183,19 +184,19 @@ fn main() {
         };
         // Absolute walls: trajectory visibility only (the gate skips
         // the `ga:abs:` prefix entirely).
-        for (memo, m) in measured {
+        for (memo, wall_ns) in axes {
             records.push(record(
                 format!("ga:abs:pop:{pop}:{}", label(memo)),
-                m.ns_per_gen,
-                m.evals_per_sec,
+                wall_ns / gens as f64,
+                nominal_evals / (wall_ns / 1e9),
             ));
         }
         // Same-process ratio: gated on throughput, but only against
         // baselines measured at the same host parallelism.
         records.push(record(
             format!("ga:gate:pop:{pop}:memo-speedup"),
-            1.0 / memo_speedup,
-            memo_speedup,
+            1.0 / p.memo_speedup,
+            p.memo_speedup,
         ));
     }
 

@@ -390,36 +390,43 @@ impl<'c> Estimator<'c> {
     pub fn estimate_group(&self, plans: &GroupPlan, batch: usize) -> GroupEstimate {
         let partitions: Vec<PartitionEstimate> =
             plans.plans().iter().map(|p| self.estimate_partition(p, batch)).collect();
-        self.combine_group(&Occupancy::of_plans(plans.plans(), self.chip), partitions, batch)
+        let latencies: Vec<f64> = partitions.iter().map(|p| p.latency_ns).collect();
+        let occupancy = Occupancy::of_plans(plans.plans(), self.chip);
+        let batch_latency_ns = self.batch_latency_ns(&occupancy, &latencies, batch);
+        let mut energy: PowerBreakdown =
+            partitions.iter().fold(PowerBreakdown::new(), |acc, p| acc + p.energy);
+        energy.static_nj = self.energy.static_energy_nj(batch_latency_ns);
+        GroupEstimate { batch: batch.max(1), partitions, batch_latency_ns, energy }
     }
 
-    /// Folds already-computed per-partition estimates and occupancies
-    /// into the group estimate — the per-segment memo path of the
-    /// fitness cache, where each partition's numbers may have been
-    /// computed under a *different* group. Bitwise identical to
-    /// [`Self::estimate_group`] given the same per-partition numbers.
-    pub(crate) fn combine_group(
+    /// The latency of one batch cycle through partitions of the given
+    /// occupancies and latencies, in execution order: the group fold of
+    /// [`Self::estimate_group`] and of the GA's fitness, whose segment
+    /// memo keeps a span's latency and occupancy (and total energy)
+    /// rather than its whole estimate. Barrier mode sums the
+    /// latencies; see [`Self::with_schedule_mode`] for interleaving.
+    pub(crate) fn batch_latency_ns(
         &self,
         occupancy: &[Occupancy],
-        partitions: Vec<PartitionEstimate>,
+        latencies: &[f64],
         batch: usize,
-    ) -> GroupEstimate {
-        let serial_ns: f64 = partitions.iter().map(|p| p.latency_ns).sum();
-        let batch_latency_ns = match self.schedule {
+    ) -> f64 {
+        let serial_ns: f64 = latencies.iter().sum();
+        match self.schedule {
             ScheduleMode::Barrier => serial_ns,
             ScheduleMode::Interleaved => {
                 // Amortize over the samples the chip actually runs per
                 // cycle: under a batch-sharding system target the
-                // partitions above were costed at this chip's shard,
-                // so the fill/drain hides behind that many samples,
-                // not the full requested batch.
+                // partitions were costed at this chip's shard, so the
+                // fill/drain hides behind that many samples, not the
+                // full requested batch.
                 let samples = match &self.system {
                     Some(sys) if sys.strategy == SystemStrategy::BatchShard => {
                         batch.max(1).div_ceil(sys.chips).max(1)
                     }
                     _ => batch.max(1),
                 };
-                let bottleneck = partitions.iter().map(|p| p.latency_ns).fold(0.0, f64::max);
+                let bottleneck = latencies.iter().copied().fold(0.0, f64::max);
                 let amortized = bottleneck + (serial_ns - bottleneck) / samples as f64;
                 // Stages sharing a crossbar group serialize, so the
                 // cycle is bounded below by the busiest core's total
@@ -433,21 +440,19 @@ impl<'c> Estimator<'c> {
                 // chip) keep the barrier-sum bound.
                 let offsets = crate::scheduler::interleave_offsets(occupancy, self.chip);
                 let mut core_occupancy_ns: Vec<f64> = Vec::new();
-                for ((occupied, est), &offset) in occupancy.iter().zip(&partitions).zip(&offsets) {
+                for ((occupied, &latency_ns), &offset) in
+                    occupancy.iter().zip(latencies).zip(&offsets)
+                {
                     for core in offset..offset + occupied.cores() {
                         if core_occupancy_ns.len() <= core {
                             core_occupancy_ns.resize(core + 1, 0.0);
                         }
-                        core_occupancy_ns[core] += est.latency_ns;
+                        core_occupancy_ns[core] += latency_ns;
                     }
                 }
                 core_occupancy_ns.iter().copied().fold(amortized, f64::max)
             }
-        };
-        let mut energy: PowerBreakdown =
-            partitions.iter().fold(PowerBreakdown::new(), |acc, p| acc + p.energy);
-        energy.static_nj = self.energy.static_energy_nj(batch_latency_ns);
-        GroupEstimate { batch: batch.max(1), partitions, batch_latency_ns, energy }
+        }
     }
 }
 

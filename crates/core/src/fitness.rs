@@ -16,9 +16,12 @@
 //!   (see [`crate::plan::SegmentPlanner`]), so its score is memoized
 //!   per segment and reused across every group in the population.
 //!   The segment memo holds what the group fold reads and nothing
-//!   else: the partition's estimate and the cores it occupies. A new
-//!   chromosome made of known segments costs one lookup per partition
-//!   and the fold — no planning, replication, or estimation.
+//!   else: the partition's latency, its total energy and the cores it
+//!   occupies. A new chromosome made of known segments costs one
+//!   lookup per partition and the fold — no planning, replication, or
+//!   estimation. An evaluation keeps the per-partition fitness and
+//!   its sum, not a group estimate: [`crate::Compiler::compile`]
+//!   estimates the winner from its cuts.
 //!
 //! A segment miss plans the span, runs the replication greedy, and
 //! estimates the result, all in buffers the context keeps from miss
@@ -30,8 +33,15 @@
 //! the next miss; [`crate::Compiler::compile`] re-plans the winner
 //! from its cuts.
 //!
-//! Both memos are plain single-threaded hash maps behind a
-//! [`RefCell`], so evaluation is `&self`. Every memoized value is a
+//! The group memo is a hash map keyed by cut vector. The segment memo
+//! is a dense table with one 32-byte slot per span the validity map
+//! allows, laid out start by start: span `[start, end)` sits at
+//! `offset[start] + (end − start − 1)`, where `offset` is the prefix
+//! sum of `max_end(i) − i`. A lookup is two reads of `offset` and one
+//! of the slot, and spans that share a start share cache lines. A span
+//! outside the map (a group built against another map) has no slot: it
+//! is scored afresh every time and never stored. Both memos sit behind
+//! a [`RefCell`], so evaluation is `&self`. Every memoized value is a
 //! **pure function of its key** (a segment's score depends only on its
 //! span; a group's evaluation only on its cut vector — given the
 //! context's fixed knobs), so a hit is indistinguishable from a
@@ -44,7 +54,7 @@
 //! partition afresh (still in the reused buffers).
 
 use crate::decompose::UnitSequence;
-use crate::estimate::{Estimator, GroupEstimate, Occupancy, PartitionEstimate, SystemScaling};
+use crate::estimate::{Estimator, Occupancy, SystemScaling};
 use crate::partition::{Partition, PartitionGroup};
 use crate::plan::{PlanBuffer, SegmentPlanner};
 use crate::replication::{optimize_partition_load, Greedy};
@@ -69,27 +79,75 @@ pub enum FitnessKind {
     Edp,
 }
 
-/// A fully evaluated partition group: its estimate and the fitness
-/// values the GA consumes.
+/// A fully evaluated partition group: the fitness values the GA
+/// consumes.
 #[derive(Debug, Clone)]
 pub struct EvaluatedGroup {
     /// The chromosome.
     pub group: PartitionGroup,
-    /// Analytical estimate at the GA's batch size.
-    pub estimate: GroupEstimate,
     /// Per-partition fitness `f(Pₖ)` (lower is better).
     pub partition_fitness: Vec<f64>,
     /// Partition group fitness `PGF = Σₖ f(Pₖ)`.
     pub pgf: f64,
 }
 
-/// One memoized segment: the analytical estimate of its
-/// replication-optimized plan at the context's batch size and modes,
-/// and the cores that plan occupies.
+/// One memoized segment: what the group fold reads of the estimate of
+/// its replication-optimized plan at the context's batch size and
+/// modes, and the cores that plan occupies.
 #[derive(Debug, Clone, Copy)]
 struct SegmentEval {
-    estimate: PartitionEstimate,
+    /// [`crate::PartitionEstimate::latency_ns`].
+    latency_ns: f64,
+    /// The estimate's `energy.total_nj()`.
+    energy_nj: f64,
     occupancy: Occupancy,
+}
+
+/// The segment memo: one slot per span of a validity map, indexed by
+/// `offset[start] + (end − start − 1)` (see the module docs).
+struct SegmentTable {
+    /// `offset[start]` is the slot of `[start, start + 1)`; the `len + 1`
+    /// entries are the prefix sums of `max_end(i) − i`, so the last is
+    /// the number of valid spans.
+    offset: Vec<usize>,
+    /// Empty until the first store, then one slot per valid span.
+    slots: Vec<Option<SegmentEval>>,
+    /// Slots filled: the distinct spans memoized.
+    filled: usize,
+}
+
+impl SegmentTable {
+    fn new(validity: &ValidityMap) -> Self {
+        let mut offset = Vec::with_capacity(validity.len() + 1);
+        offset.push(0);
+        for start in 0..validity.len() {
+            offset.push(offset[start] + validity.max_end(start) - start);
+        }
+        Self { offset, slots: Vec::new(), filled: 0 }
+    }
+
+    /// The slot of `span`, or `None` if the map does not allow it.
+    fn slot(&self, span: Partition) -> Option<usize> {
+        let first = *self.offset.get(span.start)?;
+        let slot = first + span.end.checked_sub(span.start + 1)?;
+        (slot < *self.offset.get(span.start + 1)?).then_some(slot)
+    }
+
+    fn get(&self, slot: usize) -> Option<SegmentEval> {
+        self.slots.get(slot).copied().flatten()
+    }
+
+    fn insert(&mut self, slot: usize, eval: SegmentEval) {
+        if self.slots.is_empty() {
+            self.slots.resize(self.offset[self.offset.len() - 1], None);
+        }
+        self.filled += usize::from(self.slots[slot].replace(eval).is_none());
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.filled = 0;
+    }
 }
 
 /// Evaluation context shared across a GA run; memoizes whole
@@ -109,7 +167,7 @@ pub struct FitnessContext<'a> {
     /// not free; candidates are scored thousands of times).
     system_scaling: Option<SystemScaling>,
     cache: RefCell<FxHashMap<Arc<[usize]>, Arc<EvaluatedGroup>>>,
-    segments: RefCell<FxHashMap<(usize, usize), SegmentEval>>,
+    segments: RefCell<SegmentTable>,
     /// The plan and greedy buffers every segment miss reuses.
     miss: RefCell<(PlanBuffer, Greedy)>,
     /// `false` disables both memos (every evaluation recomputes) —
@@ -140,7 +198,7 @@ impl<'a> FitnessContext<'a> {
             system: None,
             system_scaling: None,
             cache: RefCell::default(),
-            segments: RefCell::default(),
+            segments: RefCell::new(SegmentTable::new(validity)),
             miss: RefCell::default(),
             memo_enabled: true,
         }
@@ -166,23 +224,18 @@ impl<'a> FitnessContext<'a> {
         self
     }
 
-    /// Pre-sizes both memos for `population` more chromosomes so
-    /// steady-state generations never rehash mid-generation. The
-    /// segment reservation is capped by the finite `(start, end)` key
-    /// space.
+    /// Pre-sizes the group memo for `population` more chromosomes so
+    /// steady-state generations never rehash mid-generation (the
+    /// segment table has a slot for every valid span already).
     pub fn reserve_for_population(&self, population: usize) {
-        if !self.memo_enabled {
-            return;
+        if self.memo_enabled {
+            self.cache.borrow_mut().reserve(population);
         }
-        self.cache.borrow_mut().reserve(population);
-        let units = self.seq.len();
-        let span_space = units * (units + 1) / 2;
-        self.segments.borrow_mut().reserve((population * 4).min(span_space));
     }
 
     /// Drops the whole-group memo's reference to one chromosome, so a
     /// caller holding the only other [`Arc`] can unwrap it in place
-    /// instead of deep-cloning its estimate and fitness vectors.
+    /// instead of deep-cloning its cut and fitness vectors.
     /// Returns the dropped reference (if the chromosome was memoized)
     /// purely so the caller controls when it dies.
     pub fn release(&self, cuts: &[usize]) -> Option<Arc<EvaluatedGroup>> {
@@ -259,21 +312,24 @@ impl<'a> FitnessContext<'a> {
         let plan = self.planner.refill(0, partition, buffer);
         let load = optimize_partition_load(plan, self.chip, greedy);
         let estimate = self.estimator().estimate_loaded(plan, load, self.batch);
-        SegmentEval { estimate, occupancy: Occupancy::new(plan, load, self.chip) }
+        SegmentEval {
+            latency_ns: estimate.latency_ns,
+            energy_nj: estimate.energy.total_nj(),
+            occupancy: Occupancy::new(plan, load, self.chip),
+        }
     }
 
-    /// Recalls (or computes and memoizes) one segment.
+    /// Recalls (or computes and memoizes) one segment. A span outside
+    /// the validity map is computed and not stored.
     fn segment_eval(&self, partition: Partition) -> SegmentEval {
-        if !self.memo_enabled {
-            return self.compute_segment(partition);
-        }
-        let key = (partition.start, partition.end);
-        let hit = self.segments.borrow().get(&key).copied();
+        let slot = if self.memo_enabled { self.segments.borrow().slot(partition) } else { None };
+        let Some(slot) = slot else { return self.compute_segment(partition) };
+        let hit = self.segments.borrow().get(slot);
         if let Some(hit) = hit {
             return hit;
         }
         let eval = self.compute_segment(partition);
-        self.segments.borrow_mut().insert(key, eval);
+        self.segments.borrow_mut().insert(slot, eval);
         eval
     }
 
@@ -297,35 +353,29 @@ impl<'a> FitnessContext<'a> {
     /// The evaluation itself: per-segment plan/replicate/estimate
     /// (through the segment memo), then the group fold and score.
     fn evaluate_uncached(&self, group: &PartitionGroup) -> EvaluatedGroup {
-        let (occupancy, estimates): (Vec<Occupancy>, Vec<PartitionEstimate>) = group
-            .partitions()
-            .iter()
-            .map(|&part| {
-                let seg = self.segment_eval(part);
-                (seg.occupancy, seg.estimate)
-            })
-            .unzip();
-        let estimate = self.estimator().combine_group(&occupancy, estimates, self.batch);
+        let segments: Vec<SegmentEval> =
+            (0..group.partition_count()).map(|k| self.segment_eval(group.partition(k))).collect();
+        let occupancy: Vec<Occupancy> = segments.iter().map(|s| s.occupancy).collect();
+        // The latencies, scaled in place into the fitness below.
+        let mut partition_fitness: Vec<f64> = segments.iter().map(|s| s.latency_ns).collect();
+        let batch_ns =
+            self.estimator().batch_latency_ns(&occupancy, &partition_fitness, self.batch);
         // Under interleaving the group's batch cycle is shorter than
         // the serial partition sum; scale each partition's share so
         // `PGF = Σ f(Pₖ)` still equals the latency the executor pays
         // while the relative steering between partitions is preserved.
-        let serial_ns: f64 = estimate.partitions.iter().map(|p| p.latency_ns).sum();
-        let occupancy = if serial_ns > 0.0 { estimate.batch_latency_ns / serial_ns } else { 1.0 };
-        let partition_fitness: Vec<f64> = estimate
-            .partitions
-            .iter()
-            .map(|p| {
-                let latency_ns = p.latency_ns * occupancy;
-                match self.kind {
-                    FitnessKind::Latency => latency_ns,
-                    // µs × µJ keeps EDP fitness numerically tame.
-                    FitnessKind::Edp => (latency_ns * 1e-3) * (p.energy.total_nj() * 1e-3),
-                }
-            })
-            .collect();
+        let serial_ns: f64 = partition_fitness.iter().sum();
+        let scale = if serial_ns > 0.0 { batch_ns / serial_ns } else { 1.0 };
+        for (fitness, seg) in partition_fitness.iter_mut().zip(&segments) {
+            let latency_ns = seg.latency_ns * scale;
+            *fitness = match self.kind {
+                FitnessKind::Latency => latency_ns,
+                // µs × µJ keeps EDP fitness numerically tame.
+                FitnessKind::Edp => (latency_ns * 1e-3) * (seg.energy_nj * 1e-3),
+            };
+        }
         let pgf = partition_fitness.iter().sum();
-        EvaluatedGroup { group: group.clone(), estimate, partition_fitness, pgf }
+        EvaluatedGroup { group: group.clone(), partition_fitness, pgf }
     }
 
     /// Number of memoized whole-group evaluations.
@@ -333,9 +383,10 @@ impl<'a> FitnessContext<'a> {
         self.cache.borrow().len()
     }
 
-    /// Number of memoized `(start, end)` segments.
+    /// Number of memoized `(start, end)` segments: the distinct spans
+    /// of the validity map scored so far.
     pub fn segment_cache_len(&self) -> usize {
-        self.segments.borrow().len()
+        self.segments.borrow().filled
     }
 }
 
@@ -476,48 +527,88 @@ mod tests {
         );
     }
 
+    /// A fresh build of `group` the way the compiler makes it: its
+    /// plans after `optimize_group`, and their `estimate_group`.
+    fn fresh_estimate(
+        f: &Fixture,
+        group: &PartitionGroup,
+        mode: ScheduleMode,
+        batch: usize,
+    ) -> (crate::plan::GroupPlan, crate::GroupEstimate) {
+        let mut plans = crate::plan::GroupPlan::build(&f.network, &f.seq, group);
+        crate::replication::optimize_group(&mut plans, &f.chip);
+        let estimate =
+            Estimator::new(&f.chip).with_schedule_mode(mode).estimate_group(&plans, batch);
+        (plans, estimate)
+    }
+
+    /// A group estimate folded into per-partition fitness and its sum,
+    /// as the GA scores a group.
+    fn fitness_of(estimate: &crate::GroupEstimate, kind: FitnessKind) -> (Vec<f64>, f64) {
+        let serial_ns: f64 = estimate.partitions.iter().map(|p| p.latency_ns).sum();
+        let scale = if serial_ns > 0.0 { estimate.batch_latency_ns / serial_ns } else { 1.0 };
+        let fitness: Vec<f64> = estimate
+            .partitions
+            .iter()
+            .map(|p| {
+                let latency_ns = p.latency_ns * scale;
+                match kind {
+                    FitnessKind::Latency => latency_ns,
+                    FitnessKind::Edp => (latency_ns * 1e-3) * (p.energy.total_nj() * 1e-3),
+                }
+            })
+            .collect();
+        let pgf = fitness.iter().sum();
+        (fitness, pgf)
+    }
+
     #[test]
     fn memo_scores_match_a_fresh_build_of_the_group() {
-        // The memo keeps per-span scores computed without the item
-        // packing; folded into a group they must equal, bit for bit,
-        // the estimate of the plans the compiler builds from the cuts.
+        // The memo keeps per-span latency, energy and occupancy computed
+        // without the item packing; folded into a group they must give,
+        // bit for bit, the fitness of the plans the compiler builds from
+        // the cuts. Each seed draws random groups and the same groups
+        // with one cut dropped, so most of their spans are memo hits.
         // On tiny_cnn-L some groups fit half the chip, so the
         // interleaved fold shifts partitions by nonzero offsets.
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
         let mut offset_groups = 0;
         for f in [fixture(), fixture_on(zoo::tiny_cnn(), ChipSpec::chip_l())] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let groups: Vec<PartitionGroup> =
-                (0..16).map(|_| PartitionGroup::random(&mut rng, &f.validity)).collect();
-            for mode in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
-                let ctx = FitnessContext::new(
-                    &f.network,
-                    &f.seq,
-                    &f.validity,
-                    &f.chip,
-                    4,
-                    FitnessKind::Latency,
-                )
-                .with_schedule_mode(mode);
-                let estimator = Estimator::new(&f.chip).with_schedule_mode(mode);
-                for group in &groups {
-                    let mut fresh = crate::plan::GroupPlan::build(&f.network, &f.seq, group);
-                    crate::replication::optimize_group(&mut fresh, &f.chip);
-                    let want = estimator.estimate_group(&fresh, 4);
-                    let got = &ctx.evaluate(group).estimate;
-                    let bits = |e: &GroupEstimate| -> Vec<u64> {
-                        e.partitions
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut groups: Vec<PartitionGroup> =
+                    (0..6).map(|_| PartitionGroup::random(&mut rng, &f.validity)).collect();
+                let merged: Vec<PartitionGroup> = groups
+                    .iter()
+                    .filter_map(|g| {
+                        (0..g.cuts().len()).find_map(|i| {
+                            let mut cuts = g.cuts().to_vec();
+                            cuts.remove(i);
+                            PartitionGroup::from_cuts(cuts, &f.validity)
+                        })
+                    })
+                    .collect();
+                groups.extend(merged);
+                for mode in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
+                    let ctxs = [FitnessKind::Latency, FitnessKind::Edp].map(|kind| {
+                        let ctx =
+                            FitnessContext::new(&f.network, &f.seq, &f.validity, &f.chip, 4, kind);
+                        (kind, ctx.with_schedule_mode(mode))
+                    });
+                    for group in &groups {
+                        let (plans, estimate) = fresh_estimate(&f, group, mode, 4);
+                        for (kind, ctx) in &ctxs {
+                            let (fitness, pgf) = fitness_of(&estimate, *kind);
+                            let got = ctx.evaluate(group);
+                            let at = format!("seed {seed}, {mode:?}, {kind:?}");
+                            assert_eq!(bits(&got.partition_fitness), bits(&fitness), "{at}");
+                            assert_eq!(got.pgf.to_bits(), pgf.to_bits(), "{at}: pgf");
+                        }
+                        let occupancy = Occupancy::of_plans(plans.plans(), &f.chip);
+                        offset_groups += crate::scheduler::interleave_offsets(&occupancy, &f.chip)
                             .iter()
-                            .flat_map(|p| [p.replace_ns, p.pipeline_ns, p.latency_ns])
-                            .chain([e.batch_latency_ns, e.energy.total_nj()])
-                            .map(f64::to_bits)
-                            .collect()
-                    };
-                    assert_eq!(got, &want, "{mode:?}: the memo fold moved the group estimate");
-                    assert_eq!(bits(got), bits(&want), "{mode:?}: estimate bits moved");
-                    let occupancy = Occupancy::of_plans(fresh.plans(), &f.chip);
-                    offset_groups += crate::scheduler::interleave_offsets(&occupancy, &f.chip)
-                        .iter()
-                        .any(|&o| o > 0) as usize;
+                            .any(|&o| o > 0) as usize;
+                    }
                 }
             }
         }
@@ -656,7 +747,8 @@ mod tests {
             barrier.pgf
         );
         // PGF still equals the group's estimated batch latency.
-        assert!((interleaved.pgf - interleaved.estimate.batch_latency_ns).abs() < 1e-6);
+        let (_, estimate) = fresh_estimate(&f, &group, ScheduleMode::Interleaved, 8);
+        assert!((interleaved.pgf - estimate.batch_latency_ns).abs() < 1e-6);
     }
 
     #[test]

@@ -171,7 +171,7 @@ pub fn run<R: Rng + ?Sized>(
     // context's memo lifetime. For the unwrap to actually succeed the
     // other owners must go first — the rest of the population
     // (including any duplicate of the winner) and the memo's own
-    // reference; otherwise the fallback clone of the estimate and
+    // reference; otherwise the fallback clone of the cut and
     // fitness vectors would be the unconditional path.
     drop(population);
     drop(ctx.release(best.group.cuts()));

@@ -38,8 +38,11 @@ cargo run --release -p compass-bench --bin engine_hotpath -- --quick --json "${B
 # GA scaling records: ga:abs:* per-generation walls (trajectory-only)
 # and ga:gate:* memo speedup ratios, all stamped with the
 # regenerating host's parallelism so the gate never compares ratios
-# across differently-sized machines.
-cargo run --release -p compass-bench --bin ga_scaling -- --quick --json "${BASELINE}"
+# across differently-sized machines. Pinned to one CPU: the committed
+# records carry host parallelism 1, and a pinned bench_gate run only
+# judges ga:gate:* records stamped the same. One run's ratio swings
+# run to run; commit the per-record median of 20 or more pinned runs.
+taskset -c 0 cargo run --release -p compass-bench --bin ga_scaling -- --quick --json "${BASELINE}"
 # Open-loop serving records (serving:*): p99 latency in the gated
 # makespan slot, SLO goodput in throughput_ips. Seeded synthetic
 # traffic on the simulated clock — byte-deterministic everywhere.
