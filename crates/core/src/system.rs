@@ -175,7 +175,10 @@ impl fmt::Display for SystemSchedule {
 /// contiguous segments balanced by the compiler's estimated partition
 /// latencies, and each boundary ships the downstream partition's entry
 /// activations (`batch ×` per-sample bytes) to the next chip after
-/// every round. For [`SystemStrategy::BatchShard`], the partition
+/// every round. The chips run the compiled programs as they are, so
+/// `batch` must be the batch they were compiled at and
+/// `chunks_per_sample` does not apply. For
+/// [`SystemStrategy::BatchShard`], the partition
 /// plans are rescheduled at each chip's shard of `batch` (front chips
 /// take the remainder). For [`SystemStrategy::FanOut`], segments are
 /// additionally replicated — spare chips go to whichever segment has
@@ -187,7 +190,8 @@ impl fmt::Display for SystemSchedule {
 /// # Errors
 ///
 /// Returns [`CompileError::InvalidOptions`] when the topology fails
-/// validation or `batch` is zero.
+/// validation, `batch` is zero, or a layer pipeline asks for a `batch`
+/// other than the compiled one.
 pub fn plan_system(
     network: &Network,
     compiled: &CompiledModel,
@@ -207,6 +211,16 @@ pub fn plan_system(
     let plans = compiled.partitions();
     let schedule = match target.strategy {
         SystemStrategy::LayerPipeline => {
+            // The compiled programs run every round as scheduled: a
+            // different batch would scale the reported throughput, not
+            // the simulated work.
+            let compiled_batch = compiled.estimate().batch;
+            if batch != compiled_batch {
+                return Err(CompileError::InvalidOptions(format!(
+                    "a layer pipeline runs the programs compiled at batch {compiled_batch}, \
+                     not batch {batch}"
+                )));
+            }
             let programs = compiled.programs();
             let used = chips.min(plans.len()).max(1);
             let cuts = balanced_cuts(
@@ -509,6 +523,29 @@ mod tests {
     }
 
     #[test]
+    fn layer_pipeline_runs_only_at_the_compiled_batch() {
+        // The chips run the batch-4 programs every round, so a batch-8
+        // plan would report twice the throughput for the same work.
+        let (net, chip, model) = compiled(4);
+        let target = SystemTarget::new(Topology::ring(2), SystemStrategy::LayerPipeline);
+        for batch in [2, 8] {
+            assert!(matches!(
+                plan_system(&net, &model, &chip, &target, batch, 2),
+                Err(CompileError::InvalidOptions(ref why)) if why.contains("batch 4")
+            ));
+        }
+        let schedule = plan_system(&net, &model, &chip, &target, 4, 2).unwrap();
+        assert_eq!(schedule.samples_per_round, 4);
+        let active = schedule.chips.iter().filter(|c| !c.programs.is_empty());
+        assert!(active.clone().all(|c| c.samples == 4));
+        let programs: Vec<&ChipProgram> = active.flat_map(|c| &c.programs).collect();
+        assert_eq!(programs, model.programs().iter().collect::<Vec<_>>());
+        // Batch sharding reschedules, so any batch stays valid there.
+        let shard = SystemTarget::new(Topology::ring(2), SystemStrategy::BatchShard);
+        assert_eq!(plan_system(&net, &model, &chip, &shard, 8, 2).unwrap().samples_per_round, 8);
+    }
+
+    #[test]
     fn batch_shard_splits_samples() {
         let (net, chip, model) = compiled(5);
         let target = SystemTarget::new(Topology::fully_connected(2), SystemStrategy::BatchShard);
@@ -534,7 +571,7 @@ mod tests {
             .unwrap();
         let parts = model.partitions().len();
         let target = SystemTarget::new(Topology::fully_connected(4), SystemStrategy::LayerPipeline);
-        let schedule = plan_system(&net, &model, &chip, &target, 2, 2).unwrap();
+        let schedule = plan_system(&net, &model, &chip, &target, 1, 2).unwrap();
         assert_eq!(schedule.active_chips(), parts.min(4));
         for plan in schedule.chips.iter().filter(|c| c.programs.is_empty()) {
             assert!(plan.handoffs.is_empty());

@@ -1,13 +1,16 @@
-//! The chip simulator's engine components and event protocol.
+//! The chip simulator's engine components, shared resources and event
+//! protocol.
 //!
-//! Every piece of shared hardware is a [`pim_engine::Component`]:
-//! per-core sequencers, the global-memory channel, the arbitrated
-//! core-to-core bus, the SEND/RECV rendezvous, and in closed-loop
-//! timing the multi-channel LPDDR3 controllers. They interact only by
-//! scheduling [`ChipEvent`]s, so simulated time advances exclusively
-//! through the engine's `(time, sequence)`-ordered queue. The analytic
-//! mode's in-line LPDDR3 energy model is not a component: it never
-//! shapes timing, so the memory channel feeds it directly.
+//! A chip is two kinds of [`pim_engine::Component`]: the per-core
+//! sequencers, and one chip sequencer (in `system.rs`) that owns the
+//! chip's shared hardware as plain state — the global-memory channel,
+//! the arbitrated core-to-core bus and the SEND/RECV rendezvous. Cores
+//! address every shared-resource request to their chip and resume on
+//! the reply [`ChipEvent`], so simulated time advances exclusively
+//! through the engine's `(time, sequence)`-ordered queue. Neither
+//! LPDDR3 model is a component: the channel serves the analytic mode's
+//! energy model and the closed-loop multi-channel controllers in line,
+//! since both read issue times, never engine time.
 
 use crate::report::{CoreActivity, TraceStats};
 use fxhash::FxHashMap;
@@ -64,7 +67,7 @@ pub(crate) enum ChipEvent {
         /// The producing chip (round gating is per producer).
         src: usize,
     },
-    /// A core asks the global-memory channel for a transfer.
+    /// A core asks its chip's global-memory channel for a transfer.
     MemRequest {
         /// Requesting core (reply address).
         core: ComponentId,
@@ -82,7 +85,7 @@ pub(crate) enum ChipEvent {
         /// Transfer occupancy (latency + data), ns.
         busy_ns: f64,
     },
-    /// A core asks the bus to carry a SEND.
+    /// A core asks its chip's bus to carry a SEND.
     BusRequest {
         /// Sending core (reply address).
         core: ComponentId,
@@ -99,16 +102,8 @@ pub(crate) enum ChipEvent {
         /// Queueing + arbitration time charged to the sender, ns.
         occupancy_ns: f64,
     },
-    /// The bus announces a tag's delivery time to the rendezvous.
-    Deliver {
-        /// The sender's stage id.
-        stage: u32,
-        /// The program's rendezvous tag.
-        tag: Tag,
-        /// When the transfer's data lands, ns.
-        at_ns: f64,
-    },
-    /// A core blocks on a RECV until its tag is delivered.
+    /// A core blocks on a RECV until its tag is delivered to its chip's
+    /// rendezvous.
     AwaitTag {
         /// Receiving core (reply address).
         core: ComponentId,
@@ -123,35 +118,6 @@ pub(crate) enum ChipEvent {
     RecvDone {
         /// Stall spent waiting for the matching send, ns.
         wait_ns: f64,
-    },
-    /// Partition barrier: the memory channel and the bus reset their
-    /// availability to the barrier time (matching the full-chip drain
-    /// between partitions).
-    Barrier,
-    /// A stage drained (in either schedule mode): the rendezvous drops
-    /// the stage's deliveries (its receivers have all completed),
-    /// keeping the delivered map bounded by the stages in flight
-    /// instead of growing for the whole run.
-    RetireStage {
-        /// The stage id.
-        stage: u32,
-    },
-    /// Closed-loop timing: one blocking block access reaches the
-    /// multi-channel controllers. The requesting core's `MemDone` is
-    /// scheduled at the access's completion time, so the DRAM model
-    /// owns the critical path.
-    DramAccess {
-        /// Requesting core (reply address).
-        core: ComponentId,
-        /// Starting byte address (from the channel's bump allocators).
-        addr: u64,
-        /// Read or write.
-        kind: RequestKind,
-        /// Block size.
-        bytes: usize,
-        /// Row-friendly chunk granularity the stream is split at (the
-        /// same chunking the analytic-mode energy refinement uses).
-        chunk: u32,
     },
     /// One inference request lands in the request buffer; the event
     /// time is its arrival instant. The buffer schedules the stream's
@@ -210,12 +176,9 @@ pub(crate) struct CoreComponent {
     pub(crate) blocked: Option<Tag>,
     pub(crate) finished: bool,
     timing: CoreTiming,
-    channel: ComponentId,
-    bus: ComponentId,
-    rendezvous: ComponentId,
-    /// The chip sequencer notified (with the final accounting) when
-    /// the stream is exhausted.
-    monitor: ComponentId,
+    /// The chip sequencer: it serves every shared-resource request and
+    /// hears (with the final accounting) when the stream is exhausted.
+    chip: ComponentId,
     core_index: usize,
     /// The id of the `(batch, partition)` stage this core executes; its
     /// SEND/RECVs match only within it.
@@ -223,15 +186,11 @@ pub(crate) struct CoreComponent {
 }
 
 impl CoreComponent {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         program: Rc<[Instruction]>,
         start: SimTime,
         timing: CoreTiming,
-        channel: ComponentId,
-        bus: ComponentId,
-        rendezvous: ComponentId,
-        monitor: ComponentId,
+        chip: ComponentId,
         core_index: usize,
         stage: u32,
     ) -> Self {
@@ -244,10 +203,7 @@ impl CoreComponent {
             blocked: None,
             finished: false,
             timing,
-            channel,
-            bus,
-            rendezvous,
-            monitor,
+            chip,
             core_index,
             stage,
         }
@@ -266,7 +222,7 @@ impl CoreComponent {
             Instruction::LoadWeight { bytes } => {
                 ctx.schedule(
                     now,
-                    self.channel,
+                    self.chip,
                     ChipEvent::MemRequest {
                         core: me,
                         bytes,
@@ -278,7 +234,7 @@ impl CoreComponent {
             Instruction::LoadData { bytes } => {
                 ctx.schedule(
                     now,
-                    self.channel,
+                    self.chip,
                     ChipEvent::MemRequest {
                         core: me,
                         bytes,
@@ -290,7 +246,7 @@ impl CoreComponent {
             Instruction::StoreData { bytes } => {
                 ctx.schedule(
                     now,
-                    self.channel,
+                    self.chip,
                     ChipEvent::MemRequest {
                         core: me,
                         bytes,
@@ -321,13 +277,13 @@ impl CoreComponent {
             }
             Instruction::Send { bytes, tag, .. } => {
                 let stage = self.stage;
-                ctx.schedule(now, self.bus, ChipEvent::BusRequest { core: me, bytes, stage, tag });
+                ctx.schedule(now, self.chip, ChipEvent::BusRequest { core: me, bytes, stage, tag });
             }
             Instruction::Recv { tag, .. } => {
                 self.blocked = Some(tag);
                 ctx.schedule(
                     now,
-                    self.rendezvous,
+                    self.chip,
                     ChipEvent::AwaitTag {
                         core: me,
                         stage: self.stage,
@@ -367,7 +323,7 @@ impl Component<ChipEvent> for CoreComponent {
             // advance it through future Step events.
             ctx.schedule(
                 event.time,
-                self.monitor,
+                self.chip,
                 ChipEvent::CoreDone {
                     stage: self.stage as usize,
                     core_index: self.core_index,
@@ -402,6 +358,11 @@ fn chunks(
     })
 }
 
+/// The closed-loop address-interleave granularity: two LPDDR3 rows per
+/// stripe keeps sequential streams row-friendly while still spreading
+/// blocks across channels.
+const DEFAULT_INTERLEAVE_BYTES: usize = 4096;
+
 /// Where the memory channel's transfers go besides its own timing.
 pub(crate) enum DramPort {
     /// Analytic timing without a DRAM model.
@@ -411,15 +372,28 @@ pub(crate) enum DramPort {
     Inline(Box<DramSimulator>),
     /// Closed-loop timing: the multi-channel controllers own each
     /// access's completion time.
-    ClosedLoop(ComponentId),
+    ClosedLoop(MultiChannelDram),
+}
+
+impl DramPort {
+    /// Closed-loop controllers striped over `channels` LPDDR3 channels.
+    pub(crate) fn closed_loop(channels: usize) -> Self {
+        let mem =
+            MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, DEFAULT_INTERLEAVE_BYTES)
+                .expect("simulator builder guarantees at least one channel");
+        Self::ClosedLoop(mem)
+    }
 }
 
 /// The single global-memory channel port. In `Analytic` timing mode it
 /// serializes block transfers itself (bandwidth + first-access latency)
 /// and feeds the request stream to the in-line DRAM model for energy
-/// refinement; in `ClosedLoop` mode it only assigns addresses and hands
-/// each blocking access to the multi-channel controllers, which own the
-/// completion time.
+/// refinement; in `ClosedLoop` mode it stripes each blocking access
+/// across the multi-channel controllers as the request arrives (cores
+/// block, so arrival order is service order), and the access completes
+/// when its slowest stripe does. Bank conflicts, row hits/misses,
+/// refresh, and channel interleaving therefore shape the chip's
+/// critical path directly.
 pub(crate) struct MemChannel {
     free_ns: f64,
     bandwidth_gbps: f64,
@@ -428,9 +402,8 @@ pub(crate) struct MemChannel {
     /// sequential regions.
     weight_addr: u64,
     activation_addr: u64,
-    /// The request stream in chunks and bytes; in analytic mode with
-    /// the in-line model, `stats.requests` is also the number of
-    /// chunks the model served.
+    /// The request stream in chunks and bytes; with a DRAM model,
+    /// `stats.requests` is also the number of chunks the model served.
     pub(crate) stats: TraceStats,
     pub(crate) dram: DramPort,
 }
@@ -447,118 +420,134 @@ impl MemChannel {
             dram,
         }
     }
-}
 
-impl Component<ChipEvent> for MemChannel {
-    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        match event.payload {
-            ChipEvent::Barrier => {
-                self.free_ns = event.time.as_ns();
-            }
-            ChipEvent::MemRequest { core, bytes, kind, weight } => {
-                let now = event.time.as_ns();
-                let (addr, chunk) = if weight {
-                    (&mut self.weight_addr, WEIGHT_CHUNK)
-                } else {
-                    (&mut self.activation_addr, ACTIVATION_CHUNK)
-                };
-                let base = *addr;
-                *addr += bytes as u64;
-                // The chunk count is mode-independent, so both timing
-                // modes report the same request stream.
-                self.stats.requests += bytes.div_ceil(chunk);
-                match kind {
-                    RequestKind::Read => self.stats.read_bytes += bytes,
-                    RequestKind::Write => self.stats.write_bytes += bytes,
-                }
-
-                let inline = match &mut self.dram {
-                    DramPort::ClosedLoop(dram) => {
-                        // Closed loop: the controllers decide when this
-                        // access completes; the core's MemDone comes
-                        // from them, not from the analytic channel
-                        // equation.
-                        let chunk = chunk as u32;
-                        let access = ChipEvent::DramAccess { core, addr: base, kind, bytes, chunk };
-                        ctx.schedule(event.time, *dram, access);
-                        return;
-                    }
-                    DramPort::Inline(dram) => Some(dram),
-                    DramPort::Off => None,
-                };
-
-                let start = now.max(self.free_ns);
-                let stream_ns = bytes as f64 / self.bandwidth_gbps;
-                let dur = self.access_latency_ns + stream_ns;
-                self.free_ns = start + stream_ns;
-
-                // Feed the transfer to the in-line DRAM model in
-                // row-friendly chunks, all issued at the grant time. The
-                // model reads issue times, never engine time, so serving
-                // them here needs no event of its own.
-                if let Some(dram) = inline {
-                    for request in chunks(start, base, kind, bytes, chunk) {
-                        dram.service(request);
-                    }
-                }
-
-                ctx.schedule(
-                    SimTime::from_ns(start + dur),
-                    core,
-                    ChipEvent::MemDone { wait_ns: start - now, busy_ns: dur },
-                );
-            }
-            other => unreachable!("memory channel received {other:?}"),
-        }
+    /// Partition barrier: the channel is free from `now_ns` on
+    /// (matching the full-chip drain between partitions).
+    pub(crate) fn barrier(&mut self, now_ns: f64) {
+        self.free_ns = now_ns;
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+    /// Serves one block transfer for `core` and schedules its
+    /// `MemDone` at the transfer's completion.
+    pub(crate) fn request(
+        &mut self,
+        core: ComponentId,
+        bytes: usize,
+        kind: RequestKind,
+        weight: bool,
+        ctx: &mut EngineCtx<'_, ChipEvent>,
+    ) {
+        let now = ctx.now().as_ns();
+        let (addr, chunk) = if weight {
+            (&mut self.weight_addr, WEIGHT_CHUNK)
+        } else {
+            (&mut self.activation_addr, ACTIVATION_CHUNK)
+        };
+        let base = *addr;
+        *addr += bytes as u64;
+        // The chunk count is mode-independent, so both timing modes
+        // report the same request stream.
+        self.stats.requests += bytes.div_ceil(chunk);
+        match kind {
+            RequestKind::Read => self.stats.read_bytes += bytes,
+            RequestKind::Write => self.stats.write_bytes += bytes,
+        }
+
+        let inline = match &mut self.dram {
+            DramPort::ClosedLoop(mem) => {
+                // Closed loop: the controllers decide when this access
+                // completes, not the analytic channel equation. The
+                // block is served in the same row-friendly chunks the
+                // analytic-mode refinement streams, so both modes see an
+                // identical request stream; the access completes when
+                // its slowest chunk's data lands.
+                let mut start_ns = f64::INFINITY;
+                let mut finish_ns = now;
+                for request in chunks(now, base, kind, bytes, chunk) {
+                    let served = mem.service(request);
+                    start_ns = start_ns.min(served.start_ns);
+                    finish_ns = finish_ns.max(served.finish_ns);
+                }
+                let start_ns = if start_ns.is_finite() { start_ns } else { now };
+                ctx.schedule(
+                    SimTime::from_ns(finish_ns),
+                    core,
+                    ChipEvent::MemDone {
+                        wait_ns: (start_ns - now).max(0.0),
+                        busy_ns: finish_ns - start_ns.max(now),
+                    },
+                );
+                return;
+            }
+            DramPort::Inline(dram) => Some(dram),
+            DramPort::Off => None,
+        };
+
+        let start = now.max(self.free_ns);
+        let stream_ns = bytes as f64 / self.bandwidth_gbps;
+        let dur = self.access_latency_ns + stream_ns;
+        self.free_ns = start + stream_ns;
+
+        // Feed the transfer to the in-line DRAM model in row-friendly
+        // chunks, all issued at the grant time. The model reads issue
+        // times, never engine time, so serving them here needs no event
+        // of its own.
+        if let Some(dram) = inline {
+            for request in chunks(start, base, kind, bytes, chunk) {
+                dram.service(request);
+            }
+        }
+
+        ctx.schedule(
+            SimTime::from_ns(start + dur),
+            core,
+            ChipEvent::MemDone { wait_ns: start - now, busy_ns: dur },
+        );
     }
 }
 
 /// The shared arbitrated core-to-core bus.
-pub(crate) struct BusComponent {
+pub(crate) struct Bus {
     free_ns: f64,
     spec: InterconnectSpec,
-    rendezvous: ComponentId,
 }
 
-impl BusComponent {
-    pub(crate) fn new(chip: &ChipSpec, rendezvous: ComponentId) -> Self {
-        Self { free_ns: 0.0, spec: chip.interconnect, rendezvous }
-    }
-}
-
-impl Component<ChipEvent> for BusComponent {
-    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        match event.payload {
-            ChipEvent::Barrier => {
-                self.free_ns = event.time.as_ns();
-            }
-            ChipEvent::BusRequest { core, bytes, stage, tag } => {
-                let now = event.time.as_ns();
-                let start = now.max(self.free_ns);
-                let granted = start + self.spec.arbitration_ns;
-                let done = granted + self.spec.transfer_ns(bytes);
-                self.free_ns = done;
-                // Delivery is announced immediately; the data lands at
-                // `done`.
-                let deliver = ChipEvent::Deliver { stage, tag, at_ns: done };
-                ctx.schedule(event.time, self.rendezvous, deliver);
-                // Buffered send: the sender only pays arbitration.
-                ctx.schedule(
-                    SimTime::from_ns(granted),
-                    core,
-                    ChipEvent::BusDone { occupancy_ns: granted - now },
-                );
-            }
-            other => unreachable!("bus received {other:?}"),
-        }
+impl Bus {
+    pub(crate) fn new(chip: &ChipSpec) -> Self {
+        Self { free_ns: 0.0, spec: chip.interconnect }
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+    /// Partition barrier: the bus is free from `now_ns` on.
+    pub(crate) fn barrier(&mut self, now_ns: f64) {
+        self.free_ns = now_ns;
+    }
+
+    /// Carries `core`'s SEND of `bytes` on `(stage, tag)`: the sender
+    /// resumes after arbitration (buffered send — only arbitration is
+    /// on the critical path), and the data lands in `rendezvous` when
+    /// the transfer finishes. The sender's `BusDone` is scheduled
+    /// before the receivers' wake-ups, so a wake-up at the grant instant
+    /// fires after the sender resumes.
+    pub(crate) fn send(
+        &mut self,
+        core: ComponentId,
+        bytes: usize,
+        stage: u32,
+        tag: Tag,
+        rendezvous: &mut Rendezvous,
+        ctx: &mut EngineCtx<'_, ChipEvent>,
+    ) {
+        let now = ctx.now().as_ns();
+        let start = now.max(self.free_ns);
+        let granted = start + self.spec.arbitration_ns;
+        let done = granted + self.spec.transfer_ns(bytes);
+        self.free_ns = done;
+        ctx.schedule(
+            SimTime::from_ns(granted),
+            core,
+            ChipEvent::BusDone { occupancy_ns: granted - now },
+        );
+        rendezvous.deliver(stage, tag, done, |wake| wake.schedule(ctx));
     }
 }
 
@@ -584,187 +573,130 @@ pub(crate) struct Rendezvous {
     waiting: Vec<(u32, Tag, ComponentId, f64)>,
 }
 
-/// Resumes a receiver that blocked at `since_ns` on a transfer whose
-/// data lands at `at_ns`.
-fn recv_done(core: ComponentId, since_ns: f64, at_ns: f64, ctx: &mut EngineCtx<'_, ChipEvent>) {
-    let resume = since_ns.max(at_ns);
-    let wait_ns = (at_ns - since_ns).max(0.0);
-    ctx.schedule(SimTime::from_ns(resume), core, ChipEvent::RecvDone { wait_ns });
+/// A receiver's wake-up: `core` resumes at `resume_ns` after stalling
+/// `wait_ns` for its matching send.
+pub(crate) struct Wake {
+    core: ComponentId,
+    resume_ns: f64,
+    wait_ns: f64,
 }
 
-impl Component<ChipEvent> for Rendezvous {
-    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        match event.payload {
-            ChipEvent::RetireStage { stage } => {
-                if let Some(mut tags) = self.delivered.remove(&stage) {
-                    tags.clear();
-                    self.spare.push(tags);
-                }
-                debug_assert!(
-                    self.waiting.iter().all(|&(waiting_in, ..)| waiting_in != stage),
-                    "stage {stage} retired with blocked receivers"
-                );
+impl Wake {
+    /// The wake-up of a receiver that blocked at `since_ns` on a
+    /// transfer whose data lands at `at_ns`.
+    fn of(core: ComponentId, since_ns: f64, at_ns: f64) -> Self {
+        Self { core, resume_ns: since_ns.max(at_ns), wait_ns: (at_ns - since_ns).max(0.0) }
+    }
+
+    /// Schedules the receiver's `RecvDone`.
+    pub(crate) fn schedule(self, ctx: &mut EngineCtx<'_, ChipEvent>) {
+        let done = ChipEvent::RecvDone { wait_ns: self.wait_ns };
+        ctx.schedule(SimTime::from_ns(self.resume_ns), self.core, done);
+    }
+}
+
+impl Rendezvous {
+    /// Records that `(stage, tag)`'s data lands at `at_ns` and wakes
+    /// every receiver blocked on it, in the order they blocked.
+    pub(crate) fn deliver(&mut self, stage: u32, tag: Tag, at_ns: f64, mut wake: impl FnMut(Wake)) {
+        let spare = &mut self.spare;
+        let tags = self.delivered.entry(stage).or_insert_with(|| spare.pop().unwrap_or_default());
+        tags.insert(tag, at_ns);
+        self.waiting.retain(|&(waiting_in, waiting_on, core, since_ns)| {
+            let matched = waiting_in == stage && waiting_on == tag;
+            if matched {
+                wake(Wake::of(core, since_ns, at_ns));
             }
-            ChipEvent::Deliver { stage, tag, at_ns } => {
-                let spare = &mut self.spare;
-                let tags =
-                    self.delivered.entry(stage).or_insert_with(|| spare.pop().unwrap_or_default());
-                tags.insert(tag, at_ns);
-                self.waiting.retain(|&(waiting_in, waiting_on, core, since_ns)| {
-                    let wake = waiting_in == stage && waiting_on == tag;
-                    if wake {
-                        recv_done(core, since_ns, at_ns, ctx);
-                    }
-                    !wake
-                });
-            }
-            ChipEvent::AwaitTag { core, stage, tag, since_ns } => {
-                match self.delivered.get(&stage).and_then(|tags| tags.get(&tag)) {
-                    Some(&at_ns) => recv_done(core, since_ns, at_ns, ctx),
-                    None => self.waiting.push((stage, tag, core, since_ns)),
-                }
-            }
-            other => unreachable!("rendezvous received {other:?}"),
+            !matched
+        });
+    }
+
+    /// `core` blocks at `since_ns` on `(stage, tag)`: it wakes at once
+    /// if the tag was already delivered, else on the delivery.
+    pub(crate) fn await_tag(
+        &mut self,
+        core: ComponentId,
+        stage: u32,
+        tag: Tag,
+        since_ns: f64,
+        wake: impl FnOnce(Wake),
+    ) {
+        match self.delivered.get(&stage).and_then(|tags| tags.get(&tag)) {
+            Some(&at_ns) => wake(Wake::of(core, since_ns, at_ns)),
+            None => self.waiting.push((stage, tag, core, since_ns)),
         }
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// The closed-loop address-interleave granularity: two LPDDR3 rows per
-/// stripe keeps sequential streams row-friendly while still spreading
-/// blocks across channels.
-const DEFAULT_INTERLEAVE_BYTES: usize = 4096;
-
-/// The closed-loop multi-channel DRAM: every `DramAccess` is striped
-/// across the in-line LPDDR3 controllers as its event arrives (cores
-/// block, so arrival order is service order), and the requesting core's
-/// `MemDone` fires at the slowest stripe's completion. Bank conflicts,
-/// row hits/misses, refresh, and channel interleaving therefore shape
-/// the chip's critical path directly.
-pub(crate) struct ClosedLoopDram {
-    pub(crate) mem: MultiChannelDram,
-    pub(crate) requests: usize,
-}
-
-impl ClosedLoopDram {
-    pub(crate) fn new(channels: usize) -> Self {
-        let mem =
-            MultiChannelDram::new(DramConfig::lpddr3_1600(), channels, DEFAULT_INTERLEAVE_BYTES)
-                .expect("simulator builder guarantees at least one channel");
-        Self { mem, requests: 0 }
-    }
-}
-
-impl Component<ChipEvent> for ClosedLoopDram {
-    fn on_event(&mut self, event: Event<ChipEvent>, ctx: &mut EngineCtx<'_, ChipEvent>) {
-        match event.payload {
-            ChipEvent::DramAccess { core, addr, kind, bytes, chunk } => {
-                let now = event.time.as_ns();
-                // Serve the block in the same row-friendly chunks the
-                // analytic-mode refinement streams, so both modes see
-                // an identical request stream; the access completes
-                // when its slowest chunk's data lands.
-                let mut start_ns = f64::INFINITY;
-                let mut finish_ns = now;
-                for request in chunks(now, addr, kind, bytes, chunk as usize) {
-                    let served = self.mem.service(request);
-                    start_ns = start_ns.min(served.start_ns);
-                    finish_ns = finish_ns.max(served.finish_ns);
-                    self.requests += 1;
-                }
-                let start_ns = if start_ns.is_finite() { start_ns } else { now };
-                ctx.schedule(
-                    SimTime::from_ns(finish_ns),
-                    core,
-                    ChipEvent::MemDone {
-                        wait_ns: (start_ns - now).max(0.0),
-                        busy_ns: finish_ns - start_ns.max(now),
-                    },
-                );
-            }
-            other => unreachable!("closed-loop dram received {other:?}"),
+    /// Drops drained stage `stage`'s deliveries (its receivers have all
+    /// completed), keeping the delivered map bounded by the stages in
+    /// flight instead of growing for the whole run.
+    pub(crate) fn retire(&mut self, stage: u32) {
+        if let Some(mut tags) = self.delivered.remove(&stage) {
+            tags.clear();
+            self.spare.push(tags);
         }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+        debug_assert!(
+            self.waiting.iter().all(|&(waiting_in, ..)| waiting_in != stage),
+            "stage {stage} retired with blocked receivers"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_engine::Engine;
-    use std::cell::RefCell;
 
     /// Wake-ups the receivers saw: `(receiver, resume time, wait)`.
-    type Log = Rc<RefCell<Vec<(usize, f64, f64)>>>;
+    type Log = Vec<(usize, f64, f64)>;
 
-    /// A stand-in core that logs every `RecvDone` it is sent.
-    struct Receiver(Log);
-
-    impl Component<ChipEvent> for Receiver {
-        fn on_event(&mut self, event: Event<ChipEvent>, _: &mut EngineCtx<'_, ChipEvent>) {
-            let ChipEvent::RecvDone { wait_ns } = event.payload else {
-                unreachable!("receiver got {:?}", event.payload)
-            };
-            self.0.borrow_mut().push((event.target.0, event.time.as_ns(), wait_ns));
-        }
-
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
+    fn log(log: &mut Log) -> impl FnMut(Wake) + '_ {
+        |wake| log.push((wake.core.0, wake.resume_ns, wake.wait_ns))
     }
 
-    /// A rendezvous at id 0 and `receivers` logging cores at ids 1...
-    fn tiny_engine(receivers: usize) -> (Engine<ChipEvent>, Log) {
-        let log = Log::default();
-        let mut engine = Engine::new(0);
-        engine.add_component(Rendezvous::default());
-        for _ in 0..receivers {
-            engine.add_component(Receiver(Rc::clone(&log)));
-        }
-        (engine, log)
+    /// Blocks `core` on `(stage, tag)` at `since_ns`.
+    fn await_tag(
+        rendezvous: &mut Rendezvous,
+        woken: &mut Log,
+        core: usize,
+        stage: u32,
+        tag: u64,
+        since_ns: f64,
+    ) {
+        rendezvous.await_tag(ComponentId(core), stage, Tag(tag), since_ns, log(woken));
     }
 
-    const RENDEZVOUS: ComponentId = ComponentId(0);
-
-    fn at(ns: f64) -> SimTime {
-        SimTime::from_ns(ns)
+    fn deliver(rendezvous: &mut Rendezvous, woken: &mut Log, stage: u32, tag: u64, at_ns: f64) {
+        rendezvous.deliver(stage, Tag(tag), at_ns, log(woken));
     }
 
-    fn await_tag(core: usize, stage: u32, tag: u64, since_ns: f64) -> ChipEvent {
-        ChipEvent::AwaitTag { core: ComponentId(core), stage, tag: Tag(tag), since_ns }
-    }
-
-    fn deliver(stage: u32, tag: u64, at_ns: f64) -> ChipEvent {
-        ChipEvent::Deliver { stage, tag: Tag(tag), at_ns }
+    /// The order the engine delivers the wake-ups' `RecvDone`s in: by
+    /// resume time, ties in scheduling order.
+    fn by_resume_time(mut woken: Log) -> Log {
+        woken.sort_by(|a, b| a.1.total_cmp(&b.1));
+        woken
     }
 
     #[test]
     fn rendezvous_wakes_receivers_in_blocking_order_and_serves_late_ones() {
-        let (mut engine, log) = tiny_engine(5);
+        let mut rendezvous = Rendezvous::default();
+        let mut woken = Log::new();
         // Receivers 3, 1 and 2 block on tag 7, receiver 4 on tag 8.
-        engine.schedule(at(1.0), RENDEZVOUS, await_tag(3, 0, 7, 1.0));
-        engine.schedule(at(2.0), RENDEZVOUS, await_tag(1, 0, 7, 2.0));
-        engine.schedule(at(2.0), RENDEZVOUS, await_tag(4, 0, 8, 2.0));
-        engine.schedule(at(3.0), RENDEZVOUS, await_tag(2, 0, 7, 3.0));
-        engine.schedule(at(5.0), RENDEZVOUS, deliver(0, 7, 9.0));
+        await_tag(&mut rendezvous, &mut woken, 3, 0, 7, 1.0);
+        await_tag(&mut rendezvous, &mut woken, 1, 0, 7, 2.0);
+        await_tag(&mut rendezvous, &mut woken, 4, 0, 8, 2.0);
+        await_tag(&mut rendezvous, &mut woken, 2, 0, 7, 3.0);
+        assert!(woken.is_empty(), "nothing is delivered yet");
+        deliver(&mut rendezvous, &mut woken, 0, 7, 9.0);
         // After the delivery: one receiver before the data lands, one
         // after.
-        engine.schedule(at(6.0), RENDEZVOUS, await_tag(5, 0, 7, 6.0));
-        engine.schedule(at(12.0), RENDEZVOUS, await_tag(5, 0, 7, 12.0));
-        engine.schedule(at(20.0), RENDEZVOUS, deliver(0, 8, 21.0));
-        engine.run_until_idle();
+        await_tag(&mut rendezvous, &mut woken, 5, 0, 7, 6.0);
+        await_tag(&mut rendezvous, &mut woken, 5, 0, 7, 12.0);
+        deliver(&mut rendezvous, &mut woken, 0, 8, 21.0);
         // Every receiver resumes at max(since, at) and waits
-        // max(at - since, 0), whether it blocked before the Deliver or
+        // max(at - since, 0), whether it blocked before the delivery or
         // arrived after it; tag 7's receivers wake in blocking order.
-        let woken = log.borrow().clone();
         assert_eq!(
-            woken,
+            by_resume_time(woken),
             [
                 (3, 9.0, 8.0),
                 (1, 9.0, 7.0),
@@ -779,33 +711,32 @@ mod tests {
     #[test]
     fn overlapping_stages_match_only_their_own_sends() {
         // Stages 1 and 2 are in flight at once and both RECV on program
-        // tag 7: each receiver wakes on its own stage's Deliver only.
-        let (mut engine, log) = tiny_engine(3);
-        engine.schedule(at(1.0), RENDEZVOUS, await_tag(1, 1, 7, 1.0));
-        engine.schedule(at(1.0), RENDEZVOUS, await_tag(2, 2, 7, 1.0));
-        engine.schedule(at(2.0), RENDEZVOUS, deliver(2, 7, 5.0));
-        engine.schedule(at(3.0), RENDEZVOUS, deliver(1, 7, 8.0));
+        // tag 7: each receiver wakes on its own stage's delivery only.
+        let mut rendezvous = Rendezvous::default();
+        let mut woken = Log::new();
+        await_tag(&mut rendezvous, &mut woken, 1, 1, 7, 1.0);
+        await_tag(&mut rendezvous, &mut woken, 2, 2, 7, 1.0);
+        deliver(&mut rendezvous, &mut woken, 2, 7, 5.0);
+        deliver(&mut rendezvous, &mut woken, 1, 7, 8.0);
         // A late receiver of stage 2 sees stage 2's delivery, not the
         // later one of stage 1.
-        engine.schedule(at(4.0), RENDEZVOUS, await_tag(3, 2, 7, 4.0));
-        engine.run_until_idle();
-        let woken = log.borrow().clone();
-        assert_eq!(woken, [(2, 5.0, 4.0), (3, 5.0, 1.0), (1, 8.0, 7.0)]);
+        await_tag(&mut rendezvous, &mut woken, 3, 2, 7, 4.0);
+        assert_eq!(by_resume_time(woken), [(2, 5.0, 4.0), (3, 5.0, 1.0), (1, 8.0, 7.0)]);
     }
 
     #[test]
     fn retire_drops_only_its_own_stage() {
-        let (mut engine, _) = tiny_engine(0);
+        let mut rendezvous = Rendezvous::default();
+        let mut woken = Log::new();
         for stage in [1u32, 2] {
             for tag in [7u64, 9] {
-                engine.schedule(at(1.0), RENDEZVOUS, deliver(stage, tag, 4.0));
+                deliver(&mut rendezvous, &mut woken, stage, tag, 4.0);
             }
         }
-        engine.schedule(at(2.0), RENDEZVOUS, ChipEvent::RetireStage { stage: 1 });
+        rendezvous.retire(1);
         // A later stage's first delivery takes over the retired map.
-        engine.schedule(at(3.0), RENDEZVOUS, deliver(3, 9, 5.0));
-        engine.run_until_idle();
-        let rendezvous: Rendezvous = engine.extract(RENDEZVOUS).expect("rendezvous");
+        deliver(&mut rendezvous, &mut woken, 3, 9, 5.0);
+        assert!(woken.is_empty(), "no receiver was blocked");
         let mut stages: Vec<(u32, usize)> =
             rendezvous.delivered.iter().map(|(&stage, tags)| (stage, tags.len())).collect();
         stages.sort_unstable();

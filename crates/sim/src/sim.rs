@@ -14,11 +14,12 @@ use pim_isa::ChipProgram;
 /// API and the analytic-mode report bytes (pinned by the golden
 /// fixtures in `tests/golden/`) are unchanged.
 ///
-/// Every hardware resource is an engine component: per-core
-/// sequencers, one global-memory channel (bandwidth + first-access
-/// latency per block transfer, feeding the in-line LPDDR3 energy
-/// model), one arbitrated bus for core-to-core sends, and the
-/// SEND/RECV rendezvous.
+/// The chip is one engine component per core plus one chip sequencer,
+/// which owns the chip's shared hardware as plain state: one
+/// global-memory channel (bandwidth + first-access latency per block
+/// transfer, feeding the in-line LPDDR3 energy model), one arbitrated
+/// bus for core-to-core sends, and the SEND/RECV rendezvous. Cores
+/// address every request to the sequencer and resume on its reply.
 /// `SEND` is buffered (the sender proceeds after arbitration); `RECV`
 /// blocks until the matching send has delivered. Partitions are
 /// separated by full-chip barriers, and time advances exclusively
@@ -40,7 +41,7 @@ use pim_isa::ChipProgram;
 /// energy only — reports are byte-identical to the pinned golden
 /// fixtures. In [`TimingMode::ClosedLoop`] every channel transfer is
 /// striped over a bank of in-line multi-channel controllers and the
-/// requesting core blocks until the completion event fires, so bank
+/// requesting core blocks until the slowest stripe completes, so bank
 /// conflicts, row hits/misses, and channel interleaving shape the
 /// critical path; the report then carries per-channel stats.
 #[derive(Debug, Clone)]

@@ -1,17 +1,19 @@
 //! The multi-chip system simulator.
 //!
-//! A system is several chips instantiated as component sets on **one**
-//! discrete-event engine, joined by an `InterconnectComponent` that
-//! carries inter-chip hand-offs hop-by-hop over the topology's links —
-//! with per-link serialization and queueing, so concurrent transfers
-//! contend instead of seeing a flat latency.
+//! A system is several chips on **one** discrete-event engine, joined
+//! by an `InterconnectComponent` that carries inter-chip hand-offs
+//! hop-by-hop over the topology's links — with per-link serialization
+//! and queueing, so concurrent transfers contend instead of seeing a
+//! flat latency.
 //!
-//! Each chip is driven by a `ChipSequencer`, which dispatches the
-//! chip's `(batch, partition)` stages from per-partition cursors: every
-//! partition runs its batches in order, so the rounds each partition
-//! has started and finished say which stage may start next. A stage
-//! spawns its partition program's cores once its predecessors have
-//! drained. In the default [`ScheduleMode::Barrier`] the stages form a
+//! Each chip is one `ChipSequencer` component plus the cores it spawns.
+//! The sequencer owns the chip's memory channel, bus and rendezvous as
+//! plain state and serves the cores' requests for them in line. It
+//! dispatches the chip's `(batch, partition)` stages from per-partition
+//! cursors: every partition runs its batches in order, so the rounds
+//! each partition has started and finished say which stage may start
+//! next. A stage spawns its partition program's cores once its
+//! predecessors have drained. In the default [`ScheduleMode::Barrier`] the stages form a
 //! single round-major chain — the paper's full-chip barrier,
 //! byte-identical to the golden fixtures. Under
 //! [`ScheduleMode::Interleaved`] only the dataflow and crossbar-reuse
@@ -23,7 +25,9 @@
 //! A chip's SEND/RECVs meet in its rendezvous, matched by `(stage,
 //! tag)`: a RECV completes only on a SEND of its own stage, so stages
 //! that overlap under interleaving may reuse the same program tags, and
-//! every drained stage retires its deliveries in either mode.
+//! every drained stage retires its deliveries in either mode. In barrier
+//! mode a stage start also resets the channel and the bus to the
+//! barrier instant.
 //!
 //! A chip may ship hand-offs to *several* downstream peers (fan-out)
 //! and gate on hand-offs from several upstream producers (fan-in);
@@ -45,8 +49,7 @@
 //! byte-identity oracle.
 
 use crate::components::{
-    BusComponent, ChipEvent, ClosedLoopDram, CoreComponent, CoreTiming, DramPort, MemChannel,
-    Rendezvous,
+    Bus, ChipEvent, CoreComponent, CoreTiming, DramPort, MemChannel, Rendezvous,
 };
 use crate::error::SimError;
 use crate::report::{
@@ -298,11 +301,10 @@ impl SystemSimulator {
         self.fold_report(loads, rounds, samples_per_round, outcomes, links)
     }
 
-    /// Registers one chip's shared components in the canonical order —
-    /// `[closed-loop dram?, rendezvous, channel, bus]` — and returns
-    /// their addresses. The analytic mode's in-line DRAM model lives
-    /// inside the channel.
-    fn register_chip(&self, engine: &mut Engine<ChipEvent>) -> ChipParts {
+    /// One chip's global-memory channel, with the DRAM model of the
+    /// timing mode in line: the analytic energy model, or the
+    /// closed-loop multi-channel controllers.
+    fn memory_channel(&self) -> MemChannel {
         let chip = &self.chip;
         let dram = match self.mode {
             TimingMode::Analytic if self.replay_dram => {
@@ -310,16 +312,12 @@ impl SystemSimulator {
             }
             TimingMode::Analytic => DramPort::Off,
             TimingMode::ClosedLoop => {
-                let channels = self.dram_channels.unwrap_or_else(|| {
+                DramPort::closed_loop(self.dram_channels.unwrap_or_else(|| {
                     DramConfig::lpddr3_1600().channels_for_bandwidth(chip.memory.bandwidth_gbps)
-                });
-                DramPort::ClosedLoop(engine.add_component(ClosedLoopDram::new(channels)))
+                }))
             }
         };
-        let rendezvous = engine.add_component(Rendezvous::default());
-        let channel = engine.add_component(MemChannel::new(chip, dram));
-        let bus = engine.add_component(BusComponent::new(chip, rendezvous));
-        ChipParts { channel, bus, rendezvous }
+        MemChannel::new(chip, dram)
     }
 
     /// Builds chip `c`'s sequencer over its stage cursors and
@@ -331,7 +329,6 @@ impl SystemSimulator {
         c: usize,
         loads: &[ChipLoad<'_>],
         rounds: usize,
-        parts: &ChipParts,
         interconnect: ComponentId,
     ) -> ChipSequencer {
         let load = &loads[c];
@@ -356,9 +353,9 @@ impl SystemSimulator {
             chip_index: c,
             streams,
             timing: CoreTiming::of(&self.chip),
-            channel: parts.channel,
-            bus: parts.bus,
-            rendezvous: parts.rendezvous,
+            channel: self.memory_channel(),
+            bus: Bus::new(&self.chip),
+            rendezvous: Rendezvous::default(),
             interconnect,
             handoffs: load.handoffs.clone(),
             notify: None,
@@ -441,9 +438,9 @@ impl SystemSimulator {
 
     /// The one system run path: every chip, the interconnect and — for
     /// serving — the request buffer on one engine, run to idle.
-    /// Component ids follow one fixed layout: per chip
-    /// `[closed-loop dram?, rendezvous, channel, bus]`, then the
-    /// interconnect, then one sequencer per chip, then the buffer.
+    /// Component ids follow one fixed layout: the interconnect, then
+    /// one sequencer per chip (which owns the chip's memory channel,
+    /// bus and rendezvous), then the buffer; cores are spawned after.
     /// Returns the per-chip outcomes, the link statistics (multi-chip
     /// topologies only) and, for serving, the request buffer's
     /// admission ledger.
@@ -458,8 +455,6 @@ impl SystemSimulator {
         if self.reference_queue {
             engine.use_reference_queue();
         }
-        let parts: Vec<ChipParts> = (0..chips).map(|_| self.register_chip(&mut engine)).collect();
-
         // The interconnect is registered before the sequencers, so the
         // sequencer addresses it must deliver to are the next `chips`
         // ids after its own.
@@ -477,7 +472,7 @@ impl SystemSimulator {
             Workload::Serving { .. } => (0, Some(buffer_id)),
         };
         for c in 0..chips {
-            let mut sequencer = self.sequencer_for(c, loads, rounds, &parts[c], interconnect_id);
+            let mut sequencer = self.sequencer_for(c, loads, rounds, interconnect_id);
             if !loads[c].programs.is_empty() {
                 sequencer.notify = notify;
             }
@@ -504,9 +499,8 @@ impl SystemSimulator {
         let buffer = serving.map(|id| {
             engine.extract::<RequestBuffer>(id).expect("request buffer survives the run")
         });
-        let outcomes: Vec<ChipOutcome> = (0..chips)
-            .map(|c| self.chip_outcome(&mut engine, &parts[c], sequencer_ids[c]))
-            .collect();
+        let outcomes: Vec<ChipOutcome> =
+            sequencer_ids.iter().map(|&id| self.chip_outcome(&mut engine, id)).collect();
         let links = (!self.topology.is_single()).then(|| {
             let ic: InterconnectComponent =
                 engine.extract(interconnect_id).expect("interconnect survives the run");
@@ -585,12 +579,7 @@ impl SystemSimulator {
     /// Extracts everything the report fold needs about one chip from
     /// its (drained or stalled) engine — the hand-off from simulation
     /// to accounting.
-    fn chip_outcome(
-        &self,
-        engine: &mut Engine<ChipEvent>,
-        parts: &ChipParts,
-        sequencer: ComponentId,
-    ) -> ChipOutcome {
+    fn chip_outcome(&self, engine: &mut Engine<ChipEvent>, sequencer: ComponentId) -> ChipOutcome {
         let sequencer: ChipSequencer =
             engine.extract(sequencer).expect("sequencer survives the run");
         let mut stalled_cores = Vec::new();
@@ -607,14 +596,7 @@ impl SystemSimulator {
                 );
             }
         }
-        let channel: MemChannel = engine.extract(parts.channel).expect("channel survives the run");
-        let rendezvous: Rendezvous =
-            engine.extract(parts.rendezvous).expect("rendezvous survives the run");
-        let closed_dram = match channel.dram {
-            DramPort::ClosedLoop(id) => Some(engine.extract(id).expect("dram survives the run")),
-            _ => None,
-        };
-        ChipOutcome { sequencer, channel, rendezvous, closed_dram, stalled_cores }
+        ChipOutcome { sequencer, stalled_cores }
     }
 
     /// Folds per-chip outcomes into one [`SimReport`].
@@ -703,23 +685,24 @@ impl SystemSimulator {
             // Every drained stage retires its rendezvous deliveries, so
             // nothing may survive a completed run.
             debug_assert!(
-                outcome.rendezvous.delivered.is_empty(),
+                outcome.sequencer.rendezvous.delivered.is_empty(),
                 "drained stages must retire their rendezvous deliveries"
             );
+            let channel = &outcome.sequencer.channel;
             if self.replay_dram || self.mode == TimingMode::ClosedLoop {
-                dram_trace.requests += outcome.channel.stats.requests;
-                dram_trace.read_bytes += outcome.channel.stats.read_bytes;
-                dram_trace.write_bytes += outcome.channel.stats.write_bytes;
+                dram_trace.requests += channel.stats.requests;
+                dram_trace.read_bytes += channel.stats.read_bytes;
+                dram_trace.write_bytes += channel.stats.write_bytes;
             }
-            let chip_energy = match (&outcome.channel.dram, &outcome.closed_dram) {
-                (DramPort::Inline(dram), _) => {
-                    (outcome.channel.stats.requests > 0).then(|| dram.energy())
+            // Both DRAM models serve exactly the channel's chunks.
+            let served = channel.stats.requests > 0;
+            let chip_energy = match &channel.dram {
+                DramPort::Inline(dram) => served.then(|| dram.energy()),
+                DramPort::ClosedLoop(mem) => {
+                    dram_channels.get_or_insert_with(Vec::new).extend(mem.channel_stats());
+                    served.then(|| mem.energy())
                 }
-                (_, Some(dram)) => {
-                    dram_channels.get_or_insert_with(Vec::new).extend(dram.mem.channel_stats());
-                    (dram.requests > 0).then(|| dram.mem.energy())
-                }
-                _ => None,
+                DramPort::Off => None,
             };
             if let Some(e) = chip_energy {
                 dram_energy = Some(match dram_energy {
@@ -773,13 +756,6 @@ fn deadlock_of(outcomes: &[ChipOutcome]) -> SimError {
     unreachable!("incomplete system has no blocked core")
 }
 
-/// Component addresses of one chip's shared infrastructure.
-struct ChipParts {
-    channel: ComponentId,
-    bus: ComponentId,
-    rendezvous: ComponentId,
-}
-
 /// What a system run executes: a fixed round count, or an open-loop
 /// request stream whose admitted batches append rounds as it runs.
 enum Workload<'a> {
@@ -790,10 +766,8 @@ enum Workload<'a> {
 /// One chip's extracted end-of-run state — everything the report fold
 /// needs, detached from the engine.
 struct ChipOutcome {
+    /// The sequencer, with the chip's memory channel and rendezvous.
     sequencer: ChipSequencer,
-    channel: MemChannel,
-    rendezvous: Rendezvous,
-    closed_dram: Option<ClosedLoopDram>,
     /// Cores of stages still in flight when the run stalled, one
     /// vector per running stage in stage-id order — the deadlock
     /// diagnosis walks these.
@@ -809,9 +783,11 @@ pub(crate) struct ChipSequencer {
     /// that partition shares with its spawned cores.
     streams: Vec<Vec<Rc<[Instruction]>>>,
     timing: CoreTiming,
-    channel: ComponentId,
-    bus: ComponentId,
-    rendezvous: ComponentId,
+    /// The chip's shared hardware: every core's memory, SEND and RECV
+    /// requests land here.
+    channel: MemChannel,
+    bus: Bus,
+    rendezvous: Rendezvous,
     interconnect: ComponentId,
     /// Per-round boundary transfers, one per downstream consumer.
     handoffs: Vec<Handoff>,
@@ -1047,9 +1023,8 @@ impl ChipSequencer {
             self.close_upstream_wait(now.as_ns());
         }
         if self.stages.mode == ScheduleMode::Barrier {
-            for shared in [self.channel, self.bus] {
-                ctx.schedule(now, shared, ChipEvent::Barrier);
-            }
+            self.channel.barrier(now.as_ns());
+            self.bus.barrier(now.as_ns());
         }
         // The rendezvous matches SEND/RECV by (stage, tag); a chip runs
         // far fewer than 2^32 stages.
@@ -1063,9 +1038,6 @@ impl ChipSequencer {
                     Rc::clone(stream),
                     now,
                     self.timing,
-                    self.channel,
-                    self.bus,
-                    self.rendezvous,
                     me,
                     c,
                     rendezvous_stage,
@@ -1128,10 +1100,9 @@ impl ChipSequencer {
                 ctx.schedule(now, buffer, ChipEvent::RoundDone { chip: self.chip_index });
             }
         }
-        // The stage's receivers have all completed; drop its rendezvous
-        // deliveries so the delivered map stays bounded by the stages in
-        // flight. `start_stage` checked that the stage id fits in u32.
-        ctx.schedule(ctx.now(), self.rendezvous, ChipEvent::RetireStage { stage: stage_id as u32 });
+        // The stage's receivers have all completed. `start_stage` checked
+        // that the stage id fits in u32.
+        self.rendezvous.retire(stage_id as u32);
         self.stages.finish(stage_id);
         self.refresh_upstream_wait(ctx.now().as_ns());
     }
@@ -1164,6 +1135,15 @@ impl Component<ChipEvent> for ChipSequencer {
                 self.stages.rounds += 1;
                 self.dispatch(event.target, ctx);
                 self.refresh_upstream_wait(event.time.as_ns());
+            }
+            ChipEvent::MemRequest { core, bytes, kind, weight } => {
+                self.channel.request(core, bytes, kind, weight, ctx);
+            }
+            ChipEvent::BusRequest { core, bytes, stage, tag } => {
+                self.bus.send(core, bytes, stage, tag, &mut self.rendezvous, ctx);
+            }
+            ChipEvent::AwaitTag { core, stage, tag, since_ns } => {
+                self.rendezvous.await_tag(core, stage, tag, since_ns, |wake| wake.schedule(ctx));
             }
             ChipEvent::CoreDone { stage, core_index, accounting } => {
                 let (activity, replace_done_ns) = *accounting;

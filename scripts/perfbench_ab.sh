@@ -17,7 +17,8 @@
 #
 # Both sides are built from copies in a temporary directory: the parent
 # from `git archive`, the working tree (uncommitted edits included)
-# from `git ls-files`. Neither build touches the checkout, so
+# from `git ls-files`, less the tracked files deleted from the checkout
+# (which `--cached` still lists). Neither build touches the checkout, so
 # `perfbench/` and its lock file stay as committed. Per metric the
 # report gives each side's median and quartiles, the ratio of medians,
 # how many pairs the working tree won (by the metric's `better`
@@ -38,8 +39,10 @@ trap 'rm -rf "$work"' EXIT
 
 mkdir -p "$work/parent" "$work/tree"
 git -C "$root" archive "$rev" | tar -x -C "$work/parent"
-(cd "$root" && git ls-files -z --cached --others --exclude-standard |
-    tar --null -T - -c) | tar -x -C "$work/tree"
+# A deleted tracked file appears in both listings, so keeping the paths
+# listed once keeps exactly the files on disk.
+(cd "$root" && { git ls-files -z --deleted; git ls-files -z --cached --others --exclude-standard; } |
+    sort -z | uniq -z -u | tar --null -T - -c) | tar -x -C "$work/tree"
 
 for side in parent tree; do
     echo "building perfbench ($side)" >&2

@@ -268,12 +268,24 @@ const ANALYTIC_DRAM_PINS: [u64; 8] = [
     17397362019018457829, 14028355755931673136, 8070446810191988774, 7597395358183710658,
 ];
 
+/// The same runs as [`ANALYTIC_DRAM_PINS`], in the same order, under
+/// closed-loop timing: the multi-channel controllers of both chips own
+/// every access's completion time.
+#[rustfmt::skip]
+const CLOSED_LOOP_SYSTEM_PINS: [u64; 8] = [
+    // resnet18-S, greedy, batch 4, layer pipeline on ring:2.
+    4732249181899199561, 15903685162249054423, 5352462749198599962, 103665106810686264,
+    // rendezvous_programs on both chips of ring:2.
+    2305816572636616341, 6819936557181826840, 4861262140135948547, 14563754470066202911,
+];
+
 #[test]
 fn analytic_dram_report_bytes_are_pinned() {
     // No golden exercises the analytic channel's DRAM energy model on a
-    // multi-chip or serving run. These hashes pin those report bytes
+    // multi-chip or serving run, and `CLOSED_LOOP_PINS` covers one chip
+    // only. These hashes pin those report bytes in both timing modes
     // under both stage schedules, so a change to how the channel feeds
-    // the DRAM model or to the rendezvous that claims to keep every
+    // the DRAM models or to the rendezvous that claims to keep every
     // byte is checked against the bytes the previous code wrote.
     use compass::{plan_system, SystemStrategy, SystemTarget};
     use pim_arch::Topology;
@@ -296,34 +308,44 @@ fn analytic_dram_report_bytes_are_pinned() {
         requests: 12,
     });
     let hash = |r: &SimReport| fnv1a(serde_json::to_string(r).expect("serializes").as_bytes());
-    let mut hashes = Vec::new();
-    for (name, loads, samples) in &workloads {
-        for schedule in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
-            let sim = SystemSimulator::new(chip.clone(), topology.clone())
-                .with_timing_mode(TimingMode::Analytic)
-                .with_schedule_mode(schedule);
-            let rounds = sim.run(loads, 3, *samples).expect("runs");
-            let served = sim.run_serving(loads, &serving).expect("serves");
-            for report in [&rounds, &served] {
-                let energy = report.dram_energy.expect("the DRAM energy model is on");
-                assert!(energy.total_nj() > 0.0, "{name}, {schedule:?}");
+    for (mode, pins) in [
+        (TimingMode::Analytic, ANALYTIC_DRAM_PINS),
+        (TimingMode::ClosedLoop, CLOSED_LOOP_SYSTEM_PINS),
+    ] {
+        let mut hashes = Vec::new();
+        for (name, loads, samples) in &workloads {
+            for schedule in [ScheduleMode::Barrier, ScheduleMode::Interleaved] {
+                let sim = SystemSimulator::new(chip.clone(), topology.clone())
+                    .with_timing_mode(mode)
+                    .with_schedule_mode(schedule);
+                let rounds = sim.run(loads, 3, *samples).expect("runs");
+                let served = sim.run_serving(loads, &serving).expect("serves");
+                for report in [&rounds, &served] {
+                    let energy = report.dram_energy.expect("the DRAM energy model is on");
+                    assert!(energy.total_nj() > 0.0, "{mode}, {name}, {schedule:?}");
+                }
+                if *name == "rendezvous" {
+                    // Both sides of the rendezvous are exercised:
+                    // receivers that blocked before the send and ones
+                    // that arrived after it.
+                    let waits: Vec<f64> = rounds.partitions[0].core_activity[1..5]
+                        .iter()
+                        .map(|a| a.recv_wait_ns)
+                        .collect();
+                    let what = format!("{mode}, {schedule:?}: {waits:?}");
+                    assert!(waits[..2].iter().all(|&w| w > 0.0), "{what}");
+                    assert!(waits[2..].iter().all(|&w| w == 0.0), "{what}");
+                }
+                hashes.push((
+                    format!("{mode}, {name}, {schedule:?}"),
+                    hash(&rounds),
+                    hash(&served),
+                ));
             }
-            if *name == "rendezvous" {
-                // Both sides of the rendezvous are exercised: receivers
-                // that blocked before the send and ones that arrived
-                // after it.
-                let waits: Vec<f64> = rounds.partitions[0].core_activity[1..5]
-                    .iter()
-                    .map(|a| a.recv_wait_ns)
-                    .collect();
-                assert!(waits[..2].iter().all(|&w| w > 0.0), "{schedule:?}: {waits:?}");
-                assert!(waits[2..].iter().all(|&w| w == 0.0), "{schedule:?}: {waits:?}");
-            }
-            hashes.push((format!("{name}, {schedule:?}"), hash(&rounds), hash(&served)));
         }
-    }
-    for ((what, rounds, served), want) in hashes.iter().zip(ANALYTIC_DRAM_PINS.chunks(2)) {
-        assert_eq!(*rounds, want[0], "{what}: fixed-round report bytes moved");
-        assert_eq!(*served, want[1], "{what}: serving report bytes moved");
+        for ((what, rounds, served), want) in hashes.iter().zip(pins.chunks(2)) {
+            assert_eq!(*rounds, want[0], "{what}: fixed-round report bytes moved");
+            assert_eq!(*served, want[1], "{what}: serving report bytes moved");
+        }
     }
 }
