@@ -23,15 +23,22 @@
 //!   its sum, not a group estimate: [`crate::Compiler::compile`]
 //!   estimates the winner from its cuts.
 //!
+//! The fold walks the group's cuts once and writes each partition's
+//! fitness as it looks the segment up. Only interleaved scheduling
+//! reads the segments' occupancy and rescales their latencies to the
+//! batch cycle; under barrier scheduling that scale is exactly 1, so
+//! the fold skips it.
+//!
 //! A segment miss plans the span, runs the replication greedy, and
 //! estimates the result, all in buffers the context keeps from miss
 //! to miss, so a miss allocates nothing and costs time in proportion
 //! to its span. The greedy checks each replica against the chip with
 //! an exact size-class packing ([`crate::packing::ffd_pack_classes`]),
-//! whose final bins also give the core load the estimate reads, so a
-//! miss never packs replica items one by one. Its plan is overwritten by
-//! the next miss; [`crate::Compiler::compile`] re-plans the winner
-//! from its cuts.
+//! or in O(1) against the room the last packing left where the
+//! replica's items are all of the smallest size; the final packing's
+//! bins give the core load the estimate reads, so a miss never packs
+//! replica items one by one. Its plan is overwritten by the next miss;
+//! [`crate::Compiler::compile`] re-plans the winner from its cuts.
 //!
 //! The group memo is a hash map keyed by cut vector. The segment memo
 //! is a dense table with one 32-byte slot per span the validity map
@@ -322,12 +329,17 @@ impl<'a> FitnessContext<'a> {
     /// Recalls (or computes and memoizes) one segment. A span outside
     /// the validity map is computed and not stored.
     fn segment_eval(&self, partition: Partition) -> SegmentEval {
-        let slot = if self.memo_enabled { self.segments.borrow().slot(partition) } else { None };
-        let Some(slot) = slot else { return self.compute_segment(partition) };
-        let hit = self.segments.borrow().get(slot);
+        let (slot, hit) = if self.memo_enabled {
+            let table = self.segments.borrow();
+            let slot = table.slot(partition);
+            (slot, slot.and_then(|slot| table.get(slot)))
+        } else {
+            (None, None)
+        };
         if let Some(hit) = hit {
             return hit;
         }
+        let Some(slot) = slot else { return self.compute_segment(partition) };
         let eval = self.compute_segment(partition);
         self.segments.borrow_mut().insert(slot, eval);
         eval
@@ -352,30 +364,54 @@ impl<'a> FitnessContext<'a> {
 
     /// The evaluation itself: per-segment plan/replicate/estimate
     /// (through the segment memo), then the group fold and score.
+    ///
+    /// The fold walks the cuts once. Under barrier scheduling a
+    /// partition's fitness is read straight off its segment. Under
+    /// interleaving the group's batch cycle is shorter than the serial
+    /// partition sum, so each partition's latency is scaled by
+    /// `batch / serial` first: `PGF = Σ f(Pₖ)` then still equals the
+    /// latency the executor pays, and the relative steering between
+    /// partitions is preserved. (Under barrier scheduling the batch
+    /// cycle is the serial sum, so that scale is `x / x`, exactly 1.)
     fn evaluate_uncached(&self, group: &PartitionGroup) -> EvaluatedGroup {
-        let segments: Vec<SegmentEval> =
-            (0..group.partition_count()).map(|k| self.segment_eval(group.partition(k))).collect();
-        let occupancy: Vec<Occupancy> = segments.iter().map(|s| s.occupancy).collect();
-        // The latencies, scaled in place into the fitness below.
-        let mut partition_fitness: Vec<f64> = segments.iter().map(|s| s.latency_ns).collect();
-        let batch_ns =
-            self.estimator().batch_latency_ns(&occupancy, &partition_fitness, self.batch);
-        // Under interleaving the group's batch cycle is shorter than
-        // the serial partition sum; scale each partition's share so
-        // `PGF = Σ f(Pₖ)` still equals the latency the executor pays
-        // while the relative steering between partitions is preserved.
-        let serial_ns: f64 = partition_fitness.iter().sum();
-        let scale = if serial_ns > 0.0 { batch_ns / serial_ns } else { 1.0 };
-        for (fitness, seg) in partition_fitness.iter_mut().zip(&segments) {
-            let latency_ns = seg.latency_ns * scale;
-            *fitness = match self.kind {
-                FitnessKind::Latency => latency_ns,
-                // µs × µJ keeps EDP fitness numerically tame.
-                FitnessKind::Edp => (latency_ns * 1e-3) * (seg.energy_nj * 1e-3),
-            };
+        let mut partition_fitness = Vec::with_capacity(group.partition_count());
+        let mut interleaved = Vec::new();
+        let mut start = 0;
+        for end in group.cuts().iter().copied().chain([group.unit_count()]) {
+            let seg = self.segment_eval(Partition::new(start, end));
+            start = end;
+            match self.schedule_mode {
+                ScheduleMode::Barrier => {
+                    partition_fitness.push(self.fitness(seg.latency_ns, seg.energy_nj));
+                }
+                ScheduleMode::Interleaved => {
+                    partition_fitness.push(seg.latency_ns);
+                    interleaved.push(seg);
+                }
+            }
+        }
+        if self.schedule_mode == ScheduleMode::Interleaved {
+            let occupancy: Vec<Occupancy> = interleaved.iter().map(|s| s.occupancy).collect();
+            let batch_ns =
+                self.estimator().batch_latency_ns(&occupancy, &partition_fitness, self.batch);
+            let serial_ns: f64 = partition_fitness.iter().sum();
+            let scale = if serial_ns > 0.0 { batch_ns / serial_ns } else { 1.0 };
+            for (fitness, seg) in partition_fitness.iter_mut().zip(&interleaved) {
+                *fitness = self.fitness(seg.latency_ns * scale, seg.energy_nj);
+            }
         }
         let pgf = partition_fitness.iter().sum();
         EvaluatedGroup { group: group.clone(), partition_fitness, pgf }
+    }
+
+    /// One partition's fitness from its (scaled) latency and its
+    /// energy.
+    fn fitness(&self, latency_ns: f64, energy_nj: f64) -> f64 {
+        match self.kind {
+            FitnessKind::Latency => latency_ns,
+            // µs × µJ keeps EDP fitness numerically tame.
+            FitnessKind::Edp => (latency_ns * 1e-3) * (energy_nj * 1e-3),
+        }
     }
 
     /// Number of memoized whole-group evaluations.

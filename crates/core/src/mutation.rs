@@ -31,34 +31,38 @@ impl MutationKind {
 /// Merges the consecutive partition pair `(k, k+1)` whose combined
 /// partition score is worst. `scores[k]` are the per-partition scores;
 /// returns `None` if no adjacent pair can legally merge.
+///
+/// Among the pairs whose merged span is valid, this is the one with
+/// the largest combined score, the lowest `k` on a tie: the first valid
+/// pair in a stable sort by combined score, worst first. Every other
+/// span is unchanged, so only the merged one can be invalid.
 pub fn merge(
     group: &PartitionGroup,
     scores: &[f64],
     validity: &ValidityMap,
 ) -> Option<PartitionGroup> {
-    let cuts = group.cuts();
-    if cuts.is_empty() {
-        return None;
+    let mut worst: Option<(usize, f64)> = None;
+    for k in 0..group.cuts().len() {
+        let combined = scores[k] + scores[k + 1];
+        if worst.is_some_and(|(_, w)| combined <= w) {
+            continue;
+        }
+        if validity.is_valid(group.partition(k).start, group.partition(k + 1).end) {
+            worst = Some((k, combined));
+        }
     }
-    // Rank cut indices by combined score of the two partitions they
-    // separate, worst (largest) first.
-    let mut order: Vec<usize> = (0..cuts.len()).collect();
-    order.sort_by(|&a, &b| {
-        let sa = scores[a] + scores[a + 1];
-        let sb = scores[b] + scores[b + 1];
-        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    // Every other span is unchanged, so only the merged one can be
-    // invalid.
-    let merged = order
-        .into_iter()
-        .find(|&k| validity.is_valid(group.partition(k).start, group.partition(k + 1).end))?;
-    Some(group.without_cut(merged))
+    Some(group.without_cut(worst?.0))
 }
 
-/// Splits partition `k` at a uniformly random interior point. Any
-/// interior split of a valid span is itself valid (packing is monotone
-/// under item removal), so this only fails for single-unit partitions.
+/// Splits partition `k` at a uniformly random interior point; fails
+/// only for single-unit partitions.
+///
+/// Any interior split of a valid span is valid by the validity map's
+/// construction: `max_end` never decreases, so `[start, end)` valid
+/// means `end ≤ max_end(start) ≤ max_end(cut)` for every `cut` in
+/// between. (Packing is not monotone under item removal — see
+/// [`crate::packing::pack_ffd`] — so this is a property of the map,
+/// not of FFD.) Only the two new spans are checked.
 pub fn split<R: Rng + ?Sized>(
     group: &PartitionGroup,
     k: usize,
@@ -70,10 +74,8 @@ pub fn split<R: Rng + ?Sized>(
         return None;
     }
     let cut = rng.gen_range((part.start + 1)..part.end);
-    let mut cuts = group.cuts().to_vec();
-    let pos = cuts.partition_point(|&c| c < cut);
-    cuts.insert(pos, cut);
-    PartitionGroup::from_cuts(cuts, validity)
+    let valid = validity.is_valid(part.start, cut) && validity.is_valid(cut, part.end);
+    valid.then(|| group.with_cut_inserted(k, cut))
 }
 
 /// Moves one unit across the boundary between partition `k` and a
@@ -135,10 +137,6 @@ pub fn fixed_random<R: Rng + ?Sized>(
         cuts.push(end);
         pos = end;
     }
-    if part.start > 0 && *cuts.last().unwrap() != part.start {
-        // Unreachable by construction, but stay defensive.
-        return None;
-    }
     if part.end < m {
         cuts.push(part.end);
         let mut pos = part.end;
@@ -151,7 +149,9 @@ pub fn fixed_random<R: Rng + ?Sized>(
             pos = end;
         }
     }
-    PartitionGroup::from_cuts(cuts, validity)
+    // Each walk step ends inside `max_end` of its start, and the walk
+    // before the kept span lands on its start exactly.
+    Some(PartitionGroup::from_valid_cuts(cuts, validity))
 }
 
 /// Applies `kind` to `group`, mutating the worst-scoring partition
@@ -164,24 +164,32 @@ pub fn apply<R: Rng + ?Sized>(
     rng: &mut R,
     validity: &ValidityMap,
 ) -> Option<PartitionGroup> {
-    let worst = scores
+    match kind {
+        MutationKind::Merge => merge(group, scores, validity),
+        MutationKind::Split => split(group, worst(scores), rng, validity),
+        MutationKind::Move => move_unit(group, worst(scores), rng, validity),
+        MutationKind::FixedRandom => fixed_random(group, best(scores), rng, validity),
+    }
+}
+
+/// The worst-scoring partition: the last of the largest scores.
+fn worst(scores: &[f64]) -> usize {
+    scores
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(k, _)| k)
-        .unwrap_or(0);
-    let best = scores
+        .unwrap_or(0)
+}
+
+/// The best-scoring partition: the first of the smallest scores.
+fn best(scores: &[f64]) -> usize {
+    scores
         .iter()
         .enumerate()
         .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(k, _)| k)
-        .unwrap_or(0);
-    match kind {
-        MutationKind::Merge => merge(group, scores, validity),
-        MutationKind::Split => split(group, worst, rng, validity),
-        MutationKind::Move => move_unit(group, worst, rng, validity),
-        MutationKind::FixedRandom => fixed_random(group, best, rng, validity),
-    }
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -299,36 +307,81 @@ mod tests {
         }
     }
 
+    /// The reference `merge`: rank every cut by the combined score of
+    /// its two partitions, worst first (a stable sort), and take the
+    /// first whose removal revalidates.
+    fn reference_merge(
+        group: &PartitionGroup,
+        scores: &[f64],
+        validity: &ValidityMap,
+    ) -> Option<PartitionGroup> {
+        let cuts = group.cuts();
+        let mut order: Vec<usize> = (0..cuts.len()).collect();
+        order.sort_by(|&a, &b| {
+            let sa = scores[a] + scores[a + 1];
+            let sb = scores[b] + scores[b + 1];
+            sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        order.into_iter().find_map(|k| {
+            let mut new_cuts = cuts.to_vec();
+            new_cuts.remove(k);
+            PartitionGroup::from_cuts(new_cuts, validity)
+        })
+    }
+
+    /// The reference `split`: insert the cut by search, then
+    /// revalidate the whole group.
+    fn reference_split<R: Rng + ?Sized>(
+        group: &PartitionGroup,
+        k: usize,
+        rng: &mut R,
+        validity: &ValidityMap,
+    ) -> Option<PartitionGroup> {
+        let part = group.partition(k);
+        if part.len() < 2 {
+            return None;
+        }
+        let cut = rng.gen_range((part.start + 1)..part.end);
+        let mut cuts = group.cuts().to_vec();
+        let pos = cuts.partition_point(|&c| c < cut);
+        cuts.insert(pos, cut);
+        PartitionGroup::from_cuts(cuts, validity)
+    }
+
     #[test]
     fn span_checks_pick_the_child_full_revalidation_picks() {
-        // Reference: the searches `merge` and `move_unit` ran before
-        // they checked only the spans an edit changes — edit a clone
-        // of the cuts, then revalidate the whole group.
+        // Each operator against its reference on the same group and
+        // an RNG of the same seed: the same child, and the same RNG
+        // state after it.
         let (validity, _) = setup();
         let mut rng = StdRng::seed_from_u64(9);
-        let (mut merged, mut moved) = (0, 0);
-        for _ in 0..400 {
+        let (mut merged, mut tied, mut split_ok, mut moved) = (0, 0, 0, 0);
+        for case in 0..600 {
             let group = PartitionGroup::random(&mut rng, &validity);
             let cuts = group.cuts();
+            // Every other case draws from four values, so equal
+            // combined scores are common and ties decide the merge.
+            let spread = if case % 2 == 0 { 4u32 } else { 1000 };
             let scores: Vec<f64> =
-                (0..group.partition_count()).map(|_| rng.gen_range(0..1000u32) as f64).collect();
-            let mut order: Vec<usize> = (0..cuts.len()).collect();
-            order.sort_by(|&a, &b| {
-                let sa = scores[a] + scores[a + 1];
-                let sb = scores[b] + scores[b + 1];
-                sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let want = order.into_iter().find_map(|k| {
-                let mut new_cuts = cuts.to_vec();
-                new_cuts.remove(k);
-                PartitionGroup::from_cuts(new_cuts, &validity)
-            });
+                (0..group.partition_count()).map(|_| rng.gen_range(0..spread) as f64).collect();
+            let combined: Vec<f64> = scores.windows(2).map(|w| w[0] + w[1]).collect();
+            let top = combined.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            tied += usize::from(combined.iter().filter(|&&c| c == top).count() > 1);
+            let want = reference_merge(&group, &scores, &validity);
             let got = merge(&group, &scores, &validity);
-            assert_eq!(got, want, "merge of {group}");
+            assert_eq!(got, want, "merge of {group} with scores {scores:?}");
             merged += usize::from(got.is_some());
 
             let k = rng.gen_range(0..group.partition_count());
             let seed = rng.gen_range(0..u64::MAX);
+            let (mut reference_rng, mut split_rng) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let want = reference_split(&group, k, &mut reference_rng, &validity);
+            let got = split(&group, k, &mut split_rng, &validity);
+            assert_eq!(got, want, "split of partition {k} in {group}");
+            assert_eq!(split_rng.gen_range(0..u64::MAX), reference_rng.gen_range(0..u64::MAX));
+            split_ok += usize::from(got.is_some());
+
             let mut reference_rng = StdRng::seed_from_u64(seed);
             let mut attempts: Vec<(usize, isize)> = [k.checked_sub(1), Some(k)]
                 .into_iter()
@@ -350,8 +403,10 @@ mod tests {
             assert_eq!(got, want, "move of partition {k} in {group}");
             moved += usize::from(got.is_some());
         }
-        // Both outcomes of both searches occur.
-        assert!((1..400).contains(&merged), "{merged} of 400 merges succeeded");
-        assert!((1..400).contains(&moved), "{moved} of 400 moves succeeded");
+        // Both outcomes of every search occur, and so do tied merges.
+        assert!((1..600).contains(&merged), "{merged} of 600 merges succeeded");
+        assert!((1..600).contains(&split_ok), "{split_ok} of 600 splits succeeded");
+        assert!((1..600).contains(&moved), "{moved} of 600 moves succeeded");
+        assert!(tied > 100, "only {tied} of 600 groups tie for the worst pair");
     }
 }

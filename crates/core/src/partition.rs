@@ -84,6 +84,13 @@ impl PartitionGroup {
         Some(Self { cuts, len })
     }
 
+    /// Builds a group from cut positions the caller has already
+    /// checked against `validity` (revalidated in debug builds only).
+    pub(crate) fn from_valid_cuts(cuts: Vec<usize>, validity: &ValidityMap) -> Self {
+        debug_assert!(Self::from_cuts(cuts.clone(), validity).is_some(), "invalid cuts {cuts:?}");
+        Self { cuts, len: validity.len() }
+    }
+
     /// Samples a random valid group: repeatedly chooses an end position
     /// uniformly within the valid range of the current start (always
     /// terminates because a single unit is always valid).
@@ -143,6 +150,17 @@ impl PartitionGroup {
     pub(crate) fn without_cut(&self, k: usize) -> Self {
         let mut cuts = self.cuts.clone();
         cuts.remove(k);
+        Self { cuts, len: self.len }
+    }
+
+    /// This group with a cut at `cut` inserted as cut `k`, splitting
+    /// partition `k`. The caller has checked that `cut` lies strictly
+    /// inside partition `k` and that both halves are valid.
+    pub(crate) fn with_cut_inserted(&self, k: usize, cut: usize) -> Self {
+        let mut cuts = Vec::with_capacity(self.cuts.len() + 1);
+        cuts.extend_from_slice(&self.cuts[..k]);
+        cuts.push(cut);
+        cuts.extend_from_slice(&self.cuts[k..]);
         Self { cuts, len: self.len }
     }
 
